@@ -256,7 +256,7 @@ fn main() {
     let report = Report {
         schema: 5,
         profile: if tiny { "tiny" } else { "full" }.into(),
-        effective_threads: ssta_core::parallel::effective_threads(0),
+        effective_threads: ssta_math::parallel::effective_threads(0),
         eigen: duel,
         assembly: points,
         sequential,

@@ -209,7 +209,7 @@ fn main() {
         schema: 2,
         profile: if tiny { "tiny" } else { "full" }.into(),
         workers: profile.workers,
-        effective_threads: ssta_core::parallel::effective_threads(profile.workers),
+        effective_threads: ssta_math::parallel::effective_threads(profile.workers),
         module: profile.module.into(),
         instances: profile.instances,
         distinct_fingerprints: 1,

@@ -24,11 +24,9 @@
 
 use serde::Serialize;
 use ssta_bench::module_array_spec;
-use ssta_core::{
-    parallel::effective_threads, CorrelationModel, ExtractOptions, PhaseTimings, ScenarioOverlay,
-    SstaConfig,
-};
+use ssta_core::{CorrelationModel, ExtractOptions, PhaseTimings, ScenarioOverlay, SstaConfig};
 use ssta_engine::{CornerGrid, Engine, GridAxis, SweepOptions, SweepSummary};
+use ssta_math::parallel::effective_threads;
 use std::time::Instant;
 
 #[derive(Serialize)]

@@ -4,7 +4,7 @@
 //!
 //! Note on the upper mode: the paper plots it at criticality 1.0; under
 //! this implementation's collapsed-random tightness convention dominant
-//! edges saturate near 0.5 instead (see `EXPERIMENTS.md`). The *shape* —
+//! edges saturate near 0.5 instead. The *shape* —
 //! most edges near 0, a dominant-edge mode at the saturation point, and a
 //! thin middle — is the reproduced result.
 //!

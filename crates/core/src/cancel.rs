@@ -4,7 +4,7 @@
 //! party that wants work stopped (a serving front-end whose client went
 //! away, a deadline that expired) and the code doing the work (the
 //! engine pipeline, which polls the token at stage checkpoints). Like
-//! the helpers in [`parallel`](crate::parallel), the token is purely
+//! the helpers in [`ssta_math::parallel`], the token is purely
 //! cooperative: it never interrupts a computation mid-kernel, it only
 //! makes the *next* checkpoint return [`Cancelled`] — so results that
 //! do complete remain bit-deterministic, and shared work (a

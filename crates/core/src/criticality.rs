@@ -194,7 +194,7 @@ fn graph_edge_delay(graph: &TimingGraph<CanonicalForm>, slot: usize) -> Canonica
 /// residual `≈ √2·a_r` and the means tie. This is *conservative*: values
 /// are compressed toward 0.5 and an edge is never spuriously pushed below
 /// a practical pruning threshold δ (Monte-Carlo argmax tracing confirms
-/// the ordering is preserved; see `EXPERIMENTS.md`). Crediting the full
+/// the ordering is preserved). Crediting the full
 /// product `r(dₑ)·r(M)` instead would make the probability hypersensitive
 /// to the tiny mean discrepancies that different Clark collapse orders
 /// introduce, and measurably misclassifies dominant edges.

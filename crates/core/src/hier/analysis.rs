@@ -12,10 +12,10 @@
 use crate::canonical::CanonicalForm;
 use crate::hier::design::Design;
 use crate::hier::replace::{DesignVariables, InstanceReplacement};
-use crate::parallel::{effective_threads, try_parallel_indexed};
 use crate::params::VariableLayout;
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
+use ssta_math::parallel::{effective_threads, try_parallel_indexed};
 use ssta_timing::{levels, LevelSchedule, TimingGraph, VertexId};
 use std::fmt;
 use std::time::Instant;

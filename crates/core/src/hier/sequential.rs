@@ -29,8 +29,8 @@
 use crate::canonical::CanonicalForm;
 use crate::hier::analysis::{build_variable_space, CorrelationMode, PhaseTimings};
 use crate::hier::design::Design;
-use crate::parallel::effective_threads;
 use crate::CoreError;
+use ssta_math::parallel::effective_threads;
 use ssta_timing::{levels, LevelSchedule, TimingGraph, VertexId};
 use std::time::Instant;
 

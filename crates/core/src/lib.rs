@@ -22,9 +22,9 @@
 //!   into extraction-relevant and analysis-level knobs so sweeps share
 //!   cached models wherever the math allows;
 //! * [`yield_analysis`] — delay-yield utilities;
-//! * [`parallel`] / [`cancel`] — deterministic fork-join helpers and the
-//!   cooperative [`CancelToken`] that serving layers thread through
-//!   long-running analyses.
+//! * [`cancel`] — the cooperative [`CancelToken`] that serving layers
+//!   thread through long-running analyses (the deterministic fork-join
+//!   helpers live in [`ssta_math::parallel`]).
 //!
 //! # Example: extract a timing model and inspect its compression
 //!
@@ -59,7 +59,6 @@ pub mod criticality;
 pub mod extract;
 pub mod fingerprint;
 pub mod hier;
-pub mod parallel;
 pub mod scenario;
 pub mod spatial;
 pub mod yield_analysis;

@@ -240,10 +240,10 @@ impl CorrelationModel {
         assert!(!centers.is_empty(), "need at least one grid");
         assert!(pitch_um > 0.0, "pitch must be positive");
         let n = centers.len();
-        let workers = crate::parallel::effective_threads(threads);
+        let workers = ssta_math::parallel::effective_threads(threads);
         // Upper-triangle rows (entry j ≥ i), shortest rows last so the
         // atomic-cursor scheduler balances the triangular workload.
-        let rows: Vec<Vec<f64>> = crate::parallel::parallel_indexed(n, workers, |i| {
+        let rows: Vec<Vec<f64>> = ssta_math::parallel::parallel_indexed(n, workers, |i| {
             let (xi, yi) = centers[i];
             let mut row = Vec::with_capacity(n - i);
             row.push(1.0);

@@ -1,22 +1,21 @@
-//! The analysis engine: a staged pipeline plus a scenario-sweep batch
-//! scheduler over shared caches.
+//! The analysis engine: one planner and executor over shared caches.
 //!
-//! One analysis flows through four stages (see [`crate::pipeline`]):
-//! **plan** (fingerprint + dedupe module definitions), **resolve**
-//! (session cache → persistent [`ModelStore`] → parallel extraction),
-//! **assemble** (build the design, run the top-level hierarchical
-//! analysis) and **report** ([`RunStats`]/[`BatchStats`]).
+//! Every call runs the same pipeline (see [`crate::pipeline`]): the
+//! scenarios are **planned** into extraction-signature groups up front,
+//! and each group is **resolved** once (session cache → persistent
+//! [`ModelStore`] → parallel extraction), **assembled** once, and
+//! analyzed once per correlation mode; one fold **reports** the whole
+//! call as a [`SweepSummary`].
 //!
-//! [`Engine::analyze`] runs exactly one trip through that pipeline — it
-//! is a single-scenario batch. [`Engine::analyze_batch`] sweeps one
-//! [`DesignSpec`] across a [`ScenarioSet`] of named configuration
-//! overlays, running scenarios in parallel over one shared store with a
-//! **single-flight table** deduplicating concurrent extractions: N
-//! scenarios needing the same `(module, fingerprint)` trigger exactly
-//! one characterization, however they race. Scenarios that differ only
-//! in analysis-level knobs (correlation mode, yield target) share cached
-//! models by construction, because fingerprints are derived from the
-//! extraction-relevant inputs alone.
+//! The front-ends differ only in how they name the scenarios and what
+//! they keep: [`Engine::analyze`] is a one-scenario batch,
+//! [`Engine::analyze_batch`] runs a [`ScenarioSet`] and keeps every
+//! full result, and [`Engine::analyze_sweep`] runs a lazily
+//! materialized [`CornerGrid`] and keeps compact records only (unless
+//! asked otherwise). Scenarios that differ only in analysis-level knobs
+//! (correlation mode, yield target) share one group — one resolve, one
+//! assembly — by construction, because fingerprints are derived from
+//! the extraction-relevant inputs alone.
 //!
 //! Invalidation ([`Engine::invalidate`]) drops one module from both
 //! cache tiers; the next analyze re-extracts exactly that module and
@@ -26,30 +25,28 @@
 
 use crate::error::EngineError;
 use crate::grid::CornerGrid;
-use crate::pipeline::sweep::{SweepOptions, SweepSummary};
-use crate::pipeline::{
-    self, effective_threads, parallel_indexed, singleflight::SingleFlight, ScenarioParams,
-    SessionCache, SharedState,
-};
-use crate::scenario::ScenarioSet;
+use crate::pipeline::report::SweepSummary;
+use crate::pipeline::sweep::{self, SweepOptions};
+use crate::pipeline::{singleflight::SingleFlight, SessionCache, SharedState};
+use crate::scenario::{Scenario, ScenarioSet};
 use crate::spec::{DesignSpec, ModuleId};
 use crate::store::{Codec, FsBackend, ModelStore, StorageBackend};
 use ssta_core::{
     module_fingerprint, module_fingerprint_from_digest, netlist_digest, CancelToken,
     CorrelationMode, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
 };
+use ssta_math::parallel::effective_threads;
 use ssta_netlist::Netlist;
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
-pub use crate::pipeline::report::{BatchRun, BatchStats, EngineRun, RunStats, ScenarioRun};
+pub use crate::pipeline::report::{BatchRun, EngineRun, RunStats, ScenarioRun};
 
 /// A single-flight table shareable **across engines**: clone one group
 /// into every worker of a serving pool and concurrent identical requests
-/// coalesce their extractions across workers, not just across the
-/// scenarios of one batch.
+/// coalesce their extractions across workers. (The groups of one call
+/// never share a module fingerprint, so coalescing only ever happens
+/// across engines or calls.)
 ///
 /// Entries retire as soon as their leader publishes, so the group holds
 /// no memoized results — it is pure concurrency dedup and is always
@@ -79,9 +76,11 @@ pub struct EngineOptions {
     pub extract: ExtractOptions,
     /// Correlation handling for the top-level analysis.
     pub mode: CorrelationMode,
-    /// Worker threads for module characterization/extraction and for
-    /// scenario fan-out in batch runs; `0` uses the available
-    /// parallelism, `1` forces the serial path.
+    /// The thread budget of every call: split between the call's
+    /// extraction-signature groups and, within a group, its module
+    /// extractions and design analyses. `0` uses the available
+    /// parallelism, `1` forces the serial path. Every count produces
+    /// bit-identical results.
     pub threads: usize,
     /// Payload codec for model-library writes (reads auto-detect).
     /// Not part of the cache key: both codecs store the same model
@@ -147,8 +146,8 @@ impl Engine {
 
     /// Shares a [`FlightGroup`] with this engine, so in-flight module
     /// resolutions coalesce with every other engine holding a clone of
-    /// the same group (a serving worker pool, typically). Engines not
-    /// given a group still single-flight within their own batches.
+    /// the same group (a serving worker pool, typically). An engine not
+    /// given a group has a private one.
     pub fn with_flight_group(mut self, flights: FlightGroup) -> Self {
         self.flights = flights;
         self
@@ -300,13 +299,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Analyzes a design spec through the staged pipeline: plan
-    /// (deduplicate modules by fingerprint), resolve them through the
-    /// caches (extracting misses in parallel), assemble the design and
-    /// run the top-level hierarchical analysis.
+    /// Analyzes a design spec: deduplicate modules by fingerprint,
+    /// resolve them through the caches (extracting misses in parallel),
+    /// assemble the design and run the top-level hierarchical analysis.
     ///
     /// Equivalent to a single-scenario [`Engine::analyze_batch`] with an
-    /// empty overlay.
+    /// empty overlay: a one-group plan, which runs on the calling
+    /// thread.
     ///
     /// # Errors
     ///
@@ -316,34 +315,36 @@ impl Engine {
         let mut batch = self.analyze_batch(spec, &ScenarioSet::baseline())?;
         let run = batch.scenarios.pop().expect("baseline has one scenario");
         let mut stats = run.stats;
-        // A baseline batch is this one scenario, so the batch-boundary
+        // A baseline batch is this one scenario, so the call-boundary
         // health delta is exactly this run's.
         stats.store_retries = batch.stats.store_retries;
         stats.store_quarantined = batch.stats.store_quarantined;
         stats.store_breaker_trips = batch.stats.store_breaker_trips;
         stats.store_breaker = batch.stats.store_breaker;
         Ok(EngineRun {
-            timing: run.timing,
+            timing: Arc::unwrap_or_clone(run.timing),
             stats,
         })
     }
 
-    /// Sweeps one design spec across a set of named scenarios, sharing
-    /// this engine's caches and store across all of them.
+    /// Analyzes one design spec under every scenario of a set, sharing
+    /// this engine's caches and store across all of them, and keeps
+    /// every scenario's full result.
     ///
-    /// Scenarios run in parallel (bounded by [`EngineOptions::threads`];
-    /// `1` forces a serial sweep). Concurrent misses on the same module
-    /// fingerprint are single-flighted: exactly one scenario leads the
-    /// resolution, the rest coalesce onto it — so a batch performs at
-    /// most [`BatchStats::distinct_fingerprints`] extractions no matter
-    /// how many scenarios race. Extraction is deterministic, so batch
-    /// results are bit-identical to running the scenarios one at a time.
+    /// Scenarios are planned into extraction-signature groups first: a
+    /// set whose scenarios resolve to K distinct `(config, extract)`
+    /// pairs runs K resolve + assemble passes, in parallel (bounded by
+    /// [`EngineOptions::threads`]; `1` forces a serial run), so a batch
+    /// performs at most
+    /// [`SweepSummary::distinct_fingerprints`] extractions. Extraction
+    /// is deterministic, so batch results are bit-identical to running
+    /// the scenarios one at a time.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Spec`] for an empty scenario set and
-    /// propagates the first failing scenario's error (in scenario-set
-    /// order).
+    /// Returns [`EngineError::Spec`] for an empty scenario set or a
+    /// duplicated scenario name, and propagates the failing group's
+    /// error for the lowest affected scenario.
     pub fn analyze_batch(
         &mut self,
         spec: &DesignSpec,
@@ -354,14 +355,15 @@ impl Engine {
 
     /// [`Engine::analyze_batch`] with a cooperative [`CancelToken`].
     ///
-    /// The pipeline polls `cancel` at stage checkpoints — before
-    /// planning, before each module resolution, and between resolve and
-    /// assemble — and returns [`EngineError::Cancelled`] at the first
-    /// one that fires. Cancellation never interrupts work mid-kernel:
-    /// a module resolution this request *leads* runs to completion
-    /// (other requests may be waiting on it) and its model is published
-    /// to the caches as usual, while a resolution this request merely
-    /// *follows* is detached from immediately. A token with a deadline
+    /// The pipeline polls `cancel` at stage checkpoints — before each
+    /// group's resolve, before each module resolution, between resolve
+    /// and assemble, and before each correlation mode's analysis — and
+    /// returns [`EngineError::Cancelled`] at the first one that fires.
+    /// Cancellation never interrupts work mid-kernel: a module
+    /// resolution this request *leads* runs to completion (other
+    /// requests may be waiting on it) and its model is published to the
+    /// caches as usual, while a resolution this request merely *follows*
+    /// is detached from immediately. A token with a deadline
     /// ([`CancelToken::with_timeout`]) turns a latency budget into an
     /// automatic mid-pipeline stop.
     ///
@@ -381,112 +383,41 @@ impl Engine {
             });
         }
         // Duplicate labels would make per-scenario reporting ambiguous
-        // (`BatchRun::scenario` returns the first match) and silently
-        // double-count stats; reject them up front with the offending
-        // name.
+        // (`BatchRun::scenario` returns the first match); reject them up
+        // front with the offending name.
         if let Some(name) = scenarios.duplicate_name() {
             return Err(EngineError::Spec {
                 reason: format!("duplicate scenario name {name:?} in batch"),
             });
         }
-        let started = Instant::now();
-        // Health is attributed at the batch boundary: scenarios share
-        // one backend stack, so per-scenario deltas would double-count.
-        let health_before = self
-            .store
-            .as_ref()
-            .map(ModelStore::health)
-            .unwrap_or_default();
-        let params: Vec<ScenarioParams> = scenarios
-            .iter()
-            .map(|s| {
-                let (config, extract, mode) =
-                    s.overlay
-                        .resolve(&self.config, &self.options.extract, self.options.mode);
-                ScenarioParams {
-                    name: s.name.clone(),
-                    config,
-                    extract,
-                    mode,
-                    yield_target_ps: s.overlay.yield_target_ps,
-                }
-            })
-            .collect();
-
-        // One thread budget bounds both fan-out levels: scenarios get up
-        // to `workers` threads, and each scenario's resolve stage gets
-        // the budget divided by the scenario fan-out — so a batch never
-        // oversubscribes to workers² OS threads.
-        let workers = effective_threads(self.options.threads);
-        let scenario_workers = workers.min(params.len());
-        let shared = SharedState {
-            cache: &self.memory,
-            flights: self.flights.table(),
-            store: self.store.as_ref(),
-            threads: (workers / scenario_workers.max(1)).max(1),
-            cancel,
-        };
-
-        let outcomes = parallel_indexed(params.len(), scenario_workers, |i| {
-            pipeline::run_scenario(spec, &params[i], &shared)
-        });
-        // The batch-wide fingerprint universe: the union of every
-        // scenario's plan, as reported by the runs themselves.
-        let mut runs: Vec<ScenarioRun> = Vec::with_capacity(outcomes.len());
-        let mut distinct: BTreeSet<String> = BTreeSet::new();
-        for outcome in outcomes {
-            let (run, keys) = outcome?;
-            runs.push(run);
-            distinct.extend(keys);
-        }
-
-        let mut stats = BatchStats {
-            scenarios: runs.len(),
-            instances: spec.instances.len(),
-            distinct_fingerprints: distinct.len(),
-            store_codec: self.store.as_ref().map(ModelStore::codec),
-            ..BatchStats::default()
-        };
-        for run in &runs {
-            stats.absorb(&run.stats);
-        }
-        if let Some(store) = &self.store {
-            stats.absorb_health(&store.health().delta(&health_before));
-        }
-        stats.elapsed_seconds = started.elapsed().as_secs_f64();
-
+        let mut stats = self.run(spec, scenarios.iter().cloned(), true, cancel)?;
         Ok(BatchRun {
-            scenarios: runs,
+            scenarios: std::mem::take(&mut stats.retained),
             stats,
         })
     }
 
     /// Sweeps one design spec across a [`CornerGrid`] of scenario
-    /// overlays — the mega-sweep path for hundreds-to-thousands of
+    /// overlays — the mega-sweep front-end for hundreds-to-thousands of
     /// corners.
     ///
-    /// Where [`Engine::analyze_batch`] runs every scenario as an
-    /// independent pipeline trip (relying on the single-flight table to
-    /// dedupe racing extractions), this path **plans the collapse up
-    /// front**: corners are grouped by extraction signature before any
-    /// work runs, so a grid with N corners and K distinct
-    /// `(config, extract)` groups schedules exactly K resolve + assemble
-    /// passes — and corners differing only in correlation mode or yield
-    /// target share one design analysis outright. Workers self-schedule
-    /// whole groups over a shared cursor and stream compact per-corner
-    /// records into the returned [`SweepSummary`]; full results are
-    /// dropped as soon as each group summarizes, keeping peak resident
-    /// memory O(workers) (see [`SweepOptions::retain_results`] to keep
-    /// them all).
+    /// Corners are materialized lazily and planned like any batch: a
+    /// grid with N corners and K distinct `(config, extract)` groups
+    /// runs exactly K resolve + assemble passes, and corners differing
+    /// only in correlation mode or yield target share one design
+    /// analysis outright. Each corner's compact record lands in the
+    /// returned [`SweepSummary`]; full results are dropped as soon as
+    /// each mode bucket summarizes, keeping peak resident memory
+    /// O(workers) (see [`SweepOptions::retain_results`] to keep them
+    /// all).
     ///
     /// Results are bit-identical to analyzing each corner one at a time
-    /// with [`Engine::analyze`], for every worker count.
+    /// with [`Engine::analyze`], for every thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Spec`] for an empty grid (unbuildable —
-    /// [`CornerGrid`] construction rejects it) and propagates the
-    /// failing group's error for the lowest affected corner index.
+    /// Propagates the failing group's error for the lowest affected
+    /// corner index.
     pub fn analyze_sweep(
         &mut self,
         spec: &DesignSpec,
@@ -498,9 +429,7 @@ impl Engine {
 
     /// [`Engine::analyze_sweep`] with a cooperative [`CancelToken`],
     /// polled at the same stage checkpoints as
-    /// [`Engine::analyze_batch_cancellable`] (before each group's
-    /// resolve, before each module resolution, and before each mode
-    /// bucket's analysis).
+    /// [`Engine::analyze_batch_cancellable`].
     ///
     /// # Errors
     ///
@@ -513,27 +442,32 @@ impl Engine {
         options: &SweepOptions,
         cancel: &CancelToken,
     ) -> Result<SweepSummary, EngineError> {
-        let workers = effective_threads(if options.workers != 0 {
-            options.workers
-        } else {
-            self.options.threads
-        });
-        let shared = SharedState {
-            cache: &self.memory,
-            flights: self.flights.table(),
-            store: self.store.as_ref(),
-            threads: workers,
-            cancel,
-        };
-        pipeline::sweep::run_sweep(
+        self.run(spec, grid.iter(), options.retain_results, cancel)
+    }
+
+    /// Plans and executes `scenarios` over this engine's caches with
+    /// the engine's whole thread budget.
+    fn run(
+        &self,
+        spec: &DesignSpec,
+        scenarios: impl IntoIterator<Item = Scenario>,
+        retain: bool,
+        cancel: &CancelToken,
+    ) -> Result<SweepSummary, EngineError> {
+        sweep::run(
             spec,
-            grid,
-            options,
-            workers,
+            scenarios,
             &self.config,
             &self.options.extract,
             self.options.mode,
-            &shared,
+            retain,
+            SharedState {
+                cache: &self.memory,
+                flights: self.flights.table(),
+                store: self.store.as_ref(),
+                threads: effective_threads(self.options.threads),
+                cancel,
+            },
         )
     }
 }

@@ -4,8 +4,7 @@
 //! model is characterized **once** and reused everywhere the module is
 //! instantiated — across instances, across analysis runs, and across the
 //! IP-vendor/integrator boundary. The rest of this workspace provides the
-//! one-shot algorithms; this crate turns them into an engine with three
-//! layers:
+//! one-shot algorithms; this crate turns them into an engine:
 //!
 //! * [`ModelStore`] — a **persistent model library**: a content-addressed
 //!   store keyed by a SHA-256 fingerprint of (netlist structure, library,
@@ -17,20 +16,25 @@
 //!   artifacts cleanly. Payloads are compact deterministic binary by
 //!   default ([`Codec::Binary`]), with JSON ([`Codec::Json`]) still
 //!   read and writable, and legacy v1 artifacts migrate in place;
-//! * [`Engine`] — a **staged pipeline** (plan → resolve → assemble →
-//!   report) that walks a [`DesignSpec`], deduplicates identical module
-//!   definitions by fingerprint, resolves each distinct module through
-//!   the in-memory and persistent cache tiers, and
-//!   characterizes/extracts the misses **in parallel** over scoped
-//!   threads (thread count cannot change results — extraction is a
-//!   deterministic pure function of the fingerprinted inputs);
-//! * [`Engine::analyze_batch`] — a **scenario-sweep batch scheduler**:
-//!   a [`ScenarioSet`] of named configuration overlays analyzed over one
-//!   shared store, with concurrent extractions deduplicated by a
-//!   single-flight table — N scenarios needing the same
-//!   `(module, fingerprint)` trigger exactly one extraction, and
-//!   scenarios differing only in analysis-level knobs (correlation mode,
-//!   yield target) share cached models outright;
+//! * [`Engine`] — **one planner and executor** behind every call. The
+//!   planner groups a call's scenarios by extraction signature before
+//!   any work runs; each group then runs a staged pipeline (plan →
+//!   resolve → assemble → report) that walks a [`DesignSpec`],
+//!   deduplicates identical module definitions by fingerprint, resolves
+//!   each distinct module through the in-memory and persistent cache
+//!   tiers, characterizes/extracts the misses **in parallel** over
+//!   scoped threads, assembles the design once and analyzes it once per
+//!   correlation mode (thread count cannot change results — extraction
+//!   is a deterministic pure function of the fingerprinted inputs);
+//! * **two front-ends** over that executor — [`Engine::analyze_batch`]
+//!   takes a [`ScenarioSet`] of named configuration overlays and keeps
+//!   every full result, [`Engine::analyze_sweep`] takes a lazily
+//!   materialized [`CornerGrid`] and keeps compact per-corner records.
+//!   N scenarios needing the same `(module, fingerprint)` fall into one
+//!   group and trigger exactly one extraction, and scenarios differing
+//!   only in analysis-level knobs (correlation mode, yield target) share
+//!   one assembly outright. Engines sharing a [`FlightGroup`] also
+//!   coalesce concurrent extractions with each other;
 //! * **incremental re-analysis** — [`Engine::invalidate`] drops one
 //!   module from both tiers; the next [`Engine::analyze`] recomputes only
 //!   it plus the top-level assembly, serving every other model from
@@ -95,12 +99,12 @@ mod spec;
 pub mod store;
 
 pub use engine::{
-    BatchRun, BatchStats, Engine, EngineOptions, EngineRun, FlightGroup, ModelSource, RunStats,
-    ScenarioRun,
+    BatchRun, Engine, EngineOptions, EngineRun, FlightGroup, ModelSource, RunStats, ScenarioRun,
 };
 pub use error::EngineError;
 pub use grid::{CornerGrid, CornerGridBuilder, GridAxis};
-pub use pipeline::sweep::{ScenarioRecord, SweepOptions, SweepSummary};
+pub use pipeline::report::{ScenarioRecord, SweepSummary};
+pub use pipeline::sweep::SweepOptions;
 pub use scenario::{Scenario, ScenarioSet};
 pub use spec::{ConnectionSpec, DesignSpec, DesignSpecBuilder, InstanceSpec, ModuleDef, ModuleId};
 pub use store::{

@@ -1,13 +1,12 @@
-//! Stage 3 — assemble: build the [`Design`] from resolved models and run
-//! the top-level hierarchical analysis (partition, design PCA, variable
-//! replacement, propagation).
+//! Stage 3 — assemble: build the [`Design`] from resolved models. The
+//! executor ([`super::sweep`]) then runs the top-level hierarchical
+//! analysis (partition, design PCA, variable replacement, propagation)
+//! on it once per correlation mode.
 
 use crate::error::EngineError;
 use crate::pipeline::SessionCache;
 use crate::spec::DesignSpec;
-use ssta_core::{
-    analyze_with, AnalyzeOptions, CorrelationMode, Design, DesignBuilder, DesignTiming, SstaConfig,
-};
+use ssta_core::{Design, DesignBuilder, SstaConfig};
 
 /// Builds the [`Design`] from the session cache (every planned key is
 /// resolved by the time this stage runs).
@@ -35,20 +34,4 @@ pub(crate) fn assemble(
         b.expose_output(inst, port)?;
     }
     Ok(b.finish()?)
-}
-
-/// Assembles and analyzes in one step — the tail of every scenario run.
-/// `threads` is this scenario's share of the batch thread budget, passed
-/// through to the parallel assembly phases so a scenario fan-out never
-/// oversubscribes to workers² OS threads.
-pub(crate) fn assemble_and_analyze(
-    spec: &DesignSpec,
-    keys: &[Option<String>],
-    config: &SstaConfig,
-    mode: CorrelationMode,
-    cache: &SessionCache,
-    threads: usize,
-) -> Result<DesignTiming, EngineError> {
-    let design = assemble(spec, keys, config, cache)?;
-    Ok(analyze_with(&design, mode, &AnalyzeOptions { threads })?)
 }

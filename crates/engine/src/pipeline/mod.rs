@@ -1,25 +1,29 @@
 //! The staged analysis pipeline.
 //!
-//! [`Engine::analyze`](crate::Engine::analyze) used to be a one-shot
-//! monolith; it is now a thin wrapper over this subsystem, which splits
-//! one analysis into four stages so a batch scheduler can interleave
-//! many of them over shared state:
+//! Every analysis call — [`Engine::analyze`](crate::Engine::analyze),
+//! [`Engine::analyze_batch`](crate::Engine::analyze_batch) and
+//! [`Engine::analyze_sweep`](crate::Engine::analyze_sweep) — goes
+//! through one planner and one executor ([`sweep`]), which split the
+//! call into extraction-signature groups and run four stages per group:
 //!
 //! 1. **plan** ([`plan`]) — fingerprint + dedupe the instantiated module
-//!    definitions under one scenario's resolved configuration, reusing
+//!    definitions under the group's resolved configuration, reusing
 //!    memoized netlist digests;
 //! 2. **resolve** ([`resolve`]) — satisfy every planned fingerprint
 //!    through the cache tiers (session memory → persistent library →
-//!    parallel extraction), single-flighted across concurrent scenarios;
+//!    parallel extraction), single-flighted across engines sharing a
+//!    [`FlightGroup`](crate::FlightGroup);
 //! 3. **assemble** ([`assemble`]) — build the design from resolved
-//!    models and run the top-level hierarchical analysis;
-//! 4. **report** ([`report`]) — per-run / per-batch accounting with
-//!    compact `Display` summaries.
+//!    models once, then run the top-level hierarchical analysis once
+//!    per correlation mode;
+//! 4. **report** ([`report`]) — per-group accounting folded into one
+//!    [`SweepSummary`](report::SweepSummary), with compact `Display`
+//!    summaries.
 //!
 //! Shared state lives in [`SharedState`]: the session cache and store
-//! are shared by every scenario of a batch (and across batches, via the
+//! are shared by every group of a call (and across calls, via the
 //! engine), while the [`SingleFlight`](singleflight::SingleFlight) table
-//! is scoped to one batch — it dedupes *concurrency*, the caches dedupe
+//! dedupes *concurrency* between engines — the caches dedupe
 //! *storage*.
 
 pub(crate) mod assemble;
@@ -29,23 +33,11 @@ pub(crate) mod resolve;
 pub(crate) mod singleflight;
 pub(crate) mod sweep;
 
-use crate::error::EngineError;
-use crate::spec::DesignSpec;
 use crate::store::{ModelStore, StorageBackend};
-use report::{RunStats, ScenarioRun};
 use singleflight::SingleFlight;
-use ssta_core::{
-    yield_analysis, CancelToken, CorrelationMode, ExtractOptions, NetlistDigest, SstaConfig,
-    TimingModel,
-};
+use ssta_core::{CancelToken, NetlistDigest, TimingModel};
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
-
-// The deterministic fork-join helpers moved into `ssta_core::parallel`
-// so the design-level assembly shares them; the pipeline keeps its old
-// names via re-export.
-pub(crate) use ssta_core::parallel::{effective_threads, parallel_indexed};
 
 /// The engine's in-memory model cache, shared across scenarios, runs and
 /// worker threads.
@@ -132,96 +124,19 @@ impl SessionCache {
     }
 }
 
-/// One scenario's fully resolved analysis parameters (base setup with
-/// its overlay already applied).
-#[derive(Debug, Clone)]
-pub(crate) struct ScenarioParams {
-    /// Scenario label.
-    pub name: String,
-    /// Effective analysis configuration (extraction-relevant).
-    pub config: SstaConfig,
-    /// Effective extraction options (extraction-relevant).
-    pub extract: ExtractOptions,
-    /// Effective top-level correlation mode (analysis-level).
-    pub mode: CorrelationMode,
-    /// Optional yield read-out target in ps (analysis-level).
-    pub yield_target_ps: Option<f64>,
-}
-
-/// State shared by every scenario of one batch.
+/// State shared by every group of one call.
 pub(crate) struct SharedState<'a> {
     /// The engine's session cache.
     pub cache: &'a SessionCache,
-    /// The batch's single-flight table.
+    /// The engine's single-flight table.
     pub flights: &'a SingleFlight,
     /// The engine's persistent model library, if attached.
     pub store: Option<&'a ModelStore<Box<dyn StorageBackend>>>,
-    /// Worker threads for the resolve stage (already defaulted, ≥ 1).
+    /// Worker threads (already defaulted, ≥ 1): the whole call's budget
+    /// on entry to the executor, one group's share inside it.
     pub threads: usize,
-    /// The batch's cooperative cancellation token, polled at stage
+    /// The call's cooperative cancellation token, polled at stage
     /// checkpoints (never mid-kernel, and never under a flight leader
-    /// that other scenarios wait on).
+    /// that other requests wait on).
     pub cancel: &'a CancelToken,
-}
-
-/// Runs one scenario through the full pipeline: plan → resolve →
-/// assemble/analyze → report. Also returns the scenario's distinct
-/// fingerprint keys so a batch can union them without re-planning.
-pub(crate) fn run_scenario(
-    spec: &DesignSpec,
-    params: &ScenarioParams,
-    shared: &SharedState<'_>,
-) -> Result<(ScenarioRun, Vec<String>), EngineError> {
-    shared.cancel.checkpoint()?;
-    let resolve_started = Instant::now();
-    let mut stats = RunStats {
-        instances: spec.instances.len(),
-        store_codec: shared.store.map(ModelStore::codec),
-        ..RunStats::default()
-    };
-
-    let plan = plan::plan_modules(spec, &params.config, &params.extract);
-    stats.distinct_modules = plan.distinct.len();
-
-    resolve::resolve_models(
-        spec,
-        &plan.distinct,
-        &params.config,
-        &params.extract,
-        shared,
-        &mut stats,
-    )?;
-    stats.resolve_seconds = resolve_started.elapsed().as_secs_f64();
-
-    // Checkpoint between resolve and assemble: everything resolved so
-    // far is already published (session cache + library), so stopping
-    // here wastes none of it — the assemble/analyze stage is the pure
-    // per-request tail no other request can share.
-    shared.cancel.checkpoint()?;
-    let assembly_started = Instant::now();
-    let timing = assemble::assemble_and_analyze(
-        spec,
-        &plan.keys,
-        &params.config,
-        params.mode,
-        shared.cache,
-        shared.threads,
-    )?;
-    stats.assembly_seconds = assembly_started.elapsed().as_secs_f64();
-    stats.phases = timing.phases;
-
-    let timing_yield = params
-        .yield_target_ps
-        .map(|target| yield_analysis::timing_yield(&timing.delay, target));
-
-    let distinct_keys = plan.distinct.into_iter().map(|(key, _)| key).collect();
-    Ok((
-        ScenarioRun {
-            scenario: params.name.clone(),
-            timing,
-            timing_yield,
-            stats,
-        },
-        distinct_keys,
-    ))
 }

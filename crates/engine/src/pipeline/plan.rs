@@ -4,14 +4,14 @@
 //! unused definition must not cost an extraction), keys each one by its
 //! overlay-aware module fingerprint, and collapses duplicates. The
 //! expensive half of the fingerprint — canonicalizing the netlist — is
-//! memoized on the [`ModuleDef`](crate::ModuleDef) itself, so a batch of
-//! K scenarios re-keys the same netlist with K cheap digest+config
-//! combinations, not K full canonicalizations.
+//! memoized on the [`ModuleDef`](crate::ModuleDef) itself, so a call
+//! with K extraction-signature groups re-keys the same netlist with K
+//! cheap digest+config combinations, not K full canonicalizations.
 
 use crate::spec::DesignSpec;
 use ssta_core::{module_fingerprint_from_digest, ExtractOptions, SstaConfig};
 
-/// One scenario's resolved module plan.
+/// One group's resolved module plan.
 #[derive(Debug)]
 pub(crate) struct ModulePlan {
     /// Fingerprint key per module slot; `None` for definitions without
@@ -21,7 +21,7 @@ pub(crate) struct ModulePlan {
     pub distinct: Vec<(String, usize)>,
 }
 
-/// Plans `spec` under one scenario's resolved `(config, extract)` pair.
+/// Plans `spec` under one group's resolved `(config, extract)` pair.
 pub(crate) fn plan_modules(
     spec: &DesignSpec,
     config: &SstaConfig,

@@ -1,16 +1,22 @@
-//! Pipeline accounting: per-run, per-scenario and per-batch statistics.
+//! Pipeline accounting: per-group run statistics, per-scenario records
+//! and results, and the one summary every call returns.
 //!
-//! Every stage of the pipeline reports into a [`RunStats`]; a batch
-//! aggregates its scenarios' stats into a [`BatchStats`]. Both implement
-//! [`std::fmt::Display`] with a compact one-line summary so examples and
-//! services can log a run without dumping fields by hand.
+//! Each extraction-signature group the executor runs reports its stages
+//! into a [`RunStats`]; one fold turns a call's groups into a
+//! [`SweepSummary`] of compact [`ScenarioRecord`]s (plus full
+//! [`ScenarioRun`]s when results are retained). Both stats types
+//! implement [`std::fmt::Display`] with a compact one-line summary so
+//! examples and services can log a run without dumping fields by hand.
 
-use crate::store::{BreakerState, Codec, StoreHealth};
-use ssta_core::{DesignTiming, PhaseTimings};
+use crate::store::{BreakerState, Codec};
+use ssta_core::{CorrelationMode, DesignTiming, PhaseTimings};
 use std::fmt;
+use std::sync::Arc;
 
-/// Accounting for one analysis run (one scenario's trip through the
-/// pipeline, or a plain [`Engine::analyze`](crate::Engine::analyze)).
+/// Accounting for one extraction-signature group: what resolving its
+/// models and analyzing its scenarios cost. A plain
+/// [`Engine::analyze`](crate::Engine::analyze) is one group, so its
+/// stats are the whole run's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Instances in the analyzed design.
@@ -20,9 +26,10 @@ pub struct RunStats {
     /// Modules characterized + extracted in this run (cache misses this
     /// run led itself).
     pub extractions: usize,
-    /// Misses resolved by waiting on another scenario's in-flight
-    /// resolution of the same fingerprint (single-flight dedup). Always
-    /// zero outside batch runs.
+    /// Misses resolved by waiting on another engine's (or another
+    /// call's) in-flight resolution of the same fingerprint, through a
+    /// shared [`FlightGroup`](crate::FlightGroup). Groups of one call
+    /// never share a fingerprint, so this is zero for a lone engine.
     pub coalesced: usize,
     /// Modules served from the in-memory session cache.
     pub memory_hits: usize,
@@ -52,7 +59,7 @@ pub struct RunStats {
     /// Codec used for library writes; `None` when no store is attached.
     pub store_codec: Option<Codec>,
     /// Transport retries the backend stack performed during this run
-    /// (from the store's [`StoreHealth`] delta).
+    /// (from the store's [`StoreHealth`](crate::StoreHealth) delta).
     pub store_retries: u64,
     /// Corrupt artifacts the backend stack quarantined during this run.
     pub store_quarantined: u64,
@@ -153,36 +160,84 @@ pub struct EngineRun {
     pub stats: RunStats,
 }
 
-/// The result of one scenario within a batch.
+/// One scenario's full result, kept when a call retains results
+/// ([`Engine::analyze_batch`](crate::Engine::analyze_batch) always does;
+/// sweeps do under [`SweepOptions::retain_results`](crate::SweepOptions::retain_results)).
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
     /// The scenario's label.
     pub scenario: String,
-    /// The design-level timing result under this scenario.
-    pub timing: DesignTiming,
+    /// The design-level timing result under this scenario. Scenarios
+    /// of one `(group, mode)` bucket share a single analysis.
+    pub timing: Arc<DesignTiming>,
     /// Parametric yield `P{delay ≤ target}` when the scenario's overlay
     /// requested a yield target.
     pub timing_yield: Option<f64>,
-    /// What this scenario cost and where its models came from.
+    /// What this scenario cost. A group's resolve and assembly counters
+    /// sit on the group's first scenario only, and an analysis' phases
+    /// on the one scenario that ran it, so summing over scenarios never
+    /// double-counts.
     pub stats: RunStats,
 }
 
-/// Aggregate accounting for one [`Engine::analyze_batch`](crate::Engine::analyze_batch).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchStats {
-    /// Scenarios in the batch.
+/// One scenario's roll-up in a [`SweepSummary`] — everything a sign-off
+/// table needs, a few hundred bytes instead of a full [`DesignTiming`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioRecord {
+    /// The scenario's name (`process=slow/clock=1100ps/…` for a grid
+    /// corner).
+    pub scenario: String,
+    /// Index of the extraction-fingerprint group this scenario collapsed
+    /// into (groups are numbered in first-appearance scenario order).
+    pub group: usize,
+    /// The correlation mode this scenario was analyzed under.
+    pub mode: CorrelationMode,
+    /// Design delay mean in ps.
+    pub mean_ps: f64,
+    /// Design delay standard deviation in ps.
+    pub sigma_ps: f64,
+    /// The 99.73 % quantile (+3σ corner) of the design delay in ps.
+    pub p9973_ps: f64,
+    /// Parametric yield `P{delay ≤ target}` when the scenario's overlay
+    /// requested a yield target.
+    pub timing_yield: Option<f64>,
+    /// Index of the critical primary output (largest mean arrival;
+    /// first wins ties).
+    pub critical_po: usize,
+    /// Whether this scenario reused a sibling's design analysis outright
+    /// (same group, same mode) instead of running its own. Reusers
+    /// carry zeroed [`phases`](Self::phases); the analysis cost sits on
+    /// the one record per `(group, mode)` with `reused_analysis: false`,
+    /// so summing phases over records never double-counts.
+    pub reused_analysis: bool,
+    /// Per-scenario analysis phase breakdown (see
+    /// [`reused_analysis`](Self::reused_analysis) for attribution). The
+    /// shared covariance/PCA basis is charged to the first analysis
+    /// that built it.
+    pub phases: PhaseTimings,
+}
+
+/// The aggregate of one call: what
+/// [`Engine::analyze_sweep`](crate::Engine::analyze_sweep) returns and
+/// what [`BatchRun::stats`] holds.
+#[derive(Debug, Clone, Default)]
+pub struct SweepSummary {
+    /// Scenarios analyzed (the grid or set size).
     pub scenarios: usize,
-    /// Instances in the swept design (identical for every scenario).
-    pub instances: usize,
-    /// Distinct module fingerprints across the whole batch — the union
-    /// over scenarios, after overlay-aware re-keying. This is the
-    /// ceiling on extractions the batch may perform.
+    /// Distinct extraction-fingerprint groups the scenarios collapsed
+    /// into — the number of resolve + assemble passes the call ran.
+    pub groups: usize,
+    /// Design analyses actually run (distinct `(group, mode)` pairs);
+    /// every other scenario reused one of these.
+    pub analyses: usize,
+    /// Distinct module fingerprints across the whole call — the
+    /// ceiling on extractions.
     pub distinct_fingerprints: usize,
-    /// Modules actually characterized + extracted across the batch.
-    /// Single-flight dedup guarantees `extractions ≤ distinct_fingerprints`
-    /// however many scenarios race.
+    /// Modules actually characterized + extracted. On a cold engine
+    /// this equals [`distinct_fingerprints`](Self::distinct_fingerprints).
     pub extractions: usize,
-    /// Resolutions coalesced onto another scenario's in-flight work.
+    /// Resolutions coalesced onto in-flight work of another engine or
+    /// call sharing the [`FlightGroup`](crate::FlightGroup).
     pub coalesced: usize,
     /// Modules served from the in-memory session cache.
     pub memory_hits: usize,
@@ -193,7 +248,7 @@ pub struct BatchStats {
     /// Store artifacts rejected as corrupt/mismatched and recomputed.
     pub store_rejects: usize,
     /// Store reads that failed and gracefully degraded to
-    /// re-extraction (the batch still completed).
+    /// re-extraction (the call still completed).
     pub store_degraded: usize,
     /// Models written to the persistent library.
     pub store_writes: usize,
@@ -203,81 +258,80 @@ pub struct BatchStats {
     pub store_bytes_written: u64,
     /// Artifact bytes read from the persistent library.
     pub store_bytes_read: u64,
-    /// Codec used for library writes; `None` when no store is attached.
-    pub store_codec: Option<Codec>,
-    /// Transport retries the backend stack performed during the batch.
+    /// Transport retries the backend stack performed during the call.
     pub store_retries: u64,
-    /// Corrupt artifacts quarantined during the batch.
+    /// Corrupt artifacts quarantined during the call.
     pub store_quarantined: u64,
-    /// Cold-tier circuit-breaker trips during the batch.
+    /// Cold-tier circuit-breaker trips during the call.
     pub store_breaker_trips: u64,
-    /// Circuit-breaker state when the batch finished.
+    /// Circuit-breaker state when the call finished;
+    /// [`BreakerState::Closed`] for stacks without a breaker.
     pub store_breaker: BreakerState,
-    /// Wall-clock seconds for the whole batch, scenario fan-out included.
+    /// Worker threads the call ran with.
+    pub workers: usize,
+    /// Peak number of full [`DesignTiming`]s resident at once. In
+    /// streaming mode this is bounded by
+    /// [`workers`](Self::workers); when results are retained it grows
+    /// to [`analyses`](Self::analyses).
+    pub peak_retained_results: usize,
+    /// Wall-clock seconds for the whole call.
     pub elapsed_seconds: f64,
-    /// Design-level phase times summed over all scenarios (CPU seconds,
-    /// not wall-clock: scenarios overlap).
+    /// Analysis phase times summed over the whole call (CPU seconds;
+    /// groups overlap).
     pub phases: PhaseTimings,
+    /// Per-scenario roll-ups, in input order.
+    pub records: Vec<ScenarioRecord>,
+    /// Full per-scenario results, in input order; empty unless the
+    /// call retained results. A batch moves them into
+    /// [`BatchRun::scenarios`].
+    pub retained: Vec<ScenarioRun>,
 }
 
-impl BatchStats {
-    /// Folds one scenario's stats into the batch aggregate.
-    pub(crate) fn absorb(&mut self, run: &RunStats) {
-        self.extractions += run.extractions;
-        self.coalesced += run.coalesced;
-        self.memory_hits += run.memory_hits;
-        self.store_hits += run.store_hits;
-        self.store_misses += run.store_misses;
-        self.store_rejects += run.store_rejects;
-        self.store_degraded += run.store_degraded;
-        self.store_writes += run.store_writes;
-        self.store_write_failures += run.store_write_failures;
-        self.store_bytes_written += run.store_bytes_written;
-        self.store_bytes_read += run.store_bytes_read;
-        self.phases.accumulate(&run.phases);
+impl SweepSummary {
+    /// The record for a scenario by name, if any.
+    pub fn record(&self, scenario: &str) -> Option<&ScenarioRecord> {
+        self.records.iter().find(|r| r.scenario == scenario)
     }
 
-    /// Folds a [`StoreHealth`] delta (the backend stack's counters over
-    /// this batch) into the health-derived fields. Attributed at the
-    /// batch boundary, not per scenario — scenarios share one backend
-    /// stack, so finer attribution would double-count under races.
-    pub(crate) fn absorb_health(&mut self, health: &StoreHealth) {
-        self.store_retries += health.retries;
-        self.store_quarantined += health.quarantined;
-        self.store_breaker_trips += health.breaker_trips;
-        self.store_breaker = health.breaker;
+    /// The retained full result for a scenario by name, if any
+    /// (retain-all mode only).
+    pub fn retained_result(&self, scenario: &str) -> Option<&ScenarioRun> {
+        self.retained.iter().find(|r| r.scenario == scenario)
     }
 }
 
-impl fmt::Display for BatchStats {
+impl fmt::Display for SweepSummary {
     /// One compact summary line, e.g.
-    /// `8 scenarios x 4 instances | 1 distinct fingerprint, extracted 1, coalesced 7 | 1.2 s`.
+    /// `512 scenarios -> 8 groups / 16 analyses | 8 fingerprints, extracted 8, memory 0, store 0 | peak 4 resident | 12.30 s`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} scenarios x {} instances | {} distinct fingerprint{}, extracted {}, coalesced {}, memory {}, store {}",
+            "{} scenarios -> {} group{} / {} analyses | {} fingerprint{}, extracted {}, memory {}, store {}",
             self.scenarios,
-            self.instances,
+            self.groups,
+            if self.groups == 1 { "" } else { "s" },
+            self.analyses,
             self.distinct_fingerprints,
             if self.distinct_fingerprints == 1 { "" } else { "s" },
             self.extractions,
-            self.coalesced,
             self.memory_hits,
-            self.store_hits
+            self.store_hits,
         )?;
+        if self.coalesced > 0 {
+            write!(f, ", coalesced {}", self.coalesced)?;
+        }
         if self.store_rejects > 0 {
             write!(f, ", rejected {}", self.store_rejects)?;
         }
         if self.store_degraded > 0 {
             write!(f, ", degraded {}", self.store_degraded)?;
         }
-        if let Some(codec) = self.store_codec {
+        if self.store_writes > 0 || self.store_write_failures > 0 || self.store_bytes_read > 0 {
             write!(
                 f,
-                " | wrote {} ({}, {}), read {}",
+                " | wrote {} ({}), read {}",
                 self.store_writes,
                 human_bytes(self.store_bytes_written),
-                codec.name(),
                 human_bytes(self.store_bytes_read)
             )?;
             if self.store_write_failures > 0 {
@@ -298,17 +352,22 @@ impl fmt::Display for BatchStats {
                 self.store_breaker, self.store_breaker_trips
             )?;
         }
-        write!(f, " | {:.2} s", self.elapsed_seconds)
+        write!(
+            f,
+            " | peak {} resident | {:.2} s",
+            self.peak_retained_results, self.elapsed_seconds
+        )
     }
 }
 
-/// The result of one scenario-sweep batch.
+/// The result of one scenario batch.
 #[derive(Debug, Clone)]
 pub struct BatchRun {
     /// Per-scenario results, in scenario-set order.
     pub scenarios: Vec<ScenarioRun>,
-    /// Batch-wide aggregate accounting.
-    pub stats: BatchStats,
+    /// Batch-wide accounting (its `retained` results moved into
+    /// [`scenarios`](Self::scenarios)).
+    pub stats: SweepSummary,
 }
 
 impl BatchRun {
@@ -370,21 +429,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_display_reports_the_dedup_win() {
-        let stats = BatchStats {
+    fn sweep_summary_display_reports_the_dedup_win() {
+        let summary = SweepSummary {
             scenarios: 8,
-            instances: 4,
+            groups: 1,
+            analyses: 2,
             distinct_fingerprints: 1,
             extractions: 1,
-            coalesced: 7,
+            store_writes: 1,
+            store_bytes_written: 42_161,
             elapsed_seconds: 1.25,
-            ..BatchStats::default()
+            ..SweepSummary::default()
         };
-        let line = stats.to_string();
+        let line = summary.to_string();
         assert!(!line.contains('\n'));
-        assert!(line.contains("8 scenarios x 4 instances"));
-        assert!(line.contains("1 distinct fingerprint,"));
-        assert!(line.contains("extracted 1"));
-        assert!(line.contains("coalesced 7"));
+        assert!(
+            line.contains("8 scenarios -> 1 group / 2 analyses"),
+            "{line}"
+        );
+        assert!(line.contains("1 fingerprint,"), "{line}");
+        assert!(line.contains("extracted 1"), "{line}");
+        assert!(line.contains("wrote 1 (41.2 KiB)"), "{line}");
+        // Zero-valued counters stay out of the line.
+        assert!(!line.contains("coalesced"), "{line}");
+        assert!(!line.contains("rejected"), "{line}");
+        assert!(!line.contains("retries"), "{line}");
     }
 }

@@ -8,8 +8,9 @@
 //! 3. characterization + extraction, fanned out over scoped worker
 //!    threads.
 //!
-//! Tiers 2 and 3 run inside the batch's [`SingleFlight`] table: when
-//! several scenarios miss on the same fingerprint concurrently, one
+//! Tiers 2 and 3 run inside the engine's [`SingleFlight`] table: when
+//! several engines sharing a [`FlightGroup`](crate::FlightGroup) miss on
+//! the same fingerprint concurrently, one
 //! *leads* (loads or extracts, then publishes to the store and session
 //! cache) and the rest *coalesce* — they block on the leader and share
 //! its model. Extraction is a deterministic pure function of the
@@ -18,9 +19,10 @@
 
 use crate::error::EngineError;
 use crate::pipeline::report::RunStats;
-use crate::pipeline::{parallel_indexed, SharedState};
+use crate::pipeline::SharedState;
 use crate::spec::DesignSpec;
 use ssta_core::{ExtractOptions, ModuleContext, SstaConfig, TimingModel};
+use ssta_math::parallel::parallel_indexed;
 use std::sync::Arc;
 
 /// How one planned fingerprint was satisfied.
@@ -51,7 +53,7 @@ enum Resolution {
         /// The best-effort store publish failed.
         write_failed: bool,
     },
-    /// Coalesced onto another scenario's in-flight resolution.
+    /// Coalesced onto another engine's in-flight resolution.
     Coalesced,
 }
 
@@ -65,7 +67,7 @@ pub(crate) fn resolve_models(
     shared: &SharedState<'_>,
     stats: &mut RunStats,
 ) -> Result<(), EngineError> {
-    // Tier 1: the session cache, shared across scenarios and runs.
+    // Tier 1: the session cache, shared across groups and calls.
     let mut jobs: Vec<(&String, usize)> = Vec::new();
     for (key, idx) in distinct {
         if shared.cache.contains(key) {

@@ -1,19 +1,22 @@
 //! Single-flight deduplication of in-flight module resolutions.
 //!
-//! When N scenarios — of one batch, or of concurrent requests in a
-//! serving worker pool sharing a [`FlightGroup`](crate::FlightGroup) —
-//! race on the same `(module, fingerprint)` key, exactly one of them —
-//! the *leader* — performs the work (store lookup and, on a miss,
-//! characterization + extraction); the rest block until the leader
-//! finishes and share its outcome. This is the in-process analogue of
-//! the in-flight request dedup a serving front-end needs: without it, a
-//! parallel sweep would extract the same module once per scenario,
-//! precisely the waste the extracted-model reuse story exists to avoid.
+//! When concurrent requests in a serving worker pool sharing a
+//! [`FlightGroup`](crate::FlightGroup) race on the same
+//! `(module, fingerprint)` key, exactly one of them — the *leader* —
+//! performs the work (store lookup and, on a miss, characterization +
+//! extraction); the rest block until the leader finishes and share its
+//! outcome. This is the in-process analogue of the in-flight request
+//! dedup a serving front-end needs: without it, N identical requests
+//! would extract the same module N times, precisely the waste the
+//! extracted-model reuse story exists to avoid. Within one call the
+//! planner has already collapsed scenarios into groups that never share
+//! a fingerprint, so coalescing only happens across engines or calls.
 //!
 //! The table deduplicates *concurrency*, not storage (the session cache
-//! and the persistent library handle reuse across batches): a flight's
-//! entry is removed the moment its leader publishes the outcome, so the
-//! table stays empty at rest and can safely outlive any one batch.
+//! and the persistent library handle reuse across calls): a flight's
+//! entry is removed the moment its leader publishes the outcome — or
+//! unwinds, publishing a failure — so the table stays empty at rest and
+//! can safely outlive any one call.
 //!
 //! Followers are **cancel-aware**: a waiter whose [`CancelToken`] fires
 //! detaches with [`EngineError::Cancelled`] instead of blocking until
@@ -23,7 +26,7 @@
 use crate::error::EngineError;
 use ssta_core::{CancelToken, TimingModel};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// The shared outcome of one flight. Errors are `Arc`-shared because
@@ -88,20 +91,22 @@ impl SingleFlight {
         // The map lock is released before running/waiting on the flight,
         // so a slow flight never blocks resolutions of *other* keys.
         if leading {
-            let (published, result) = match work() {
-                Ok(model) => (Ok(Arc::clone(&model)), Ok(model)),
-                Err(e) => {
-                    // Waiters share a structural copy; the leader keeps
-                    // the original (with its io::Error intact).
-                    (Err(Arc::new(e.shared_copy())), Err(e))
-                }
+            // Armed before `work` runs, so a leader that unwinds still
+            // publishes (a failure), retires and wakes its followers.
+            let mut retire = Retire {
+                table: self,
+                key,
+                flight: &flight,
+                outcome: None,
             };
-            // Publish, wake followers, then retire the entry so the
-            // next caller re-resolves through the caches instead of
-            // reading a stale memoized outcome.
-            *flight.outcome.lock().expect("flight outcome lock") = Some(published);
-            self.flights.lock().expect("flight table lock").remove(key);
-            flight.ready.notify_all();
+            let result = work();
+            // Waiters share a structural copy of an error; the leader
+            // keeps the original (with its io::Error intact).
+            retire.outcome = Some(match &result {
+                Ok(model) => Ok(Arc::clone(model)),
+                Err(e) => Err(Arc::new(e.shared_copy())),
+            });
+            drop(retire);
             (result, true)
         } else {
             let mut outcome = flight.outcome.lock().expect("flight outcome lock");
@@ -124,6 +129,42 @@ impl SingleFlight {
                     .0;
             }
         }
+    }
+}
+
+/// Publishes a leader's outcome, retires its flight and wakes the
+/// followers when dropped — on return and on unwind alike. Without an
+/// outcome (the leader's `work` panicked) it publishes a shared
+/// failure, so no caller ever waits on a dead flight.
+struct Retire<'a> {
+    table: &'a SingleFlight,
+    key: &'a str,
+    flight: &'a Flight,
+    outcome: Option<FlightOutcome>,
+}
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        let outcome = self.outcome.take().unwrap_or_else(|| {
+            Err(Arc::new(EngineError::Unavailable {
+                reason: "the module resolution leading this flight panicked".into(),
+            }))
+        });
+        // Never panic here, not even on a poisoned lock: this may run
+        // during an unwind.
+        *self
+            .flight
+            .outcome
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        // Retire the entry so the next caller re-resolves through the
+        // caches instead of reading a stale memoized outcome.
+        self.table
+            .flights
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        self.flight.ready.notify_all();
     }
 }
 
@@ -259,6 +300,44 @@ mod tests {
                 "waiters see the shared copy"
             );
         });
+    }
+
+    #[test]
+    fn a_panicking_leader_fails_its_followers_and_retires_its_flight() {
+        let flights = SingleFlight::default();
+        let model = dummy_model();
+        let live = CancelToken::new();
+        // Every caller after the leader holds a deadline, so a wedged
+        // key fails this test with Cancelled followers instead of a hang.
+        let deadline = CancelToken::with_timeout(Duration::from_secs(2));
+        let leader_in = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                flights.resolve("k", &live, || {
+                    leader_in.wait();
+                    // Die only once the follower holds the flight: the
+                    // table's entry plus the leader's and the
+                    // follower's handles.
+                    while Arc::strong_count(&flights.flights.lock().expect("table")["k"]) < 3 {
+                        std::thread::yield_now();
+                    }
+                    panic!("leader dies mid-flight");
+                })
+            });
+            leader_in.wait();
+            let (outcome, led) =
+                flights.resolve("k", &deadline, || unreachable!("joined mid-flight"));
+            assert!(!led);
+            assert!(
+                matches!(outcome, Err(EngineError::Flight(_))),
+                "a parked follower gets the shared failure"
+            );
+            assert!(leader.join().is_err(), "the leader panicked");
+        });
+        // The next caller leads a fresh flight.
+        let (outcome, led) = flights.resolve("k", &deadline, || Ok(Arc::clone(&model)));
+        assert!(led, "the dead flight was retired");
+        assert!(outcome.is_ok());
     }
 
     #[test]

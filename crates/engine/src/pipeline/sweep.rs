@@ -1,269 +1,110 @@
-//! Mega-sweeps: fingerprint-collapsed planning, sharded self-scheduling
-//! execution, and streaming aggregation for corner grids.
+//! The one planner and executor behind every analysis call.
 //!
-//! [`Engine::analyze_batch`](crate::Engine::analyze_batch) treats every
-//! scenario as an independent pipeline trip and leans on the
-//! single-flight table to dedupe racing extractions. That is the right
-//! shape for a handful of heterogeneous scenarios; for a corner grid
-//! with thousands of corners it wastes nearly everything — N scenarios
-//! sharing K distinct extraction fingerprints would plan N times,
-//! assemble N designs, run N eigendecompositions and materialize N full
-//! [`DesignTiming`]s. This module replaces that with three layers:
+//! [`Engine::analyze`](crate::Engine::analyze),
+//! [`Engine::analyze_batch`](crate::Engine::analyze_batch) and
+//! [`Engine::analyze_sweep`](crate::Engine::analyze_sweep) are
+//! front-ends that hand [`run`] an iterator of scenarios — a
+//! [`ScenarioSet`](crate::ScenarioSet)'s, or a
+//! [`CornerGrid`](crate::CornerGrid)'s materialized lazily. Three
+//! layers follow:
 //!
-//! 1. **Collapse-aware planning** ([`plan_sweep`]): corners are grouped
-//!    by [`extraction_signature`] *before any work runs*, so the sweep
+//! 1. **Collapse-aware planning** ([`plan`]): scenarios are grouped by
+//!    [`extraction_signature`] *before any work runs*, so a call
 //!    schedules exactly one resolve + assemble per distinct
-//!    `(config, extract)` group — the single-flight table becomes a
-//!    second line of defense instead of the only one. Within a group,
-//!    corners are bucketed by correlation mode: mode and yield-target
-//!    overlays skip re-extraction *and* re-assembly entirely.
-//! 2. **Sharded execution** ([`run_sweep`]): workers self-schedule whole
-//!    groups over a shared atomic cursor (the same chunked-cursor style
-//!    as `ssta_math::parallel`), sharing one session cache, one
-//!    single-flight table and one store. Per group the design is
-//!    assembled once, one [`LevelSchedule`] is built and reused across
-//!    mode buckets (graph *structure* is mode-independent), and the
-//!    covariance/PCA basis is pulled from a sweep-wide cache keyed by
-//!    the basis-relevant config fields — sigma-scale axes share one
-//!    eigendecomposition across all their groups.
-//! 3. **Streaming aggregation**: workers emit compact
-//!    [`ScenarioRecord`]s through a bounded channel into an incremental
-//!    [`SweepSummary`]; full `DesignTiming`s are dropped as soon as a
-//!    mode bucket is summarized, so peak resident full results stay
-//!    O(workers) no matter the grid size. Tests opt into
-//!    [`SweepOptions::retain_results`] to get every timing back for
-//!    bit-identity checks.
+//!    `(config, extract)` group. Within a group, scenarios are bucketed
+//!    by correlation mode: mode and yield-target overlays skip
+//!    re-extraction *and* re-assembly entirely. The signature is built
+//!    from the same payload as the module fingerprints, so groups of
+//!    one call never share a fingerprint and the single-flight table
+//!    only coalesces across engines or calls.
+//! 2. **Execution**: groups run over [`try_parallel_indexed`], sharing
+//!    one session cache, one single-flight table and one store; a plan
+//!    with one group runs on the calling thread. Per group the design
+//!    is assembled once, one [`LevelSchedule`] is built and reused
+//!    across mode buckets (graph *structure* is mode-independent), and
+//!    the covariance/PCA basis is pulled from a call-wide cache keyed
+//!    by the basis-relevant config fields — sigma-scale axes share one
+//!    eigendecomposition across all their groups. A failed group raises
+//!    an abort flag that later groups check before starting.
+//! 3. **Aggregation**: each group returns compact [`ScenarioRecord`]s,
+//!    folded in group order into one [`SweepSummary`]. Unless results
+//!    are retained, a mode bucket's full [`DesignTiming`] is dropped as
+//!    soon as its records are written, so peak resident full results
+//!    stay O(workers) no matter the grid size.
 
 use crate::error::EngineError;
-use crate::grid::CornerGrid;
-use crate::pipeline::report::RunStats;
+use crate::pipeline::report::{RunStats, ScenarioRecord, ScenarioRun, SweepSummary};
 use crate::pipeline::{assemble, plan, resolve, SharedState};
+use crate::scenario::Scenario;
 use crate::spec::DesignSpec;
+use crate::store::ModelStore;
 use ssta_core::{
     assemble_design_graph_with_basis, extraction_signature, propagate_assembled, yield_analysis,
     AnalyzeOptions, CoreError, CorrelationMode, DesignTiming, DesignVariables, ExtractOptions,
     LevelSchedule, PhaseTimings, SstaConfig,
 };
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::fmt;
+use ssta_math::parallel::try_parallel_indexed;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Tuning knobs for [`Engine::analyze_sweep`](crate::Engine::analyze_sweep).
 ///
-/// The default is the production shape: inherit the engine's thread
-/// budget, stream records, auto-size the channel.
+/// The default is the production shape: stream records, keep no full
+/// results. Threads come from
+/// [`EngineOptions::threads`](crate::EngineOptions::threads).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Sweep worker threads; `0` inherits the engine's thread budget
-    /// ([`EngineOptions::threads`](crate::EngineOptions::threads)).
-    /// Every worker count produces bit-identical results.
-    pub workers: usize,
     /// Keep every corner's full [`DesignTiming`] in
     /// [`SweepSummary::retained`]. Off by default: streaming mode keeps
     /// peak resident full results O(workers), which is the whole point
     /// on a 2 048-corner grid. Turn on for bit-identity tests and small
     /// grids only.
     pub retain_results: bool,
-    /// Bounded result-channel capacity; `0` picks `2 × workers`.
-    pub channel_capacity: usize,
 }
 
-/// One corner's roll-up in a [`SweepSummary`] — everything a sign-off
-/// table needs, a few hundred bytes instead of a full [`DesignTiming`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRecord {
-    /// The corner's grid name (`process=slow/clock=1100ps/…`).
-    pub scenario: String,
-    /// Index of the extraction-fingerprint group this corner collapsed
-    /// into (groups are numbered in first-appearance corner order).
-    pub group: usize,
-    /// The correlation mode this corner was analyzed under.
-    pub mode: CorrelationMode,
-    /// Design delay mean in ps.
-    pub mean_ps: f64,
-    /// Design delay standard deviation in ps.
-    pub sigma_ps: f64,
-    /// The 99.73 % quantile (+3σ corner) of the design delay in ps.
-    pub p9973_ps: f64,
-    /// Parametric yield `P{delay ≤ target}` when the corner's overlay
-    /// requested a yield target.
-    pub timing_yield: Option<f64>,
-    /// Index of the critical primary output (largest mean arrival;
-    /// first wins ties).
-    pub critical_po: usize,
-    /// Whether this corner reused a sibling's design analysis outright
-    /// (same group, same mode) instead of running its own. Reusers
-    /// carry zeroed [`phases`](Self::phases); the analysis cost sits on
-    /// the one record per `(group, mode)` with `reused_analysis: false`,
-    /// so summing phases over records never double-counts.
-    pub reused_analysis: bool,
-    /// Per-corner analysis phase breakdown (see
-    /// [`reused_analysis`](Self::reused_analysis) for attribution).
-    pub phases: PhaseTimings,
-}
-
-/// One corner's full result, kept only in
-/// [`SweepOptions::retain_results`] mode. Corners of one
-/// `(group, mode)` bucket share a single [`Arc`]'d timing.
-#[derive(Debug, Clone)]
-pub struct RetainedResult {
-    /// The corner's grid name.
-    pub scenario: String,
-    /// The full design-level timing result.
-    pub timing: Arc<DesignTiming>,
-    /// Yield read-out, when requested by the corner's overlay.
-    pub timing_yield: Option<f64>,
-}
-
-/// The streaming aggregate of one corner-grid sweep.
-#[derive(Debug, Clone, Default)]
-pub struct SweepSummary {
-    /// Corners swept (the grid size).
-    pub scenarios: usize,
-    /// Distinct extraction-fingerprint groups the corners collapsed
-    /// into — the number of resolve + assemble passes the sweep ran.
-    pub groups: usize,
-    /// Design analyses actually run (distinct `(group, mode)` pairs);
-    /// every other corner reused one of these.
-    pub analyses: usize,
-    /// Distinct module fingerprints across the whole sweep — the
-    /// ceiling on extractions.
-    pub distinct_fingerprints: usize,
-    /// Modules actually characterized + extracted. On a cold engine
-    /// this equals [`distinct_fingerprints`](Self::distinct_fingerprints).
-    pub extractions: usize,
-    /// Resolutions coalesced onto another group's in-flight work
-    /// (non-zero only when an external engine shares the flight group).
-    pub coalesced: usize,
-    /// Modules served from the in-memory session cache.
-    pub memory_hits: usize,
-    /// Modules served from the persistent model library.
-    pub store_hits: usize,
-    /// Store lookups that came back a clean miss.
-    pub store_misses: usize,
-    /// Store artifacts rejected as corrupt/mismatched and recomputed.
-    pub store_rejects: usize,
-    /// Store reads that failed and gracefully degraded to
-    /// re-extraction (the sweep still completed).
-    pub store_degraded: usize,
-    /// Models written to the persistent library.
-    pub store_writes: usize,
-    /// Failed (best-effort) library writes.
-    pub store_write_failures: usize,
-    /// Transport retries the backend stack performed during the sweep.
-    pub store_retries: u64,
-    /// Corrupt artifacts quarantined during the sweep.
-    pub store_quarantined: u64,
-    /// Cold-tier circuit-breaker trips during the sweep.
-    pub store_breaker_trips: u64,
-    /// Circuit-breaker state when the sweep finished;
-    /// [`BreakerState::Closed`](crate::BreakerState::Closed) for stacks
-    /// without a breaker.
-    pub store_breaker: crate::store::BreakerState,
-    /// Worker threads the sweep ran with.
-    pub workers: usize,
-    /// Peak number of full [`DesignTiming`]s resident at once. In
-    /// streaming mode this is bounded by
-    /// [`workers`](Self::workers); in retain-all mode it grows to
-    /// [`analyses`](Self::analyses).
-    pub peak_retained_results: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub elapsed_seconds: f64,
-    /// Analysis phase times summed over the whole sweep (CPU seconds;
-    /// workers overlap).
-    pub phases: PhaseTimings,
-    /// Per-corner roll-ups, in grid index order.
-    pub records: Vec<ScenarioRecord>,
-    /// Full per-corner results, in grid index order; empty unless
-    /// [`SweepOptions::retain_results`] was set.
-    pub retained: Vec<RetainedResult>,
-}
-
-impl SweepSummary {
-    /// The record for a corner by grid name, if any.
-    pub fn record(&self, scenario: &str) -> Option<&ScenarioRecord> {
-        self.records.iter().find(|r| r.scenario == scenario)
-    }
-
-    /// The retained full result for a corner by grid name, if any
-    /// (retain-all mode only).
-    pub fn retained_result(&self, scenario: &str) -> Option<&RetainedResult> {
-        self.retained.iter().find(|r| r.scenario == scenario)
-    }
-}
-
-impl fmt::Display for SweepSummary {
-    /// One compact summary line, e.g.
-    /// `512 corners -> 8 groups / 16 analyses | 8 fingerprints, extracted 8 | peak 4 resident | 12.3 s`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} corners -> {} group{} / {} analyses | {} fingerprint{}, extracted {}, memory {}, store {}",
-            self.scenarios,
-            self.groups,
-            if self.groups == 1 { "" } else { "s" },
-            self.analyses,
-            self.distinct_fingerprints,
-            if self.distinct_fingerprints == 1 { "" } else { "s" },
-            self.extractions,
-            self.memory_hits,
-            self.store_hits,
-        )?;
-        if self.coalesced > 0 {
-            write!(f, ", coalesced {}", self.coalesced)?;
-        }
-        if self.store_degraded > 0 {
-            write!(f, ", degraded {}", self.store_degraded)?;
-        }
-        if self.store_retries > 0 || self.store_quarantined > 0 {
-            write!(
-                f,
-                " | retries {}, quarantined {}",
-                self.store_retries, self.store_quarantined
-            )?;
-        }
-        write!(
-            f,
-            " | peak {} resident | {:.2} s",
-            self.peak_retained_results, self.elapsed_seconds
-        )
-    }
-}
-
-/// Corners of one group that share a correlation mode — one design
+/// Scenarios of one group that share a correlation mode — one design
 /// analysis serves the whole bucket.
 struct ModeBucket {
     mode: CorrelationMode,
-    /// `(corner index, yield target)` per corner, in grid order.
-    corners: Vec<(usize, Option<f64>)>,
+    /// `(scenario index, yield target)` per scenario, in input order.
+    scenarios: Vec<(usize, Option<f64>)>,
 }
 
-/// One extraction-fingerprint group: every corner whose resolved
+/// One extraction-fingerprint group: every scenario whose resolved
 /// `(config, extract)` hash to the same [`extraction_signature`].
 struct GroupPlan {
     config: SstaConfig,
     extract: ExtractOptions,
+    /// Mode buckets in execution order (see [`plan`]).
     buckets: Vec<ModeBucket>,
-    /// Lowest corner index in the group — deterministic error anchor.
-    first_corner: usize,
+    /// Lowest scenario index in the group; that scenario carries the
+    /// group's counters.
+    first_scenario: usize,
 }
 
-/// Groups a grid's corners by extraction signature and, within each
-/// group, by correlation mode. Runs before any netlist work: the only
-/// per-corner cost is one overlay resolution and one signature hash,
-/// and only K distinct configs are retained.
-fn plan_sweep(
-    grid: &CornerGrid,
+/// A call's plan: every scenario's name, plus the groups they collapse
+/// into (numbered in first-appearance order).
+struct Plan {
+    names: Vec<String>,
+    groups: Vec<GroupPlan>,
+}
+
+/// Groups scenarios by extraction signature and, within each group, by
+/// correlation mode. Runs before any netlist work: the only per-scenario
+/// cost is one overlay resolution and one signature hash, and only K
+/// distinct configs are retained.
+fn plan(
+    scenarios: impl IntoIterator<Item = Scenario>,
     base_config: &SstaConfig,
     base_extract: &ExtractOptions,
     base_mode: CorrelationMode,
-) -> Vec<GroupPlan> {
+) -> Plan {
+    let mut names = Vec::new();
     let mut groups: Vec<GroupPlan> = Vec::new();
     let mut by_signature: HashMap<String, usize> = HashMap::new();
-    for index in 0..grid.len() {
-        let scenario = grid.scenario(index);
+    for (index, scenario) in scenarios.into_iter().enumerate() {
         let (config, extract, mode) =
             scenario
                 .overlay
@@ -274,85 +115,34 @@ fn plan_sweep(
                 config,
                 extract,
                 buckets: Vec::new(),
-                first_corner: index,
+                first_scenario: index,
             });
             groups.len() - 1
         });
         let buckets = &mut groups[group].buckets;
-        let corner = (index, scenario.overlay.yield_target_ps);
+        let entry = (index, scenario.overlay.yield_target_ps);
         match buckets.iter_mut().find(|b| b.mode == mode) {
-            Some(bucket) => bucket.corners.push(corner),
+            Some(bucket) => bucket.scenarios.push(entry),
             None => buckets.push(ModeBucket {
                 mode,
-                corners: vec![corner],
+                scenarios: vec![entry],
             }),
         }
+        names.push(scenario.name);
     }
-    groups
-}
-
-/// A bounded MPSC channel over `Mutex` + `Condvar` — the workspace's
-/// no-async, no-unsafe concurrency idiom (the vendored crossbeam shim
-/// provides scoped threads only). Senders block when full; `recv`
-/// returns `None` once the queue is drained and every producer closed.
-struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    producers: usize,
-}
-
-impl<T> Channel<T> {
-    fn new(capacity: usize, producers: usize) -> Self {
-        Channel {
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::with_capacity(capacity),
-                producers,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-        }
+    // Buckets run largest first: global-only analyses keep every
+    // instance's local variables private, so they usually carry more
+    // variables than the proposed mode's PCA-reduced space (1 024 vs 756
+    // on 64 c880 instances). After the larger analysis the smaller one
+    // fits in memory the allocator still holds; in the other order the
+    // warm sweep benchmark re-faulted tens of MB per group and lost
+    // ~17 % of its throughput.
+    for group in &mut groups {
+        group
+            .buckets
+            .sort_by_key(|b| b.mode == CorrelationMode::Proposed);
     }
-
-    fn send(&self, item: T) {
-        let mut state = self.state.lock().expect("sweep channel lock");
-        while state.queue.len() >= self.capacity {
-            state = self.not_full.wait(state).expect("sweep channel lock");
-        }
-        state.queue.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-    }
-
-    fn close_producer(&self) {
-        let mut state = self.state.lock().expect("sweep channel lock");
-        state.producers -= 1;
-        drop(state);
-        // Wake the consumer even with an empty queue so it can observe
-        // the producer count reaching zero.
-        self.not_empty.notify_all();
-    }
-
-    fn recv(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("sweep channel lock");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.producers == 0 {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("sweep channel lock");
-        }
-    }
+    Plan { names, groups }
 }
 
 /// A saturating high-water-mark gauge over the number of full
@@ -384,32 +174,11 @@ impl ResidencyGauge {
     }
 }
 
-/// What workers stream to the aggregating consumer.
-enum Event {
-    /// One corner's roll-up (plus its shared timing in retain mode).
-    Record {
-        index: usize,
-        record: ScenarioRecord,
-        retained: Option<RetainedResult>,
-    },
-    /// One group finished its resolve stage: cache-tier accounting plus
-    /// the group's distinct fingerprint keys and analysis count.
-    Group {
-        stats: RunStats,
-        distinct_keys: Vec<String>,
-        analyses: usize,
-        basis_phases: PhaseTimings,
-    },
-    /// A group failed; `index` is the group's first corner (errors are
-    /// reported for the lowest failing corner index, deterministically).
-    Error { index: usize, error: EngineError },
-}
-
-/// The sweep-wide covariance/PCA basis cache.
+/// The call-wide covariance/PCA basis cache.
 ///
 /// `DesignVariables` depend on the die, the placed geometries and the
 /// config's correlation/grid/PCA settings — *not* on sigma magnitudes —
-/// and within one sweep the die and geometries are determined by the
+/// and within one call the die and geometries are determined by the
 /// spec plus those same config fields. So the cache key is the
 /// serialized basis-relevant config subset, and sigma-scale axes hit
 /// one shared eigendecomposition across all their groups.
@@ -451,30 +220,39 @@ impl BasisCache {
     }
 }
 
-/// Processes one group end to end on the claiming worker: resolve the
-/// group's models through the shared tiers, assemble the design once,
-/// then run one analysis per mode bucket and stream a record per
-/// corner. Returns the group-level accounting event.
-#[allow(clippy::too_many_arguments)]
+/// What one group hands to the fold.
+struct GroupRun {
+    /// The group's resolve and assembly accounting.
+    stats: RunStats,
+    /// The group's distinct module fingerprint keys.
+    distinct_keys: Vec<String>,
+    /// `(scenario index, record, full timing when retained)` per
+    /// scenario of the group.
+    scenarios: Vec<(usize, ScenarioRecord, Option<Arc<DesignTiming>>)>,
+}
+
+/// Processes one group end to end: resolve the group's models through
+/// the shared tiers, assemble the design once, then run one analysis
+/// per mode bucket and write a record per scenario.
 fn run_group(
     spec: &DesignSpec,
-    grid: &CornerGrid,
+    plan: &Plan,
     group_index: usize,
-    group: &GroupPlan,
     shared: &SharedState<'_>,
     basis_cache: &BasisCache,
     gauge: &ResidencyGauge,
     retain: bool,
-    events: &Channel<Event>,
-) -> Result<Event, EngineError> {
+) -> Result<GroupRun, EngineError> {
+    let group = &plan.groups[group_index];
     shared.cancel.checkpoint()?;
     let resolve_started = Instant::now();
+    let group_plan = plan::plan_modules(spec, &group.config, &group.extract);
     let mut stats = RunStats {
         instances: spec.instances.len(),
+        distinct_modules: group_plan.distinct.len(),
+        store_codec: shared.store.map(ModelStore::codec),
         ..RunStats::default()
     };
-    let group_plan = plan::plan_modules(spec, &group.config, &group.extract);
-    stats.distinct_modules = group_plan.distinct.len();
     resolve::resolve_models(
         spec,
         &group_plan.distinct,
@@ -485,13 +263,16 @@ fn run_group(
     )?;
     stats.resolve_seconds = resolve_started.elapsed().as_secs_f64();
 
+    // Checkpoint between resolve and assemble: everything resolved so
+    // far is already published (session cache + library), so stopping
+    // here wastes none of it.
     shared.cancel.checkpoint()?;
     let assembly_started = Instant::now();
     let design = assemble::assemble(spec, &group_plan.keys, &group.config, shared.cache)?;
 
     // The shared covariance/PCA basis, built at most once per distinct
-    // basis key across the whole sweep. Its phase cost is attributed to
-    // the group event, not a record, so record sums never double-count.
+    // basis key across the whole call. Its phase cost is charged to the
+    // first proposed-mode analysis below.
     let mut basis_phases = PhaseTimings::default();
     let needs_basis = group
         .buckets
@@ -519,6 +300,7 @@ fn run_group(
     // bucket (the graph structure is mode-independent — only the delay
     // coefficients differ).
     let mut schedule: Option<LevelSchedule> = None;
+    let mut scenarios = Vec::new();
     for bucket in &group.buckets {
         shared.cancel.checkpoint()?;
         let assembled = assemble_design_graph_with_basis(
@@ -534,12 +316,13 @@ fn run_group(
         }
         let level_schedule = schedule.as_ref().expect("schedule built above");
         gauge.acquire();
-        let timing = Arc::new(propagate_assembled(
-            &assembled,
-            level_schedule,
-            shared.threads,
-        )?);
+        let mut timing = propagate_assembled(&assembled, level_schedule, shared.threads)?;
         drop(assembled);
+        if bucket.mode == CorrelationMode::Proposed {
+            timing.phases.accumulate(&std::mem::take(&mut basis_phases));
+            timing.elapsed_seconds = timing.phases.total_seconds();
+        }
+        let timing = Arc::new(timing);
 
         // Critical primary output: largest mean arrival, first index
         // wins ties (deterministic regardless of worker count).
@@ -551,17 +334,16 @@ fn run_group(
                 critical_po = i;
             }
         }
-        for (slot, &(index, yield_target)) in bucket.corners.iter().enumerate() {
+        for (slot, &(index, yield_target)) in bucket.scenarios.iter().enumerate() {
             let leader = slot == 0;
-            let timing_yield = yield_target.map(|t| yield_analysis::timing_yield(&timing.delay, t));
             let record = ScenarioRecord {
-                scenario: grid.scenario(index).name,
+                scenario: plan.names[index].clone(),
                 group: group_index,
                 mode: bucket.mode,
                 mean_ps: timing.delay.mean(),
                 sigma_ps: timing.delay.std_dev(),
                 p9973_ps: timing.delay.quantile(0.9973),
-                timing_yield,
+                timing_yield: yield_target.map(|t| yield_analysis::timing_yield(&timing.delay, t)),
                 critical_po,
                 reused_analysis: !leader,
                 phases: if leader {
@@ -570,20 +352,11 @@ fn run_group(
                     PhaseTimings::default()
                 },
             };
-            let retained = retain.then(|| RetainedResult {
-                scenario: record.scenario.clone(),
-                timing: Arc::clone(&timing),
-                timing_yield,
-            });
-            events.send(Event::Record {
-                index,
-                record,
-                retained,
-            });
+            scenarios.push((index, record, retain.then(|| Arc::clone(&timing))));
         }
         // Streaming mode: the bucket is fully summarized, release the
-        // full result now. Retained Arcs (if any) share the allocation,
-        // so in retain mode the gauge stays held — that is the point of
+        // full result now. Retained Arcs share the allocation, so in
+        // retain mode the gauge stays held — that is the point of
         // measuring peak residency.
         if !retain {
             drop(timing);
@@ -592,182 +365,124 @@ fn run_group(
     }
     stats.assembly_seconds = assembly_started.elapsed().as_secs_f64();
 
-    Ok(Event::Group {
+    Ok(GroupRun {
         stats,
         distinct_keys: group_plan
             .distinct
             .into_iter()
             .map(|(key, _)| key)
             .collect(),
-        analyses: group.buckets.len(),
-        basis_phases,
+        scenarios,
     })
 }
 
-/// Runs a corner-grid sweep over shared engine state. See the
-/// [module docs](self) for the three layers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_sweep(
+/// Plans `scenarios` over the engine's base setup and runs the plan
+/// over shared engine state, with `shared.threads` as the whole call's
+/// thread budget. See the [module docs](self) for the three layers.
+///
+/// Returns the error of the lowest-indexed failing group (groups are
+/// numbered in first-scenario order).
+pub(crate) fn run(
     spec: &DesignSpec,
-    grid: &CornerGrid,
-    options: &SweepOptions,
-    workers: usize,
+    scenarios: impl IntoIterator<Item = Scenario>,
     base_config: &SstaConfig,
     base_extract: &ExtractOptions,
     base_mode: CorrelationMode,
-    shared: &SharedState<'_>,
+    retain: bool,
+    shared: SharedState<'_>,
 ) -> Result<SweepSummary, EngineError> {
     let started = Instant::now();
-    // Health is attributed at the sweep boundary: groups share one
+    // Health is attributed at the call boundary: groups share one
     // backend stack, so per-group deltas would double-count.
-    let health_before = shared.store.map(|s| s.health()).unwrap_or_default();
-    let groups = plan_sweep(grid, base_config, base_extract, base_mode);
+    let health_before = shared.store.map(ModelStore::health).unwrap_or_default();
+    let plan = plan(scenarios, base_config, base_extract, base_mode);
 
-    // Each claimed group gets the budget divided by the group fan-out,
-    // so the sweep never oversubscribes to workers² OS threads; with
-    // fewer groups than workers the per-group stages get the surplus.
-    let group_workers = workers.min(groups.len()).max(1);
+    // Each group gets the budget divided by the group fan-out, so a call
+    // never oversubscribes to workers² OS threads; with fewer groups
+    // than workers the per-group stages get the surplus.
+    let workers = shared.threads;
+    let group_workers = workers.min(plan.groups.len()).max(1);
     let shared = SharedState {
-        cache: shared.cache,
-        flights: shared.flights,
-        store: shared.store,
         threads: (workers / group_workers).max(1),
-        cancel: shared.cancel,
+        ..shared
     };
-
-    let capacity = if options.channel_capacity > 0 {
-        options.channel_capacity
-    } else {
-        (2 * workers).max(4)
-    };
-    let events: Channel<Event> = Channel::new(capacity, group_workers);
-    let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let basis_cache = BasisCache::new();
     let gauge = ResidencyGauge::new();
+    let runs = try_parallel_indexed(plan.groups.len(), group_workers, |g| {
+        // A failed sibling makes further groups wasted work.
+        if abort.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
+        run_group(spec, &plan, g, &shared, &basis_cache, &gauge, retain)
+            .map(Some)
+            .inspect_err(|_| abort.store(true, Ordering::SeqCst))
+    })?;
 
-    let n_corners = grid.len();
-    let mut records: Vec<Option<ScenarioRecord>> = (0..n_corners).map(|_| None).collect();
-    let mut retained: Vec<Option<RetainedResult>> = if options.retain_results {
-        (0..n_corners).map(|_| None).collect()
-    } else {
-        Vec::new()
-    };
+    // Fold in group order: counters add up, records and retained
+    // results land at their scenario index.
+    let n = plan.names.len();
     let mut summary = SweepSummary {
-        scenarios: n_corners,
-        groups: groups.len(),
+        scenarios: n,
+        groups: plan.groups.len(),
         workers,
         ..SweepSummary::default()
     };
+    let mut records: Vec<Option<ScenarioRecord>> = vec![None; n];
+    let mut retained: Vec<Option<ScenarioRun>> =
+        (0..if retain { n } else { 0 }).map(|_| None).collect();
     let mut distinct: BTreeSet<String> = BTreeSet::new();
-    let mut first_error: Option<(usize, EngineError)> = None;
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..group_workers {
-            scope.spawn(|_| {
-                // Chunked self-scheduling: claim the next unprocessed
-                // group off the shared cursor until the plan is drained
-                // (or a sibling failed and further work is wasted).
-                loop {
-                    if abort.load(Ordering::SeqCst) {
-                        break;
+    for (group, run) in plan.groups.iter().zip(runs) {
+        // Groups skip only after a sibling failed, and then `runs` is
+        // that failure.
+        let run = run.expect("no group skipped without an error");
+        summary.analyses += group.buckets.len();
+        let stats = &run.stats;
+        summary.extractions += stats.extractions;
+        summary.coalesced += stats.coalesced;
+        summary.memory_hits += stats.memory_hits;
+        summary.store_hits += stats.store_hits;
+        summary.store_misses += stats.store_misses;
+        summary.store_rejects += stats.store_rejects;
+        summary.store_degraded += stats.store_degraded;
+        summary.store_writes += stats.store_writes;
+        summary.store_write_failures += stats.store_write_failures;
+        summary.store_bytes_written += stats.store_bytes_written;
+        summary.store_bytes_read += stats.store_bytes_read;
+        distinct.extend(run.distinct_keys);
+        for (index, record, timing) in run.scenarios {
+            summary.phases.accumulate(&record.phases);
+            if let Some(timing) = timing {
+                // The group's counters go on its first scenario only.
+                let mut stats = if index == group.first_scenario {
+                    run.stats.clone()
+                } else {
+                    RunStats {
+                        instances: run.stats.instances,
+                        distinct_modules: run.stats.distinct_modules,
+                        store_codec: run.stats.store_codec,
+                        ..RunStats::default()
                     }
-                    let g = cursor.fetch_add(1, Ordering::SeqCst);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let group = &groups[g];
-                    match run_group(
-                        spec,
-                        grid,
-                        g,
-                        group,
-                        &shared,
-                        &basis_cache,
-                        &gauge,
-                        options.retain_results,
-                        &events,
-                    ) {
-                        Ok(event) => events.send(event),
-                        Err(error) => {
-                            abort.store(true, Ordering::SeqCst);
-                            events.send(Event::Error {
-                                index: group.first_corner,
-                                error,
-                            });
-                        }
-                    }
-                }
-                events.close_producer();
-            });
-        }
-
-        // The calling thread is the aggregating consumer: fold events
-        // into the summary as they stream in, holding compact records
-        // only — never the full timings (except in retain mode).
-        while let Some(event) = events.recv() {
-            match event {
-                Event::Record {
-                    index,
-                    record,
-                    retained: kept,
-                } => {
-                    summary.phases.accumulate(&record.phases);
-                    records[index] = Some(record);
-                    if let Some(kept) = kept {
-                        retained[index] = Some(kept);
-                    }
-                }
-                Event::Group {
+                };
+                stats.phases = record.phases;
+                retained[index] = Some(ScenarioRun {
+                    scenario: record.scenario.clone(),
+                    timing,
+                    timing_yield: record.timing_yield,
                     stats,
-                    distinct_keys,
-                    analyses,
-                    basis_phases,
-                } => {
-                    summary.analyses += analyses;
-                    summary.extractions += stats.extractions;
-                    summary.coalesced += stats.coalesced;
-                    summary.memory_hits += stats.memory_hits;
-                    summary.store_hits += stats.store_hits;
-                    summary.store_misses += stats.store_misses;
-                    summary.store_rejects += stats.store_rejects;
-                    summary.store_degraded += stats.store_degraded;
-                    summary.store_writes += stats.store_writes;
-                    summary.store_write_failures += stats.store_write_failures;
-                    summary.phases.accumulate(&basis_phases);
-                    distinct.extend(distinct_keys);
-                }
-                Event::Error { index, error } => {
-                    if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        first_error = Some((index, error));
-                    }
-                }
-            }
-        }
-    })
-    .expect("sweep workers do not panic");
-
-    if let Some((_, error)) = first_error {
-        return Err(error);
-    }
-    let mut final_records = Vec::with_capacity(n_corners);
-    for (index, record) in records.into_iter().enumerate() {
-        match record {
-            Some(record) => final_records.push(record),
-            // No record and no error: a worker observed the abort flag
-            // (cancellation) before claiming this corner's group.
-            None => {
-                shared.cancel.checkpoint()?;
-                return Err(EngineError::Spec {
-                    reason: format!("sweep dropped corner {index} without an error"),
                 });
             }
+            records[index] = Some(record);
         }
     }
-    summary.records = final_records;
-    if options.retain_results {
-        summary.retained = retained.into_iter().map(|r| r.expect("retained")).collect();
-    }
+    summary.records = records
+        .into_iter()
+        .map(|r| r.expect("every planned scenario has a record"))
+        .collect();
+    summary.retained = retained
+        .into_iter()
+        .map(|r| r.expect("every planned scenario is retained"))
+        .collect();
     summary.distinct_fingerprints = distinct.len();
     summary.peak_retained_results = gauge.peak();
     if let Some(store) = shared.store {

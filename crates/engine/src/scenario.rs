@@ -4,11 +4,11 @@
 //! [`ScenarioOverlay`]s over an engine's base setup — the input to
 //! [`Engine::analyze_batch`](crate::Engine::analyze_batch), which sweeps
 //! one [`DesignSpec`](crate::DesignSpec) across every scenario over one
-//! shared model store. Scenarios that resolve to the same
-//! `(SstaConfig, ExtractOptions)` pair share cached models by
-//! construction (fingerprints are content-derived), and concurrent
-//! misses on one fingerprint are single-flighted so the batch never
-//! extracts a module twice.
+//! shared model store. A set and a [`CornerGrid`](crate::CornerGrid)
+//! are two front-ends to the same planner: scenarios that resolve to
+//! the same `(SstaConfig, ExtractOptions)` pair fall into one group,
+//! which resolves its models and assembles the design once, so the
+//! batch never extracts a module twice.
 
 use ssta_core::{CorrelationMode, CorrelationModel, ExtractOptions, ScenarioOverlay, SstaConfig};
 use std::collections::BTreeSet;

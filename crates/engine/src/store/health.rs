@@ -7,7 +7,7 @@
 //! with their inner backend's, so one `health()` call on the top of a
 //! stack (tiered → remote → fault-injecting → memory) sees the whole
 //! tower. The engine snapshots health around each run and reports the
-//! delta in [`RunStats`](crate::RunStats)/[`BatchStats`](crate::BatchStats),
+//! delta in [`RunStats`](crate::RunStats)/[`SweepSummary`](crate::SweepSummary),
 //! and the serving layer exposes the absolute numbers in
 //! [`ServerSnapshot`](../../ssta_serve/struct.ServerSnapshot.html) —
 //! operators see the store misbehaving without losing traffic.

@@ -47,12 +47,11 @@ impl Priority {
 
 /// What one request asks the engine to run.
 ///
-/// Small named scenario sets go through the batch pipeline; corner
-/// grids go through the mega-sweep path
-/// ([`Engine::analyze_sweep`](ssta_engine::Engine::analyze_sweep)),
-/// which collapses corners by extraction fingerprint up front and
-/// streams compact per-corner records instead of materializing every
-/// full result.
+/// Both workloads run the engine's one planner and executor, which
+/// collapses scenarios by extraction fingerprint up front. A named
+/// scenario set keeps every full result; a corner grid
+/// ([`Engine::analyze_sweep`](ssta_engine::Engine::analyze_sweep)) is
+/// materialized lazily and keeps compact per-corner records instead.
 #[derive(Debug, Clone)]
 pub enum Workload {
     /// A [`ScenarioSet`] served by
@@ -65,7 +64,7 @@ pub enum Workload {
     Sweep {
         /// The corner grid, materialized lazily on the worker.
         grid: CornerGrid,
-        /// Sweep tuning (worker count, retention, channel bound).
+        /// Sweep tuning (result retention).
         options: SweepOptions,
     },
 }
@@ -205,6 +204,16 @@ impl Outcome {
         }
     }
 
+    /// The completed call's accounting, for either workload: a batch's
+    /// [`BatchRun::stats`] or a sweep's summary.
+    pub fn summary(&self) -> Option<&SweepSummary> {
+        match self {
+            Outcome::Completed(run) => Some(&run.stats),
+            Outcome::Swept(summary) => Some(summary),
+            _ => None,
+        }
+    }
+
     /// Short label for tables and logs.
     pub fn label(&self) -> &'static str {
         match self {
@@ -230,9 +239,9 @@ pub struct ServeStats {
     pub service_time: Duration,
     /// Modules characterized + extracted while serving this request.
     pub extractions: usize,
-    /// Module resolutions coalesced onto another in-flight extraction
-    /// (same engine batch or another worker via the shared
-    /// [`FlightGroup`](ssta_engine::FlightGroup)).
+    /// Module resolutions coalesced onto another worker's in-flight
+    /// extraction via the shared
+    /// [`FlightGroup`](ssta_engine::FlightGroup).
     pub coalesced: usize,
     /// Modules served from the worker's in-memory session cache.
     pub memory_hits: usize,

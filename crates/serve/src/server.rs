@@ -7,8 +7,9 @@ use crate::request::{
 };
 use crate::stats::{Counters, ServerSnapshot};
 use crate::ticket::{ResponseSlot, Ticket};
-use ssta_core::{parallel::effective_threads, CancelToken, SstaConfig};
+use ssta_core::{CancelToken, SstaConfig};
 use ssta_engine::{Engine, EngineError, EngineOptions, FlightGroup, StorageBackend};
+use ssta_math::parallel::effective_threads;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -230,29 +231,13 @@ fn worker_loop(index: usize, mut engine: Engine, shared: &Shared) {
         let counters = &shared.counters;
         let outcome = match result {
             Ok(outcome) => {
-                let (extractions, coalesced, memory_hits, store_hits, degraded) = match &outcome {
-                    Outcome::Completed(run) => (
-                        run.stats.extractions,
-                        run.stats.coalesced,
-                        run.stats.memory_hits,
-                        run.stats.store_hits,
-                        run.stats.store_degraded,
-                    ),
-                    Outcome::Swept(summary) => (
-                        summary.extractions,
-                        summary.coalesced,
-                        summary.memory_hits,
-                        summary.store_hits,
-                        summary.store_degraded,
-                    ),
-                    _ => unreachable!("engine success maps to a completed outcome"),
-                };
+                let summary = outcome.summary().expect("engine success is completed");
                 counters.add(&counters.completed, 1);
-                counters.add(&counters.extractions, extractions as u64);
-                counters.add(&counters.coalesced, coalesced as u64);
-                counters.add(&counters.memory_hits, memory_hits as u64);
-                counters.add(&counters.store_hits, store_hits as u64);
-                counters.add(&counters.degraded, degraded as u64);
+                counters.add(&counters.extractions, summary.extractions as u64);
+                counters.add(&counters.coalesced, summary.coalesced as u64);
+                counters.add(&counters.memory_hits, summary.memory_hits as u64);
+                counters.add(&counters.store_hits, summary.store_hits as u64);
+                counters.add(&counters.degraded, summary.store_degraded as u64);
                 outcome
             }
             Err(e) if e.is_cancelled() => {
@@ -272,34 +257,16 @@ fn worker_loop(index: usize, mut engine: Engine, shared: &Shared) {
         counters.add(&counters.queue_wait_nanos, queue_wait.as_nanos() as u64);
         counters.add(&counters.service_nanos, service_time.as_nanos() as u64);
 
-        let stats = match &outcome {
-            Outcome::Completed(run) => ServeStats {
-                queue_wait,
-                service_time,
-                extractions: run.stats.extractions,
-                coalesced: run.stats.coalesced,
-                memory_hits: run.stats.memory_hits,
-                store_hits: run.stats.store_hits,
-                sequence: counters.next_sequence(),
-                worker: index,
-            },
-            Outcome::Swept(summary) => ServeStats {
-                queue_wait,
-                service_time,
-                extractions: summary.extractions,
-                coalesced: summary.coalesced,
-                memory_hits: summary.memory_hits,
-                store_hits: summary.store_hits,
-                sequence: counters.next_sequence(),
-                worker: index,
-            },
-            _ => ServeStats {
-                queue_wait,
-                service_time,
-                sequence: counters.next_sequence(),
-                worker: index,
-                ..ServeStats::default()
-            },
+        let summary = outcome.summary();
+        let stats = ServeStats {
+            queue_wait,
+            service_time,
+            extractions: summary.map_or(0, |s| s.extractions),
+            coalesced: summary.map_or(0, |s| s.coalesced),
+            memory_hits: summary.map_or(0, |s| s.memory_hits),
+            store_hits: summary.map_or(0, |s| s.store_hits),
+            sequence: counters.next_sequence(),
+            worker: index,
         };
         job.slot.fill(AnalyzeResponse {
             id: job.id,

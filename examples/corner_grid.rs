@@ -6,10 +6,9 @@
 //! The sweep planner groups the corners by extraction fingerprint
 //! before any work is scheduled, so the whole grid performs exactly one
 //! extraction per sigma point — the mode and clock axes multiply only
-//! the corner count, never the characterization cost. Results stream
-//! through a bounded channel into per-corner roll-ups; full
-//! `DesignTiming` results are retained here (`retain_results`) only to
-//! print the table.
+//! the corner count, never the characterization cost. Each group writes
+//! compact per-corner roll-ups; full `DesignTiming` results are
+//! retained here (`retain_results`) only to print the table.
 //!
 //! Run with `cargo run --release --example corner_grid`.
 
@@ -78,7 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let options = SweepOptions {
         retain_results: true,
-        ..SweepOptions::default()
     };
     let summary = Engine::new(SstaConfig::paper()).analyze_sweep(&spec, &grid, &options)?;
 

@@ -7,9 +7,9 @@
 //!   mode, yield target) share the nominal scenario's extracted models
 //!   outright — their cache keys are identical by construction;
 //! * scenarios that change *extraction-relevant* configuration (sigmas,
-//!   spatial correlation) are re-keyed and extracted exactly once each,
-//!   with concurrent misses single-flighted so a racing sweep never
-//!   characterizes the same module twice.
+//!   spatial correlation) are re-keyed and extracted exactly once each:
+//!   the planner groups scenarios by extraction signature before any
+//!   work runs, so the batch never characterizes the same module twice.
 //!
 //! Run with `cargo run --release --example corner_sweep`.
 

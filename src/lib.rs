@@ -18,11 +18,12 @@
 //! * [`mc`] — Monte Carlo ground truth;
 //! * [`engine`] — the analysis engine: a persistent content-addressed
 //!   model library over pluggable storage backends (sharded filesystem
-//!   or in-memory) with a compact binary artifact codec, a staged
-//!   analysis pipeline (plan → resolve → assemble → report) with
-//!   fingerprint-deduplicating parallel extraction, a scenario-sweep
-//!   batch API with single-flight dedup of concurrent extractions, and
-//!   incremental re-analysis with per-module invalidation;
+//!   or in-memory) with a compact binary artifact codec, one staged
+//!   planner and executor (plan → resolve → assemble → report) behind
+//!   single analyses, scenario batches and corner-grid sweeps, with
+//!   fingerprint-deduplicating parallel extraction, single-flight dedup
+//!   of concurrent extractions across engines, and incremental
+//!   re-analysis with per-module invalidation;
 //! * [`sdf`] — SDF (IEEE 1497) interchange: a position-tracking parser
 //!   and deterministic writer for the subset the flow needs, plus a
 //!   model exchange layer that exports statistical models as min/typ/max

@@ -4,9 +4,8 @@
 //!   analysis-level (non-extract) knobs share store keys; scenarios
 //!   differing in extraction-relevant config get distinct keys;
 //! * a parallel batch of 8 scenarios sharing one module fingerprint
-//!   performs exactly one extraction (single-flight dedup, verified by
-//!   `BatchStats`), and batch results are bit-identical to running the
-//!   scenarios serially;
+//!   collapses into one group and performs exactly one extraction, and
+//!   batch results are bit-identical to running the scenarios serially;
 //! * a warm sweep over ISCAS-85 c880 performs at least one and at most
 //!   `distinct_fingerprints` extractions and matches serial runs bit
 //!   for bit;
@@ -214,9 +213,8 @@ fn fingerprint_disjointness_matrix() {
 #[test]
 fn eight_parallel_scenarios_extract_once() {
     // Eight scenarios, all resolving to the same extraction inputs
-    // (overlays touch only analysis-level knobs), racing in parallel:
-    // the single-flight table must collapse them to exactly one
-    // extraction.
+    // (overlays touch only analysis-level knobs): the planner must
+    // collapse them into one group with exactly one extraction.
     let (spec, _) = quad_adder_spec();
     let mut set = ScenarioSet::new();
     for i in 0..8 {
@@ -239,12 +237,15 @@ fn eight_parallel_scenarios_extract_once() {
     assert_eq!(batch.stats.distinct_fingerprints, 1);
     assert_eq!(
         batch.stats.extractions, 1,
-        "single-flight: one extraction for the whole parallel batch"
+        "one extraction for the whole parallel batch"
     );
-    // Every other scenario either coalesced onto the in-flight
-    // extraction or (if scheduled after it finished) hit the session
-    // cache; none extracted.
-    assert_eq!(batch.stats.coalesced + batch.stats.memory_hits, 7);
+    // One group resolves its one fingerprint once: nothing to coalesce
+    // onto and no second lookup to hit the session cache. The two
+    // correlation modes are the group's two analyses.
+    assert_eq!(batch.stats.groups, 1);
+    assert_eq!(batch.stats.coalesced, 0);
+    assert_eq!(batch.stats.memory_hits, 0);
+    assert_eq!(batch.stats.analyses, 2);
 
     // Bit-identical to running the scenarios serially on fresh engines.
     let serial = serial_reference(&spec, &set, None);
@@ -408,10 +409,7 @@ fn session_cache_is_shared_across_batches() {
     let warm = engine.analyze_batch(&spec, &set).expect("warm batch");
     assert_eq!(warm.stats.extractions, 0);
     assert_eq!(warm.stats.coalesced, 0);
-    assert_eq!(
-        warm.stats.memory_hits, 2,
-        "one session-cache hit per scenario"
-    );
+    assert_eq!(warm.stats.memory_hits, 1, "one session-cache hit per group");
     for (c, w) in cold.scenarios.iter().zip(&warm.scenarios) {
         assert_eq!(c.timing.po_arrivals, w.timing.po_arrivals);
     }

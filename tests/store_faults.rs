@@ -19,9 +19,9 @@
 
 use hier_ssta::core::SstaConfig;
 use hier_ssta::engine::{
-    BreakerState, CornerGrid, DesignSpec, Engine, EngineRun, FaultInjectingBackend, FaultPlan,
-    GridAxis, MemoryBackend, NetworkModel, RemoteBackend, RetryPolicy, ScenarioSet, StorageBackend,
-    SweepOptions, SweepSummary, TieredBackend, TieredOptions,
+    BreakerState, CornerGrid, DesignSpec, Engine, EngineOptions, EngineRun, FaultInjectingBackend,
+    FaultPlan, GridAxis, MemoryBackend, NetworkModel, RemoteBackend, RetryPolicy, ScenarioSet,
+    StorageBackend, SweepOptions, SweepSummary, TieredBackend, TieredOptions,
 };
 use hier_ssta::netlist::{generators, DieRect};
 use hier_ssta::serve::{AnalyzeRequest, ServeOptions, Server};
@@ -263,6 +263,18 @@ fn cold_tier_breaker_trips_surface_in_run_stats() {
 // The 512-corner acceptance sweep.
 // ---------------------------------------------------------------------
 
+/// The engine the sweeps below run on: eight threads, whatever the
+/// machine.
+fn eight_thread_engine() -> Engine {
+    Engine::with_options(
+        SstaConfig::paper(),
+        EngineOptions {
+            threads: 8,
+            ..EngineOptions::default()
+        },
+    )
+}
+
 fn acceptance_grid() -> CornerGrid {
     let clocks: Vec<f64> = (0..32).map(|i| 800.0 + 25.0 * i as f64).collect();
     CornerGrid::builder()
@@ -281,14 +293,11 @@ fn faulty_warm_512_corner_sweep_is_bit_identical_and_quarantines_corruption() {
     let spec = quad_adder_spec();
     let grid = acceptance_grid();
     assert_eq!(grid.len(), 512);
-    let options = SweepOptions {
-        workers: 8,
-        ..SweepOptions::default()
-    };
+    let options = SweepOptions::default();
 
     // The fault-free reference: a cold sweep that also warms the store.
     let memory = Arc::new(MemoryBackend::new());
-    let reference = Engine::new(SstaConfig::paper())
+    let reference = eight_thread_engine()
         .with_backend(Arc::clone(&memory))
         .analyze_sweep(&spec, &grid, &options)
         .expect("fault-free sweep");
@@ -321,7 +330,7 @@ fn faulty_warm_512_corner_sweep_is_bit_identical_and_quarantines_corruption() {
     );
 
     // The warm sweep over the faulty stack: same answers, bit for bit.
-    let faulty = Engine::new(SstaConfig::paper())
+    let faulty = eight_thread_engine()
         .with_backend(Arc::clone(&stack))
         .analyze_sweep(&spec, &grid, &options)
         .expect("sweep survives the fault plan");
@@ -391,10 +400,10 @@ proptest! {
     fn random_fault_plans_never_change_sweep_answers(plan in random_plan()) {
         let spec = quad_adder_spec();
         let grid = chaos_grid();
-        let options = SweepOptions { workers: 8, ..SweepOptions::default() };
+        let options = SweepOptions::default();
 
         let memory = Arc::new(MemoryBackend::new());
-        let reference = Engine::new(SstaConfig::paper())
+        let reference = eight_thread_engine()
             .with_backend(Arc::clone(&memory))
             .analyze_sweep(&spec, &grid, &options)
             .expect("fault-free sweep");
@@ -404,7 +413,7 @@ proptest! {
             NetworkModel::perfect(),
             fast_policy(),
         )));
-        let faulty = Engine::new(SstaConfig::paper())
+        let faulty = eight_thread_engine()
             .with_backend(stack)
             .analyze_sweep(&spec, &grid, &options)
             .expect("sweep survives any fault plan");

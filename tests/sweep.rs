@@ -5,7 +5,9 @@
 //!   corners the analysis-level axes multiply in;
 //! * bit-identity — every retained corner result matches a fresh
 //!   one-scenario engine run with the corner's overlay resolved by
-//!   hand, bit for bit (also property-tested over random grids);
+//!   hand, bit for bit, and the same corners run as a scenario batch
+//!   match the sweep bit for bit with the same collapse (both
+//!   property-tested over random grids);
 //! * streaming aggregation — peak resident full results stay bounded by
 //!   the worker count unless `retain_results` asks for everything;
 //! * warm re-sweeps resolve every group from session memory and
@@ -214,7 +216,6 @@ fn retained_sweep_matches_serial_runs_bit_for_bit() {
 
     let options = SweepOptions {
         retain_results: true,
-        ..SweepOptions::default()
     };
     let summary = Engine::new(SstaConfig::paper())
         .analyze_sweep(&spec, &grid, &options)
@@ -326,10 +327,7 @@ proptest! {
     #[test]
     fn random_grid_sweeps_match_one_by_one_analyses(grid in random_grid()) {
         let spec = quad_adder_spec();
-        let options = SweepOptions {
-            retain_results: true,
-            ..SweepOptions::default()
-        };
+        let options = SweepOptions { retain_results: true };
         let summary = Engine::new(SstaConfig::paper())
             .analyze_sweep(&spec, &grid, &options)
             .expect("sweep");
@@ -342,5 +340,28 @@ proptest! {
 
         let serial = serial_reference(&spec, &grid);
         assert_sweep_matches_serial(&summary, &grid, &serial);
+
+        // The other front-end: the same corners as a scenario set run
+        // through the same planner, with the same collapse and the same
+        // bits.
+        let batch = Engine::new(SstaConfig::paper())
+            .analyze_batch(&spec, &grid.to_scenario_set())
+            .expect("batch");
+        prop_assert_eq!(batch.stats.extractions, summary.extractions);
+        prop_assert_eq!(batch.stats.distinct_fingerprints, summary.distinct_fingerprints);
+        prop_assert_eq!(batch.stats.analyses, summary.analyses);
+        prop_assert_eq!(batch.scenarios.len(), summary.retained.len());
+        for (run, kept) in batch.scenarios.iter().zip(&summary.retained) {
+            prop_assert_eq!(&run.scenario, &kept.scenario);
+            prop_assert_eq!(
+                run.timing.delay.mean().to_bits(),
+                kept.timing.delay.mean().to_bits()
+            );
+            prop_assert_eq!(
+                run.timing.delay.std_dev().to_bits(),
+                kept.timing.delay.std_dev().to_bits()
+            );
+            prop_assert_eq!(&run.timing.po_arrivals, &kept.timing.po_arrivals);
+        }
     }
 }
