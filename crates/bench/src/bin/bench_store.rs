@@ -27,8 +27,8 @@
 use serde::Serialize;
 use ssta_engine::store::encode_envelope;
 use ssta_engine::{
-    Codec, FaultInjectingBackend, FaultPlan, FsBackend, MemoryBackend, NetworkModel, RemoteBackend,
-    RetryPolicy, StorageBackend, TieredBackend, TieredOptions,
+    Codec, FaultInjectingBackend, FaultPlan, FsBackend, MemoryBackend, RemoteBackend, RetryPolicy,
+    StorageBackend, TieredBackend, TieredOptions,
 };
 use std::time::{Duration, Instant};
 
@@ -89,6 +89,7 @@ fn main() {
         put_error_rate: 0.10,
         corrupt_read_rate: 0.02,
         seed: 0xBE7C_5709,
+        latency: wire_latency,
         ..FaultPlan::none()
     };
     let policy = RetryPolicy {
@@ -96,14 +97,9 @@ fn main() {
         max_delay: Duration::from_millis(2),
         ..RetryPolicy::default()
     };
-    let network = NetworkModel {
-        latency: wire_latency,
-        ..NetworkModel::perfect()
-    };
     let remote_faulty = || {
         RemoteBackend::new(
             FaultInjectingBackend::new(MemoryBackend::new(), plan),
-            network,
             policy,
         )
     };

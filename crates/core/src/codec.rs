@@ -2,11 +2,11 @@
 //!
 //! Extracted [`TimingModel`]s are the product the DATE'09 flow ships
 //! across the IP-vendor/integrator boundary, so their wire format is a
-//! contract. JSON (payload codec 0) is self-describing but bulky — a
-//! c880 model weighs ~118 KiB, dominated by `f64`s printed at 17
-//! significant digits. This codec stores the same structure as a
-//! deterministic, length-prefixed binary stream built on
-//! [`ssta_math::codec`]:
+//! contract, and this codec is the model library's only one. JSON (the
+//! serde handoff) is self-describing but bulky — a c880 model weighs
+//! ~118 KiB, dominated by `f64`s printed at 17 significant digits. This
+//! codec stores the same structure as a deterministic, length-prefixed
+//! binary stream built on [`ssta_math::codec`]:
 //!
 //! * every `f64` is its 8-byte IEEE-754 bit pattern (bit-exact — a
 //!   decoded model re-encodes to *identical bytes* and analyzes to
@@ -18,20 +18,20 @@
 //!   against structural limits, so corrupted lengths fail with a
 //!   precise [`CoreError::Codec`] instead of an allocation bomb.
 //!
-//! The stream opens with a one-byte **layout version** (currently
-//! [`MODEL_CODEC_VERSION`]) so the payload format can evolve
-//! independently of the store's envelope version; readers reject
-//! unknown layouts up front. Writers emit layout 2; the reader also
-//! accepts layout-1 streams (they simply carry no sequential block).
+//! The stream opens with a one-byte **layout version**
+//! ([`MODEL_CODEC_VERSION`]) so the payload format can evolve
+//! independently of the store's envelope version; readers reject every
+//! other layout up front.
 //!
 //! Field order mirrors the logical structure: name, configuration,
 //! grid geometry, variable layout, PCA bases, timing graph (raw slots,
-//! tombstones included — see [`ssta_timing::RawGraphParts`]), and
-//! extraction stats. Layout 2 appends an optional sequential-interface
-//! block (clock pin + launch/setup/hold constraint arcs), validated on
-//! decode against the already-decoded graph and layout so a hostile
-//! payload cannot smuggle in arcs referencing unknown pins or foreign
-//! variable spaces. The graph's input list is *not* stored: it is
+//! tombstones included — see [`ssta_timing::RawGraphParts`]),
+//! extraction stats, and an optional sequential-interface block (clock
+//! pin + launch/setup/hold constraint arcs). Live edge delays and
+//! constraint arcs are validated on decode against the already-decoded
+//! configuration and layout, so a hostile payload cannot smuggle in
+//! forms from a foreign variable space or arcs referencing unknown
+//! pins. The graph's input list is *not* stored: it is
 //! fully determined by the `Input(i)` vertex kinds and re-derived on
 //! decode, which both saves bytes and makes that invariant
 //! unforgeable.
@@ -46,12 +46,9 @@ use ssta_math::{Matrix, PcaBasis, PcaOptions};
 use ssta_netlist::ProcessParam;
 use ssta_timing::{RawGraphParts, TimingGraph, VertexId, VertexKind};
 
-/// Version byte opening every binary model payload written by this
-/// build. Layout 2 = layout 1 plus the optional sequential block.
+/// Version byte opening every binary model payload: the one layout
+/// this build reads and writes.
 pub const MODEL_CODEC_VERSION: u8 = 2;
-
-/// Oldest layout version the reader still accepts.
-pub const MIN_MODEL_CODEC_VERSION: u8 = 1;
 
 impl From<CodecError> for CoreError {
     fn from(e: CodecError) -> Self {
@@ -89,16 +86,16 @@ pub fn encode_model(model: &TimingModel) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CoreError::Codec`] for truncated or structurally invalid
-/// payloads and unknown layout versions, with the byte offset of the
-/// first defect.
+/// payloads, unknown layout versions, and canonical forms outside the
+/// model's own variable space, naming the first defect.
 pub fn decode_model(bytes: &[u8]) -> Result<TimingModel, CoreError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u8()?;
-    if !(MIN_MODEL_CODEC_VERSION..=MODEL_CODEC_VERSION).contains(&version) {
+    if version != MODEL_CODEC_VERSION {
         return Err(CoreError::Codec {
             reason: format!(
-                "unknown binary model layout {version}, this build reads \
-                 {MIN_MODEL_CODEC_VERSION}..={MODEL_CODEC_VERSION}"
+                "unknown binary model layout {version}, this build reads only \
+                 {MODEL_CODEC_VERSION}"
             ),
         });
     }
@@ -113,12 +110,26 @@ pub fn decode_model(bytes: &[u8]) -> Result<TimingModel, CoreError> {
     }
     let graph = decode_graph(&mut r)?;
     let stats = decode_stats(&mut r)?;
-    let sequential = if version >= 2 {
-        decode_sequential(&mut r)?
-    } else {
-        None
-    };
+    let sequential = decode_sequential(&mut r)?;
     r.finish()?;
+    // Every live edge delay must sit in the model's own variable space.
+    // A mismatch would otherwise surface later, as a panic in
+    // canonical-form arithmetic or a failed design analysis, instead of
+    // a rejected artifact the store can re-extract.
+    let (n_globals, n_locals) = (config.parameters.len(), layout.n_locals());
+    for (id, edge) in graph.edges_iter() {
+        let (globals, locals) = (edge.delay.n_globals(), edge.delay.n_locals());
+        if globals != n_globals || locals != n_locals {
+            return Err(CoreError::Codec {
+                reason: format!(
+                    "stored edge {} ({} -> {}) has a delay over {globals} globals and \
+                     {locals} locals, but the model's variable space has {n_globals} and \
+                     {n_locals}",
+                    id.0, edge.from.0, edge.to.0
+                ),
+            });
+        }
+    }
     if let Some(seq) = &sequential {
         // Stored sequential blocks face the same hostile-input bar as the
         // graph itself: every arc must address a real pin in the model's
@@ -549,11 +560,16 @@ mod tests {
     fn decoder_rejects_unknown_layout_version() {
         let m = model(2);
         let mut bytes = encode_model(&m);
-        bytes[0] = MODEL_CODEC_VERSION + 1;
-        assert!(matches!(
-            decode_model(&bytes),
-            Err(CoreError::Codec { reason }) if reason.contains("layout")
-        ));
+        // Only layout 2 decodes: the retired layout 1 (no sequential
+        // block) is rejected like any future layout.
+        for version in [1, MODEL_CODEC_VERSION + 1] {
+            bytes[0] = version;
+            assert!(matches!(
+                decode_model(&bytes),
+                Err(CoreError::Codec { reason })
+                    if reason.contains(&format!("layout {version}"))
+            ));
+        }
     }
 
     #[test]
@@ -631,24 +647,6 @@ mod tests {
         let back = decode_model(&bytes).unwrap();
         assert_eq!(encode_model(&back), bytes);
         assert_eq!(back.sequential(), m.sequential());
-    }
-
-    #[test]
-    fn decoder_accepts_layout_one_without_sequential_block() {
-        // A layout-1 stream is exactly a layout-2 stream for a
-        // combinational model minus the trailing presence flag.
-        let m = model(3);
-        let mut bytes = encode_model(&m);
-        assert_eq!(
-            bytes.pop(),
-            Some(0),
-            "combinational v2 ends with absent flag"
-        );
-        bytes[0] = 1;
-        let back = decode_model(&bytes).unwrap();
-        assert!(back.sequential().is_none());
-        assert_eq!(back.name(), m.name());
-        assert_eq!(back.edge_count(), m.edge_count());
     }
 
     #[test]

@@ -131,10 +131,10 @@ pub fn module_fingerprint_from_digest(
 ) -> ModuleFingerprint {
     let mut payload = String::new();
     // v5: the SSTM payload moved to binary layout 2 (optional sequential
-    // interface block after the stats). New builds still *read* layout 1,
-    // but a store shared between build generations would hand layout-2
-    // artifacts to layout-1 readers; re-keying keeps each generation's
-    // cache self-consistent at the cost of one repopulating miss.
+    // interface block after the stats). Re-keying keeps a store shared
+    // between build generations from handing layout-2 artifacts to
+    // layout-1 readers, at the cost of one repopulating miss; no v5 key
+    // can reach a layout-1 artifact, and the reader rejects layout 1.
     // (v4 re-keyed for the levelized pull engine's reduction-order
     // change; v3 for the Jacobi → Householder/QL eigensolver switch.)
     payload.push_str("hier-ssta module fingerprint v5\n");

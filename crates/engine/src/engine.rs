@@ -30,7 +30,7 @@ use crate::pipeline::sweep::{self, SweepOptions};
 use crate::pipeline::{singleflight::SingleFlight, SessionCache, SharedState};
 use crate::scenario::{Scenario, ScenarioSet};
 use crate::spec::{DesignSpec, ModuleId};
-use crate::store::{Codec, FsBackend, ModelStore, StorageBackend};
+use crate::store::{FsBackend, ModelStore, StorageBackend};
 use ssta_core::{
     module_fingerprint, module_fingerprint_from_digest, netlist_digest, CancelToken,
     CorrelationMode, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
@@ -82,10 +82,6 @@ pub struct EngineOptions {
     /// parallelism, `1` forces the serial path. Every count produces
     /// bit-identical results.
     pub threads: usize,
-    /// Payload codec for model-library writes (reads auto-detect).
-    /// Not part of the cache key: both codecs store the same model
-    /// bit-exactly, so artifacts are interchangeable.
-    pub codec: Codec,
 }
 
 impl Default for EngineOptions {
@@ -94,7 +90,6 @@ impl Default for EngineOptions {
             extract: ExtractOptions::default(),
             mode: CorrelationMode::Proposed,
             threads: 0,
-            codec: Codec::default(),
         }
     }
 }
@@ -155,8 +150,7 @@ impl Engine {
 
     /// Attaches a persistent model library rooted at `path` (created if
     /// missing). Models found there are reused across engine instances
-    /// and across processes. Writes use the codec from
-    /// [`EngineOptions::codec`].
+    /// and across processes.
     ///
     /// # Errors
     ///
@@ -167,13 +161,8 @@ impl Engine {
     }
 
     /// Attaches a model library over an arbitrary storage backend.
-    /// Writes use the codec from [`EngineOptions::codec`].
     pub fn with_backend(mut self, backend: impl StorageBackend + 'static) -> Self {
-        self.store = Some(
-            ModelStore::with_backend(backend)
-                .with_codec(self.options.codec)
-                .boxed(),
-        );
+        self.store = Some(ModelStore::with_backend(backend).boxed());
         self
     }
 
@@ -390,11 +379,8 @@ impl Engine {
                 reason: format!("duplicate scenario name {name:?} in batch"),
             });
         }
-        let mut stats = self.run(spec, scenarios.iter().cloned(), true, cancel)?;
-        Ok(BatchRun {
-            scenarios: std::mem::take(&mut stats.retained),
-            stats,
-        })
+        self.run(spec, scenarios.iter().cloned(), true, cancel)
+            .map(BatchRun::from)
     }
 
     /// Sweeps one design spec across a [`CornerGrid`] of scenario

@@ -11,11 +11,11 @@
 //!   [`SstaConfig`](ssta_core::SstaConfig),
 //!   [`ExtractOptions`](ssta_core::ExtractOptions)), layered over
 //!   pluggable [`StorageBackend`]s (sharded filesystem, in-memory) with
-//!   a versioned artifact envelope (magic + format version + payload
-//!   codec + integrity stamp) that rejects corrupt or wrong-version
-//!   artifacts cleanly. Payloads are compact deterministic binary by
-//!   default ([`Codec::Binary`]), with JSON ([`Codec::Json`]) still
-//!   read and writable, and legacy v1 artifacts migrate in place;
+//!   one artifact format: an SSTM envelope (magic + format version +
+//!   payload codec byte + integrity stamp) around the compact
+//!   deterministic binary model encoding of [`ssta_core::codec`].
+//!   Corrupt, wrong-version or unknown-codec artifacts are rejected
+//!   cleanly and re-extracted;
 //! * [`Engine`] — **one planner and executor** behind every call. The
 //!   planner groups a call's scenarios by extraction signature before
 //!   any work runs; each group then runs a staged pipeline (plan →
@@ -109,6 +109,6 @@ pub use scenario::{Scenario, ScenarioSet};
 pub use spec::{ConnectionSpec, DesignSpec, DesignSpecBuilder, InstanceSpec, ModuleDef, ModuleId};
 pub use store::{
     ArtifactInfo, BreakerState, Codec, FaultCounters, FaultInjectingBackend, FaultPlan, FsBackend,
-    MemoryBackend, ModelStore, NetworkModel, RemoteBackend, RetryOutcome, RetryPolicy, SdfImport,
-    StorageBackend, StoreHealth, TieredBackend, TieredOptions,
+    MemoryBackend, ModelStore, RemoteBackend, RetryOutcome, RetryPolicy, SdfImport, StorageBackend,
+    StoreHealth, TieredBackend, TieredOptions,
 };

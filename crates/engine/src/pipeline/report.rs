@@ -8,7 +8,7 @@
 //! implement [`std::fmt::Display`] with a compact one-line summary so
 //! examples and services can log a run without dumping fields by hand.
 
-use crate::store::{BreakerState, Codec};
+use crate::store::BreakerState;
 use ssta_core::{CorrelationMode, DesignTiming, PhaseTimings};
 use std::fmt;
 use std::sync::Arc;
@@ -56,8 +56,6 @@ pub struct RunStats {
     /// Artifact bytes read from the persistent library in this run,
     /// counting hits only (envelope headers included).
     pub store_bytes_read: u64,
-    /// Codec used for library writes; `None` when no store is attached.
-    pub store_codec: Option<Codec>,
     /// Transport retries the backend stack performed during this run
     /// (from the store's [`StoreHealth`](crate::StoreHealth) delta).
     pub store_retries: u64,
@@ -92,7 +90,7 @@ fn human_bytes(bytes: u64) -> String {
 
 impl fmt::Display for RunStats {
     /// One compact summary line, e.g.
-    /// `4 instances / 1 distinct | extracted 1, memory 0, store 0 | wrote 1 (41.2 KiB, binary) | resolve 12.3 ms + assembly 4.5 ms`.
+    /// `4 instances / 1 distinct | extracted 1, memory 0, store 0 | wrote 1 (41.2 KiB) | resolve 12.3 ms + assembly 4.5 ms`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -112,13 +110,12 @@ impl fmt::Display for RunStats {
         if self.store_degraded > 0 {
             write!(f, ", degraded {}", self.store_degraded)?;
         }
-        if let Some(codec) = self.store_codec {
+        if self.store_writes > 0 || self.store_write_failures > 0 {
             write!(
                 f,
-                " | wrote {} ({}, {})",
+                " | wrote {} ({})",
                 self.store_writes,
-                human_bytes(self.store_bytes_written),
-                codec.name()
+                human_bytes(self.store_bytes_written)
             )?;
             if self.store_write_failures > 0 {
                 write!(f, ", {} failed", self.store_write_failures)?;
@@ -370,6 +367,16 @@ pub struct BatchRun {
     pub stats: SweepSummary,
 }
 
+impl From<SweepSummary> for BatchRun {
+    /// Moves a summary's retained results into the run's scenario list.
+    fn from(mut stats: SweepSummary) -> Self {
+        BatchRun {
+            scenarios: std::mem::take(&mut stats.retained),
+            stats,
+        }
+    }
+}
+
 impl BatchRun {
     /// The first scenario run with the given label, if any.
     pub fn scenario(&self, name: &str) -> Option<&ScenarioRun> {
@@ -389,7 +396,6 @@ mod tests {
             extractions: 1,
             store_writes: 1,
             store_bytes_written: 42_161,
-            store_codec: Some(Codec::Binary),
             resolve_seconds: 0.0123,
             assembly_seconds: 0.0045,
             ..RunStats::default()
@@ -399,7 +405,6 @@ mod tests {
         assert!(line.contains("4 instances / 1 distinct"));
         assert!(line.contains("extracted 1"));
         assert!(line.contains("41.2 KiB"));
-        assert!(line.contains("binary"));
         // Zero-valued degradations stay out of the line, and so does an
         // unpopulated phase breakdown.
         assert!(!line.contains("rejected"));

@@ -250,7 +250,6 @@ fn run_group(
     let mut stats = RunStats {
         instances: spec.instances.len(),
         distinct_modules: group_plan.distinct.len(),
-        store_codec: shared.store.map(ModelStore::codec),
         ..RunStats::default()
     };
     resolve::resolve_models(
@@ -460,7 +459,6 @@ pub(crate) fn run(
                     RunStats {
                         instances: run.stats.instances,
                         distinct_modules: run.stats.distinct_modules,
-                        store_codec: run.stats.store_codec,
                         ..RunStats::default()
                     }
                 };

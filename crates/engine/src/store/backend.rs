@@ -2,7 +2,7 @@
 //!
 //! A [`StorageBackend`] moves opaque envelope bytes under
 //! content-addressed keys; it knows nothing about timing models,
-//! codecs or envelope versions — that is all
+//! the model codec or the envelope format — that is all
 //! [`ModelStore`](super::ModelStore)'s job. Keeping the boundary at
 //! raw bytes is what makes backends swappable: the sharded local
 //! filesystem ([`FsBackend`](super::FsBackend)), the in-process map

@@ -1,88 +1,54 @@
-//! The versioned SSTM artifact envelope.
+//! The SSTM artifact envelope.
 //!
 //! Every stored artifact — whatever backend holds it — is an envelope:
-//! a fixed header carrying the format version, the payload codec (v2)
+//! a fixed header carrying the format version, the payload codec byte
 //! and an integrity stamp, followed by the payload bytes. The envelope
 //! is what makes artifacts safe to exchange: readers reject truncated,
-//! corrupt, wrong-magic or wrong-version bytes with a precise
-//! [`EngineError::Store`] reason instead of misinterpreting them.
+//! corrupt, wrong-magic, wrong-version or unknown-codec bytes with a
+//! precise [`EngineError::Store`] reason instead of misinterpreting
+//! them.
 //!
 //! See the [module-level documentation](super) for the byte-exact
-//! layout of both envelope versions and the compatibility matrix.
+//! layout.
 
 use crate::error::EngineError;
 use ssta_math::digest::sha256;
-use std::fmt;
 
 /// Magic bytes opening every artifact.
 pub const MAGIC: [u8; 4] = *b"SSTM";
-/// The envelope version this build writes.
+/// The envelope version this build reads and writes.
 pub const FORMAT_VERSION: u16 = 2;
-/// The legacy envelope version (JSON-only, no codec byte); still read.
-pub const FORMAT_VERSION_V1: u16 = 1;
 
-const HEADER_LEN_V1: usize = 22;
-const HEADER_LEN_V2: usize = 23;
+const HEADER_LEN: usize = 23;
 
-/// How a model payload is serialized inside the envelope.
+/// How a model payload is serialized inside the envelope. The header
+/// keeps a codec byte so the format stays self-describing, but there is
+/// exactly one payload codec.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Codec {
-    /// `serde_json` text (payload codec 0) — self-describing and
-    /// greppable, but ~2–3× larger and slower to parse.
-    Json,
-    /// The deterministic binary layout of [`ssta_core::codec`]
-    /// (payload codec 1) — the default.
+    /// The deterministic binary model layout of [`ssta_core::codec`]
+    /// (payload codec byte 1).
     #[default]
-    Binary,
+    Binary = 1,
 }
 
 impl Codec {
-    /// The codec byte stored in the v2 envelope header.
+    /// The codec byte stored in the envelope header.
     pub fn byte(self) -> u8 {
-        match self {
-            Codec::Json => 0,
-            Codec::Binary => 1,
-        }
-    }
-
-    /// Parses a v2 envelope codec byte.
-    pub fn from_byte(b: u8) -> Option<Codec> {
-        match b {
-            0 => Some(Codec::Json),
-            1 => Some(Codec::Binary),
-            _ => None,
-        }
-    }
-
-    /// Short lowercase name (`"json"` / `"binary"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Codec::Json => "json",
-            Codec::Binary => "binary",
-        }
+        self as u8
     }
 }
 
-impl fmt::Display for Codec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A decoded envelope: header facts plus a borrow of the payload.
+/// A decoded envelope: a borrow of its integrity-checked payload.
 #[derive(Debug, Clone, Copy)]
 pub struct Envelope<'a> {
-    /// Envelope version the artifact was written under (1 or 2).
-    pub version: u16,
-    /// Payload codec (v1 artifacts are implicitly [`Codec::Json`]).
-    pub codec: Codec,
     /// The integrity-checked payload bytes.
     pub payload: &'a [u8],
 }
 
-/// Wraps a payload in the current (v2) envelope.
+/// Wraps a payload in the envelope.
 pub fn encode_envelope(codec: Codec, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN_V2 + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(codec.byte());
@@ -92,7 +58,7 @@ pub fn encode_envelope(codec: Codec, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates an envelope (either version) and returns its parsed form.
+/// Validates an envelope and returns its payload.
 ///
 /// # Errors
 ///
@@ -101,9 +67,9 @@ pub fn encode_envelope(codec: Codec, payload: &[u8]) -> Vec<u8> {
 /// payload length mismatch, or integrity stamp mismatch.
 pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope<'_>, EngineError> {
     let reject = |reason: String| EngineError::Store { reason };
-    if bytes.len() < HEADER_LEN_V1 {
+    if bytes.len() < HEADER_LEN {
         return Err(reject(format!(
-            "truncated header: {} bytes, need at least {HEADER_LEN_V1}",
+            "truncated header: {} bytes, need {HEADER_LEN}",
             bytes.len()
         )));
     }
@@ -114,63 +80,35 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope<'_>, EngineError> {
             MAGIC
         )));
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-    let (codec, header_len) = match version {
-        FORMAT_VERSION_V1 => (Codec::Json, HEADER_LEN_V1),
-        FORMAT_VERSION => {
-            if bytes.len() < HEADER_LEN_V2 {
-                return Err(reject(format!(
-                    "truncated v2 header: {} bytes, need {HEADER_LEN_V2}",
-                    bytes.len()
-                )));
-            }
-            let codec = Codec::from_byte(bytes[6]).ok_or_else(|| reject(format!(
-                "unknown payload codec byte {:#04x}",
-                bytes[6]
-            )))?;
-            (codec, HEADER_LEN_V2)
-        }
-        v => {
-            return Err(reject(format!(
-                "unsupported format version {v}, this build reads {FORMAT_VERSION_V1} and {FORMAT_VERSION}"
-            )))
-        }
-    };
-    let len_at = header_len - 16;
-    let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().expect("8 bytes")) as usize;
-    let payload = &bytes[header_len..];
-    if payload.len() != len {
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if version != FORMAT_VERSION {
+        return Err(reject(format!(
+            "unsupported format version {version}, this build reads only version {FORMAT_VERSION}"
+        )));
+    }
+    if bytes[6] != Codec::Binary.byte() {
+        return Err(reject(format!(
+            "unknown payload codec byte {:#04x}, this build reads only {:#04x} (binary)",
+            bytes[6],
+            Codec::Binary.byte()
+        )));
+    }
+    let len = u64::from_le_bytes(bytes[7..15].try_into().expect("8 bytes"));
+    let payload = &bytes[HEADER_LEN..];
+    if payload.len() as u64 != len {
         return Err(reject(format!(
             "payload length mismatch: header says {len}, artifact has {}",
             payload.len()
         )));
     }
-    let stamp_at = header_len - 8;
-    let stamp = u64::from_be_bytes(bytes[stamp_at..header_len].try_into().expect("8 bytes"));
+    let stamp = u64::from_be_bytes(bytes[15..HEADER_LEN].try_into().expect("8 bytes"));
     let actual = sha256(payload).prefix_u64();
     if stamp != actual {
         return Err(reject(format!(
             "integrity stamp mismatch: header {stamp:016x}, payload {actual:016x}"
         )));
     }
-    Ok(Envelope {
-        version,
-        codec,
-        payload,
-    })
-}
-
-/// Wraps a payload in the legacy v1 envelope. Only used by tests and
-/// fixtures: writers always emit v2, but the v1 layout must stay
-/// byte-exact so migration coverage keeps testing the real thing.
-pub fn encode_envelope_v1(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN_V1 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&sha256(payload).prefix_u64().to_be_bytes());
-    out.extend_from_slice(payload);
-    out
+    Ok(Envelope { payload })
 }
 
 #[cfg(test)]
@@ -179,24 +117,10 @@ mod tests {
 
     #[test]
     fn v2_envelope_round_trips_both_codecs() {
-        for codec in [Codec::Json, Codec::Binary] {
-            let payload = b"payload bytes";
-            let bytes = encode_envelope(codec, payload);
-            let env = decode_envelope(&bytes).unwrap();
-            assert_eq!(env.version, FORMAT_VERSION);
-            assert_eq!(env.codec, codec);
-            assert_eq!(env.payload, payload);
-        }
-    }
-
-    #[test]
-    fn v1_envelope_still_decodes_as_json() {
-        let payload = b"{\"hello\": 1}";
-        let bytes = encode_envelope_v1(payload);
-        let env = decode_envelope(&bytes).unwrap();
-        assert_eq!(env.version, FORMAT_VERSION_V1);
-        assert_eq!(env.codec, Codec::Json);
-        assert_eq!(env.payload, payload);
+        let payload = b"payload bytes";
+        let bytes = encode_envelope(Codec::Binary, payload);
+        assert_eq!(bytes[6], 1, "binary is codec byte 1");
+        assert_eq!(decode_envelope(&bytes).unwrap().payload, payload);
     }
 
     #[test]
@@ -242,15 +166,5 @@ mod tests {
             decode_envelope(&short_payload),
             Err(EngineError::Store { reason }) if reason.contains("length mismatch")
         ));
-    }
-
-    #[test]
-    fn codec_bytes_round_trip() {
-        for codec in [Codec::Json, Codec::Binary] {
-            assert_eq!(Codec::from_byte(codec.byte()), Some(codec));
-        }
-        assert_eq!(Codec::from_byte(2), None);
-        assert_eq!(Codec::default(), Codec::Binary);
-        assert_eq!(Codec::Json.to_string(), "json");
     }
 }

@@ -5,12 +5,12 @@
 //!
 //! The subsystem is three layers, each swappable independently:
 //!
-//! * **[`ModelStore`]** — the typed facade. Validates keys, picks the
-//!   payload codec, wraps/unwraps the envelope, and transparently
-//!   migrates legacy artifacts. Generic over its backend
-//!   (`ModelStore<B: StorageBackend>`, defaulting to [`FsBackend`]).
-//! * **[`envelope`]** — the versioned artifact framing: magic, format
-//!   version, payload codec (v2), length, integrity stamp.
+//! * **[`ModelStore`]** — the typed facade. Validates keys, encodes
+//!   models with [`ssta_core::codec`] and wraps/unwraps the envelope.
+//!   Generic over its backend (`ModelStore<B: StorageBackend>`,
+//!   defaulting to [`FsBackend`]).
+//! * **[`envelope`]** — the artifact framing: magic, format version,
+//!   payload codec byte, length, integrity stamp.
 //! * **[`StorageBackend`]** — raw byte transport:
 //!   [`FsBackend`] (sharded local filesystem, atomic
 //!   temp-file+rename writes), [`MemoryBackend`] (mutex-guarded
@@ -24,35 +24,23 @@
 //!
 //! # Artifact format
 //!
-//! Version 2 (written by this build):
+//! One format is read and written — the SSTM version 2 envelope around
+//! binary model layout 2 ([`ssta_core::codec`]):
 //!
 //! | bytes | contents |
 //! |---|---|
 //! | 0..4 | magic `SSTM` |
 //! | 4..6 | format version, u16 little-endian (2) |
-//! | 6..7 | payload codec: 0 = JSON, 1 = binary ([`ssta_core::codec`]) |
+//! | 6..7 | payload codec byte (1 = binary) |
 //! | 7..15 | payload length in bytes, u64 little-endian |
 //! | 15..23 | integrity stamp: first 8 bytes of SHA-256(payload), big-endian |
-//! | 23.. | payload: the serialized [`TimingModel`] |
-//!
-//! Version 1 (legacy; still read, never written): identical except the
-//! codec byte does not exist — bytes 6..14 are the length, 14..22 the
-//! stamp, 22.. the payload, and the payload is always JSON.
-//!
-//! # Compatibility matrix
-//!
-//! | artifact | v1 reader (old builds) | v2 reader (this build) |
-//! |---|---|---|
-//! | v1 / JSON | loads | loads; rewritten as v2 in place on hit |
-//! | v2 / JSON | rejected (version) | loads |
-//! | v2 / binary | rejected (version) | loads |
+//! | 23.. | payload: the binary-encoded [`TimingModel`] |
 //!
 //! Readers reject — with a precise [`EngineError::Store`] reason —
-//! artifacts that are truncated, carry the wrong magic, an unsupported
-//! version or an unknown codec byte, fail the integrity check, or do
-//! not decode. A v1 hit is re-encoded under the store's write codec
-//! and written back (best-effort), so a warm library migrates itself
-//! to the compact format one artifact at a time.
+//! artifacts that are truncated, carry the wrong magic, any other
+//! version or codec byte, fail the integrity check, or do not decode.
+//! The engine treats a rejected artifact like a miss: it re-extracts
+//! the model and overwrites the artifact.
 
 mod backend;
 pub mod envelope;
@@ -70,7 +58,7 @@ pub use fault::{FaultCounters, FaultInjectingBackend, FaultPlan};
 pub use fs::FsBackend;
 pub use health::{BreakerState, StoreHealth};
 pub use memory::MemoryBackend;
-pub use remote::{NetworkModel, RemoteBackend};
+pub use remote::RemoteBackend;
 pub use retry::{RetryOutcome, RetryPolicy};
 pub use tiered::{TieredBackend, TieredOptions};
 
@@ -102,10 +90,6 @@ pub struct SdfImport {
 pub struct ArtifactInfo {
     /// Total artifact size in bytes (envelope header + payload).
     pub bytes: usize,
-    /// Payload codec the artifact was stored under.
-    pub codec: Codec,
-    /// Envelope version the artifact was stored under.
-    pub version: u16,
 }
 
 /// Checks that `key` is a well-formed store key: exactly 64 lowercase
@@ -139,12 +123,11 @@ pub fn validate_key(key: &str) -> Result<(), EngineError> {
 #[derive(Debug)]
 pub struct ModelStore<B: StorageBackend = FsBackend> {
     backend: B,
-    codec: Codec,
 }
 
 impl ModelStore {
     /// Opens (creating if necessary) a filesystem-backed store rooted
-    /// at `root`, writing the default codec ([`Codec::Binary`]).
+    /// at `root`.
     ///
     /// # Errors
     ///
@@ -160,26 +143,9 @@ impl ModelStore {
 }
 
 impl<B: StorageBackend> ModelStore<B> {
-    /// Wraps an arbitrary backend, writing the default codec
-    /// ([`Codec::Binary`]).
+    /// Wraps an arbitrary backend.
     pub fn with_backend(backend: B) -> Self {
-        ModelStore {
-            backend,
-            codec: Codec::default(),
-        }
-    }
-
-    /// Sets the codec used for writes (reads auto-detect from the
-    /// envelope, so a library can hold a mix).
-    #[must_use]
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
-        self
-    }
-
-    /// The codec this store writes.
-    pub fn codec(&self) -> Codec {
-        self.codec
+        ModelStore { backend }
     }
 
     /// The underlying backend.
@@ -202,7 +168,6 @@ impl<B: StorageBackend> ModelStore<B> {
     {
         ModelStore {
             backend: Box::new(self.backend),
-            codec: self.codec,
         }
     }
 
@@ -224,14 +189,7 @@ impl<B: StorageBackend> ModelStore<B> {
         Ok(self.load_traced(key)?.map(|(model, _)| model))
     }
 
-    /// [`load`](Self::load), also reporting the artifact's size, codec
-    /// and envelope version.
-    ///
-    /// A hit on a legacy v1 artifact re-encodes it under this store's
-    /// write codec and writes it back (best-effort — a read-only
-    /// library still serves v1 hits), so warm libraries migrate
-    /// themselves incrementally. The reported [`ArtifactInfo`]
-    /// describes the artifact as found, pre-migration.
+    /// [`load`](Self::load), also reporting the artifact's size.
     ///
     /// # Errors
     ///
@@ -244,21 +202,11 @@ impl<B: StorageBackend> ModelStore<B> {
         let Some(bytes) = self.backend.get(key)? else {
             return Ok(None);
         };
-        let env = decode_envelope(&bytes)?;
-        let model = decode_payload(env.codec, env.payload, key)?;
-        let info = ArtifactInfo {
-            bytes: bytes.len(),
-            codec: env.codec,
-            version: env.version,
-        };
-        if env.version != FORMAT_VERSION {
-            if let Ok(payload) = encode_payload(self.codec, &model) {
-                let _ = self
-                    .backend
-                    .put(key, &encode_envelope(self.codec, &payload));
-            }
-        }
-        Ok(Some((model, info)))
+        let payload = decode_envelope(&bytes)?.payload;
+        let model = ssta_core::codec::decode_model(payload).map_err(|e| EngineError::Store {
+            reason: format!("payload of `{key}` does not decode: {e}"),
+        })?;
+        Ok(Some((model, ArtifactInfo { bytes: bytes.len() })))
     }
 
     /// Stores `model` under `key`, atomically replacing any previous
@@ -266,9 +214,8 @@ impl<B: StorageBackend> ModelStore<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Store`] for malformed keys or
-    /// unserializable models and [`EngineError::Io`] for write
-    /// failures.
+    /// Returns [`EngineError::Store`] for malformed keys and
+    /// [`EngineError::Io`] for write failures.
     pub fn save(&self, key: &str, model: &TimingModel) -> Result<(), EngineError> {
         self.save_traced(key, model).map(|_| ())
     }
@@ -280,8 +227,8 @@ impl<B: StorageBackend> ModelStore<B> {
     /// See [`save`](Self::save).
     pub fn save_traced(&self, key: &str, model: &TimingModel) -> Result<usize, EngineError> {
         validate_key(key)?;
-        let payload = encode_payload(self.codec, model)?;
-        let bytes = encode_envelope(self.codec, &payload);
+        let payload = ssta_core::codec::encode_model(model);
+        let bytes = encode_envelope(Codec::Binary, &payload);
         self.backend.put(key, &bytes)?;
         Ok(bytes.len())
     }
@@ -378,28 +325,6 @@ impl<B: StorageBackend> ModelStore<B> {
             });
         }
         Ok(receipts)
-    }
-}
-
-/// Serializes a model under the given codec.
-fn encode_payload(codec: Codec, model: &TimingModel) -> Result<Vec<u8>, EngineError> {
-    match codec {
-        Codec::Json => serde_json::to_vec(model).map_err(|e| EngineError::Store {
-            reason: format!("model does not serialize: {e}"),
-        }),
-        Codec::Binary => Ok(ssta_core::codec::encode_model(model)),
-    }
-}
-
-/// Deserializes a payload under the given codec.
-fn decode_payload(codec: Codec, payload: &[u8], key: &str) -> Result<TimingModel, EngineError> {
-    match codec {
-        Codec::Json => serde_json::from_slice(payload).map_err(|e| EngineError::Store {
-            reason: format!("JSON payload of `{key}` does not decode: {e}"),
-        }),
-        Codec::Binary => ssta_core::codec::decode_model(payload).map_err(|e| EngineError::Store {
-            reason: format!("binary payload of `{key}` does not decode: {e}"),
-        }),
     }
 }
 

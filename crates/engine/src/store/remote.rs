@@ -6,9 +6,11 @@
 //! standing in for the far side of the wire (an in-process
 //! [`MemoryBackend`](super::MemoryBackend) in tests and benches, an
 //! [`FsBackend`](super::FsBackend) for a network mount) — behind a
-//! [`NetworkModel`] (deterministic latency + loss) and a
-//! [`RetryPolicy`]. Every `get` re-verifies the SSTM envelope's
-//! integrity stamp before the bytes are released upstream:
+//! [`RetryPolicy`]. Wire latency and loss belong to the transport: tests
+//! and benches model them deterministically by making the transport a
+//! [`FaultInjectingBackend`](super::FaultInjectingBackend). Every `get`
+//! re-verifies the SSTM envelope's integrity stamp before the bytes are
+//! released upstream:
 //!
 //! * an integrity failure is classified **retryable** first — wire
 //!   corruption heals on a re-read;
@@ -26,91 +28,45 @@
 use super::backend::StorageBackend;
 use super::envelope::decode_envelope;
 use super::health::StoreHealth;
-use super::retry::{key_salt, splitmix64, unit_fraction, RetryPolicy};
+use super::retry::{key_salt, RetryPolicy};
 use crate::error::EngineError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// A deterministic model of the wire between a [`RemoteBackend`] and
-/// its transport: fixed per-operation latency plus seed-keyed packet
-/// loss. Loss draws are pure functions of `(seed, key, op index)`, so
-/// a replayed run loses the same operations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkModel {
-    /// Latency added to every transport operation.
-    pub latency: Duration,
-    /// Probability an operation is lost in transit (surfacing as a
-    /// retryable [`EngineError::Unavailable`]).
-    pub loss_rate: f64,
-    /// Seed for the loss draws.
-    pub seed: u64,
-}
-
-impl Default for NetworkModel {
-    /// A perfect wire: no latency, no loss.
-    fn default() -> Self {
-        NetworkModel {
-            latency: Duration::ZERO,
-            loss_rate: 0.0,
-            seed: 0,
-        }
-    }
-}
-
-impl NetworkModel {
-    /// A perfect wire (alias for [`Default::default`]).
-    pub fn perfect() -> Self {
-        NetworkModel::default()
-    }
-
-    /// Whether the `index`-th operation on `key` is lost.
-    fn drops(&self, key: &str, index: u64) -> bool {
-        self.loss_rate > 0.0
-            && unit_fraction(splitmix64(
-                self.seed ^ key_salt(key).rotate_left(13) ^ index.rotate_left(41),
-            )) < self.loss_rate
-    }
-}
-
-/// A content-addressed remote artifact store: transport + network model
-/// + retry policy + integrity re-verification + quarantine.
+/// A content-addressed remote artifact store: transport + retry policy
+/// + integrity re-verification + quarantine.
 #[derive(Debug)]
 pub struct RemoteBackend<B = super::MemoryBackend> {
     transport: B,
-    network: NetworkModel,
     policy: RetryPolicy,
     verify: bool,
     /// Quarantined artifacts, keyed by store key: moved aside here so
     /// they are never re-served but stay inspectable post-mortem.
     quarantine: Mutex<BTreeMap<String, Vec<u8>>>,
-    /// Per-key wire-operation sequence numbers for the loss draws.
-    seq: Mutex<BTreeMap<String, u64>>,
     retries: AtomicU64,
     quarantined: AtomicU64,
 }
 
 impl<B: StorageBackend> RemoteBackend<B> {
-    /// Wraps `transport` behind `network` and `policy`, with envelope
-    /// verification on every get.
-    pub fn new(transport: B, network: NetworkModel, policy: RetryPolicy) -> Self {
+    /// Wraps `transport` behind `policy`, with envelope verification on
+    /// every get.
+    pub fn new(transport: B, policy: RetryPolicy) -> Self {
         RemoteBackend {
             transport,
-            network,
             policy,
             verify: true,
             quarantine: Mutex::new(BTreeMap::new()),
-            seq: Mutex::new(BTreeMap::new()),
             retries: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
         }
     }
 
-    /// A remote backend over a perfect wire with the default retry
-    /// policy — behaves like the bare transport plus verification.
+    /// A remote backend with the default retry policy — over a
+    /// faultless transport it behaves like the bare transport plus
+    /// verification.
     pub fn perfect(transport: B) -> Self {
-        RemoteBackend::new(transport, NetworkModel::perfect(), RetryPolicy::default())
+        RemoteBackend::new(transport, RetryPolicy::default())
     }
 
     /// Disables envelope verification on get (builder style). Only for
@@ -146,33 +102,6 @@ impl<B: StorageBackend> RemoteBackend<B> {
         self.quarantine.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Claims the next wire-operation index for `key`.
-    fn next_index(&self, key: &str) -> u64 {
-        let mut seq = self.seq.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = seq.entry(key.to_owned()).or_insert(0);
-        let index = *slot;
-        *slot += 1;
-        index
-    }
-
-    /// One wire round-trip: latency, then a loss draw, then the
-    /// transport call.
-    fn wire<T>(
-        &self,
-        key: &str,
-        op: impl FnOnce(&B) -> Result<T, EngineError>,
-    ) -> Result<T, EngineError> {
-        if !self.network.latency.is_zero() {
-            std::thread::sleep(self.network.latency);
-        }
-        if self.network.drops(key, self.next_index(key)) {
-            return Err(EngineError::Unavailable {
-                reason: format!("network dropped operation on `{key}`"),
-            });
-        }
-        op(&self.transport)
-    }
-
     /// Moves the rotten bytes for `key` into quarantine: removed from
     /// the transport (best-effort — a partitioned transport cannot
     /// block quarantine), stashed aside, counted. Subsequent gets see a
@@ -199,7 +128,7 @@ impl<B: StorageBackend> StorageBackend for RemoteBackend<B> {
         let salt = key_salt(key);
         let last_bytes = Mutex::new(None::<Vec<u8>>);
         let (result, outcome) = self.policy.run(salt, Self::retryable, |_attempt| {
-            let fetched = self.wire(key, |t| t.get(key))?;
+            let fetched = self.transport.get(key)?;
             let Some(bytes) = fetched else {
                 return Ok(None);
             };
@@ -248,7 +177,7 @@ impl<B: StorageBackend> StorageBackend for RemoteBackend<B> {
         self.lock_quarantine().remove(key);
         let salt = key_salt(key).rotate_left(1);
         let (result, outcome) = self.policy.run(salt, Self::retryable, |_attempt| {
-            self.wire(key, |t| t.put(key, bytes))
+            self.transport.put(key, bytes)
         });
         self.retries
             .fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
@@ -258,20 +187,15 @@ impl<B: StorageBackend> StorageBackend for RemoteBackend<B> {
     fn remove(&self, key: &str) -> Result<bool, EngineError> {
         let quarantined = self.lock_quarantine().remove(key).is_some();
         let salt = key_salt(key).rotate_left(2);
-        let (result, outcome) = self.policy.run(salt, Self::retryable, |_attempt| {
-            self.wire(key, |t| t.remove(key))
-        });
+        let (result, outcome) = self
+            .policy
+            .run(salt, Self::retryable, |_attempt| self.transport.remove(key));
         self.retries
             .fetch_add(u64::from(outcome.retries), Ordering::Relaxed);
         result.map(|existed| existed || quarantined)
     }
 
     fn list_keys(&self) -> Result<Vec<String>, EngineError> {
-        // Listing is a control-plane call: no loss draw (it would skew
-        // per-key sequences), just latency.
-        if !self.network.latency.is_zero() {
-            std::thread::sleep(self.network.latency);
-        }
         self.transport.list_keys()
     }
 
@@ -305,8 +229,9 @@ impl<B: StorageBackend> StorageBackend for RemoteBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::super::envelope::encode_envelope;
-    use super::super::{Codec, MemoryBackend};
+    use super::super::{Codec, FaultInjectingBackend, FaultPlan, MemoryBackend};
     use super::*;
+    use std::time::Duration;
 
     fn key(fill: char) -> String {
         String::from(fill).repeat(64)
@@ -330,17 +255,19 @@ mod tests {
     fn lossy_wire_retries_until_success() {
         // 40% loss with 6 attempts: every op in this short test gets
         // through, but some need retries.
-        let network = NetworkModel {
-            loss_rate: 0.4,
+        let lossy = FaultPlan {
             seed: 11,
-            ..NetworkModel::default()
+            get_error_rate: 0.4,
+            put_error_rate: 0.4,
+            ..FaultPlan::none()
         };
         let policy = RetryPolicy {
             max_attempts: 6,
             base_delay: Duration::ZERO,
             ..RetryPolicy::default()
         };
-        let remote = RemoteBackend::new(MemoryBackend::new(), network, policy);
+        let transport = FaultInjectingBackend::new(MemoryBackend::new(), lossy);
+        let remote = RemoteBackend::new(transport, policy);
         for fill in ['a', 'b', 'c', 'd'] {
             let k = key(fill);
             let bytes = envelope(format!("payload {fill}").as_bytes());
@@ -381,17 +308,19 @@ mod tests {
 
     #[test]
     fn dead_wire_exhausts_retries_with_unavailable() {
-        let network = NetworkModel {
-            loss_rate: 1.0,
+        let dead = FaultPlan {
             seed: 5,
-            ..NetworkModel::default()
+            get_error_rate: 1.0,
+            put_error_rate: 1.0,
+            ..FaultPlan::none()
         };
         let policy = RetryPolicy {
             max_attempts: 3,
             base_delay: Duration::ZERO,
             ..RetryPolicy::default()
         };
-        let remote = RemoteBackend::new(MemoryBackend::new(), network, policy);
+        let transport = FaultInjectingBackend::new(MemoryBackend::new(), dead);
+        let remote = RemoteBackend::new(transport, policy);
         let k = key('f');
         assert!(matches!(
             remote.get(&k),

@@ -60,7 +60,9 @@ pub enum Workload {
     Scenarios(ScenarioSet),
     /// A [`CornerGrid`] served by
     /// [`Engine::analyze_sweep`](ssta_engine::Engine::analyze_sweep);
-    /// resolves to [`Outcome::Swept`].
+    /// resolves to [`Outcome::Completed`] with the sweep's summary as
+    /// its stats and its retained results (none when results stream)
+    /// as its scenarios.
     Sweep {
         /// The corner grid, materialized lazily on the worker.
         grid: CornerGrid,
@@ -170,8 +172,6 @@ impl fmt::Display for Rejection {
 pub enum Outcome {
     /// The analysis ran to completion.
     Completed(Box<BatchRun>),
-    /// A [`Workload::Sweep`] ran to completion.
-    Swept(Box<SweepSummary>),
     /// Admission control refused the request before it was queued.
     Rejected(Rejection),
     /// The request was cancelled — explicitly via
@@ -185,7 +185,7 @@ pub enum Outcome {
 impl Outcome {
     /// Whether the analysis ran to completion.
     pub fn is_completed(&self) -> bool {
-        matches!(self, Outcome::Completed(_) | Outcome::Swept(_))
+        matches!(self, Outcome::Completed(_))
     }
 
     /// The completed run, if any.
@@ -196,29 +196,15 @@ impl Outcome {
         }
     }
 
-    /// The completed sweep summary, if any.
-    pub fn sweep(&self) -> Option<&SweepSummary> {
-        match self {
-            Outcome::Swept(summary) => Some(summary),
-            _ => None,
-        }
-    }
-
-    /// The completed call's accounting, for either workload: a batch's
-    /// [`BatchRun::stats`] or a sweep's summary.
+    /// The completed call's accounting, for either workload.
     pub fn summary(&self) -> Option<&SweepSummary> {
-        match self {
-            Outcome::Completed(run) => Some(&run.stats),
-            Outcome::Swept(summary) => Some(summary),
-            _ => None,
-        }
+        self.run().map(|r| &r.stats)
     }
 
     /// Short label for tables and logs.
     pub fn label(&self) -> &'static str {
         match self {
             Outcome::Completed(_) => "completed",
-            Outcome::Swept(_) => "swept",
             Outcome::Rejected(Rejection::QueueFull { .. }) => "rejected:queue_full",
             Outcome::Rejected(Rejection::Shed { .. }) => "rejected:shed",
             Outcome::Cancelled => "cancelled",

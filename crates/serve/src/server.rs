@@ -223,7 +223,7 @@ fn worker_loop(index: usize, mut engine: Engine, shared: &Shared) {
                     .map(|run| Outcome::Completed(Box::new(run))),
                 Workload::Sweep { grid, options } => engine
                     .analyze_sweep_cancellable(&job.request.spec, grid, options, &job.cancel)
-                    .map(|summary| Outcome::Swept(Box::new(summary))),
+                    .map(|summary| Outcome::Completed(Box::new(summary.into()))),
             };
             (result, started.elapsed())
         };

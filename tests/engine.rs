@@ -7,12 +7,13 @@
 //! * parallel and serial engine runs produce bit-identical results;
 //! * invalidating one module recomputes only that module;
 //! * the versioned on-disk format round-trips models bit-exactly and
-//!   rejects corrupt or wrong-version artifacts cleanly.
+//!   rejects corrupt, wrong-version or retired-format artifacts cleanly.
 
 use hier_ssta::core::{analyze, CorrelationMode, DesignBuilder, SstaConfig};
 use hier_ssta::engine::{
     store, DesignSpec, Engine, EngineError, EngineOptions, ModelStore, ModuleId,
 };
+use hier_ssta::math::digest::sha256;
 use hier_ssta::netlist::{generators, DieRect};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -411,6 +412,28 @@ fn store_rejects_corrupt_and_wrong_version_artifacts() {
     assert!(matches!(
         store.load(&key),
         Err(EngineError::Store { reason }) if reason.contains("version")
+    ));
+
+    // The retired formats, hand-framed around the same model as JSON: a
+    // v1 envelope (version 1, no codec byte) and a v2 envelope with
+    // codec byte 0. Neither is parsed; both are rejected by name.
+    let json = serde_json::to_vec(&model).expect("serialize");
+    let frame = |header: &[u8]| {
+        let mut bytes = header.to_vec();
+        bytes.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&sha256(&json).prefix_u64().to_be_bytes());
+        bytes.extend_from_slice(&json);
+        bytes
+    };
+    std::fs::write(&path, frame(b"SSTM\x01\x00")).expect("write v1");
+    assert!(matches!(
+        store.load(&key),
+        Err(EngineError::Store { reason }) if reason.contains("version 1")
+    ));
+    std::fs::write(&path, frame(b"SSTM\x02\x00\x00")).expect("write JSON codec");
+    assert!(matches!(
+        store.load(&key),
+        Err(EngineError::Store { reason }) if reason.contains("codec byte 0x00")
     ));
 
     // Truncate below the header: rejected, not a panic.

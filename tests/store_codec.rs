@@ -1,23 +1,22 @@
-//! The storage subsystem contract, across backends and codecs:
+//! The storage subsystem contract, across backends:
 //!
 //! * every [`StorageBackend`] passes one shared conformance suite
 //!   (`FsBackend` and `MemoryBackend` are interchangeable);
 //! * malformed store keys are rejected before they can touch a backend;
 //! * the binary codec round-trips arbitrary extracted models to
-//!   identical bytes, and binary-loaded models analyze bit-identically
-//!   to JSON-loaded ones (property-tested);
-//! * a v1/JSON envelope written by the pre-v2 code still loads, and is
-//!   migrated to v2 in place on the hit;
-//! * the binary c880 artifact is at most half the JSON payload size.
+//!   identical bytes and bit-identical delay matrices (property-tested),
+//!   through both the filesystem and the memory backend;
+//! * no single-bit mutation of a payload decodes to a model that panics
+//!   downstream: it is rejected, or its delay matrix computes;
+//! * the binary c880 artifact is at most half the JSON handoff size.
 
-use hier_ssta::core::{ExtractOptions, ModuleContext, SstaConfig, TimingModel};
+use hier_ssta::core::{CoreError, ExtractOptions, ModuleContext, SstaConfig, TimingModel};
 use hier_ssta::engine::store::envelope;
 use hier_ssta::engine::{
     Codec, DesignSpec, Engine, EngineError, EngineOptions, FaultInjectingBackend, FaultPlan,
     FsBackend, MemoryBackend, ModelStore, RemoteBackend, StorageBackend, TieredBackend,
     TieredOptions,
 };
-use hier_ssta::math::digest::sha256;
 use hier_ssta::netlist::{generators, DieRect};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -394,98 +393,79 @@ fn both_codecs_round_trip_through_both_backends_bit_exactly() {
     let reference = model.delay_matrix().expect("matrix");
 
     let dir = temp_dir("codec-matrix");
-    for codec in [Codec::Json, Codec::Binary] {
-        let fs_store = ModelStore::open(dir.join(codec.name()))
-            .expect("open")
-            .with_codec(codec);
-        let mem_store = ModelStore::with_backend(MemoryBackend::new()).with_codec(codec);
+    let fs_store = ModelStore::open(&dir).expect("open");
+    let mem_store = ModelStore::with_backend(MemoryBackend::new());
 
-        fs_store.save(&key, &model).expect("fs save");
-        mem_store.save(&key, &model).expect("mem save");
-        for (store_name, loaded) in [
-            (
-                "fs",
-                fs_store.load(&key).expect("fs load").expect("present"),
-            ),
-            (
-                "mem",
-                mem_store.load(&key).expect("mem load").expect("present"),
-            ),
-        ] {
-            let got = loaded.delay_matrix().expect("matrix");
-            let (worst, mismatched) = reference.compare_with(&got, |d| d.mean());
-            assert_eq!(mismatched, 0, "{store_name}/{codec}");
-            assert_eq!(worst, 0.0, "{store_name}/{codec}: bit-exact mean");
-        }
+    fs_store.save(&key, &model).expect("fs save");
+    mem_store.save(&key, &model).expect("mem save");
+    for (store_name, loaded) in [
+        (
+            "fs",
+            fs_store.load(&key).expect("fs load").expect("present"),
+        ),
+        (
+            "mem",
+            mem_store.load(&key).expect("mem load").expect("present"),
+        ),
+    ] {
+        let got = loaded.delay_matrix().expect("matrix");
+        let (worst, mismatched) = reference.compare_with(&got, |d| d.mean());
+        assert_eq!(mismatched, 0, "{store_name}");
+        assert_eq!(worst, 0.0, "{store_name}: bit-exact mean");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
-// v1 migration.
+// Hostile payloads.
 // ---------------------------------------------------------------------
 
-/// Builds a v1 envelope byte-for-byte the way the pre-v2 code did
-/// (4-byte magic, u16 version 1, u64 length, 8-byte SHA-256 prefix) —
-/// deliberately hand-rolled rather than calling today's encoder, so
-/// this keeps failing loudly if the v1 layout is ever misremembered.
-fn v1_envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(22 + payload.len());
-    out.extend_from_slice(b"SSTM");
-    out.extend_from_slice(&1u16.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&sha256(payload).prefix_u64().to_be_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 #[test]
-fn v1_json_artifacts_still_load_and_migrate_to_v2() {
+fn single_bit_payload_mutations_are_rejected_or_decode_to_usable_models() {
+    // SDF `(SSTM "…")` payloads reach the decoder with no integrity
+    // stamp, so every byte is attacker-controlled. Flip the low and the
+    // high bit of each byte in turn: the decoder either rejects the
+    // payload, or the model it returns survives a full delay-matrix
+    // computation. A payload whose edge delays no longer match its
+    // variable layout must be caught by the decoder, not by a panic in
+    // canonical-form arithmetic downstream.
     let model = extract(
-        generators::ripple_carry_adder(4).expect("adder"),
+        generators::ripple_carry_adder(2).expect("adder"),
         &SstaConfig::paper(),
     );
-    let key = hex_key(b'd');
-
-    // Plant a v1 artifact exactly as the old code wrote it.
-    let backend = Arc::new(MemoryBackend::new());
-    let json = serde_json::to_vec(&model).expect("serialize");
-    let v1_bytes = v1_envelope(&json);
-    // The hand-rolled layout matches the envelope module's own v1 encoder.
-    assert_eq!(v1_bytes, envelope::encode_envelope_v1(&json));
-    backend.put(&key, &v1_bytes).expect("plant v1 artifact");
-
-    // The v2 reader serves it, reporting what it found.
-    let store = ModelStore::with_backend(Arc::clone(&backend));
-    let (loaded, info) = store
-        .load_traced(&key)
-        .expect("v1 artifact loads")
-        .expect("present");
-    assert_eq!(info.version, 1);
-    assert_eq!(info.codec, Codec::Json);
-    assert_eq!(info.bytes, v1_bytes.len());
-    let a = model.delay_matrix().expect("matrix");
-    let b = loaded.delay_matrix().expect("matrix");
-    let (worst, mismatched) = a.compare_with(&b, |d| d.mean());
-    assert_eq!(mismatched, 0);
-    assert_eq!(worst, 0.0);
-
-    // ... and the hit rewrote the artifact as v2/binary in place.
-    let migrated = backend.get(&key).expect("get").expect("still present");
-    let env = envelope::decode_envelope(&migrated).expect("valid envelope");
-    assert_eq!(env.version, envelope::FORMAT_VERSION);
-    assert_eq!(env.codec, Codec::Binary);
+    let pristine = hier_ssta::core::codec::encode_model(&model);
+    let mut panicked = Vec::new();
+    let mut shape_rejects = 0;
+    for at in 0..pristine.len() {
+        for flip in [0x01u8, 0x80] {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= flip;
+            match hier_ssta::core::codec::decode_model(&bytes) {
+                Ok(decoded) => {
+                    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let _ = decoded.delay_matrix();
+                    }));
+                    if computed.is_err() {
+                        panicked.push((at, flip));
+                    }
+                }
+                Err(CoreError::Codec { reason }) => {
+                    if reason.contains("stored edge") && reason.contains("variable space") {
+                        shape_rejects += 1;
+                    }
+                }
+                Err(e) => panic!("byte {at} ^ {flip:#04x}: not a codec error: {e}"),
+            }
+        }
+    }
     assert!(
-        migrated.len() * 2 <= v1_bytes.len(),
-        "migration should also shrink the artifact ({} vs {})",
-        migrated.len(),
-        v1_bytes.len()
+        panicked.is_empty(),
+        "mutations (byte, flip) decoded to models whose delay matrix panics: {panicked:?}"
     );
-
-    // The migrated artifact round-trips on its own.
-    let again = store.load_traced(&key).expect("load").expect("present");
-    assert_eq!(again.1.version, envelope::FORMAT_VERSION);
-    assert_eq!(again.1.codec, Codec::Binary);
+    assert!(
+        shape_rejects > 0,
+        "no mutation was rejected for a delay outside the model's variable space"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -509,7 +489,7 @@ fn binary_c880_artifact_is_at_most_half_the_json_size() {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level determinism across backends × codecs × scheduling.
+// Engine-level determinism across backends × scheduling.
 // ---------------------------------------------------------------------
 
 /// Two distinct modules so the parallel scheduler has real fan-out.
@@ -546,61 +526,47 @@ fn parallel_vs_serial_runs_are_bit_identical_across_backends_and_codecs() {
     let dir = temp_dir("determinism");
     let mut reference: Option<Vec<_>> = None;
 
-    for codec in [Codec::Json, Codec::Binary] {
-        for backend_name in ["fs", "memory"] {
-            for threads in [1usize, 4] {
-                let options = EngineOptions {
-                    threads,
-                    codec,
-                    ..EngineOptions::default()
-                };
-                let engine = Engine::with_options(SstaConfig::paper(), options);
-                let mut engine = match backend_name {
-                    "fs" => engine
-                        .with_store(dir.join(format!("{}-{threads}", codec.name())))
-                        .expect("store"),
-                    _ => engine.with_backend(MemoryBackend::new()),
-                };
-                // Cold run extracts and writes through the chosen
-                // backend/codec; a second run reads everything back.
-                let cold = engine.analyze(&spec).expect("cold analysis");
-                assert_eq!(cold.stats.extractions, 2);
-                assert_eq!(cold.stats.store_writes, 2);
-                assert_eq!(cold.stats.store_codec, Some(codec));
-                assert!(cold.stats.store_bytes_written > 0);
+    for backend_name in ["fs", "memory"] {
+        for threads in [1usize, 4] {
+            let options = EngineOptions {
+                threads,
+                ..EngineOptions::default()
+            };
+            let engine = Engine::with_options(SstaConfig::paper(), options.clone());
+            let mut engine = match backend_name {
+                "fs" => engine
+                    .with_store(dir.join(format!("fs-{threads}")))
+                    .expect("store"),
+                _ => engine.with_backend(MemoryBackend::new()),
+            };
+            // Cold run extracts and writes through the chosen backend; a
+            // second run reads everything back.
+            let cold = engine.analyze(&spec).expect("cold analysis");
+            assert_eq!(cold.stats.extractions, 2);
+            assert_eq!(cold.stats.store_writes, 2);
+            assert!(cold.stats.store_bytes_written > 0);
 
-                let arrivals = &cold.timing.po_arrivals;
-                match &reference {
-                    None => reference = Some(arrivals.clone()),
-                    Some(r) => assert_eq!(
-                        arrivals, r,
-                        "{backend_name}/{codec}/threads={threads} diverged"
-                    ),
-                }
+            let arrivals = &cold.timing.po_arrivals;
+            match &reference {
+                None => reference = Some(arrivals.clone()),
+                Some(r) => assert_eq!(arrivals, r, "{backend_name}/threads={threads} diverged"),
+            }
 
-                // Warm restart over the same backend: store hits only,
-                // and byte accounting reflects the reads.
-                if backend_name == "fs" {
-                    let mut warm = Engine::with_options(
-                        SstaConfig::paper(),
-                        EngineOptions {
-                            threads,
-                            codec,
-                            ..EngineOptions::default()
-                        },
-                    )
-                    .with_store(dir.join(format!("{}-{threads}", codec.name())))
+            // Warm restart over the same backend: store hits only, and
+            // byte accounting reflects the reads.
+            if backend_name == "fs" {
+                let mut warm = Engine::with_options(SstaConfig::paper(), options)
+                    .with_store(dir.join(format!("fs-{threads}")))
                     .expect("store");
-                    let warm_run = warm.analyze(&spec).expect("warm analysis");
-                    assert_eq!(warm_run.stats.extractions, 0);
-                    assert_eq!(warm_run.stats.store_hits, 2);
-                    assert!(warm_run.stats.store_bytes_read > 0);
-                    assert_eq!(warm_run.stats.store_bytes_written, 0);
-                    assert_eq!(
-                        &warm_run.timing.po_arrivals,
-                        reference.as_ref().expect("set above")
-                    );
-                }
+                let warm_run = warm.analyze(&spec).expect("warm analysis");
+                assert_eq!(warm_run.stats.extractions, 0);
+                assert_eq!(warm_run.stats.store_hits, 2);
+                assert!(warm_run.stats.store_bytes_read > 0);
+                assert_eq!(warm_run.stats.store_bytes_written, 0);
+                assert_eq!(
+                    &warm_run.timing.po_arrivals,
+                    reference.as_ref().expect("set above")
+                );
             }
         }
     }

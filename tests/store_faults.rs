@@ -20,8 +20,8 @@
 use hier_ssta::core::SstaConfig;
 use hier_ssta::engine::{
     BreakerState, CornerGrid, DesignSpec, Engine, EngineOptions, EngineRun, FaultInjectingBackend,
-    FaultPlan, GridAxis, MemoryBackend, NetworkModel, RemoteBackend, RetryPolicy, ScenarioSet,
-    StorageBackend, SweepOptions, SweepSummary, TieredBackend, TieredOptions,
+    FaultPlan, GridAxis, MemoryBackend, RemoteBackend, RetryPolicy, ScenarioSet, StorageBackend,
+    SweepOptions, SweepSummary, TieredBackend, TieredOptions,
 };
 use hier_ssta::netlist::{generators, DieRect};
 use hier_ssta::serve::{AnalyzeRequest, ServeOptions, Server};
@@ -193,7 +193,6 @@ fn unavailable_store_degrades_to_reextraction_and_counts_it() {
     };
     let remote = Arc::new(RemoteBackend::new(
         FaultInjectingBackend::new(memory, plan),
-        NetworkModel::perfect(),
         fast_policy(),
     ));
     let mut engine = Engine::new(SstaConfig::paper()).with_backend(Arc::clone(&remote));
@@ -228,11 +227,7 @@ fn cold_tier_breaker_trips_surface_in_run_stats() {
         seed: chaos_seed(),
         ..FaultPlan::none()
     };
-    let remote = RemoteBackend::new(
-        FaultInjectingBackend::new(memory, plan),
-        NetworkModel::perfect(),
-        fast_policy(),
-    );
+    let remote = RemoteBackend::new(FaultInjectingBackend::new(memory, plan), fast_policy());
     let tiered = Arc::new(TieredBackend::new(
         remote,
         TieredOptions {
@@ -316,7 +311,6 @@ fn faulty_warm_512_corner_sweep_is_bit_identical_and_quarantines_corruption() {
     };
     let remote = Arc::new(RemoteBackend::new(
         FaultInjectingBackend::new(Arc::clone(&memory), plan),
-        NetworkModel::perfect(),
         fast_policy(),
     ));
     let stack = Arc::new(TieredBackend::with_defaults(Arc::clone(&remote)));
@@ -410,7 +404,6 @@ proptest! {
 
         let stack = Arc::new(TieredBackend::with_defaults(RemoteBackend::new(
             FaultInjectingBackend::new(memory, plan),
-            NetworkModel::perfect(),
             fast_policy(),
         )));
         let faulty = eight_thread_engine()
@@ -441,7 +434,6 @@ fn serving_over_a_faulty_store_loses_nothing_and_reports_degradations() {
     };
     let stack = Arc::new(RemoteBackend::new(
         FaultInjectingBackend::new(memory, plan),
-        NetworkModel::perfect(),
         fast_policy(),
     ));
     let server = Server::start(

@@ -15,7 +15,7 @@
 //! * duplicate scenario names are rejected up front with a clear spec
 //!   error;
 //! * the serving layer runs sweeps: `AnalyzeRequest::sweep` resolves to
-//!   `Outcome::Swept` with sane counters.
+//!   `Outcome::Completed` with sane counters.
 
 use hier_ssta::core::{yield_analysis, CorrelationModel, SstaConfig};
 use hier_ssta::engine::{
@@ -286,7 +286,7 @@ fn serving_layer_runs_sweeps() {
         response.outcome.is_completed(),
         "sweep request must complete"
     );
-    let summary = response.outcome.sweep().expect("swept outcome");
+    let summary = response.outcome.summary().expect("completed outcome");
     assert_eq!(summary.scenarios, grid.len());
     assert_eq!(summary.extractions, summary.distinct_fingerprints);
     assert_eq!(summary.records.len(), grid.len());
