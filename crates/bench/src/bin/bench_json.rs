@@ -31,6 +31,7 @@
 use serde::Serialize;
 use ssta_bench::{
     characterize, module_array_from_model, registered_chain_design, registered_pipeline_models,
+    BenchProfile,
 };
 use ssta_core::{
     analyze_sequential, analyze_with, assemble_design_graph, AnalyzeOptions, CorrelationMode,
@@ -138,8 +139,8 @@ struct StagePoint {
 }
 
 fn main() {
-    let tiny = std::env::args().any(|a| a == "--tiny")
-        || std::env::var("SSTA_BENCH_PROFILE").is_ok_and(|v| v == "tiny");
+    let bench = BenchProfile::from_env("BENCH_assembly");
+    let tiny = bench.tiny;
     let (eigen_n, instance_counts, reps): (usize, &[usize], usize) = if tiny {
         (64, &[2, 4], 1)
     } else {
@@ -245,25 +246,14 @@ fn main() {
         sequential.push(point);
     }
 
-    // The tiny profile defaults to its own path so a local smoke run
-    // never clobbers the committed full-profile baseline.
-    let default_out = if tiny {
-        "BENCH_assembly.tiny.json"
-    } else {
-        "BENCH_assembly.json"
-    };
-    let out = std::env::var("SSTA_BENCH_OUT").unwrap_or_else(|_| default_out.into());
-    let report = Report {
+    bench.write(&Report {
         schema: 5,
-        profile: if tiny { "tiny" } else { "full" }.into(),
+        profile: bench.name(),
         effective_threads: ssta_math::parallel::effective_threads(0),
         eigen: duel,
         assembly: points,
         sequential,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    });
 }
 
 /// Times both eigensolvers on the paper's spatial correlation over an

@@ -33,7 +33,7 @@
 //! Run with `cargo run -p ssta-bench --release --bin bench_serving`.
 
 use serde::Serialize;
-use ssta_bench::module_array_spec;
+use ssta_bench::{module_array_spec, BenchProfile};
 use ssta_core::SstaConfig;
 use ssta_engine::{DesignSpec, EngineOptions, MemoryBackend, ScenarioSet};
 use ssta_serve::{AnalyzeRequest, AnalyzeResponse, ServeOptions, Server};
@@ -124,8 +124,8 @@ struct Profile {
 }
 
 fn main() {
-    let tiny = std::env::args().any(|a| a == "--tiny")
-        || std::env::var("SSTA_BENCH_PROFILE").is_ok_and(|v| v == "tiny");
+    let bench = BenchProfile::from_env("BENCH_serving");
+    let tiny = bench.tiny;
     let profile = if tiny {
         Profile {
             tiny,
@@ -199,15 +199,9 @@ fn main() {
     let shedding = shedding(&profile, &spec);
     let cancellation = cancellation(&profile, &spec);
 
-    let default_out = if tiny {
-        "BENCH_serving.tiny.json"
-    } else {
-        "BENCH_serving.json"
-    };
-    let out = std::env::var("SSTA_BENCH_OUT").unwrap_or_else(|_| default_out.into());
-    let report = Report {
+    bench.write(&Report {
         schema: 2,
-        profile: if tiny { "tiny" } else { "full" }.into(),
+        profile: bench.name(),
         workers: profile.workers,
         effective_threads: ssta_math::parallel::effective_threads(profile.workers),
         module: profile.module.into(),
@@ -218,10 +212,7 @@ fn main() {
         admission,
         shedding,
         cancellation,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    });
 }
 
 fn options(profile: &Profile) -> ServeOptions {

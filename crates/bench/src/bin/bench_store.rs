@@ -25,6 +25,7 @@
 //! Run with `cargo run -p ssta-bench --release --bin bench_store`.
 
 use serde::Serialize;
+use ssta_bench::BenchProfile;
 use ssta_engine::store::encode_envelope;
 use ssta_engine::{
     Codec, FaultInjectingBackend, FaultPlan, FsBackend, MemoryBackend, RemoteBackend, RetryPolicy,
@@ -72,9 +73,8 @@ struct BackendRow {
 }
 
 fn main() {
-    let tiny = std::env::args().any(|a| a == "--tiny")
-        || std::env::var("SSTA_BENCH_PROFILE").is_ok_and(|v| v == "tiny");
-    let (keys, payload_bytes, wire_latency) = if tiny {
+    let bench = BenchProfile::from_env("BENCH_store");
+    let (keys, payload_bytes, wire_latency) = if bench.tiny {
         (64, 2048, Duration::ZERO)
     } else {
         (1000, 8192, Duration::from_micros(25))
@@ -139,22 +139,13 @@ fn main() {
     ];
     let _ = std::fs::remove_dir_all(&fs_dir);
 
-    let default_out = if tiny {
-        "BENCH_store.tiny.json"
-    } else {
-        "BENCH_store.json"
-    };
-    let out = std::env::var("SSTA_BENCH_OUT").unwrap_or_else(|_| default_out.into());
-    let report = Report {
+    bench.write(&Report {
         schema: 1,
-        profile: if tiny { "tiny" } else { "full" }.into(),
+        profile: bench.name(),
         keys,
         payload_bytes,
         backends: rows,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    });
 }
 
 /// One content-address-shaped key per artifact index.

@@ -23,7 +23,7 @@
 //! Run with `cargo run -p ssta-bench --release --bin bench_sweep`.
 
 use serde::Serialize;
-use ssta_bench::module_array_spec;
+use ssta_bench::{module_array_spec, BenchProfile};
 use ssta_core::{CorrelationModel, ExtractOptions, PhaseTimings, ScenarioOverlay, SstaConfig};
 use ssta_engine::{CornerGrid, Engine, GridAxis, SweepOptions, SweepSummary};
 use ssta_math::parallel::effective_threads;
@@ -73,8 +73,8 @@ struct SweepPoint {
 }
 
 fn main() {
-    let tiny = std::env::args().any(|a| a == "--tiny")
-        || std::env::var("SSTA_BENCH_PROFILE").is_ok_and(|v| v == "tiny");
+    let bench = BenchProfile::from_env("BENCH_sweep");
+    let tiny = bench.tiny;
     let (module, instances, corner_counts): (&str, usize, &[usize]) = if tiny {
         ("c432", 2, &[8])
     } else {
@@ -151,23 +151,14 @@ fn main() {
         rows.push(row);
     }
 
-    let default_out = if tiny {
-        "BENCH_sweep.tiny.json"
-    } else {
-        "BENCH_sweep.json"
-    };
-    let out = std::env::var("SSTA_BENCH_OUT").unwrap_or_else(|_| default_out.into());
-    let report = Report {
+    bench.write(&Report {
         schema: 1,
-        profile: if tiny { "tiny" } else { "full" }.into(),
+        profile: bench.name(),
         module: module.into(),
         instances,
         effective_threads: workers,
         grids: rows,
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark JSON");
-    println!("wrote {out}");
+    });
 }
 
 /// Builds the corner grid for one row. Extraction-relevant axes (sigma

@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 
+use serde::Serialize;
 use ssta_core::{
     extract_registered, CorrelationMode, Design, DesignBuilder, ExtractOptions, ModuleContext,
     SstaConfig, TimingModel,
@@ -27,6 +28,54 @@ use ssta_netlist::generators::{array_multiplier, iscas85, registered_pipeline, I
 use ssta_netlist::DieRect;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Run profile of a `bench_*` binary and where its JSON report goes.
+///
+/// `--tiny` on the command line, or `SSTA_BENCH_PROFILE=tiny`, selects
+/// the CI-smoke sizes. The report goes to `SSTA_BENCH_OUT` if set, else
+/// to `<stem>.json` (full) or `<stem>.tiny.json` (tiny, gitignored), so a
+/// local smoke run never clobbers the committed full-profile baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchProfile {
+    /// Whether the tiny (CI smoke) profile is selected.
+    pub tiny: bool,
+    /// Where [`write`](Self::write) puts the report.
+    pub out: String,
+}
+
+impl BenchProfile {
+    /// Reads the profile of the report named `stem` (e.g. `"BENCH_sweep"`)
+    /// from the command line and the environment.
+    pub fn from_env(stem: &str) -> Self {
+        let tiny = std::env::args().any(|a| a == "--tiny")
+            || std::env::var("SSTA_BENCH_PROFILE").is_ok_and(|v| v == "tiny");
+        let default_out = if tiny {
+            format!("{stem}.tiny.json")
+        } else {
+            format!("{stem}.json")
+        };
+        BenchProfile {
+            tiny,
+            out: std::env::var("SSTA_BENCH_OUT").unwrap_or(default_out),
+        }
+    }
+
+    /// The profile name the reports record: `"tiny"` or `"full"`.
+    pub fn name(&self) -> String {
+        if self.tiny { "tiny" } else { "full" }.into()
+    }
+
+    /// Serializes `report` to [`out`](Self::out).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn write(&self, report: &impl Serialize) {
+        let json = serde_json::to_string(report).expect("report serializes");
+        std::fs::write(&self.out, json).expect("write benchmark JSON");
+        println!("wrote {}", self.out);
+    }
+}
 
 /// Monte Carlo sample count, overridable via `SSTA_MC_SAMPLES`.
 pub fn mc_samples() -> usize {

@@ -13,21 +13,38 @@
 //! threshold δ are dropped during model extraction.
 //!
 //! The all-pairs sweep (one forward traversal per input, one backward per
-//! output, Sapatnekar ISCAS'96) is batched over outputs to bound memory,
-//! parallelized over inputs with crossbeam scoped threads, and guarded by a
-//! cheap mean/σ prefilter: when `M_ij`'s mean exceeds `dₑ`'s by many
-//! combined sigmas, `c_ij` is vanishingly small and the exact tightness
-//! probability (which needs a full covariance dot product) is skipped.
+//! output, Sapatnekar ISCAS'96) is batched over outputs to bound memory
+//! and parallelized over chunks of inputs. Every traversal runs through
+//! one shared [`LevelSchedule`]: the graph is levelized once per call, and
+//! each pass is the pull-ordered wavefront engine of
+//! [`ssta_timing::levels`]. Scoring the (edge, input, output) triples,
+//! not the traversals, is where the exact sweep spends its time (about
+//! 85 % on c2670), so:
 //!
-//! Every traversal of the sweep runs through one shared
-//! [`LevelSchedule`]: the graph is levelized once per call, not once per
-//! input/output, and each pass is the pull-ordered wavefront engine of
-//! [`ssta_timing::levels`].
+//! * **One allocation-free kernel scores a triple.** It reads the
+//!   coefficient slices of `aₑ`, `d`, `rₑ` and `M_ij` in one pass and
+//!   never builds `dₑ`. It performs the same floating-point additions and
+//!   products, in the same order, as `aₑ.sum(d).sum(rₑ)` followed by
+//!   [`CanonicalForm::variance`], [`CanonicalForm::covariance`] and
+//!   [`tightness_probability`], so every `c_ij` is bit-identical to the
+//!   form-building evaluation.
+//! * **A mean/σ prefilter** skips a triple when `M_ij`'s mean exceeds
+//!   `dₑ`'s by more than [`CriticalityOptions::prefilter_sigmas`] times a
+//!   sub-additive σ bound. At the default 8σ it is a guard for widely
+//!   separated delays only: under [`SstaConfig::paper`](crate::SstaConfig::paper)
+//!   it skips none of the in-cone triples of the ISCAS-85 circuits.
+//! * **Extraction stops scoring an edge once it reaches δ.** Pruning reads
+//!   only `c_m ≥ δ`, which holds exactly when some pair lifts the edge to
+//!   δ, so the extraction sweep skips an edge whose running maximum
+//!   already reaches δ, also across output batches. Each worker visits
+//!   only the undecided edges in the current input's fan-out cone, a list
+//!   that shrinks as edges reach δ. The keep set, and so every model bit,
+//!   equals the exact sweep's; [`edge_criticalities`] itself stays exact.
 
 use crate::canonical::CanonicalForm;
 use crate::CoreError;
 use ssta_math::gaussian::tightness_probability;
-use ssta_math::parallel::try_parallel_indexed;
+use ssta_math::parallel::{effective_threads, try_parallel_indexed};
 use ssta_math::Histogram;
 use ssta_timing::{levels, LevelSchedule, TimingGraph, VertexId};
 
@@ -67,7 +84,25 @@ pub fn edge_criticalities(
     zero: &CanonicalForm,
     options: &CriticalityOptions,
 ) -> Result<Vec<f64>, CoreError> {
-    let inputs: Vec<VertexId> = graph.inputs().to_vec();
+    criticalities_until(graph, zero, options, f64::INFINITY)
+}
+
+/// [`edge_criticalities`] that stops scoring an edge once its running
+/// maximum reaches `stop`. Edges whose exact `c_m` is below `stop` hold it
+/// exactly; the others hold some value in `[stop, c_m]`. So `c ≥ stop`
+/// holds for exactly the edges whose exact `c_m ≥ stop`, at any thread
+/// count and batch size.
+///
+/// # Errors
+///
+/// Propagates graph errors ([`CoreError::Timing`]).
+pub(crate) fn criticalities_until(
+    graph: &TimingGraph<CanonicalForm>,
+    zero: &CanonicalForm,
+    options: &CriticalityOptions,
+    stop: f64,
+) -> Result<Vec<f64>, CoreError> {
+    let inputs = graph.inputs();
     // Distinct output vertices (ports may share a driver).
     let mut outputs: Vec<VertexId> = graph.outputs().to_vec();
     outputs.sort();
@@ -76,21 +111,21 @@ pub fn edge_criticalities(
     // One levelization serves every forward and backward pass below.
     let schedule = LevelSchedule::build(graph)?;
 
-    let n_threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        options.threads
-    };
+    let n_threads = effective_threads(options.threads);
     let batch = options.output_batch.max(1);
+    let input_chunks: Vec<&[VertexId]> = inputs
+        .chunks(inputs.len().div_ceil(n_threads).max(1))
+        .collect();
 
-    // Edge snapshot: (edge slot, from, to, nominal, sigma).
-    let edge_info: Vec<(usize, u32, u32, f64, f64)> = graph
+    // Edge snapshot: (edge slot, from, to, delay, nominal, sigma).
+    let edge_info: Vec<(usize, u32, u32, &CanonicalForm, f64, f64)> = graph
         .edges_iter()
         .map(|(id, e)| {
             (
                 id.0 as usize,
                 e.from.0,
                 e.to.0,
+                &e.delay,
                 e.delay.mean(),
                 e.delay.std_dev(),
             )
@@ -121,31 +156,47 @@ pub fn edge_criticalities(
             })
             .collect();
 
-        // Parallel over inputs; each worker accumulates a local cm array.
-        let input_refs: Vec<VertexId> = inputs.clone();
-        let locals = parallel_map_chunks(&input_refs, n_threads, |chunk_inputs| {
-            let mut local_cm = vec![0.0f64; n_slots];
-            for &vi in chunk_inputs {
-                let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())], 1)
-                    .expect("schedule built from this graph");
+        // Parallel over input chunks. Each worker starts from the maxima
+        // merged so far, so an edge that reached `stop` in an earlier
+        // batch is never scored again; the max merge below is exact, so
+        // the chunking never changes a value.
+        let locals = try_parallel_indexed(input_chunks.len(), n_threads, |c| {
+            let mut local_cm = cm.clone();
+            // Indices into `edge_info` of the edges still below `stop`, and
+            // of those in the current input's fan-out cone: the only ones
+            // worth visiting.
+            let mut live: Vec<usize> = (0..edge_info.len()).collect();
+            let mut cone: Vec<usize> = Vec::new();
+            for &vi in input_chunks[c] {
+                live.retain(|&k| local_cm[edge_info[k].0] < stop);
+                if live.is_empty() {
+                    break;
+                }
+                let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())], 1)?;
                 let arr_stats: Vec<Option<(f64, f64)>> = arrival
                     .iter()
                     .map(|o| o.as_ref().map(|f| (f.mean(), f.std_dev())))
                     .collect();
+                cone.clear();
+                cone.extend(
+                    live.iter()
+                        .copied()
+                        .filter(|&k| arr_stats[edge_info[k].1 as usize].is_some()),
+                );
                 for (j_idx, &vj) in chunk.iter().enumerate() {
                     let Some(m_ij) = arrival[vj.0 as usize].as_ref() else {
                         continue;
                     };
                     let (m_nom, m_sig) = arr_stats[vj.0 as usize].expect("checked above");
+                    let m_var = m_ij.variance();
                     let req_j = &required[j_idx];
                     let req_stat_j = &req_stats[j_idx];
-                    for &(slot, from, to, d_nom, d_sig) in &edge_info {
-                        if local_cm[slot] >= 1.0 {
+                    for &k in &cone {
+                        let (slot, from, to, d, d_nom, d_sig) = edge_info[k];
+                        if local_cm[slot] >= stop {
                             continue;
                         }
-                        let Some((a_nom, a_sig)) = arr_stats[from as usize] else {
-                            continue;
-                        };
+                        let (a_nom, a_sig) = arr_stats[from as usize].expect("edge in the cone");
                         let Some((r_nom, r_sig)) = req_stat_j[to as usize] else {
                             continue;
                         };
@@ -159,8 +210,7 @@ pub fn edge_criticalities(
                         }
                         let a = arrival[from as usize].as_ref().expect("stats cached");
                         let r = req_j[to as usize].as_ref().expect("stats cached");
-                        let de = a.sum(&graph_edge_delay(graph, slot)).sum(r);
-                        let c = criticality_probability(&de, m_ij);
+                        let c = path_criticality(a, d, r, m_ij, m_var);
                         if c > local_cm[slot] {
                             local_cm[slot] = c;
                         }
@@ -180,12 +230,15 @@ pub fn edge_criticalities(
     Ok(cm)
 }
 
-fn graph_edge_delay(graph: &TimingGraph<CanonicalForm>, slot: usize) -> CanonicalForm {
-    graph.edge(ssta_timing::EdgeId(slot as u32)).delay.clone()
-}
-
-/// `P{dₑ ≥ M}` over the *shared* variables (globals + locals), exactly as
-/// the paper evaluates equation (14) on canonical forms.
+/// `P{a + d + r ≥ m}` over the *shared* variables (globals + locals),
+/// exactly as the paper evaluates equation (14) on canonical forms;
+/// `m_var` is `m.variance()`.
+///
+/// Bit-identical to building `de = a.sum(d).sum(r)` and evaluating
+/// `tightness_probability(de.mean(), de.variance(), m.mean(), m_var,
+/// de.covariance(m))`, without allocating `de`: every coefficient of `de`
+/// is formed as `(aₖ + dₖ) + rₖ`, the random part through the same two
+/// square roots, and the sums run in the same order.
 ///
 /// Collapsed-random convention: after propagation, the private random
 /// parts of `dₑ` and `M_ij` look independent even though `dₑ`'s paths are
@@ -198,9 +251,42 @@ fn graph_edge_delay(graph: &TimingGraph<CanonicalForm>, slot: usize) -> Canonica
 /// product `r(dₑ)·r(M)` instead would make the probability hypersensitive
 /// to the tiny mean discrepancies that different Clark collapse orders
 /// introduce, and measurably misclassifies dominant edges.
-fn criticality_probability(de: &CanonicalForm, m: &CanonicalForm) -> f64 {
-    let cov = de.covariance(m);
-    tightness_probability(de.mean(), de.variance(), m.mean(), m.variance(), cov)
+fn path_criticality(
+    a: &CanonicalForm,
+    d: &CanonicalForm,
+    r: &CanonicalForm,
+    m: &CanonicalForm,
+    m_var: f64,
+) -> f64 {
+    let (g_var, g_cov) = sum_moments(a.globals(), d.globals(), r.globals(), m.globals());
+    let (l_var, l_cov) = sum_moments(a.locals(), d.locals(), r.locals(), m.locals());
+    let ad_random = (a.random() * a.random() + d.random() * d.random()).sqrt();
+    let random = (ad_random * ad_random + r.random() * r.random()).sqrt();
+    tightness_probability(
+        a.mean() + d.mean() + r.mean(),
+        g_var + l_var + random * random,
+        m.mean(),
+        m_var,
+        g_cov + l_cov,
+    )
+}
+
+/// `(Σ xₖ², Σ xₖ·mₖ)` of `xₖ = (aₖ + dₖ) + rₖ`, accumulated left to right
+/// from `-0.0` like the float `Iterator::sum` behind
+/// [`CanonicalForm::variance`] and [`CanonicalForm::covariance`].
+fn sum_moments(a: &[f64], d: &[f64], r: &[f64], m: &[f64]) -> (f64, f64) {
+    assert!(
+        d.len() == a.len() && r.len() == a.len() && m.len() == a.len(),
+        "canonical forms live in different variable spaces"
+    );
+    let mut var = -0.0;
+    let mut cov = -0.0;
+    for (((a, d), r), m) in a.iter().zip(d).zip(r).zip(m) {
+        let x = a + d + r;
+        var += x * x;
+        cov += x * m;
+    }
+    (var, cov)
 }
 
 /// Criticalities `c_ij` of every edge for one specific input/output pair
@@ -244,6 +330,7 @@ pub fn pair_criticalities_with(
     let Some(m_ij) = arrival[vj.0 as usize].as_ref() else {
         return Ok(out); // pair not connected
     };
+    let m_var = m_ij.variance();
     for (id, e) in graph.edges_iter() {
         let (Some(a), Some(r)) = (
             arrival[e.from.0 as usize].as_ref(),
@@ -251,8 +338,7 @@ pub fn pair_criticalities_with(
         ) else {
             continue;
         };
-        let de = a.sum(&e.delay).sum(r);
-        out[id.0 as usize] = criticality_probability(&de, m_ij);
+        out[id.0 as usize] = path_criticality(a, &e.delay, r, m_ij, m_var);
     }
     Ok(out)
 }
@@ -269,29 +355,6 @@ pub fn criticality_histogram(
         h.push(cms[id.0 as usize]);
     }
     h
-}
-
-/// Runs `f` once per chunk of items across `n_threads` scoped threads.
-fn parallel_map_chunks<T: Sync, R: Send, E: Send>(
-    items: &[T],
-    n_threads: usize,
-    f: impl Fn(&[T]) -> Result<R, E> + Sync,
-) -> Result<Vec<R>, E> {
-    let chunk_size = items.len().div_ceil(n_threads.max(1)).max(1);
-    let results = crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for chunk in items.chunks(chunk_size) {
-            let f = &f;
-            handles.push(s.spawn(move |_| f(chunk)));
-        }
-        let mut out = Vec::with_capacity(handles.len());
-        for h in handles {
-            out.push(h.join().expect("worker panicked"));
-        }
-        out
-    })
-    .expect("scope panicked");
-    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -435,6 +498,125 @@ mod tests {
         .unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
+        }
+    }
+
+    /// Distinct output vertices, as the sweep visits them.
+    fn distinct_outputs(graph: &TimingGraph<CanonicalForm>) -> Vec<VertexId> {
+        let mut outputs = graph.outputs().to_vec();
+        outputs.sort();
+        outputs.dedup();
+        outputs
+    }
+
+    #[test]
+    fn kernel_matches_the_form_building_evaluation_bit_for_bit() {
+        // The reference: build dₑ = a + d + r as a canonical form, then
+        // take its tightness against M_ij. Every in-cone triple of c432.
+        let ctx = ctx("c432");
+        let graph = ctx.graph();
+        let zero = ctx.zero();
+        let schedule = LevelSchedule::build(graph).unwrap();
+        let mut triples = 0;
+        for &vi in graph.inputs() {
+            let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())], 1).unwrap();
+            for &vj in &distinct_outputs(graph) {
+                let Some(m) = arrival[vj.0 as usize].as_ref() else {
+                    continue;
+                };
+                let required =
+                    levels::backward(graph, &schedule, &[(vj, zero.clone())], 1).unwrap();
+                for (_, e) in graph.edges_iter() {
+                    let (Some(a), Some(r)) = (
+                        arrival[e.from.0 as usize].as_ref(),
+                        required[e.to.0 as usize].as_ref(),
+                    ) else {
+                        continue;
+                    };
+                    let de = a.sum(&e.delay).sum(r);
+                    let want = tightness_probability(
+                        de.mean(),
+                        de.variance(),
+                        m.mean(),
+                        m.variance(),
+                        de.covariance(m),
+                    );
+                    let got = path_criticality(a, &e.delay, r, m, m.variance());
+                    assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+                    triples += 1;
+                }
+            }
+        }
+        assert!(triples > 10_000, "only {triples} triples checked");
+    }
+
+    #[test]
+    fn unfiltered_sweep_is_the_bitwise_max_of_pair_criticalities() {
+        for ctx in [adder_ctx(), ctx("c432")] {
+            let graph = ctx.graph();
+            let zero = ctx.zero();
+            let schedule = LevelSchedule::build(graph).unwrap();
+            let n_slots = graph.edges_iter().map(|(id, _)| id.0 as usize + 1).max();
+            let mut want = vec![0.0f64; n_slots.unwrap_or(0)];
+            for &vi in graph.inputs() {
+                for &vj in &distinct_outputs(graph) {
+                    let cij = pair_criticalities_with(graph, &schedule, &zero, vi, vj).unwrap();
+                    for (w, c) in want.iter_mut().zip(cij) {
+                        if c > *w {
+                            *w = c;
+                        }
+                    }
+                }
+            }
+            for threads in [1, 2] {
+                for output_batch in [1, 3, 16] {
+                    let got = edge_criticalities(
+                        graph,
+                        &zero,
+                        &CriticalityOptions {
+                            threads,
+                            output_batch,
+                            prefilter_sigmas: 1e9,
+                        },
+                    )
+                    .unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "threads {threads}, output_batch {output_batch}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delta_stopped_sweep_keeps_exactly_the_exact_keep_set() {
+        let ctx = ctx("c432");
+        let graph = ctx.graph();
+        let zero = ctx.zero();
+        for threads in [1, 2] {
+            let options = CriticalityOptions {
+                threads,
+                ..Default::default()
+            };
+            let exact = edge_criticalities(graph, &zero, &options).unwrap();
+            for delta in [0.0, 0.01, 0.05, 0.3, 1.0] {
+                let stopped = criticalities_until(graph, &zero, &options, delta).unwrap();
+                for (id, _) in graph.edges_iter() {
+                    let (x, s) = (exact[id.0 as usize], stopped[id.0 as usize]);
+                    assert_eq!(
+                        s >= delta,
+                        x >= delta,
+                        "edge {}: exact {x}, stopped {s}, delta {delta}, threads {threads}",
+                        id.0
+                    );
+                    if x < delta {
+                        assert_eq!(s.to_bits(), x.to_bits(), "sub-threshold edges stay exact");
+                    }
+                }
+            }
         }
     }
 

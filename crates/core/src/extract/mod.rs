@@ -6,6 +6,10 @@
 //! 2. remove edges with `c_m < δ`;
 //! 3. apply serial and parallel merge operations iteratively.
 //!
+//! Step 1 only has to decide `c_m ≥ δ`, so it stops scoring an edge as
+//! soon as one input/output pair lifts it to δ (see
+//! [`criticality`](crate::criticality)); the keep set is the exact one.
+//!
 //! Step 2 can — rarely — disconnect an input/output pair whose paths all
 //! consist of individually sub-threshold edges. The paper ignores this;
 //! [`ExtractOptions::ensure_connectivity`] (default on) restores the
@@ -21,7 +25,7 @@ pub use model::{ExtractionStats, TimingModel};
 pub use sequential::{extract_registered, ConstraintArc, SequentialModel};
 
 use crate::canonical::CanonicalForm;
-use crate::criticality::{edge_criticalities, CriticalityOptions};
+use crate::criticality::{criticalities_until, CriticalityOptions};
 use crate::module::ModuleContext;
 use crate::CoreError;
 use ssta_timing::{EdgeId, TimingGraph, VertexId};
@@ -97,8 +101,9 @@ pub fn extract(ctx: &ModuleContext, options: &ExtractOptions) -> Result<TimingMo
     let original_edges = graph.n_edges();
     let original_vertices = graph.n_vertices();
 
-    // Step 1: maximum criticality per edge.
-    let cms = edge_criticalities(graph, &ctx.zero(), &options.criticality)?;
+    // Step 1: maximum criticality per edge. Pruning reads only
+    // `c_m >= δ`, so an edge stops being scored once it reaches δ.
+    let cms = criticalities_until(graph, &ctx.zero(), &options.criticality, options.delta)?;
 
     // Step 2: decide the keep set.
     let mut keep: Vec<bool> = vec![false; cms.len()];

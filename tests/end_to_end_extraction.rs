@@ -81,3 +81,34 @@ fn extraction_scales_across_benchmark_sizes() {
         assert_eq!(model.n_outputs(), ctx.netlist().n_outputs(), "{name}");
     }
 }
+
+#[test]
+fn model_graphs_match_golden_digests() {
+    // Models are content-addressed and must not drift: any change to
+    // criticality scoring, pruning or merging that alters a single bit
+    // of an extracted model changes these SHA-256 digests of the model
+    // graph's JSON.
+    let golden = [
+        (
+            "c432",
+            "9324a887feddadbc692bd8f864dbe9c4cbceb9f3d5b993cb86fff9ec2973db7a",
+        ),
+        (
+            "c880",
+            "58c80b47d27e89c75e1a9b6e385b21c043b2d4ca30e1e0c2710eba6baf422770",
+        ),
+    ];
+    for (name, want) in golden {
+        let ctx = ModuleContext::characterize(
+            generators::iscas85(name).expect("benchmark"),
+            &SstaConfig::paper(),
+        )
+        .expect("characterize");
+        let model = ctx
+            .extract_model(&ExtractOptions::default())
+            .expect("extract");
+        let json = serde_json::to_string(model.graph()).expect("model graph serializes");
+        let got = hier_ssta::math::digest::sha256(json.as_bytes()).to_hex();
+        assert_eq!(got, want, "{name} model graph digest");
+    }
+}
