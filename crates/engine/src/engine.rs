@@ -26,6 +26,7 @@
 use crate::error::EngineError;
 use crate::grid::CornerGrid;
 use crate::pipeline::report::SweepSummary;
+use crate::pipeline::resolve::{resolve_module, Resolution};
 use crate::pipeline::sweep::{self, SweepOptions};
 use crate::pipeline::{singleflight::SingleFlight, SessionCache, SharedState};
 use crate::scenario::{Scenario, ScenarioSet};
@@ -33,14 +34,14 @@ use crate::spec::{DesignSpec, ModuleId};
 use crate::store::{FsBackend, ModelStore, StorageBackend};
 use ssta_core::{
     module_fingerprint, module_fingerprint_from_digest, netlist_digest, CancelToken,
-    CorrelationMode, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
+    CorrelationMode, ExtractOptions, SstaConfig, TimingModel,
 };
 use ssta_math::parallel::effective_threads;
 use ssta_netlist::Netlist;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use crate::pipeline::report::{BatchRun, EngineRun, RunStats, ScenarioRun};
+pub use crate::pipeline::report::{BatchRun, EngineRun, ScenarioRun};
 
 /// A single-flight table shareable **across engines**: clone one group
 /// into every worker of a serving pool and concurrent identical requests
@@ -188,7 +189,9 @@ impl Engine {
     }
 
     /// Resolves one module to a timing model through the cache tiers,
-    /// reporting where it came from.
+    /// reporting where it came from. This is the tier walk an analysis
+    /// runs for each missing module, without the single-flight table
+    /// and without any counters.
     ///
     /// # Errors
     ///
@@ -196,39 +199,25 @@ impl Engine {
     pub fn model_for(
         &mut self,
         netlist: &Netlist,
-    ) -> Result<(std::sync::Arc<TimingModel>, ModelSource), EngineError> {
+    ) -> Result<(Arc<TimingModel>, ModelSource), EngineError> {
         let digest = netlist_digest(netlist);
         let key =
             module_fingerprint_from_digest(&digest, &self.config, &self.options.extract).to_hex();
-        if let Some(m) = self.memory.get(&key) {
-            return Ok((m, ModelSource::Memory));
-        }
-        if let Some(store) = &self.store {
-            match store.load(&key) {
-                Ok(Some(model)) => {
-                    let model = std::sync::Arc::new(model);
-                    self.memory
-                        .insert(&digest, key, std::sync::Arc::clone(&model));
-                    return Ok((model, ModelSource::Store));
-                }
-                Ok(None) | Err(EngineError::Store { .. }) => {}
-                Err(e) if e.is_cancelled() => return Err(e),
-                // A failed store *read* (transport down, retries
-                // exhausted, breaker open) degrades to re-extraction;
-                // the backend stack's health counters record it.
-                Err(_) => {}
-            }
-        }
-        let ctx = ModuleContext::characterize((*netlist).clone(), &self.config)?;
-        let model = std::sync::Arc::new(ctx.extract_model(&self.options.extract)?);
-        if let Some(store) = &self.store {
-            // Best-effort cache write; the extracted model is returned
-            // regardless.
-            let _ = store.save(&key, &model);
-        }
-        self.memory
-            .insert(&digest, key, std::sync::Arc::clone(&model));
-        Ok((model, ModelSource::Extracted))
+        let (model, how) = resolve_module(
+            &self.shared(1, &CancelToken::new()),
+            &key,
+            netlist,
+            &digest,
+            &self.config,
+            &self.options.extract,
+        )?;
+        let source = match how {
+            Resolution::Memory => ModelSource::Memory,
+            Resolution::Store { .. } => ModelSource::Store,
+            Resolution::Extracted { .. } => ModelSource::Extracted,
+            Resolution::Coalesced => unreachable!("model_for resolves outside any flight"),
+        };
+        Ok((model, source))
     }
 
     /// Drops `module` of `spec` from every cache tier — under every
@@ -303,16 +292,9 @@ impl Engine {
     pub fn analyze(&mut self, spec: &DesignSpec) -> Result<EngineRun, EngineError> {
         let mut batch = self.analyze_batch(spec, &ScenarioSet::baseline())?;
         let run = batch.scenarios.pop().expect("baseline has one scenario");
-        let mut stats = run.stats;
-        // A baseline batch is this one scenario, so the call-boundary
-        // health delta is exactly this run's.
-        stats.store_retries = batch.stats.store_retries;
-        stats.store_quarantined = batch.stats.store_quarantined;
-        stats.store_breaker_trips = batch.stats.store_breaker_trips;
-        stats.store_breaker = batch.stats.store_breaker;
         Ok(EngineRun {
             timing: Arc::unwrap_or_clone(run.timing),
-            stats,
+            stats: batch.stats,
         })
     }
 
@@ -447,13 +429,18 @@ impl Engine {
             &self.options.extract,
             self.options.mode,
             retain,
-            SharedState {
-                cache: &self.memory,
-                flights: self.flights.table(),
-                store: self.store.as_ref(),
-                threads: effective_threads(self.options.threads),
-                cancel,
-            },
+            self.shared(effective_threads(self.options.threads), cancel),
         )
+    }
+
+    /// This engine's caches and store, as the pipeline shares them.
+    fn shared<'a>(&'a self, threads: usize, cancel: &'a CancelToken) -> SharedState<'a> {
+        SharedState {
+            cache: &self.memory,
+            flights: self.flights.table(),
+            store: self.store.as_ref(),
+            threads,
+            cancel,
+        }
     }
 }

@@ -75,7 +75,7 @@
 //! let mut engine = Engine::new(SstaConfig::paper());
 //! let run = engine.analyze(&spec)?;
 //! // Two instances, one definition: exactly one extraction.
-//! assert_eq!(run.stats.distinct_modules, 1);
+//! assert_eq!(run.stats.distinct_fingerprints, 1);
 //! assert_eq!(run.stats.extractions, 1);
 //! assert!(run.timing.delay.mean() > 0.0);
 //!
@@ -99,7 +99,7 @@ mod spec;
 pub mod store;
 
 pub use engine::{
-    BatchRun, Engine, EngineOptions, EngineRun, FlightGroup, ModelSource, RunStats, ScenarioRun,
+    BatchRun, Engine, EngineOptions, EngineRun, FlightGroup, ModelSource, ScenarioRun,
 };
 pub use error::EngineError;
 pub use grid::{CornerGrid, CornerGridBuilder, GridAxis};

@@ -16,9 +16,10 @@
 //! 3. **assemble** ([`assemble`]) — build the design from resolved
 //!    models once, then run the top-level hierarchical analysis once
 //!    per correlation mode;
-//! 4. **report** ([`report`]) — per-group accounting folded into one
-//!    [`SweepSummary`](report::SweepSummary), with compact `Display`
-//!    summaries.
+//! 4. **report** ([`report`]) — every module's resolution and every
+//!    scenario's record folded into the call's one
+//!    [`SweepSummary`](report::SweepSummary), with a compact `Display`
+//!    summary.
 //!
 //! Shared state lives in [`SharedState`]: the session cache and store
 //! are shared by every group of a call (and across calls, via the

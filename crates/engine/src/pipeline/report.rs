@@ -1,81 +1,19 @@
-//! Pipeline accounting: per-group run statistics, per-scenario records
-//! and results, and the one summary every call returns.
+//! Pipeline accounting: per-scenario records and results, and the one
+//! summary every call returns.
 //!
-//! Each extraction-signature group the executor runs reports its stages
-//! into a [`RunStats`]; one fold turns a call's groups into a
-//! [`SweepSummary`] of compact [`ScenarioRecord`]s (plus full
-//! [`ScenarioRun`]s when results are retained). Both stats types
-//! implement [`std::fmt::Display`] with a compact one-line summary so
-//! examples and services can log a run without dumping fields by hand.
+//! Each group the executor runs reports how it resolved its modules (a
+//! [`Resolution`] per distinct fingerprint) and one compact
+//! [`ScenarioRecord`] per scenario; the fold counts the resolutions into
+//! a [`SweepSummary`] through [`SweepSummary::count`] and keeps full
+//! [`ScenarioRun`]s when results are retained. The summary implements
+//! [`std::fmt::Display`] with a compact one-line summary so examples and
+//! services can log a call without dumping fields by hand.
 
-use crate::store::BreakerState;
+use crate::pipeline::resolve::Resolution;
+use crate::store::StoreHealth;
 use ssta_core::{CorrelationMode, DesignTiming, PhaseTimings};
 use std::fmt;
 use std::sync::Arc;
-
-/// Accounting for one extraction-signature group: what resolving its
-/// models and analyzing its scenarios cost. A plain
-/// [`Engine::analyze`](crate::Engine::analyze) is one group, so its
-/// stats are the whole run's.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunStats {
-    /// Instances in the analyzed design.
-    pub instances: usize,
-    /// Distinct module definitions after fingerprint deduplication.
-    pub distinct_modules: usize,
-    /// Modules characterized + extracted in this run (cache misses this
-    /// run led itself).
-    pub extractions: usize,
-    /// Misses resolved by waiting on another engine's (or another
-    /// call's) in-flight resolution of the same fingerprint, through a
-    /// shared [`FlightGroup`](crate::FlightGroup). Groups of one call
-    /// never share a fingerprint, so this is zero for a lone engine.
-    pub coalesced: usize,
-    /// Modules served from the in-memory session cache.
-    pub memory_hits: usize,
-    /// Modules served from the persistent model library.
-    pub store_hits: usize,
-    /// Store lookups that came back a clean miss (the artifact simply
-    /// was not there) and fell through to extraction.
-    pub store_misses: usize,
-    /// Store artifacts rejected as corrupt/mismatched and recomputed.
-    pub store_rejects: usize,
-    /// Store *reads* that failed (transport down, retries exhausted,
-    /// circuit breaker open) and gracefully degraded to re-extraction.
-    /// The analysis still succeeded; only this counter shows the store
-    /// misbehaved.
-    pub store_degraded: usize,
-    /// Models written to the persistent library in this run.
-    pub store_writes: usize,
-    /// Failed library writes (read-only mount, disk full, …). The cache
-    /// is best-effort: a failed write never fails the analysis.
-    pub store_write_failures: usize,
-    /// Artifact bytes written to the persistent library in this run
-    /// (envelope headers included).
-    pub store_bytes_written: u64,
-    /// Artifact bytes read from the persistent library in this run,
-    /// counting hits only (envelope headers included).
-    pub store_bytes_read: u64,
-    /// Transport retries the backend stack performed during this run
-    /// (from the store's [`StoreHealth`](crate::StoreHealth) delta).
-    pub store_retries: u64,
-    /// Corrupt artifacts the backend stack quarantined during this run.
-    pub store_quarantined: u64,
-    /// Cold-tier circuit-breaker trips during this run.
-    pub store_breaker_trips: u64,
-    /// Circuit-breaker state when the run finished;
-    /// [`BreakerState::Closed`] for stacks without a breaker.
-    pub store_breaker: BreakerState,
-    /// Wall-clock seconds resolving models (fingerprinting, cache
-    /// lookups, parallel extraction).
-    pub resolve_seconds: f64,
-    /// Wall-clock seconds assembling and analyzing the top level.
-    pub assembly_seconds: f64,
-    /// Per-phase breakdown of the design-level analysis inside
-    /// [`assembly_seconds`](Self::assembly_seconds) (partition /
-    /// covariance / eigen / replace / propagate).
-    pub phases: PhaseTimings,
-}
 
 /// Formats a byte count with a binary-unit suffix.
 fn human_bytes(bytes: u64) -> String {
@@ -88,73 +26,15 @@ fn human_bytes(bytes: u64) -> String {
     }
 }
 
-impl fmt::Display for RunStats {
-    /// One compact summary line, e.g.
-    /// `4 instances / 1 distinct | extracted 1, memory 0, store 0 | wrote 1 (41.2 KiB) | resolve 12.3 ms + assembly 4.5 ms`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} instances / {} distinct | extracted {}, memory {}, store {}",
-            self.instances,
-            self.distinct_modules,
-            self.extractions,
-            self.memory_hits,
-            self.store_hits
-        )?;
-        if self.coalesced > 0 {
-            write!(f, ", coalesced {}", self.coalesced)?;
-        }
-        if self.store_rejects > 0 {
-            write!(f, ", rejected {}", self.store_rejects)?;
-        }
-        if self.store_degraded > 0 {
-            write!(f, ", degraded {}", self.store_degraded)?;
-        }
-        if self.store_writes > 0 || self.store_write_failures > 0 {
-            write!(
-                f,
-                " | wrote {} ({})",
-                self.store_writes,
-                human_bytes(self.store_bytes_written)
-            )?;
-            if self.store_write_failures > 0 {
-                write!(f, ", {} failed", self.store_write_failures)?;
-            }
-        }
-        if self.store_retries > 0 || self.store_quarantined > 0 {
-            write!(
-                f,
-                " | retries {}, quarantined {}",
-                self.store_retries, self.store_quarantined
-            )?;
-        }
-        if self.store_breaker != BreakerState::Closed || self.store_breaker_trips > 0 {
-            write!(
-                f,
-                " | breaker {} ({} trips)",
-                self.store_breaker, self.store_breaker_trips
-            )?;
-        }
-        write!(
-            f,
-            " | resolve {:.1} ms + assembly {:.1} ms",
-            1e3 * self.resolve_seconds,
-            1e3 * self.assembly_seconds
-        )?;
-        if self.phases.total_seconds() > 0.0 {
-            write!(f, " ({})", self.phases)?;
-        }
-        Ok(())
-    }
-}
-
-/// The result of one engine run.
+/// The result of one [`Engine::analyze`](crate::Engine::analyze) — a
+/// one-scenario batch.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
     /// The design-level timing result.
     pub timing: DesignTiming,
-    /// What the run cost and where its models came from.
-    pub stats: RunStats,
+    /// What the run cost and where its models came from: the baseline
+    /// batch's summary.
+    pub stats: SweepSummary,
 }
 
 /// One scenario's full result, kept when a call retains results
@@ -170,11 +50,6 @@ pub struct ScenarioRun {
     /// Parametric yield `P{delay ≤ target}` when the scenario's overlay
     /// requested a yield target.
     pub timing_yield: Option<f64>,
-    /// What this scenario cost. A group's resolve and assembly counters
-    /// sit on the group's first scenario only, and an analysis' phases
-    /// on the one scenario that ran it, so summing over scenarios never
-    /// double-counts.
-    pub stats: RunStats,
 }
 
 /// One scenario's roll-up in a [`SweepSummary`] — everything a sign-off
@@ -214,9 +89,9 @@ pub struct ScenarioRecord {
     pub phases: PhaseTimings,
 }
 
-/// The aggregate of one call: what
-/// [`Engine::analyze_sweep`](crate::Engine::analyze_sweep) returns and
-/// what [`BatchRun::stats`] holds.
+/// The accounting of one engine call: what
+/// [`Engine::analyze_sweep`](crate::Engine::analyze_sweep) returns, and
+/// what [`BatchRun::stats`] and [`EngineRun::stats`] hold.
 #[derive(Debug, Clone, Default)]
 pub struct SweepSummary {
     /// Scenarios analyzed (the grid or set size).
@@ -255,15 +130,11 @@ pub struct SweepSummary {
     pub store_bytes_written: u64,
     /// Artifact bytes read from the persistent library.
     pub store_bytes_read: u64,
-    /// Transport retries the backend stack performed during the call.
-    pub store_retries: u64,
-    /// Corrupt artifacts quarantined during the call.
-    pub store_quarantined: u64,
-    /// Cold-tier circuit-breaker trips during the call.
-    pub store_breaker_trips: u64,
-    /// Circuit-breaker state when the call finished;
-    /// [`BreakerState::Closed`] for stacks without a breaker.
-    pub store_breaker: BreakerState,
+    /// What the backend stack did during the call (retries,
+    /// quarantines, breaker trips, …): the delta of its
+    /// [`StoreHealth`] across the call, with the breaker gauge as of the
+    /// call's end. Quiet without a store.
+    pub store_health: StoreHealth,
     /// Worker threads the call ran with.
     pub workers: usize,
     /// Peak number of full [`DesignTiming`]s resident at once. In
@@ -295,21 +166,64 @@ impl SweepSummary {
     pub fn retained_result(&self, scenario: &str) -> Option<&ScenarioRun> {
         self.retained.iter().find(|r| r.scenario == scenario)
     }
+
+    /// Counts one module resolution into the tier counters — the one
+    /// place a [`Resolution`] becomes numbers.
+    pub(crate) fn count(&mut self, how: &Resolution) {
+        match *how {
+            Resolution::Memory => self.memory_hits += 1,
+            Resolution::Store { bytes } => {
+                self.store_hits += 1;
+                self.store_bytes_read += bytes;
+            }
+            Resolution::Extracted {
+                missed,
+                rejected,
+                degraded,
+                wrote,
+                write_failed,
+            } => {
+                self.extractions += 1;
+                self.store_misses += usize::from(missed);
+                self.store_rejects += usize::from(rejected);
+                self.store_degraded += usize::from(degraded);
+                if let Some(bytes) = wrote {
+                    self.store_writes += 1;
+                    self.store_bytes_written += bytes;
+                }
+                self.store_write_failures += usize::from(write_failed);
+            }
+            Resolution::Coalesced => self.coalesced += 1,
+        }
+    }
+}
+
+/// `one` for a count of one, `many` otherwise.
+fn noun<'a>(n: usize, one: &'a str, many: &'a str) -> &'a str {
+    if n == 1 {
+        one
+    } else {
+        many
+    }
 }
 
 impl fmt::Display for SweepSummary {
     /// One compact summary line, e.g.
-    /// `512 scenarios -> 8 groups / 16 analyses | 8 fingerprints, extracted 8, memory 0, store 0 | peak 4 resident | 12.30 s`.
+    /// `512 scenarios -> 8 groups / 16 analyses | 8 fingerprints, extracted 8, memory 0, store 0 | peak 4 resident | 12.30 s (partition … ms)`.
+    /// Zero-valued degradations, a quiet store and an empty phase
+    /// breakdown stay out of the line.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} scenarios -> {} group{} / {} analyses | {} fingerprint{}, extracted {}, memory {}, store {}",
+            "{} {} -> {} {} / {} {} | {} {}, extracted {}, memory {}, store {}",
             self.scenarios,
+            noun(self.scenarios, "scenario", "scenarios"),
             self.groups,
-            if self.groups == 1 { "" } else { "s" },
+            noun(self.groups, "group", "groups"),
             self.analyses,
+            noun(self.analyses, "analysis", "analyses"),
             self.distinct_fingerprints,
-            if self.distinct_fingerprints == 1 { "" } else { "s" },
+            noun(self.distinct_fingerprints, "fingerprint", "fingerprints"),
             self.extractions,
             self.memory_hits,
             self.store_hits,
@@ -335,25 +249,19 @@ impl fmt::Display for SweepSummary {
                 write!(f, ", {} failed", self.store_write_failures)?;
             }
         }
-        if self.store_retries > 0 || self.store_quarantined > 0 {
-            write!(
-                f,
-                " | retries {}, quarantined {}",
-                self.store_retries, self.store_quarantined
-            )?;
+        if !self.store_health.is_quiet() {
+            write!(f, " | store {}", self.store_health)?;
         }
-        if self.store_breaker != BreakerState::Closed || self.store_breaker_trips > 0 {
-            write!(
-                f,
-                " | breaker {} ({} trips)",
-                self.store_breaker, self.store_breaker_trips
-            )?;
+        write!(f, " | peak {} resident | ", self.peak_retained_results)?;
+        if self.elapsed_seconds < 1.0 {
+            write!(f, "{:.1} ms", 1e3 * self.elapsed_seconds)?;
+        } else {
+            write!(f, "{:.2} s", self.elapsed_seconds)?;
         }
-        write!(
-            f,
-            " | peak {} resident | {:.2} s",
-            self.peak_retained_results, self.elapsed_seconds
-        )
+        if self.phases.total_seconds() > 0.0 {
+            write!(f, " ({})", self.phases)?;
+        }
+        Ok(())
     }
 }
 
@@ -387,55 +295,11 @@ impl BatchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_stats_display_is_one_compact_line() {
-        let stats = RunStats {
-            instances: 4,
-            distinct_modules: 1,
-            extractions: 1,
-            store_writes: 1,
-            store_bytes_written: 42_161,
-            resolve_seconds: 0.0123,
-            assembly_seconds: 0.0045,
-            ..RunStats::default()
-        };
-        let line = stats.to_string();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("4 instances / 1 distinct"));
-        assert!(line.contains("extracted 1"));
-        assert!(line.contains("41.2 KiB"));
-        // Zero-valued degradations stay out of the line, and so does an
-        // unpopulated phase breakdown.
-        assert!(!line.contains("rejected"));
-        assert!(!line.contains("coalesced"));
-        assert!(!line.contains("partition"));
-    }
-
-    #[test]
-    fn run_stats_display_includes_phase_breakdown_when_present() {
-        let stats = RunStats {
-            instances: 4,
-            distinct_modules: 1,
-            assembly_seconds: 0.0045,
-            phases: PhaseTimings {
-                partition_seconds: 0.0001,
-                covariance_seconds: 0.0008,
-                eigen_seconds: 0.0020,
-                replace_seconds: 0.0009,
-                propagate_seconds: 0.0004,
-            },
-            ..RunStats::default()
-        };
-        let line = stats.to_string();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("eigen 2.0"), "{line}");
-        assert!(line.contains("propagate 0.4"), "{line}");
-    }
+    use crate::store::BreakerState;
 
     #[test]
     fn sweep_summary_display_reports_the_dedup_win() {
-        let summary = SweepSummary {
+        let mut summary = SweepSummary {
             scenarios: 8,
             groups: 1,
             analyses: 2,
@@ -455,9 +319,38 @@ mod tests {
         assert!(line.contains("1 fingerprint,"), "{line}");
         assert!(line.contains("extracted 1"), "{line}");
         assert!(line.contains("wrote 1 (41.2 KiB)"), "{line}");
-        // Zero-valued counters stay out of the line.
+        assert!(line.contains("| 1.25 s"), "{line}");
+        // Zero-valued counters, a quiet store and an unpopulated phase
+        // breakdown stay out of the line.
         assert!(!line.contains("coalesced"), "{line}");
         assert!(!line.contains("rejected"), "{line}");
         assert!(!line.contains("retries"), "{line}");
+        assert!(!line.contains("breaker"), "{line}");
+        assert!(!line.contains("partition"), "{line}");
+
+        // A phase breakdown and a non-quiet store both show up, still on
+        // one line.
+        summary.phases = PhaseTimings {
+            partition_seconds: 0.0001,
+            covariance_seconds: 0.0008,
+            eigen_seconds: 0.0020,
+            replace_seconds: 0.0009,
+            propagate_seconds: 0.0004,
+        };
+        summary.store_health = StoreHealth {
+            retries: 3,
+            quarantined: 1,
+            breaker_trips: 2,
+            breaker: BreakerState::Open,
+            ..StoreHealth::default()
+        };
+        summary.elapsed_seconds = 0.0045;
+        let line = summary.to_string();
+        assert!(!line.contains('\n'));
+        assert!(line.contains("| 4.5 ms"), "{line}");
+        assert!(line.contains("eigen 2.0"), "{line}");
+        assert!(line.contains("propagate 0.4"), "{line}");
+        assert!(line.contains("retries 3, quarantined 1"), "{line}");
+        assert!(line.contains("breaker open (2 trips)"), "{line}");
     }
 }

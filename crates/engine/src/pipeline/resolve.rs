@@ -16,28 +16,34 @@
 //! its model. Extraction is a deterministic pure function of the
 //! fingerprinted inputs, so neither the thread count nor who wins the
 //! leader race can change any result bit — only the wall clock.
+//!
+//! One tier function, [`resolve_module`], does a leader's work; it is
+//! also all of [`Engine::model_for`](crate::Engine::model_for), which
+//! resolves a single module outside any flight.
 
 use crate::error::EngineError;
-use crate::pipeline::report::RunStats;
 use crate::pipeline::SharedState;
 use crate::spec::DesignSpec;
-use ssta_core::{ExtractOptions, ModuleContext, SstaConfig, TimingModel};
+use ssta_core::{ExtractOptions, ModuleContext, NetlistDigest, SstaConfig, TimingModel};
 use ssta_math::parallel::parallel_indexed;
+use ssta_netlist::Netlist;
 use std::sync::Arc;
 
-/// How one planned fingerprint was satisfied.
-enum Resolution {
-    /// Led the flight, but a just-retired flight's leader had already
-    /// published the model to the session cache — a memory hit taken
-    /// inside the flight to keep "extractions ≤ distinct fingerprints"
-    /// airtight across the retire window.
+/// How one planned fingerprint was satisfied;
+/// [`SweepSummary::count`](crate::SweepSummary) turns it into counters.
+#[derive(Debug)]
+pub(crate) enum Resolution {
+    /// Served from the session cache — found before any flight, or, by
+    /// a flight leader, published by a just-retired flight's leader (a
+    /// memory hit taken inside the flight keeps "extractions ≤ distinct
+    /// fingerprints" airtight across the retire window).
     Memory,
-    /// Led the flight; loaded from the persistent library.
+    /// Loaded from the persistent library.
     Store {
         /// Artifact bytes read (envelope included).
         bytes: u64,
     },
-    /// Led the flight; characterized + extracted.
+    /// Characterized + extracted.
     Extracted {
         /// The store was consulted and reported a clean miss.
         missed: bool,
@@ -57,27 +63,96 @@ enum Resolution {
     Coalesced,
 }
 
-/// Resolves every distinct planned module into the shared session cache,
-/// recording tier hits into `stats`.
+/// Resolves one module through the session cache, the persistent
+/// library and extraction, publishing the model to both tiers — the
+/// work a flight leader does, and all of
+/// [`Engine::model_for`](crate::Engine::model_for).
+///
+/// The session-cache insert happens here, before a leader's flight
+/// retires, so no later caller can slip between publication and cache
+/// visibility and re-extract.
+pub(crate) fn resolve_module(
+    shared: &SharedState<'_>,
+    key: &str,
+    netlist: &Netlist,
+    digest: &NetlistDigest,
+    config: &SstaConfig,
+    extract: &ExtractOptions,
+) -> Result<(Arc<TimingModel>, Resolution), EngineError> {
+    if let Some(model) = shared.cache.get(key) {
+        return Ok((model, Resolution::Memory));
+    }
+    let mut missed = false;
+    let mut rejected = false;
+    let mut degraded = false;
+    if let Some(store) = shared.store {
+        match store.load_traced(key) {
+            Ok(Some((model, info))) => {
+                let model = Arc::new(model);
+                shared
+                    .cache
+                    .insert(digest, key.to_owned(), Arc::clone(&model));
+                let bytes = info.bytes as u64;
+                return Ok((model, Resolution::Store { bytes }));
+            }
+            Ok(None) => missed = true,
+            Err(e) if e.is_cancelled() => return Err(e),
+            // The artifact itself is defective: reject it, count it,
+            // recompute it.
+            Err(EngineError::Store { .. }) => rejected = true,
+            // The *read* failed — transport down, retries exhausted,
+            // breaker open. Degrade to re-extraction rather than failing
+            // the analysis: the store is an accelerator, never a single
+            // point of failure.
+            Err(_) => degraded = true,
+        }
+    }
+    let ctx = ModuleContext::characterize(netlist.clone(), config)?;
+    let model = Arc::new(ctx.extract_model(extract)?);
+    let (wrote, write_failed) = match shared.store {
+        // Best-effort: the model is already in hand, so a failed cache
+        // write (read-only library, full disk) must not fail the
+        // analysis.
+        Some(store) => match store.save_traced(key, &model) {
+            Ok(bytes) => (Some(bytes as u64), false),
+            Err(_) => (None, true),
+        },
+        None => (None, false),
+    };
+    shared
+        .cache
+        .insert(digest, key.to_owned(), Arc::clone(&model));
+    let how = Resolution::Extracted {
+        missed,
+        rejected,
+        degraded,
+        wrote,
+        write_failed,
+    };
+    Ok((model, how))
+}
+
+/// Resolves every distinct planned module into the shared session
+/// cache, returning how each one was satisfied.
 pub(crate) fn resolve_models(
     spec: &DesignSpec,
     distinct: &[(String, usize)],
     config: &SstaConfig,
     extract: &ExtractOptions,
     shared: &SharedState<'_>,
-    stats: &mut RunStats,
-) -> Result<(), EngineError> {
+) -> Result<Vec<Resolution>, EngineError> {
     // Tier 1: the session cache, shared across groups and calls.
+    let mut resolutions = Vec::with_capacity(distinct.len());
     let mut jobs: Vec<(&String, usize)> = Vec::new();
     for (key, idx) in distinct {
         if shared.cache.contains(key) {
-            stats.memory_hits += 1;
-            continue;
+            resolutions.push(Resolution::Memory);
+        } else {
+            jobs.push((key, *idx));
         }
-        jobs.push((key, *idx));
     }
     if jobs.is_empty() {
-        return Ok(());
+        return Ok(resolutions);
     }
 
     // Tiers 2 + 3, single-flighted and fanned out over workers.
@@ -86,66 +161,21 @@ pub(crate) fn resolve_models(
         // Checkpoint per job: a cancelled request stops before starting
         // (or following) the next flight, never under one it leads.
         shared.cancel.checkpoint()?;
+        let def = &spec.modules[idx];
         let mut led_how = None;
         let (outcome, led) = shared.flights.resolve(key, shared.cancel, || {
-            // Tier 1½: flights auto-retire on publication, so a caller
-            // that raced past the tier-1 check and became leader *after*
-            // another leader published must take the cached model, not
-            // re-extract it.
-            if let Some(model) = shared.cache.get(key) {
-                led_how = Some(Resolution::Memory);
-                return Ok(model);
-            }
-            // The leader publishes to the session cache *inside* the
-            // flight (before it retires), so no later caller can slip
-            // between publication and cache visibility and re-extract.
-            let digest = spec.modules[idx].structural_digest();
-            let mut missed = false;
-            let mut rejected = false;
-            let mut degraded = false;
-            if let Some(store) = shared.store {
-                match store.load_traced(key) {
-                    Ok(Some((model, info))) => {
-                        led_how = Some(Resolution::Store {
-                            bytes: info.bytes as u64,
-                        });
-                        let model = Arc::new(model);
-                        shared.cache.insert(digest, key.clone(), Arc::clone(&model));
-                        return Ok(model);
-                    }
-                    Ok(None) => missed = true,
-                    Err(e) if e.is_cancelled() => return Err(e),
-                    // The artifact itself is defective: reject it,
-                    // count it, recompute it.
-                    Err(EngineError::Store { .. }) => rejected = true,
-                    // The *read* failed — transport down, retries
-                    // exhausted, breaker open. Degrade to re-extraction
-                    // rather than failing the analysis: the store is an
-                    // accelerator, never a single point of failure.
-                    Err(_) => degraded = true,
-                }
-            }
-            let def = &spec.modules[idx];
-            let ctx = ModuleContext::characterize((*def.netlist).clone(), config)?;
-            let model = Arc::new(ctx.extract_model(extract)?);
-            let (wrote, write_failed) = match shared.store {
-                // Best-effort: the model is already in hand, so a failed
-                // cache write (read-only library, full disk) must not
-                // fail the analysis.
-                Some(store) => match store.save_traced(key, &model) {
-                    Ok(bytes) => (Some(bytes as u64), false),
-                    Err(_) => (None, true),
-                },
-                None => (None, false),
-            };
-            led_how = Some(Resolution::Extracted {
-                missed,
-                rejected,
-                degraded,
-                wrote,
-                write_failed,
-            });
-            shared.cache.insert(digest, key.clone(), Arc::clone(&model));
+            // Flights auto-retire on publication, so a caller that raced
+            // past the tier-1 check may lead *after* another leader
+            // published; `resolve_module` then takes the cached model.
+            let (model, how) = resolve_module(
+                shared,
+                key,
+                &def.netlist,
+                def.structural_digest(),
+                config,
+                extract,
+            )?;
+            led_how = Some(how);
             Ok(model)
         });
         let model = outcome?;
@@ -159,44 +189,14 @@ pub(crate) fn resolve_models(
 
     let outcomes = parallel_indexed(jobs.len(), shared.threads.min(jobs.len()), run_job);
 
-    // Fold in deterministic job order and publish to the session cache.
+    // Collect in deterministic job order and publish to this engine's
+    // session cache (a coalesced model so far sits only in the leading
+    // engine's).
     for ((key, idx), outcome) in jobs.iter().zip(outcomes) {
         let (model, how) = outcome?;
-        match how {
-            Resolution::Memory => stats.memory_hits += 1,
-            Resolution::Store { bytes } => {
-                stats.store_hits += 1;
-                stats.store_bytes_read += bytes;
-            }
-            Resolution::Extracted {
-                missed,
-                rejected,
-                degraded,
-                wrote,
-                write_failed,
-            } => {
-                stats.extractions += 1;
-                if missed {
-                    stats.store_misses += 1;
-                }
-                if rejected {
-                    stats.store_rejects += 1;
-                }
-                if degraded {
-                    stats.store_degraded += 1;
-                }
-                if let Some(bytes) = wrote {
-                    stats.store_writes += 1;
-                    stats.store_bytes_written += bytes;
-                }
-                if write_failed {
-                    stats.store_write_failures += 1;
-                }
-            }
-            Resolution::Coalesced => stats.coalesced += 1,
-        }
+        resolutions.push(how);
         let digest = spec.modules[*idx].structural_digest();
         shared.cache.insert(digest, (*key).clone(), model);
     }
-    Ok(())
+    Ok(resolutions)
 }

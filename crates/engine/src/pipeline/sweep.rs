@@ -26,18 +26,20 @@
 //!    by the basis-relevant config fields — sigma-scale axes share one
 //!    eigendecomposition across all their groups. A failed group raises
 //!    an abort flag that later groups check before starting.
-//! 3. **Aggregation**: each group returns compact [`ScenarioRecord`]s,
-//!    folded in group order into one [`SweepSummary`]. Unless results
-//!    are retained, a mode bucket's full [`DesignTiming`] is dropped as
-//!    soon as its records are written, so peak resident full results
-//!    stay O(workers) no matter the grid size.
+//! 3. **Aggregation**: each group returns how it resolved each module
+//!    and compact [`ScenarioRecord`]s, folded in group order into one
+//!    [`SweepSummary`]. Unless results are retained, a mode bucket's
+//!    full [`DesignTiming`] is dropped as soon as its records are
+//!    written, so peak resident full results stay O(workers) no matter
+//!    the grid size.
 
 use crate::error::EngineError;
-use crate::pipeline::report::{RunStats, ScenarioRecord, ScenarioRun, SweepSummary};
-use crate::pipeline::{assemble, plan, resolve, SharedState};
+use crate::pipeline::report::{ScenarioRecord, ScenarioRun, SweepSummary};
+use crate::pipeline::resolve::{self, Resolution};
+use crate::pipeline::{assemble, plan, SharedState};
 use crate::scenario::Scenario;
 use crate::spec::DesignSpec;
-use crate::store::ModelStore;
+use crate::store::{ModelStore, StoreHealth};
 use ssta_core::{
     assemble_design_graph_with_basis, extraction_signature, propagate_assembled, yield_analysis,
     AnalyzeOptions, CoreError, CorrelationMode, DesignTiming, DesignVariables, ExtractOptions,
@@ -79,9 +81,6 @@ struct GroupPlan {
     extract: ExtractOptions,
     /// Mode buckets in execution order (see [`plan`]).
     buckets: Vec<ModeBucket>,
-    /// Lowest scenario index in the group; that scenario carries the
-    /// group's counters.
-    first_scenario: usize,
 }
 
 /// A call's plan: every scenario's name, plus the groups they collapse
@@ -115,7 +114,6 @@ fn plan(
                 config,
                 extract,
                 buckets: Vec::new(),
-                first_scenario: index,
             });
             groups.len() - 1
         });
@@ -222,8 +220,8 @@ impl BasisCache {
 
 /// What one group hands to the fold.
 struct GroupRun {
-    /// The group's resolve and assembly accounting.
-    stats: RunStats,
+    /// How each of the group's distinct modules was resolved.
+    resolutions: Vec<Resolution>,
     /// The group's distinct module fingerprint keys.
     distinct_keys: Vec<String>,
     /// `(scenario index, record, full timing when retained)` per
@@ -245,28 +243,19 @@ fn run_group(
 ) -> Result<GroupRun, EngineError> {
     let group = &plan.groups[group_index];
     shared.cancel.checkpoint()?;
-    let resolve_started = Instant::now();
     let group_plan = plan::plan_modules(spec, &group.config, &group.extract);
-    let mut stats = RunStats {
-        instances: spec.instances.len(),
-        distinct_modules: group_plan.distinct.len(),
-        ..RunStats::default()
-    };
-    resolve::resolve_models(
+    let resolutions = resolve::resolve_models(
         spec,
         &group_plan.distinct,
         &group.config,
         &group.extract,
         shared,
-        &mut stats,
     )?;
-    stats.resolve_seconds = resolve_started.elapsed().as_secs_f64();
 
     // Checkpoint between resolve and assemble: everything resolved so
     // far is already published (session cache + library), so stopping
     // here wastes none of it.
     shared.cancel.checkpoint()?;
-    let assembly_started = Instant::now();
     let design = assemble::assemble(spec, &group_plan.keys, &group.config, shared.cache)?;
 
     // The shared covariance/PCA basis, built at most once per distinct
@@ -362,10 +351,9 @@ fn run_group(
             gauge.release();
         }
     }
-    stats.assembly_seconds = assembly_started.elapsed().as_secs_f64();
 
     Ok(GroupRun {
-        stats,
+        resolutions,
         distinct_keys: group_plan
             .distinct
             .into_iter()
@@ -373,6 +361,11 @@ fn run_group(
             .collect(),
         scenarios,
     })
+}
+
+/// The backend stack's health now; quiet without a store.
+fn store_health(shared: &SharedState<'_>) -> StoreHealth {
+    shared.store.map(ModelStore::health).unwrap_or_default()
 }
 
 /// Plans `scenarios` over the engine's base setup and runs the plan
@@ -393,7 +386,7 @@ pub(crate) fn run(
     let started = Instant::now();
     // Health is attributed at the call boundary: groups share one
     // backend stack, so per-group deltas would double-count.
-    let health_before = shared.store.map(ModelStore::health).unwrap_or_default();
+    let health_before = store_health(&shared);
     let plan = plan(scenarios, base_config, base_extract, base_mode);
 
     // Each group gets the budget divided by the group fan-out, so a call
@@ -418,8 +411,8 @@ pub(crate) fn run(
             .inspect_err(|_| abort.store(true, Ordering::SeqCst))
     })?;
 
-    // Fold in group order: counters add up, records and retained
-    // results land at their scenario index.
+    // Fold in group order: each resolution counts once, records and
+    // retained results land at their scenario index.
     let n = plan.names.len();
     let mut summary = SweepSummary {
         scenarios: n,
@@ -436,38 +429,17 @@ pub(crate) fn run(
         // that failure.
         let run = run.expect("no group skipped without an error");
         summary.analyses += group.buckets.len();
-        let stats = &run.stats;
-        summary.extractions += stats.extractions;
-        summary.coalesced += stats.coalesced;
-        summary.memory_hits += stats.memory_hits;
-        summary.store_hits += stats.store_hits;
-        summary.store_misses += stats.store_misses;
-        summary.store_rejects += stats.store_rejects;
-        summary.store_degraded += stats.store_degraded;
-        summary.store_writes += stats.store_writes;
-        summary.store_write_failures += stats.store_write_failures;
-        summary.store_bytes_written += stats.store_bytes_written;
-        summary.store_bytes_read += stats.store_bytes_read;
+        for how in &run.resolutions {
+            summary.count(how);
+        }
         distinct.extend(run.distinct_keys);
         for (index, record, timing) in run.scenarios {
             summary.phases.accumulate(&record.phases);
             if let Some(timing) = timing {
-                // The group's counters go on its first scenario only.
-                let mut stats = if index == group.first_scenario {
-                    run.stats.clone()
-                } else {
-                    RunStats {
-                        instances: run.stats.instances,
-                        distinct_modules: run.stats.distinct_modules,
-                        ..RunStats::default()
-                    }
-                };
-                stats.phases = record.phases;
                 retained[index] = Some(ScenarioRun {
                     scenario: record.scenario.clone(),
                     timing,
                     timing_yield: record.timing_yield,
-                    stats,
                 });
             }
             records[index] = Some(record);
@@ -483,13 +455,7 @@ pub(crate) fn run(
         .collect();
     summary.distinct_fingerprints = distinct.len();
     summary.peak_retained_results = gauge.peak();
-    if let Some(store) = shared.store {
-        let health = store.health().delta(&health_before);
-        summary.store_retries = health.retries;
-        summary.store_quarantined = health.quarantined;
-        summary.store_breaker_trips = health.breaker_trips;
-        summary.store_breaker = health.breaker;
-    }
+    summary.store_health = store_health(&shared).delta(&health_before);
     summary.elapsed_seconds = started.elapsed().as_secs_f64();
     Ok(summary)
 }

@@ -86,7 +86,7 @@ impl Scenario {
 ///
 /// Scenario names key the batch report
 /// ([`BatchRun::scenario`](crate::BatchRun::scenario)) and the
-/// per-scenario stats tables, so they must be unique. Duplicates are
+/// per-scenario records, so they must be unique. Duplicates are
 /// detected at insertion time and rejected when the set reaches an
 /// engine ([`Engine::analyze_batch`](crate::Engine::analyze_batch)
 /// returns a spec error naming the offender) — construction itself

@@ -6,11 +6,11 @@
 //! [`BreakerState`] gauge. Wrapper backends merge their own counters
 //! with their inner backend's, so one `health()` call on the top of a
 //! stack (tiered → remote → fault-injecting → memory) sees the whole
-//! tower. The engine snapshots health around each run and reports the
-//! delta in [`RunStats`](crate::RunStats)/[`SweepSummary`](crate::SweepSummary),
-//! and the serving layer exposes the absolute numbers in
-//! [`ServerSnapshot`](../../ssta_serve/struct.ServerSnapshot.html) —
-//! operators see the store misbehaving without losing traffic.
+//! tower. The engine snapshots health around each call and reports the
+//! delta as [`SweepSummary::store_health`](crate::SweepSummary::store_health),
+//! and the serving layer exposes the absolute snapshot as
+//! `ServerSnapshot::store_health` — operators see the store misbehaving
+//! without losing traffic.
 
 use std::fmt;
 

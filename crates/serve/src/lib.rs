@@ -28,11 +28,13 @@
 //!   extraction the request *leads* completes and is published for
 //!   everyone else; one it merely *follows* is detached from
 //!   immediately;
-//! * **Observability** — per-request queue-wait/service-time/cache
-//!   accounting and a server-level [`ServerSnapshot`] whose
-//!   [`lost()`](ServerSnapshot::lost) is zero on every quiesced
+//! * **Observability** — per-request queue-wait/service-time
+//!   accounting ([`ServeStats`]; a completed request's model sources
+//!   ride on [`Outcome::summary`]) and a server-level [`ServerSnapshot`]
+//!   whose [`lost()`](ServerSnapshot::lost) is zero on every quiesced
 //!   server: each submitted request gets exactly one terminal response
-//!   (completed, rejected, cancelled or failed).
+//!   (completed, rejected, cancelled or failed), even when its analysis
+//!   panics.
 //!
 //! Workers each own an [`Engine`](ssta_engine::Engine) over a clone of
 //! the shared backend and all share one

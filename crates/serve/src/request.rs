@@ -214,6 +214,9 @@ impl Outcome {
 }
 
 /// Per-request serving accounting, attached to every terminal response.
+/// Where the request's models came from is the engine's business: a
+/// completed response carries it in
+/// [`outcome.summary()`](Outcome::summary).
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
     /// Time between submission and a worker picking the request up
@@ -223,16 +226,6 @@ pub struct ServeStats {
     /// requests; for cancelled requests, the time burned before the
     /// pipeline stopped).
     pub service_time: Duration,
-    /// Modules characterized + extracted while serving this request.
-    pub extractions: usize,
-    /// Module resolutions coalesced onto another worker's in-flight
-    /// extraction via the shared
-    /// [`FlightGroup`](ssta_engine::FlightGroup).
-    pub coalesced: usize,
-    /// Modules served from the worker's in-memory session cache.
-    pub memory_hits: usize,
-    /// Modules served from the shared persistent model store.
-    pub store_hits: usize,
     /// Server-wide completion sequence number: response `k` was the
     /// `k`-th terminal response the server produced. Exposes the actual
     /// service order for fairness assertions.

@@ -10,6 +10,8 @@ use crate::ticket::{ResponseSlot, Ticket};
 use ssta_core::{CancelToken, SstaConfig};
 use ssta_engine::{Engine, EngineError, EngineOptions, FlightGroup, StorageBackend};
 use ssta_math::parallel::effective_threads;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -188,7 +190,7 @@ impl Server {
     pub fn snapshot(&self) -> ServerSnapshot {
         self.shared
             .counters
-            .snapshot(&self.shared.store_view.health())
+            .snapshot(self.shared.store_view.health())
     }
 
     /// Graceful shutdown: workers drain every queued request (each
@@ -203,7 +205,7 @@ impl Server {
         }
         self.shared
             .counters
-            .snapshot(&self.shared.store_view.health())
+            .snapshot(self.shared.store_view.health())
     }
 }
 
@@ -217,14 +219,23 @@ fn worker_loop(index: usize, mut engine: Engine, shared: &Shared) {
             (Err(EngineError::Cancelled), Duration::ZERO)
         } else {
             let started = Instant::now();
-            let result = match &job.request.workload {
+            // A panic inside the analysis fails this request only: the
+            // worker answers it and keeps serving. (A panicking flight
+            // leader has already published the same failure to its
+            // followers and retired its flight.)
+            let result = panic::catch_unwind(AssertUnwindSafe(|| match &job.request.workload {
                 Workload::Scenarios(scenarios) => engine
                     .analyze_batch_cancellable(&job.request.spec, scenarios, &job.cancel)
                     .map(|run| Outcome::Completed(Box::new(run))),
                 Workload::Sweep { grid, options } => engine
                     .analyze_sweep_cancellable(&job.request.spec, grid, options, &job.cancel)
                     .map(|summary| Outcome::Completed(Box::new(summary.into()))),
-            };
+            }))
+            .unwrap_or_else(|payload| {
+                Err(EngineError::Unavailable {
+                    reason: format!("the analysis panicked: {}", panic_message(&*payload)),
+                })
+            });
             (result, started.elapsed())
         };
 
@@ -257,14 +268,9 @@ fn worker_loop(index: usize, mut engine: Engine, shared: &Shared) {
         counters.add(&counters.queue_wait_nanos, queue_wait.as_nanos() as u64);
         counters.add(&counters.service_nanos, service_time.as_nanos() as u64);
 
-        let summary = outcome.summary();
         let stats = ServeStats {
             queue_wait,
             service_time,
-            extractions: summary.map_or(0, |s| s.extractions),
-            coalesced: summary.map_or(0, |s| s.coalesced),
-            memory_hits: summary.map_or(0, |s| s.memory_hits),
-            store_hits: summary.map_or(0, |s| s.store_hits),
             sequence: counters.next_sequence(),
             worker: index,
         };
@@ -274,4 +280,13 @@ fn worker_loop(index: usize, mut engine: Engine, shared: &Shared) {
             stats,
         });
     }
+}
+
+/// The message a panic was raised with, if it carried one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
 }

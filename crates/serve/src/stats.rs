@@ -1,6 +1,6 @@
 //! Server-level accounting: lock-free counters and their snapshot.
 
-use ssta_engine::{BreakerState, StoreHealth};
+use ssta_engine::StoreHealth;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -37,7 +37,7 @@ impl Counters {
     /// Builds a snapshot from the request counters plus the shared
     /// backend stack's *absolute* health (retries/quarantines are
     /// store-wide facts, not per-request ones).
-    pub(crate) fn snapshot(&self, store: &StoreHealth) -> ServerSnapshot {
+    pub(crate) fn snapshot(&self, store_health: StoreHealth) -> ServerSnapshot {
         ServerSnapshot {
             submitted: self.submitted.load(Ordering::SeqCst),
             completed: self.completed.load(Ordering::SeqCst),
@@ -50,10 +50,7 @@ impl Counters {
             memory_hits: self.memory_hits.load(Ordering::SeqCst),
             store_hits: self.store_hits.load(Ordering::SeqCst),
             degraded: self.degraded.load(Ordering::SeqCst),
-            store_retries: store.retries,
-            store_quarantined: store.quarantined,
-            store_breaker_trips: store.breaker_trips,
-            store_breaker: store.breaker,
+            store_health,
             total_queue_wait: Duration::from_nanos(self.queue_wait_nanos.load(Ordering::SeqCst)),
             total_service_time: Duration::from_nanos(self.service_nanos.load(Ordering::SeqCst)),
         }
@@ -87,16 +84,9 @@ pub struct ServerSnapshot {
     /// Module resolutions whose store read failed and gracefully
     /// degraded to re-extraction (the requests still completed).
     pub degraded: u64,
-    /// Transport retries the shared backend stack has performed
-    /// (absolute, store-lifetime).
-    pub store_retries: u64,
-    /// Corrupt artifacts the shared backend stack has quarantined.
-    pub store_quarantined: u64,
-    /// Cold-tier circuit-breaker trips on the shared backend stack.
-    pub store_breaker_trips: u64,
-    /// The shared backend stack's circuit-breaker state at snapshot
-    /// time; [`Closed`](BreakerState::Closed) for stacks without one.
-    pub store_breaker: BreakerState,
+    /// The shared backend stack's health at snapshot time (absolute,
+    /// store-lifetime counters; quiet for stacks that report none).
+    pub store_health: StoreHealth,
     /// Queue wait summed over served (non-rejected) requests.
     pub total_queue_wait: Duration,
     /// Service time summed over served requests.
@@ -147,19 +137,8 @@ impl fmt::Display for ServerSnapshot {
         if self.degraded > 0 {
             write!(f, ", degraded {}", self.degraded)?;
         }
-        if self.store_retries > 0 || self.store_quarantined > 0 {
-            write!(
-                f,
-                " | retries {}, quarantined {}",
-                self.store_retries, self.store_quarantined
-            )?;
-        }
-        if self.store_breaker != BreakerState::Closed || self.store_breaker_trips > 0 {
-            write!(
-                f,
-                " | breaker {} ({} trips)",
-                self.store_breaker, self.store_breaker_trips
-            )?;
+        if !self.store_health.is_quiet() {
+            write!(f, " | store {}", self.store_health)?;
         }
         Ok(())
     }
@@ -208,5 +187,9 @@ mod tests {
         assert!(line.contains("1 cancelled"));
         assert!(!line.contains("queue-full"), "zero states stay out: {line}");
         assert!(line.contains("coalesced 5"));
+        assert!(
+            !line.contains("store healthy"),
+            "a quiet store stays out: {line}"
+        );
     }
 }

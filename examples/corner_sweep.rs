@@ -107,18 +107,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     let yield_header = format!("yield@{target_ps:.0}ps");
     println!(
-        "{:<18} {:>10} {:>9} {:>11} {:>13}  per-scenario stats",
+        "{:<18} {:>10} {:>9} {:>11} {:>13}",
         "scenario", "mean [ps]", "σ [ps]", "p99.73 [ps]", yield_header
     );
     for run in &batch.scenarios {
         println!(
-            "{:<18} {:>10.1} {:>9.1} {:>11.1} {:>12.1}%  {}",
+            "{:<18} {:>10.1} {:>9.1} {:>11.1} {:>12.1}%",
             run.scenario,
             run.timing.delay.mean(),
             run.timing.delay.std_dev(),
             run.timing.delay.quantile(0.9973),
             100.0 * run.timing_yield.unwrap_or(f64::NAN),
-            run.stats
         );
     }
     println!();

@@ -126,15 +126,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, ticket) in traffic {
         let response = ticket.wait();
         let s = &response.stats;
+        // Where the models came from rides on the completed run's
+        // summary; requests that never ran report zeros.
+        let (extractions, coalesced, hits) = response.outcome.summary().map_or((0, 0, 0), |r| {
+            (r.extractions, r.coalesced, r.memory_hits + r.store_hits)
+        });
         println!(
-            "{label:<20} {:>7} {:>18} {:>10.2} {:>11.2} {:>8} {:>9} {:>6}",
+            "{label:<20} {:>7} {:>18} {:>10.2} {:>11.2} {extractions:>8} {coalesced:>9} {hits:>6}",
             response.id.to_string(),
             response.outcome.label(),
             1e3 * s.queue_wait.as_secs_f64(),
             1e3 * s.service_time.as_secs_f64(),
-            s.extractions,
-            s.coalesced,
-            s.memory_hits + s.store_hits,
         );
     }
 

@@ -99,8 +99,7 @@ fn four_instances_extract_once() {
     let (spec, _) = quad_adder_spec();
     let mut engine = Engine::new(SstaConfig::paper());
     let run = engine.analyze(&spec).expect("analysis");
-    assert_eq!(run.stats.instances, 4);
-    assert_eq!(run.stats.distinct_modules, 1);
+    assert_eq!(run.stats.distinct_fingerprints, 1);
     assert_eq!(run.stats.extractions, 1, "one definition, one extraction");
     assert!(run.timing.delay.mean() > 0.0);
     assert!(run.timing.delay.std_dev() > 0.0);
@@ -143,7 +142,7 @@ fn duplicate_definitions_dedupe_by_content() {
 
     let mut engine = Engine::new(SstaConfig::paper());
     let run = engine.analyze(&spec).expect("analysis");
-    assert_eq!(run.stats.distinct_modules, 1);
+    assert_eq!(run.stats.distinct_fingerprints, 1);
     assert_eq!(run.stats.extractions, 1);
 }
 
@@ -257,7 +256,7 @@ fn unused_module_definitions_cost_nothing() {
 
     let mut engine = Engine::new(SstaConfig::paper());
     let run = engine.analyze(&spec).expect("analysis");
-    assert_eq!(run.stats.distinct_modules, 1);
+    assert_eq!(run.stats.distinct_fingerprints, 1);
     assert_eq!(run.stats.extractions, 1, "unused definition not extracted");
 }
 

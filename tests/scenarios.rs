@@ -18,7 +18,7 @@ use hier_ssta::core::{
 };
 use hier_ssta::engine::{
     DesignSpec, Engine, EngineError, EngineOptions, MemoryBackend, ModuleId, Scenario, ScenarioSet,
-    StorageBackend,
+    StorageBackend, SweepSummary,
 };
 use hier_ssta::netlist::{generators, DieRect, Netlist};
 use std::sync::Arc;
@@ -464,18 +464,47 @@ fn empty_scenario_sets_are_rejected() {
 #[test]
 fn analyze_is_a_single_scenario_batch() {
     // The thin-wrapper contract: `analyze` and a one-scenario batch
-    // produce bit-identical timing and the same accounting.
+    // produce bit-identical timing and the same accounting — `analyze`
+    // reports the baseline batch's summary itself, store health included.
     let (spec, _) = quad_adder_spec();
-    let mut a = Engine::new(SstaConfig::paper());
+    let mut a = Engine::new(SstaConfig::paper()).with_backend(MemoryBackend::new());
     let plain = a.analyze(&spec).expect("plain analyze");
 
-    let mut b = Engine::new(SstaConfig::paper());
+    let mut b = Engine::new(SstaConfig::paper()).with_backend(MemoryBackend::new());
     let batch = b
         .analyze_batch(&spec, &ScenarioSet::baseline())
         .expect("baseline batch");
-    let run = &batch.scenarios[0];
-    assert_eq!(plain.timing.po_arrivals, run.timing.po_arrivals);
-    assert_eq!(plain.stats.extractions, run.stats.extractions);
-    assert_eq!(plain.stats.distinct_modules, run.stats.distinct_modules);
-    assert_eq!(plain.stats.memory_hits, run.stats.memory_hits);
+    assert_eq!(
+        plain.timing.po_arrivals,
+        batch.scenarios[0].timing.po_arrivals
+    );
+
+    let counters = |s: &SweepSummary| {
+        (
+            [
+                s.scenarios,
+                s.groups,
+                s.analyses,
+                s.distinct_fingerprints,
+                s.extractions,
+                s.coalesced,
+                s.memory_hits,
+                s.store_hits,
+                s.store_misses,
+                s.store_rejects,
+                s.store_degraded,
+                s.store_writes,
+                s.store_write_failures,
+                s.workers,
+                s.peak_retained_results,
+            ],
+            [s.store_bytes_written, s.store_bytes_read],
+            s.store_health,
+        )
+    };
+    assert_eq!(counters(&plain.stats), counters(&batch.stats));
+    // Both runs went through a fresh store, so its counters are live.
+    assert_eq!(plain.stats.store_misses, 1);
+    assert_eq!(plain.stats.store_writes, 1);
+    assert!(plain.stats.store_bytes_written > 0);
 }

@@ -6,7 +6,10 @@
 //! * exporting real extracted models round-trips the same way;
 //! * approximate (no-`SSTM`) imports analyze within tolerance of the
 //!   exact models in global-only correlation mode;
-//! * malformed SDF is rejected with positioned errors.
+//! * malformed SDF is rejected with positioned errors;
+//! * untrusted text never panics: mutated exported SDF and random short
+//!   token strings are rejected by the parser or importer, or import
+//!   models whose delay matrices compute.
 
 use hier_ssta::core::{
     analyze_sequential, extract_registered, CorrelationMode, DesignBuilder, ExtractOptions,
@@ -19,6 +22,7 @@ use hier_ssta::sdf::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -319,5 +323,113 @@ fn malformed_sdf_is_rejected_with_positions() {
         );
         // Display renders the position for operators.
         assert!(err.to_string().contains(&format!("line {line}")));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Untrusted input: mutated and random text.
+// ---------------------------------------------------------------------
+
+/// Runs `text` through parse → import → delay matrix. Any stage may
+/// reject it; none may panic. Returns whether the text imported.
+fn parse_import_analyze(text: &str, config: &SstaConfig) -> bool {
+    let Ok(sdf) = parse_sdf(text) else {
+        return false;
+    };
+    let Ok(models) = import_sdf_models(&sdf, config, 3.0) else {
+        return false;
+    };
+    for model in &models {
+        let _ = model.delay_matrix();
+    }
+    true
+}
+
+/// Characters that matter to the SDF lexer and the number parser.
+const SDF_CHARS: &[u8] = b"()\" \n.-+e0123456789:/*ABSTMCELIOPHx";
+
+#[test]
+fn mutated_exported_sdf_is_rejected_or_imports_usable_models() {
+    // One exported stage, with and without its embedded SSTM payload,
+    // damaged the ways a file gets damaged: overwrite 1–8 bytes with
+    // lexer-relevant characters, delete a span, or truncate.
+    let (config, models, _) = registered_models(&ExportOptions::default());
+    let exported = [true, false].map(|embed_sstm| {
+        let options = ExportOptions {
+            embed_sstm,
+            ..ExportOptions::default()
+        };
+        write_sdf(&export_models([models[0].as_ref()], &options).unwrap()).into_bytes()
+    });
+    let mut rng = TestRng::deterministic("mutated_exported_sdf");
+    let mut draw = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let mut panicked = Vec::new();
+    let mut imported = 0;
+    for case in 0..300 {
+        let mut bytes = exported[case % 2].clone();
+        match case / 2 % 3 {
+            0 => {
+                for _ in 0..1 + draw(8) {
+                    let at = draw(bytes.len());
+                    bytes[at] = SDF_CHARS[draw(SDF_CHARS.len())];
+                }
+            }
+            1 => {
+                let at = draw(bytes.len());
+                let end = bytes.len().min(at + 1 + draw(64));
+                bytes.drain(at..end);
+            }
+            _ => bytes.truncate(draw(bytes.len())),
+        }
+        let text = String::from_utf8(bytes).expect("mutations keep the text ASCII");
+        match std::panic::catch_unwind(|| parse_import_analyze(&text, &config)) {
+            Ok(true) => imported += 1,
+            Ok(false) => {}
+            Err(_) => panicked.push(case),
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "mutated SDF texts (cases) panicked in parse/import/analysis: {panicked:?}"
+    );
+    assert!(
+        imported > 0,
+        "no mutated text imported; delay_matrix never ran"
+    );
+}
+
+/// Tokens random SDF-like strings are built from (raw ASCII strings
+/// ride along).
+const SDF_TOKENS: [&str; 16] = [
+    "(",
+    ")",
+    "\"x\"",
+    "DELAYFILE",
+    "CELL",
+    "CELLTYPE",
+    "INSTANCE",
+    "DELAY",
+    "ABSOLUTE",
+    "IOPATH",
+    "SETUP",
+    "SSTM",
+    "(1.0:2.0:3.0)",
+    "-7e3",
+    "a",
+    "*",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn random_short_sdf_strings_never_panic(
+        tokens in vec(0usize..SDF_TOKENS.len(), 0..24),
+        ascii in vec(0u8..128, 0..64),
+    ) {
+        let config = SstaConfig::paper();
+        let text: Vec<&str> = tokens.iter().map(|&t| SDF_TOKENS[t]).collect();
+        parse_import_analyze(&text.join(" "), &config);
+        parse_import_analyze(&String::from_utf8(ascii).expect("ASCII"), &config);
     }
 }

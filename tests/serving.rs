@@ -15,14 +15,18 @@
 //! * a queue-full burst answers `Rejected` immediately instead of
 //!   blocking the submitter or deadlocking the pool;
 //! * identical requests racing on different workers coalesce to at
-//!   most one extraction per distinct fingerprint.
+//!   most one extraction per distinct fingerprint;
+//! * a panic inside one request's analysis fails that request only: the
+//!   worker answers it and keeps serving.
 
 use hier_ssta::core::{CancelToken, SstaConfig};
 use hier_ssta::engine::{
     DesignSpec, Engine, EngineError, EngineOptions, MemoryBackend, ScenarioSet, StorageBackend,
 };
 use hier_ssta::netlist::{generators, DieRect};
-use hier_ssta::serve::{AnalyzeRequest, Priority, Rejection, ServeOptions, Server};
+use hier_ssta::serve::{
+    AnalyzeRequest, AnalyzeResponse, Outcome, Priority, Rejection, ServeOptions, Server, Ticket,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,6 +82,35 @@ impl StorageBackend for CancelOnFirstPut {
             self.token.cancel();
         }
         Ok(())
+    }
+    fn remove(&self, key: &str) -> Result<bool, EngineError> {
+        self.inner.remove(key)
+    }
+    fn list_keys(&self) -> Result<Vec<String>, EngineError> {
+        self.inner.list_keys()
+    }
+    fn clear(&self) -> Result<(), EngineError> {
+        self.inner.clear()
+    }
+}
+
+/// A shared `MemoryBackend` whose first `get` panics — a deterministic
+/// stand-in for a bug anywhere under a worker's analysis.
+#[derive(Debug, Clone, Default)]
+struct PanicOnFirstGet {
+    inner: Arc<MemoryBackend>,
+    gets: Arc<AtomicUsize>,
+}
+
+impl StorageBackend for PanicOnFirstGet {
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>, EngineError> {
+        if self.gets.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("injected backend panic");
+        }
+        self.inner.get(key)
+    }
+    fn put(&self, key: &str, bytes: &[u8]) -> Result<(), EngineError> {
+        self.inner.put(key, bytes)
     }
     fn remove(&self, key: &str) -> Result<bool, EngineError> {
         self.inner.remove(key)
@@ -344,4 +377,46 @@ fn identical_requests_across_workers_coalesce_extractions() {
         snapshot.extractions + snapshot.coalesced + snapshot.memory_hits + snapshot.store_hits,
         8
     );
+}
+
+#[test]
+fn a_panicking_analysis_fails_its_request_and_the_worker_keeps_serving() {
+    let spec = Arc::new(multi_module_spec(&[2]));
+    let server = Server::start(
+        SstaConfig::paper(),
+        PanicOnFirstGet::default(),
+        ServeOptions {
+            workers: 1,
+            engine: serial_engine_options(),
+            ..ServeOptions::default()
+        },
+    );
+    let a = server.submit(AnalyzeRequest::new(
+        Arc::clone(&spec),
+        ScenarioSet::baseline(),
+    ));
+    let b = server.submit(AnalyzeRequest::new(spec, ScenarioSet::baseline()));
+    let answer = |ticket: Ticket, name: &str| -> AnalyzeResponse {
+        ticket
+            .wait_for(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("request {name} got no terminal response"))
+    };
+
+    // A's store read panics: A fails, carrying the panic message.
+    let a = answer(a, "A");
+    match &a.outcome {
+        Outcome::Failed(EngineError::Unavailable { reason }) => {
+            assert!(reason.contains("injected backend panic"), "{reason}");
+        }
+        other => panic!("A must fail with the panic, got {}", other.label()),
+    }
+    // The same worker then serves B normally.
+    let b = answer(b, "B");
+    assert!(b.outcome.is_completed(), "got {}", b.outcome.label());
+    assert_eq!(b.stats.worker, a.stats.worker);
+
+    let snapshot = server.shutdown();
+    assert_eq!(snapshot.lost(), 0, "{snapshot}");
+    assert_eq!(snapshot.failed, 1);
+    assert_eq!(snapshot.completed, 1);
 }

@@ -6,8 +6,10 @@
 //! * the binary codec round-trips arbitrary extracted models to
 //!   identical bytes and bit-identical delay matrices (property-tested),
 //!   through both the filesystem and the memory backend;
-//! * no single-bit mutation of a payload decodes to a model that panics
-//!   downstream: it is rejected, or its delay matrix computes;
+//! * no single-bit mutation of a payload, and no seeded multi-byte
+//!   damage (overwrites, truncations, `0xff` runs), decodes to a model
+//!   that panics downstream: it is rejected, or its delay matrix
+//!   computes;
 //! * the binary c880 artifact is at most half the JSON handoff size.
 
 use hier_ssta::core::{CoreError, ExtractOptions, ModuleContext, SstaConfig, TimingModel};
@@ -19,6 +21,7 @@ use hier_ssta::engine::{
 };
 use hier_ssta::netlist::{generators, DieRect};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -465,6 +468,61 @@ fn single_bit_payload_mutations_are_rejected_or_decode_to_usable_models() {
     assert!(
         shape_rejects > 0,
         "no mutation was rejected for a delay outside the model's variable space"
+    );
+}
+
+#[test]
+fn multi_byte_payload_damage_is_rejected_or_decodes_to_usable_models() {
+    // The multi-byte sibling of the single-bit pass, seeded: overwrite
+    // 1–8 random bytes, truncate, or stamp a run of `0xff` over the
+    // payload. Same contract — a codec error, or a model whose delay
+    // matrix computes.
+    let model = extract(
+        generators::ripple_carry_adder(2).expect("adder"),
+        &SstaConfig::paper(),
+    );
+    let pristine = hier_ssta::core::codec::encode_model(&model);
+    let mut rng = TestRng::deterministic("multi_byte_payload_damage");
+    let mut draw = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let mut panicked = Vec::new();
+    let mut decoded = 0;
+    for case in 0..3000 {
+        let mut bytes = pristine.clone();
+        match case % 3 {
+            0 => {
+                for _ in 0..1 + draw(8) {
+                    let at = draw(bytes.len());
+                    bytes[at] = draw(256) as u8;
+                }
+            }
+            1 => bytes.truncate(draw(bytes.len())),
+            _ => {
+                let at = draw(bytes.len());
+                let end = bytes.len().min(at + 1 + draw(16));
+                bytes[at..end].fill(0xff);
+            }
+        }
+        match hier_ssta::core::codec::decode_model(&bytes) {
+            Ok(model) => {
+                decoded += 1;
+                let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = model.delay_matrix();
+                }));
+                if computed.is_err() {
+                    panicked.push(case);
+                }
+            }
+            Err(CoreError::Codec { .. }) => {}
+            Err(e) => panic!("case {case}: not a codec error: {e}"),
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "damaged payloads (cases) decoded to models whose delay matrix panics: {panicked:?}"
+    );
+    assert!(
+        decoded > 0,
+        "no damaged payload decoded; delay_matrix never ran"
     );
 }
 

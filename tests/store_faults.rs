@@ -4,8 +4,8 @@
 //!   transparently recomputed — never silently dropped, never served;
 //! * a store that goes unavailable degrades to re-extraction: analysis
 //!   never fails because the store did, and the degradation is visible
-//!   in `RunStats`;
-//! * the cold-tier circuit breaker trips into the run's stats;
+//!   in the run's `SweepSummary`;
+//! * the cold-tier circuit breaker trips into the run's `store_health`;
 //! * the 512-corner acceptance sweep: under a fault plan injecting
 //!   transient get/put failures plus one persistently corrupted
 //!   artifact, a warm sweep completes bit-identical to the fault-free
@@ -205,7 +205,7 @@ fn unavailable_store_degrades_to_reextraction_and_counts_it() {
         run.stats
     );
     assert!(
-        run.stats.store_retries >= 1,
+        run.stats.store_health.retries >= 1,
         "the failed reads were retried first: {:?}",
         run.stats
     );
@@ -241,12 +241,12 @@ fn cold_tier_breaker_trips_surface_in_run_stats() {
         .analyze(&spec)
         .expect("analysis survives a tripped breaker");
     assert!(
-        run.stats.store_breaker_trips >= 1,
+        run.stats.store_health.breaker_trips >= 1,
         "the trip must be counted: {:?}",
         run.stats
     );
     assert_ne!(
-        run.stats.store_breaker,
+        run.stats.store_health.breaker,
         BreakerState::Closed,
         "the gauge shows the breaker is not closed"
     );
@@ -333,11 +333,11 @@ fn faulty_warm_512_corner_sweep_is_bit_identical_and_quarantines_corruption() {
 
     // The injuries are visible, not silent.
     assert!(
-        faulty.store_quarantined >= 1,
+        faulty.store_health.quarantined >= 1,
         "the corrupt artifact was quarantined: {faulty}"
     );
     assert!(
-        faulty.store_retries >= 1,
+        faulty.store_health.retries >= 1,
         "transient failures were retried: {faulty}"
     );
     assert!(
@@ -472,7 +472,7 @@ fn serving_over_a_faulty_store_loses_nothing_and_reports_degradations() {
         "degradations surface in the snapshot: {snapshot}"
     );
     assert!(
-        snapshot.store_retries >= 1,
+        snapshot.store_health.retries >= 1,
         "retries surface in the snapshot: {snapshot}"
     );
 }
