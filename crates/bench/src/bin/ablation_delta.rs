@@ -1,7 +1,7 @@
 //! Ablation A: sweep of the criticality threshold δ.
 //!
-//! DESIGN.md calls out δ = 0.05 as the paper's (unjustified) choice; this
-//! sweep quantifies the model-size/accuracy trade-off it buys, with the
+//! The paper fixes δ = 0.05 without justifying the value; this sweep
+//! quantifies the model-size/accuracy trade-off it buys, with the
 //! accuracy-repair extension disabled so the raw algorithm is visible,
 //! and enabled to show what the repair adds back.
 //!

@@ -13,10 +13,12 @@
 //!   wall-clock, cold vs warm, the per-phase breakdown of the warm
 //!   parallel run, and (schema 3) a **propagate** duel on the assembled
 //!   design graph — push-based topo-order propagation vs the levelized
-//!   pull engine, serial and threaded, plus the schedule's level count
-//!   and maximum level width. Serial and parallel results are asserted
-//!   bit-identical; in full mode the pull engine must beat push on the
-//!   16- and 64-instance rows.
+//!   pull engine, plus the schedule's level count and maximum level
+//!   width. Serial and parallel results are asserted bit-identical; in
+//!   full mode the pull engine must beat push on the 16- and
+//!   64-instance rows. Schema 6 drops the threaded-pull column: passes
+//!   run on the calling thread, so `parallel_speedup` measures the
+//!   assembly fan-outs alone.
 //! * **sequential** (schema 5) — registered-pipeline scaling rows:
 //!   characterize + registered extraction wall-clock per chain, then
 //!   stage-by-stage `analyze_sequential` serial vs threaded (asserted
@@ -96,9 +98,7 @@ struct ScalingPoint {
 /// share one `LevelSchedule` (timed separately in
 /// `schedule_build_seconds`) — the engine levelizes once per graph and
 /// amortizes it over every pass, while push re-runs its Kahn sort inside
-/// each call, which is exactly the serial tail this engine kills. The
-/// threaded row uses the default thread count and must match serial pull
-/// bit for bit.
+/// each call, which is exactly the serial tail this engine kills.
 #[derive(Serialize)]
 struct PropagateDuel {
     n_levels: usize,
@@ -106,7 +106,6 @@ struct PropagateDuel {
     schedule_build_seconds: f64,
     push_serial_seconds: f64,
     pull_serial_seconds: f64,
-    pull_threaded_seconds: f64,
     pull_vs_push_speedup: f64,
 }
 
@@ -198,13 +197,12 @@ fn main() {
             point.phases,
         );
         println!(
-            "         propagate ({} levels, widest {}): push {:.1} ms, pull {:.1} ms ({:.2}x), threaded {:.1} ms",
+            "         propagate ({} levels, widest {}): push {:.1} ms, pull {:.1} ms ({:.2}x)",
             point.propagate.n_levels,
             point.propagate.max_level_width,
             1e3 * point.propagate.push_serial_seconds,
             1e3 * point.propagate.pull_serial_seconds,
             point.propagate.pull_vs_push_speedup,
-            1e3 * point.propagate.pull_threaded_seconds,
         );
         points.push(point);
     }
@@ -247,7 +245,7 @@ fn main() {
     }
 
     bench.write(&Report {
-        schema: 5,
+        schema: 6,
         profile: bench.name(),
         effective_threads: ssta_math::parallel::effective_threads(0),
         eigen: duel,
@@ -400,9 +398,9 @@ fn scaling_point(
 /// pull passes share one schedule, timed separately — that once-per-graph
 /// amortization is the engine's contract (all-pairs extraction and
 /// criticality run hundreds of passes per schedule), while push re-sorts
-/// inside every call. Asserts threaded pull ≡ serial pull bit for bit,
-/// pull ≈ push within working precision at every primary output, and —
-/// when `assert_pull_wins` — that serial pull is strictly faster.
+/// inside every call. Asserts pull ≈ push within working precision at
+/// every primary output and — when `assert_pull_wins` — that pull is
+/// strictly faster.
 fn propagate_duel(
     design: &ssta_core::Design,
     reps: usize,
@@ -441,26 +439,12 @@ fn propagate_duel(
     let mut pull = None;
     for _ in 0..reps {
         let t = Instant::now();
-        let arr = levels::forward(graph, &schedule, sources, 1).expect("pull forward");
+        let arr = levels::forward(graph, &schedule, sources).expect("pull forward");
         pull_serial_seconds = pull_serial_seconds.min(t.elapsed().as_secs_f64());
         pull = Some(arr);
     }
     let pull = pull.expect("at least one rep");
 
-    let mut pull_threaded_seconds = f64::INFINITY;
-    let mut threaded = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let arr = levels::forward(graph, &schedule, sources, 0).expect("threaded forward");
-        pull_threaded_seconds = pull_threaded_seconds.min(t.elapsed().as_secs_f64());
-        threaded = Some(arr);
-    }
-    let threaded = threaded.expect("at least one rep");
-
-    assert_eq!(
-        threaded, pull,
-        "threaded pull propagation diverged from serial pull"
-    );
     // Pull re-associates Clark's order-sensitive max, so against push it
     // agrees to working precision, not bit-exactly.
     for &v in graph.outputs() {
@@ -484,7 +468,6 @@ fn propagate_duel(
         schedule_build_seconds,
         push_serial_seconds,
         pull_serial_seconds,
-        pull_threaded_seconds,
         pull_vs_push_speedup: push_serial_seconds / pull_serial_seconds,
     }
 }

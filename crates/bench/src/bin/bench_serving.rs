@@ -35,7 +35,7 @@
 use serde::Serialize;
 use ssta_bench::{module_array_spec, BenchProfile};
 use ssta_core::SstaConfig;
-use ssta_engine::{DesignSpec, EngineOptions, MemoryBackend, ScenarioSet};
+use ssta_engine::{DesignSpec, MemoryBackend, ScenarioSet};
 use ssta_serve::{AnalyzeRequest, AnalyzeResponse, ServeOptions, Server};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -218,12 +218,6 @@ fn main() {
 fn options(profile: &Profile) -> ServeOptions {
     ServeOptions {
         workers: profile.workers,
-        // Each worker's engine stays single-threaded: the pool is the
-        // parallelism, a second fan-out level would oversubscribe.
-        engine: EngineOptions {
-            threads: 1,
-            ..EngineOptions::default()
-        },
         ..ServeOptions::default()
     }
 }

@@ -27,11 +27,12 @@
 //! grid geometry, variable layout, PCA bases, timing graph (raw slots,
 //! tombstones included — see [`ssta_timing::RawGraphParts`]),
 //! extraction stats, and an optional sequential-interface block (clock
-//! pin + launch/setup/hold constraint arcs). Live edge delays and
-//! constraint arcs are validated on decode against the already-decoded
-//! configuration and layout, so a hostile payload cannot smuggle in
-//! forms from a foreign variable space or arcs referencing unknown
-//! pins. The graph's input list is *not* stored: it is
+//! pin + launch/setup/hold constraint arcs). The decoded model is
+//! validated as a whole (layout against PCA bases and grid, edge delays
+//! and constraint arcs against the variable space), so a hostile
+//! payload cannot claim more locals than its bases carry, smuggle in
+//! forms from a foreign variable space or name unknown pins. The
+//! graph's input list is *not* stored: it is
 //! fully determined by the `Input(i)` vertex kinds and re-derived on
 //! decode, which both saves bytes and makes that invariant
 //! unforgeable.
@@ -86,8 +87,10 @@ pub fn encode_model(model: &TimingModel) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CoreError::Codec`] for truncated or structurally invalid
-/// payloads, unknown layout versions, and canonical forms outside the
-/// model's own variable space, naming the first defect.
+/// payloads, unknown layout versions, and models whose parts disagree
+/// (a layout that does not match the PCA bases and grid, forms outside
+/// the model's own variable space, arcs naming unknown pins), naming the
+/// first defect.
 pub fn decode_model(bytes: &[u8]) -> Result<TimingModel, CoreError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u8()?;
@@ -112,41 +115,15 @@ pub fn decode_model(bytes: &[u8]) -> Result<TimingModel, CoreError> {
     let stats = decode_stats(&mut r)?;
     let sequential = decode_sequential(&mut r)?;
     r.finish()?;
-    // Every live edge delay must sit in the model's own variable space.
-    // A mismatch would otherwise surface later, as a panic in
-    // canonical-form arithmetic or a failed design analysis, instead of
-    // a rejected artifact the store can re-extract.
-    let (n_globals, n_locals) = (config.parameters.len(), layout.n_locals());
-    for (id, edge) in graph.edges_iter() {
-        let (globals, locals) = (edge.delay.n_globals(), edge.delay.n_locals());
-        if globals != n_globals || locals != n_locals {
-            return Err(CoreError::Codec {
-                reason: format!(
-                    "stored edge {} ({} -> {}) has a delay over {globals} globals and \
-                     {locals} locals, but the model's variable space has {n_globals} and \
-                     {n_locals}",
-                    id.0, edge.from.0, edge.to.0
-                ),
-            });
-        }
-    }
-    if let Some(seq) = &sequential {
-        // Stored sequential blocks face the same hostile-input bar as the
-        // graph itself: every arc must address a real pin in the model's
-        // own variable space, and a violation is a *named* codec error.
-        seq.validate(
-            graph.inputs().len(),
-            graph.outputs().len(),
-            config.parameters.len(),
-            layout.n_locals(),
-        )
-        .map_err(|reason| CoreError::Codec {
-            reason: format!("stored sequential interface is invalid: {reason}"),
-        })?;
-    }
-    Ok(TimingModel::from_codec_parts(
+    // The integrity stamp vouches for the bytes, not for what they
+    // describe: a payload whose lengths disagree with its own bases or
+    // variable space is rejected here, where the store can re-extract.
+    TimingModel::from_parts(
         name, graph, geometry, layout, pca, config, stats, sequential,
-    ))
+    )
+    .map_err(|reason| CoreError::Codec {
+        reason: format!("stored {reason}"),
+    })
 }
 
 fn encode_config(w: &mut ByteWriter, config: &SstaConfig) {

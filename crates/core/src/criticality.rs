@@ -144,7 +144,7 @@ pub(crate) fn criticalities_until(
         // sink passes fanned out via parallel_indexed (index-ordered,
         // bit-identical for any thread count).
         let required = try_parallel_indexed(chunk.len(), n_threads, |j| {
-            levels::backward(graph, &schedule, &[(chunk[j], zero.clone())], 1)
+            levels::backward(graph, &schedule, &[(chunk[j], zero.clone())])
         })?;
         // Cache (nominal, sigma) of each required entry.
         let req_stats: Vec<Vec<Option<(f64, f64)>>> = required
@@ -172,7 +172,7 @@ pub(crate) fn criticalities_until(
                 if live.is_empty() {
                     break;
                 }
-                let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())], 1)?;
+                let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())])?;
                 let arr_stats: Vec<Option<(f64, f64)>> = arrival
                     .iter()
                     .map(|o| o.as_ref().map(|f| (f.mean(), f.std_dev())))
@@ -319,8 +319,8 @@ pub fn pair_criticalities_with(
     vi: VertexId,
     vj: VertexId,
 ) -> Result<Vec<f64>, CoreError> {
-    let arrival = levels::forward(graph, schedule, &[(vi, zero.clone())], 1)?;
-    let required = levels::backward(graph, schedule, &[(vj, zero.clone())], 1)?;
+    let arrival = levels::forward(graph, schedule, &[(vi, zero.clone())])?;
+    let required = levels::backward(graph, schedule, &[(vj, zero.clone())])?;
     let n_slots = graph
         .edges_iter()
         .map(|(id, _)| id.0 as usize + 1)
@@ -519,13 +519,12 @@ mod tests {
         let schedule = LevelSchedule::build(graph).unwrap();
         let mut triples = 0;
         for &vi in graph.inputs() {
-            let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())], 1).unwrap();
+            let arrival = levels::forward(graph, &schedule, &[(vi, zero.clone())]).unwrap();
             for &vj in &distinct_outputs(graph) {
                 let Some(m) = arrival[vj.0 as usize].as_ref() else {
                     continue;
                 };
-                let required =
-                    levels::backward(graph, &schedule, &[(vj, zero.clone())], 1).unwrap();
+                let required = levels::backward(graph, &schedule, &[(vj, zero.clone())]).unwrap();
                 for (_, e) in graph.edges_iter() {
                     let (Some(a), Some(r)) = (
                         arrival[e.from.0 as usize].as_ref(),

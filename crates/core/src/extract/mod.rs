@@ -249,7 +249,7 @@ fn repair_accuracy(
     // Reference means from the full graph, one forward pass per input.
     let mut reference: Vec<Vec<Option<f64>>> = Vec::with_capacity(graph.inputs().len());
     for &vi in graph.inputs() {
-        let arr = ssta_timing::levels::forward(graph, &schedule, &[(vi, zero.clone())], 1)
+        let arr = ssta_timing::levels::forward(graph, &schedule, &[(vi, zero.clone())])
             .map_err(CoreError::Timing)?;
         reference.push(
             outputs

@@ -101,12 +101,16 @@ impl TimingModel {
         self
     }
 
-    /// Reassembles a model from its constituent parts (binary codec
-    /// support). No cross-validation happens here: the codec layer is
-    /// responsible for structural checks, and the store's integrity
-    /// stamp has already vouched for the bytes.
+    /// Builds a model from parts that arrive from outside — the binary
+    /// decoder and [`assemble`](Self::assemble) — and admits it only if
+    /// it [validates](Self::validate).
+    ///
+    /// # Errors
+    ///
+    /// The first violation, as a reason each caller wraps in its
+    /// boundary's error variant.
     #[allow(clippy::too_many_arguments)] // one argument per serialized section
-    pub(crate) fn from_codec_parts(
+    pub(crate) fn from_parts(
         name: String,
         graph: TimingGraph<CanonicalForm>,
         geometry: GridGeometry,
@@ -115,8 +119,8 @@ impl TimingModel {
         config: SstaConfig,
         stats: ExtractionStats,
         sequential: Option<SequentialModel>,
-    ) -> Self {
-        TimingModel {
+    ) -> Result<Self, String> {
+        let model = TimingModel {
             name,
             graph,
             geometry,
@@ -125,21 +129,23 @@ impl TimingModel {
             config,
             stats,
             sequential,
-        }
+        };
+        model.validate()?;
+        Ok(model)
     }
 
     /// Assembles a model from externally produced parts — the seam the
     /// SDF interchange layer uses to turn imported cells into analyzable
-    /// models. Unlike the codec path, the parts here come from arbitrary
-    /// outside data, so the sequential interface is validated against
-    /// the graph's port counts and variable space before the model is
-    /// admitted.
+    /// models. The parts come from arbitrary outside data, so the model
+    /// is validated before it is admitted, with the same checks the
+    /// binary decoder applies: layout against PCA bases and grid, every
+    /// form against the variable space, every constraint arc against the
+    /// ports.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Incompatible`] naming the first constraint
-    /// arc that references an unknown pin or lives in the wrong variable
-    /// space.
+    /// Returns [`CoreError::Incompatible`] naming the first part that
+    /// does not fit the model's variable space.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         name: String,
@@ -151,25 +157,91 @@ impl TimingModel {
         stats: ExtractionStats,
         sequential: Option<SequentialModel>,
     ) -> Result<Self, CoreError> {
-        if let Some(seq) = &sequential {
-            seq.validate(
-                graph.inputs().len(),
-                graph.outputs().len(),
-                config.parameters.len(),
-                layout.n_locals(),
-            )
-            .map_err(|reason| CoreError::Incompatible { reason })?;
+        Self::from_parts(
+            name, graph, geometry, layout, pca, config, stats, sequential,
+        )
+        .map_err(|reason| CoreError::Incompatible { reason })
+    }
+
+    /// Checks that the model's parts describe one variable space:
+    ///
+    /// * the layout has one local block per configured parameter;
+    /// * every live edge delay lives in the `(n_params, n_locals)`
+    ///   variable space;
+    /// * either the model is basis-free — no PCA bases, zero locals and
+    ///   one grid, the interface-only SDF import — or it carries one
+    ///   basis per parameter, whose component count is that parameter's
+    ///   local count, with an `n_grids × k` transform and a
+    ///   `k × n_grids` whitening matrix;
+    /// * every constraint arc lives in the same variable space and names
+    ///   a real port.
+    ///
+    /// Every length a later computation allocates is then tied to data
+    /// the model actually carries; a layout claiming 2³² locals over a
+    /// small basis is rejected here instead of aborting the process on
+    /// its first delay matrix.
+    ///
+    /// # Errors
+    ///
+    /// The first violation, as a human-readable reason.
+    fn validate(&self) -> Result<(), String> {
+        let n_params = self.config.parameters.len();
+        if self.layout.n_params() != n_params {
+            return Err(format!(
+                "layout has {} parameter blocks, but the configuration has {n_params} parameters",
+                self.layout.n_params()
+            ));
         }
-        Ok(TimingModel {
-            name,
-            graph,
-            geometry,
-            layout,
-            pca,
-            config,
-            stats,
-            sequential,
-        })
+        let n_locals = self.layout.n_locals();
+        for (id, edge) in self.graph.edges_iter() {
+            let (globals, locals) = (edge.delay.n_globals(), edge.delay.n_locals());
+            if globals != n_params || locals != n_locals {
+                return Err(format!(
+                    "edge {} ({} -> {}) has a delay over {globals} globals and {locals} \
+                     locals, but the model's variable space has {n_params} and {n_locals}",
+                    id.0, edge.from.0, edge.to.0
+                ));
+            }
+        }
+        let (nx, ny) = (self.geometry.nx(), self.geometry.ny());
+        let n_grids = nx
+            .checked_mul(ny)
+            .ok_or_else(|| format!("grid of {nx} x {ny} overflows"))?;
+        if self.pca.len() != n_params && !(self.pca.is_empty() && n_locals == 0 && n_grids == 1) {
+            return Err(format!(
+                "model has {} PCA bases for {n_params} parameters, {n_locals} locals and \
+                 {n_grids} grids; it needs one basis per parameter, or none with zero \
+                 locals on one grid",
+                self.pca.len()
+            ));
+        }
+        for (p, basis) in self.pca.iter().enumerate() {
+            let k = self.layout.local_range(p).len();
+            let transform = (basis.transform().rows(), basis.transform().cols());
+            let whiten = (basis.whiten().rows(), basis.whiten().cols());
+            if basis.n_components() != k || transform != (n_grids, k) || whiten != (k, n_grids) {
+                return Err(format!(
+                    "PCA basis of parameter {p} has {} components, a {}x{} transform and a \
+                     {}x{} whitening matrix, but the layout gives it {k} locals over \
+                     {n_grids} grids",
+                    basis.n_components(),
+                    transform.0,
+                    transform.1,
+                    whiten.0,
+                    whiten.1
+                ));
+            }
+        }
+        if let Some(seq) = &self.sequential {
+            seq.validate(
+                self.graph.inputs().len(),
+                self.graph.outputs().len(),
+                n_params,
+                n_locals,
+            )
+            .map_err(|reason| format!("sequential interface is invalid: {reason}"))?;
+        }
+        Ok(())
     }
 
     /// Module name.
@@ -339,5 +411,43 @@ mod tests {
         let mut other = SstaConfig::paper();
         other.grid_side_cells = 5;
         assert!(m.check_compatible(&other).is_err());
+    }
+
+    #[test]
+    fn assemble_admits_only_parts_of_one_variable_space() {
+        let m = model();
+        let admits = |layout: &VariableLayout, pca: &[PcaBasis], geometry: GridGeometry| {
+            let parts = TimingModel::assemble(
+                m.name().to_owned(),
+                m.graph().clone(),
+                geometry,
+                layout.clone(),
+                pca.to_vec(),
+                m.config().clone(),
+                *m.stats(),
+                None,
+            );
+            match parts {
+                Ok(_) => true,
+                Err(CoreError::Incompatible { .. }) => false,
+                Err(e) => panic!("not an incompatibility: {e}"),
+            }
+        };
+        let (layout, pca, g) = (m.layout(), m.pca(), m.geometry());
+        assert!(admits(layout, pca, g));
+        // Locals with no bases to give them meaning.
+        assert!(!admits(layout, &[], g));
+        // Bases over fewer grids than the geometry holds.
+        let wider = GridGeometry::from_raw_parts(g.origin(), g.pitch(), g.nx() + 1, g.ny());
+        assert!(!admits(layout, pca, wider));
+        // A grid count that overflows.
+        let huge = GridGeometry::from_raw_parts(g.origin(), g.pitch(), usize::MAX, 2);
+        assert!(!admits(layout, pca, huge));
+        // A layout with a parameter block the configuration lacks.
+        let mut counts: Vec<usize> = (0..layout.n_params())
+            .map(|p| layout.local_range(p).len())
+            .collect();
+        counts.push(0);
+        assert!(!admits(&VariableLayout::new(&counts), pca, g));
     }
 }

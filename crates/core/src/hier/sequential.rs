@@ -43,8 +43,10 @@ pub struct SequentialAnalyzeOptions {
     /// How inter-module local correlation is handled (same semantics as
     /// the combinational analysis).
     pub mode: CorrelationMode,
-    /// Worker threads for assembly and propagation; `0` uses the
-    /// available parallelism. Bit-identical results for every count.
+    /// Worker threads for the assembly fan-outs (design covariance rows,
+    /// per-instance replacement); `0` uses the available parallelism.
+    /// The late and early passes run on the calling thread.
+    /// Bit-identical results for every count.
     pub threads: usize,
 }
 
@@ -275,10 +277,10 @@ pub fn analyze_sequential(
     // Late pass (setup) and early pass (hold, via negation).
     let propagate_started = Instant::now();
     let schedule = LevelSchedule::build(&graph)?;
-    let late = levels::forward(&graph, &schedule, &sources, threads)?;
+    let late = levels::forward(&graph, &schedule, &sources)?;
     let neg_sources: Vec<(VertexId, CanonicalForm)> =
         sources.iter().map(|(v, f)| (*v, f.negated())).collect();
-    let early_neg = levels::forward(&neg, &schedule, &neg_sources, threads)?;
+    let early_neg = levels::forward(&neg, &schedule, &neg_sources)?;
     phases.propagate_seconds = propagate_started.elapsed().as_secs_f64();
 
     // Per-stage capture statistics.

@@ -26,7 +26,7 @@
 //!   results against Monte Carlo ground truth.
 //! * [`parallel`] — deterministic fork-join helpers (index-ordered
 //!   results, bit-identical for every worker count) shared by the
-//!   levelized timing propagation, the design-level assembly and the
+//!   all-pairs and criticality passes, the design-level assembly and the
 //!   engine pipeline.
 //! * [`rng`] — seedable standard-normal sampling helpers.
 //! * [`codec`] — varint/byte-stream primitives for the deterministic

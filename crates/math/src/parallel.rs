@@ -1,15 +1,15 @@
 //! Deterministic fork-join helpers shared by the timing substrate
-//! (levelized propagation), the design-level assembly and the engine's
-//! pipeline.
+//! (independent all-pairs passes), criticality, the design-level
+//! assembly and the engine's pipeline.
 //!
 //! Everything here preserves the repo's bit-exactness invariant: results
 //! are returned in index order and each index's computation is
 //! independent, so any thread count (including 1) produces bit-identical
-//! output. Callers split one thread budget across fan-out levels (see
-//! the engine's batch scheduler) instead of nesting unbounded pools.
+//! output. Callers split one thread budget across fan-out levels instead
+//! of nesting unbounded pools: the engine divides it among a sweep's
+//! groups, and the server divides the cores among its workers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Resolves a thread-count option: `0` means available parallelism,
 /// anything else is taken literally (`1` forces the serial path).
@@ -20,12 +20,17 @@ pub fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `run(i)` for `i in 0..n` across up to `workers` crossbeam scoped
-/// threads, returning results in index order. `workers <= 1` runs inline.
+/// Runs `run(i)` for `i in 0..n` across up to `workers` scoped threads,
+/// returning results in index order. `workers <= 1` runs inline.
 /// Work is distributed by an atomic cursor, so uneven per-index cost
-/// (e.g. upper-triangle covariance rows) balances automatically; the
-/// index order of results (and therefore every fold over them) is
-/// deterministic regardless of scheduling.
+/// (e.g. upper-triangle covariance rows) balances automatically; each
+/// worker hands its `(index, result)` pairs back through `join`, and
+/// they are placed by index, so the order of results (and therefore
+/// every fold over them) is deterministic regardless of scheduling.
+///
+/// # Panics
+///
+/// Re-raises the panic of any worker.
 pub fn parallel_indexed<T, F>(n: usize, workers: usize, run: F) -> Vec<T>
 where
     T: Send,
@@ -36,27 +41,34 @@ where
         return (0..n).map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = run(i);
-                *slots[i].lock().expect("result slot") = Some(result);
-            });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, run(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
         }
-    })
-    .expect("worker panicked");
+    });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot")
-                .expect("every index ran")
-        })
+        .map(|slot| slot.expect("every index ran"))
         .collect()
 }
 

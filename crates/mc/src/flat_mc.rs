@@ -64,13 +64,13 @@ pub fn flat_design_delay(design: &Design, options: &McOptions) -> Result<Empiric
     let threads = options.resolve_threads();
     let sizes = chunk_sizes(options.samples, threads);
 
-    let samples = crossbeam::thread::scope(|s| {
+    let samples = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (chunk_idx, &n_samples) in sizes.iter().enumerate() {
             let flat = &flat;
             let transforms = &transforms;
             let n_components = &n_components;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut rng = seeded_rng(options.seed ^ (chunk_idx as u64).wrapping_mul(0x51_7cc1));
                 let mut normal = NormalSampler::new();
                 let mut out = Vec::with_capacity(n_samples);
@@ -133,8 +133,7 @@ pub fn flat_design_delay(design: &Design, options: &McOptions) -> Result<Empiric
             all.extend(h.join().expect("MC worker panicked"));
         }
         all
-    })
-    .expect("MC scope panicked");
+    });
 
     if samples.iter().any(|d| !d.is_finite()) {
         return Err(CoreError::Timing(ssta_timing::TimingError::NoPath));

@@ -14,7 +14,7 @@
 //!   comparison helpers for Fig. 7.
 //!
 //! All runs are seeded and deterministic; sample chunks are distributed
-//! over crossbeam scoped threads.
+//! over scoped threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

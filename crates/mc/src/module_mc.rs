@@ -89,14 +89,14 @@ pub fn module_delay_matrix(
     let threads = options.resolve_threads();
     let sizes = chunk_sizes(options.samples, threads);
 
-    let partials = crossbeam::thread::scope(|s| {
+    let partials = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (chunk_idx, &n_samples) in sizes.iter().enumerate() {
             let order = &order;
             let inputs = &inputs;
             let outputs = &outputs;
             let edges = &edges;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut rng = seeded_rng(options.seed ^ (chunk_idx as u64).wrapping_mul(0x9E37));
                 let mut normal = NormalSampler::new();
                 let mut stats = PairStats::new(inputs.len(), outputs.len());
@@ -131,8 +131,7 @@ pub fn module_delay_matrix(
             total.merge(&h.join().expect("MC worker panicked"));
         }
         total
-    })
-    .expect("MC scope panicked");
+    });
 
     Ok(partials)
 }

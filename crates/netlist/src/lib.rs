@@ -18,7 +18,8 @@
 //!   die coordinate (grid membership for the correlation model);
 //! * [`generators`] — circuit generators calibrated to the published
 //!   ISCAS85 timing-graph sizes, including a real 16×16 array multiplier
-//!   standing in for c6288 (see `DESIGN.md` for the substitution argument);
+//!   standing in for c6288 (the Fig. 7 experiment depends on its array
+//!   structure, which a calibrated random DAG would not have);
 //! * [`sequential`] — flip-flop/latch cells with statistical clock-to-q,
 //!   setup and hold, plus [`RegisteredModule`] and a registered-pipeline
 //!   generator for multi-stage sequential designs.

@@ -40,6 +40,9 @@
 //! the shared backend and all share one
 //! [`FlightGroup`](ssta_engine::FlightGroup), so identical requests
 //! landing on different workers still coalesce to a single extraction.
+//! By default the workers split the cores between them: each engine
+//! gets the available parallelism divided by the worker count (see
+//! [`ServeOptions::engine`]).
 //!
 //! # Example
 //!

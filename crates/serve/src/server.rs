@@ -40,7 +40,11 @@ pub struct ServeOptions {
     /// admitted) until [`Server::resume`] — lets tests and benches
     /// stage a queue deterministically before any work begins.
     pub start_paused: bool,
-    /// Options for each worker's engine.
+    /// Options for each worker's engine. `engine.threads == 0` gives
+    /// each worker the available parallelism divided among the workers
+    /// (at least 1), so the pool and the per-request fan-outs share one
+    /// thread budget instead of multiplying it; any other value is used
+    /// as given.
     pub engine: EngineOptions,
 }
 
@@ -107,10 +111,16 @@ impl Server {
             store_view: Box::new(backend.clone()),
         });
         let flights = FlightGroup::new();
+        // The pool is the first fan-out level: split the cores across
+        // it rather than giving every worker all of them.
+        let mut engine_options = options.engine;
+        if engine_options.threads == 0 {
+            engine_options.threads = (effective_threads(0) / worker_count).max(1);
+        }
         let workers = (0..worker_count)
             .map(|index| {
                 let shared = Arc::clone(&shared);
-                let engine = Engine::with_options(config.clone(), options.engine.clone())
+                let engine = Engine::with_options(config.clone(), engine_options.clone())
                     .with_backend(backend.clone())
                     .with_flight_group(flights.clone());
                 std::thread::Builder::new()

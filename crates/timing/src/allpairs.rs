@@ -119,7 +119,7 @@ pub fn delay_matrix_with<D: DelayAlgebra + Send + Sync>(
     let inputs = graph.inputs().to_vec();
     let outputs = graph.outputs().to_vec();
     let rows: Vec<Vec<Option<D>>> = try_parallel_indexed(inputs.len(), workers, |i| {
-        let arrival = levels::forward(graph, schedule, &[(inputs[i], zero())], 1)?;
+        let arrival = levels::forward(graph, schedule, &[(inputs[i], zero())])?;
         Ok::<_, TimingError>(
             outputs
                 .iter()

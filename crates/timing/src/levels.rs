@@ -11,10 +11,18 @@
 //! level assignment, CSR-flattened in/out adjacency and per-level vertex
 //! ranges — and reuses it across every pass. [`forward`]/[`backward`]
 //! are *pull*-based: each vertex reduces over its own in-edges (out-edges
-//! for backward) in fixed edge-index order, so vertices within one level
-//! are independent and a level can be fanned out across threads with the
-//! result **bit-identical to the serial pass for every worker count** —
-//! the reduction order per vertex never depends on scheduling.
+//! for backward) in fixed edge-index order, so the result never depends
+//! on the order vertices within one level are visited.
+//!
+//! Passes run on the calling thread. Fanning each level out across
+//! scoped threads measured slower than the serial loop at every size
+//! tried on a 2-vCPU VM: a design analysis of 4, 16 and 64 chained
+//! `c880` instances propagated in 2.6–3.7, 18–26 and 160 ms at 2
+//! threads against 0.5, 7–12 and 63–73 ms serial, because a level
+//! averages about a dozen vertices and each fan-out pays a spawn and a
+//! join. Parallelism lives one layer up instead: many passes per
+//! schedule (criticality, all-pairs extraction) and many analyses per
+//! call (sweep groups, serve workers).
 //!
 //! Two propagation orders, one caveat: for scalar (`f64`) delays pull
 //! and push produce bit-identical results (`max`/`+` over the same path
@@ -25,7 +33,6 @@
 //! engines (see the module fingerprint header).
 
 use crate::{DelayAlgebra, TimingError, TimingGraph, VertexId};
-use ssta_math::parallel::parallel_indexed;
 use std::cell::Cell;
 
 thread_local! {
@@ -39,11 +46,6 @@ thread_local! {
 pub fn schedule_builds() -> u64 {
     BUILDS.with(Cell::get)
 }
-
-/// Fan a level out across workers only when it is wide enough to pay for
-/// the scoped-thread setup; correctness never depends on this (each
-/// vertex's reduction is self-contained), only wall-clock does.
-const MIN_PARALLEL_WIDTH: usize = 8;
 
 /// A reusable propagation schedule: Kahn level assignment plus
 /// CSR-flattened adjacency, computed once per graph.
@@ -289,27 +291,15 @@ fn reduce_backward<D: DelayAlgebra>(
 }
 
 /// Runs one wavefront: computes `reduce(v)` for every vertex of the
-/// level and scatters the results. All reads go to earlier-processed
-/// levels (plus the vertex's own seed), so the level can fan out across
-/// `workers` threads with bit-identical results.
-fn run_level<D, F>(level: &[u32], values: &mut [Option<D>], workers: usize, reduce: F)
+/// level and stores the non-`None` results. All reads go to
+/// earlier-processed levels (plus the vertex's own seed).
+fn run_level<D, F>(level: &[u32], values: &mut [Option<D>], reduce: F)
 where
-    D: DelayAlgebra + Send + Sync,
-    F: Fn(&[Option<D>], usize) -> Option<D> + Sync,
+    F: Fn(&[Option<D>], usize) -> Option<D>,
 {
-    if workers > 1 && level.len() >= MIN_PARALLEL_WIDTH {
-        let shared: &[Option<D>] = values;
-        let results = parallel_indexed(level.len(), workers, |i| reduce(shared, level[i] as usize));
-        for (&v, r) in level.iter().zip(results) {
-            if r.is_some() {
-                values[v as usize] = r;
-            }
-        }
-    } else {
-        for &v in level {
-            if let Some(r) = reduce(values, v as usize) {
-                values[v as usize] = Some(r);
-            }
+    for &v in level {
+        if let Some(r) = reduce(values, v as usize) {
+            values[v as usize] = Some(r);
         }
     }
 }
@@ -318,8 +308,7 @@ where
 /// level. Semantics match [`propagate::forward`](crate::propagate::forward)
 /// (`None` = unreachable, duplicate sources keep the max); the reduction
 /// is pull-ordered, so canonical-form results agree with the push-based
-/// reference within working precision, not bit-for-bit. Results are
-/// bit-identical across all `workers` counts, including 1.
+/// reference within working precision, not bit-for-bit.
 ///
 /// # Errors
 ///
@@ -329,21 +318,17 @@ where
 /// # Panics
 ///
 /// Panics if a source vertex id is out of range.
-pub fn forward<D: DelayAlgebra + Send + Sync>(
+pub fn forward<D: DelayAlgebra>(
     graph: &TimingGraph<D>,
     schedule: &LevelSchedule,
     sources: &[(VertexId, D)],
-    workers: usize,
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
     let mut arrival = seed(schedule.vertex_bound, sources);
     for l in 0..schedule.n_levels() {
-        run_level(
-            schedule.level_range(l),
-            &mut arrival,
-            workers,
-            |values, v| reduce_forward(graph, schedule, values, v),
-        );
+        run_level(schedule.level_range(l), &mut arrival, |values, v| {
+            reduce_forward(graph, schedule, values, v)
+        });
     }
     Ok(arrival)
 }
@@ -352,9 +337,7 @@ pub fn forward<D: DelayAlgebra + Send + Sync>(
 /// level by level in reverse. The per-vertex reduction order (seed
 /// first, then out-edges in edge-index order) matches the push-based
 /// [`propagate::backward`](crate::propagate::backward) exactly, so
-/// serial results are bit-identical to it for every delay algebra; the
-/// threaded results are bit-identical to serial for all `workers`
-/// counts.
+/// results are bit-identical to it for every delay algebra.
 ///
 /// # Errors
 ///
@@ -364,21 +347,17 @@ pub fn forward<D: DelayAlgebra + Send + Sync>(
 /// # Panics
 ///
 /// Panics if a sink vertex id is out of range.
-pub fn backward<D: DelayAlgebra + Send + Sync>(
+pub fn backward<D: DelayAlgebra>(
     graph: &TimingGraph<D>,
     schedule: &LevelSchedule,
     sinks: &[(VertexId, D)],
-    workers: usize,
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
     let mut required = seed(schedule.vertex_bound, sinks);
     for l in (0..schedule.n_levels()).rev() {
-        run_level(
-            schedule.level_range(l),
-            &mut required,
-            workers,
-            |values, v| reduce_backward(graph, schedule, values, v),
-        );
+        run_level(schedule.level_range(l), &mut required, |values, v| {
+            reduce_backward(graph, schedule, values, v)
+        });
     }
     Ok(required)
 }
@@ -421,10 +400,7 @@ mod tests {
         let (g, [i, ..]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
         let push = propagate::forward(&g, &[(i, 0.0)]).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let pull = forward(&g, &s, &[(i, 0.0)], workers).unwrap();
-            assert_eq!(pull, push, "workers = {workers}");
-        }
+        assert_eq!(forward(&g, &s, &[(i, 0.0)]).unwrap(), push);
     }
 
     #[test]
@@ -432,19 +408,16 @@ mod tests {
         let (g, [.., o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
         let push = propagate::backward(&g, &[(o, 0.0)]).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let pull = backward(&g, &s, &[(o, 0.0)], workers).unwrap();
-            assert_eq!(pull, push, "workers = {workers}");
-        }
+        assert_eq!(backward(&g, &s, &[(o, 0.0)]).unwrap(), push);
     }
 
     #[test]
     fn duplicate_sources_and_offsets_match_reference() {
         let (g, [i, _, _, o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
-        let pull = forward(&g, &s, &[(i, 0.0), (i, 5.0)], 1).unwrap();
+        let pull = forward(&g, &s, &[(i, 0.0), (i, 5.0)]).unwrap();
         assert_eq!(pull[o.0 as usize], Some(9.0));
-        let pull = forward(&g, &s, &[(i, 10.0)], 1).unwrap();
+        let pull = forward(&g, &s, &[(i, 10.0)]).unwrap();
         assert_eq!(pull[o.0 as usize], Some(14.0));
     }
 
@@ -452,7 +425,7 @@ mod tests {
     fn unreachable_vertices_stay_none() {
         let (g, [_, a, b, o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
-        let arr = forward(&g, &s, &[(a, 0.0)], 1).unwrap();
+        let arr = forward(&g, &s, &[(a, 0.0)]).unwrap();
         assert_eq!(arr[b.0 as usize], None);
         assert_eq!(arr[o.0 as usize], Some(3.0));
     }
@@ -477,11 +450,11 @@ mod tests {
         let e = g.out_edges(i).next().unwrap();
         g.remove_edge(e);
         assert_eq!(
-            forward(&g, &s, &[(i, 0.0)], 1),
+            forward(&g, &s, &[(i, 0.0)]),
             Err(TimingError::StaleSchedule)
         );
         assert_eq!(
-            backward(&g, &s, &[(a, 0.0)], 1),
+            backward(&g, &s, &[(a, 0.0)]),
             Err(TimingError::StaleSchedule)
         );
     }
@@ -501,7 +474,7 @@ mod tests {
         g.remove_vertex(b);
         let s = LevelSchedule::build(&g).unwrap();
         assert_eq!(s.n_scheduled(), 3);
-        let arr = forward(&g, &s, &[(i, 0.0)], 1).unwrap();
+        let arr = forward(&g, &s, &[(i, 0.0)]).unwrap();
         assert_eq!(arr[b.0 as usize], None);
         assert_eq!(arr[a.0 as usize], Some(1.0));
         assert_eq!(arr[o.0 as usize], Some(4.0));
@@ -514,27 +487,5 @@ mod tests {
         let _ = LevelSchedule::build(&g).unwrap();
         let _ = LevelSchedule::build(&g).unwrap();
         assert_eq!(schedule_builds(), before + 2);
-    }
-
-    #[test]
-    fn wide_levels_run_identically_across_worker_counts() {
-        // One input fanning out to 64 parallel vertices, all joining on
-        // one output — a single wide level exercising the parallel path.
-        let mut g: TimingGraph<f64> = TimingGraph::new();
-        let i = g.add_input();
-        let o_mid: Vec<VertexId> = (0..64).map(|_| g.add_vertex()).collect();
-        let o = g.add_vertex();
-        g.mark_output(o);
-        for (k, &m) in o_mid.iter().enumerate() {
-            g.add_edge(i, m, 1.0 + k as f64);
-            g.add_edge(m, o, 0.5);
-        }
-        let s = LevelSchedule::build(&g).unwrap();
-        assert_eq!(s.max_width(), 64);
-        let serial = forward(&g, &s, &[(i, 0.0)], 1).unwrap();
-        for workers in [2, 4, 8] {
-            assert_eq!(forward(&g, &s, &[(i, 0.0)], workers).unwrap(), serial);
-        }
-        assert_eq!(serial[o.0 as usize], Some(64.5));
     }
 }

@@ -15,8 +15,8 @@
 //!   reference engine);
 //! * [`levels`] — the levelized wavefront engine: a [`LevelSchedule`]
 //!   (Kahn levels + CSR adjacency) computed once per graph and reused
-//!   across every pull-based forward/backward pass, with within-level
-//!   threading that is bit-identical to serial for any worker count;
+//!   across every pull-based forward/backward pass, each run on the
+//!   calling thread;
 //! * [`allpairs`] — the per-input/per-output traversals of Sapatnekar
 //!   (ISCAS'96) producing the input/output [`DelayMatrix`] that timing
 //!   models must preserve;

@@ -7,8 +7,6 @@
 //!   reduction order as the reference), forward agrees within working
 //!   precision (Clark's `maximum` is order-sensitive, so pull's fixed
 //!   in-edge order re-associates it);
-//! * every thread count produces bit-identical results to serial, for
-//!   both algebras and both directions;
 //! * one `LevelSchedule` serves arbitrarily many passes — the build
 //!   counter moves once per graph, not once per pass.
 
@@ -88,10 +86,8 @@ proptest! {
         let sources = [(vs[0], 0.0)];
         let push = hier_ssta::timing::propagate::forward(&g, &sources).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let pull = levels::forward(&g, &schedule, &sources, workers).unwrap();
-            prop_assert_eq!(&pull, &push, "workers = {}", workers);
-        }
+        let pull = levels::forward(&g, &schedule, &sources).unwrap();
+        prop_assert_eq!(pull, push);
     }
 
     #[test]
@@ -100,10 +96,8 @@ proptest! {
         let sinks = [(vs[dag.n - 1], 0.0)];
         let push = hier_ssta::timing::propagate::backward(&g, &sinks).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let pull = levels::backward(&g, &schedule, &sinks, workers).unwrap();
-            prop_assert_eq!(&pull, &push, "workers = {}", workers);
-        }
+        let pull = levels::backward(&g, &schedule, &sinks).unwrap();
+        prop_assert_eq!(pull, push);
     }
 
     #[test]
@@ -117,7 +111,7 @@ proptest! {
         let sources = [(vs[0], czero())];
         let push = hier_ssta::timing::propagate::forward(&g, &sources).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
-        let pull = levels::forward(&g, &schedule, &sources, 1).unwrap();
+        let pull = levels::forward(&g, &schedule, &sources).unwrap();
         for (slot, (a, b)) in pull.iter().zip(&push).enumerate() {
             match (a, b) {
                 (Some(a), Some(b)) => {
@@ -142,24 +136,8 @@ proptest! {
         let sinks = [(vs[dag.n - 1], czero())];
         let push = hier_ssta::timing::propagate::backward(&g, &sinks).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
-        let pull = levels::backward(&g, &schedule, &sinks, 1).unwrap();
+        let pull = levels::backward(&g, &schedule, &sinks).unwrap();
         prop_assert_eq!(pull, push);
-    }
-
-    #[test]
-    fn canonical_threading_is_bit_identical_across_worker_counts(dag in dag()) {
-        let (g, vs) = canonical_graph(&dag);
-        let sources = [(vs[0], czero())];
-        let sinks = [(vs[dag.n - 1], czero())];
-        let schedule = LevelSchedule::build(&g).unwrap();
-        let fwd1 = levels::forward(&g, &schedule, &sources, 1).unwrap();
-        let bwd1 = levels::backward(&g, &schedule, &sinks, 1).unwrap();
-        for workers in [2usize, 4, 8] {
-            let fwd = levels::forward(&g, &schedule, &sources, workers).unwrap();
-            prop_assert_eq!(&fwd, &fwd1, "forward, workers = {}", workers);
-            let bwd = levels::backward(&g, &schedule, &sinks, workers).unwrap();
-            prop_assert_eq!(&bwd, &bwd1, "backward, workers = {}", workers);
-        }
     }
 
     #[test]
@@ -171,8 +149,8 @@ proptest! {
         let before = levels::schedule_builds();
         let schedule = LevelSchedule::build(&g).unwrap();
         for _ in 0..5 {
-            levels::forward(&g, &schedule, &[(vs[0], 0.0)], 1).unwrap();
-            levels::backward(&g, &schedule, &[(vs[dag.n - 1], 0.0)], 1).unwrap();
+            levels::forward(&g, &schedule, &[(vs[0], 0.0)]).unwrap();
+            levels::backward(&g, &schedule, &[(vs[dag.n - 1], 0.0)]).unwrap();
         }
         prop_assert_eq!(levels::schedule_builds(), before + 1);
     }

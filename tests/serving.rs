@@ -17,7 +17,10 @@
 //! * identical requests racing on different workers coalesce to at
 //!   most one extraction per distinct fingerprint;
 //! * a panic inside one request's analysis fails that request only: the
-//!   worker answers it and keeps serving.
+//!   worker answers it and keeps serving;
+//! * by default the workers split the cores between them instead of
+//!   each fanning out over all of them; an explicit engine thread count
+//!   is kept.
 
 use hier_ssta::core::{CancelToken, SstaConfig};
 use hier_ssta::engine::{
@@ -419,4 +422,33 @@ fn a_panicking_analysis_fails_its_request_and_the_worker_keeps_serving() {
     assert_eq!(snapshot.lost(), 0, "{snapshot}");
     assert_eq!(snapshot.failed, 1);
     assert_eq!(snapshot.completed, 1);
+}
+
+#[test]
+fn workers_split_the_cores_unless_the_engine_sets_its_threads() {
+    let spec = Arc::new(multi_module_spec(&[2]));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (threads, want) in [(0, (cores / 2).max(1)), (3, 3)] {
+        let server = Server::start(
+            SstaConfig::paper(),
+            Arc::new(MemoryBackend::new()),
+            ServeOptions {
+                workers: 2,
+                engine: EngineOptions {
+                    threads,
+                    ..EngineOptions::default()
+                },
+                ..ServeOptions::default()
+            },
+        );
+        let response = server
+            .submit(AnalyzeRequest::new(
+                Arc::clone(&spec),
+                ScenarioSet::baseline(),
+            ))
+            .wait();
+        let summary = response.outcome.summary().expect("completed");
+        assert_eq!(summary.workers, want, "engine.threads = {threads}");
+        assert_eq!(server.shutdown().lost(), 0);
+    }
 }

@@ -10,6 +10,10 @@
 //!   damage (overwrites, truncations, `0xff` runs), decodes to a model
 //!   that panics downstream: it is rejected, or its delay matrix
 //!   computes;
+//! * a well-formed payload whose layout claims more locals than its PCA
+//!   bases carry is rejected at every boundary it can enter through —
+//!   the decoder, a store read (counted as a reject and re-extracted)
+//!   and SDF import;
 //! * the binary c880 artifact is at most half the JSON handoff size.
 
 use hier_ssta::core::{CoreError, ExtractOptions, ModuleContext, SstaConfig, TimingModel};
@@ -524,6 +528,117 @@ fn multi_byte_payload_damage_is_rejected_or_decodes_to_usable_models() {
         decoded > 0,
         "no damaged payload decoded; delay_matrix never ran"
     );
+}
+
+/// `ripple_carry_adder(2)`'s model with every edge dropped and a layout
+/// claiming 2³⁰ locals per parameter (2³² in all) over PCA bases of a
+/// few components, re-encoded. Every length prefix is in bounds and the
+/// bytes are well formed; only the parts disagree. The first delay
+/// matrix of such a model asks for a 32 GiB allocation, which aborts the
+/// process instead of panicking, so no boundary may admit it.
+fn oversized_layout_payload() -> Vec<u8> {
+    let model = extract(
+        generators::ripple_carry_adder(2).expect("adder"),
+        &SstaConfig::paper(),
+    );
+    let mut bare = model.graph().clone();
+    let edges: Vec<_> = bare.edges_iter().map(|(id, _)| id).collect();
+    for e in edges {
+        bare.remove_edge(e);
+    }
+    let n_params = model.layout().n_params();
+    let offsets: Vec<String> = (0..=n_params).map(|p| (p << 30).to_string()).collect();
+    let patched = serde_json::to_string(&model)
+        .expect("json")
+        .replacen(
+            &serde_json::to_string(model.graph()).expect("json"),
+            &serde_json::to_string(&bare).expect("json"),
+            1,
+        )
+        .replacen(
+            &serde_json::to_string(model.layout()).expect("json"),
+            &format!("{{\"offsets\":[{}]}}", offsets.join(",")),
+            1,
+        );
+    let patched: TimingModel = serde_json::from_str(&patched).expect("patched model");
+    assert_eq!(patched.edge_count(), 0);
+    assert_eq!(patched.layout().n_locals(), n_params << 30);
+    hier_ssta::core::codec::encode_model(&patched)
+}
+
+#[test]
+fn a_layout_larger_than_its_bases_is_a_codec_error() {
+    let payload = oversized_layout_payload();
+    match hier_ssta::core::codec::decode_model(&payload) {
+        Err(CoreError::Codec { reason }) => {
+            assert!(reason.contains("PCA basis"), "{reason}");
+        }
+        Err(e) => panic!("not a codec error: {e}"),
+        Ok(model) => panic!(
+            "decoded a model claiming {} locals",
+            model.layout().n_locals()
+        ),
+    }
+}
+
+#[test]
+fn a_stored_oversized_layout_is_rejected_and_re_extracted() {
+    let mut b = DesignSpec::builder(
+        "one",
+        DieRect {
+            width: 40.0,
+            height: 40.0,
+        },
+    );
+    let m = b.add_module(generators::ripple_carry_adder(2).expect("adder"));
+    let u0 = b.add_instance("u0", m, (0.0, 0.0)).expect("u0");
+    for k in 0..5 {
+        b.expose_input(vec![(u0, k)]);
+    }
+    for k in 0..3 {
+        b.expose_output(u0, k);
+    }
+    let spec = b.finish().expect("spec");
+
+    let backend = Arc::new(MemoryBackend::new());
+    let cold = Engine::new(SstaConfig::paper())
+        .with_backend(Arc::clone(&backend))
+        .analyze(&spec)
+        .expect("cold");
+    assert_eq!(cold.stats.extractions, 1);
+    let keys = backend.list_keys().expect("keys");
+    assert_eq!(keys.len(), 1);
+    backend
+        .put(
+            &keys[0],
+            &envelope::encode_envelope(Codec::Binary, &oversized_layout_payload()),
+        )
+        .expect("put");
+
+    let healed = Engine::new(SstaConfig::paper())
+        .with_backend(Arc::clone(&backend))
+        .analyze(&spec)
+        .expect("healed analysis");
+    assert_eq!(healed.stats.store_rejects, 1);
+    assert_eq!(healed.stats.extractions, 1);
+    assert_eq!(healed.timing.po_arrivals, cold.timing.po_arrivals);
+}
+
+#[test]
+fn an_sdf_cell_embedding_an_oversized_layout_fails_import() {
+    let config = SstaConfig::paper();
+    let model = extract(generators::ripple_carry_adder(2).expect("adder"), &config);
+    let mut cell = hier_ssta::sdf::model_to_cell(&model, &hier_ssta::sdf::ExportOptions::default())
+        .expect("export");
+    cell.sstm = Some(hier_ssta::sdf::to_hex(&oversized_layout_payload()));
+    match hier_ssta::sdf::import_cell(&cell, &config, 3.0) {
+        Err(CoreError::Codec { .. }) => {}
+        Err(e) => panic!("not a codec error: {e}"),
+        Ok(model) => panic!(
+            "imported a model claiming {} locals",
+            model.layout().n_locals()
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------
