@@ -3,30 +3,24 @@
 //! Emits `BENCH_assembly.json` (override the path with `SSTA_BENCH_OUT`)
 //! with two sections:
 //!
-//! * **eigen** — the QL-vs-Jacobi eigensolver duel on a spatial
-//!   covariance matrix (200×200 by default). In full mode the run
-//!   *asserts* the ≥5× speedup the fast solver exists for, after
-//!   cross-checking both spectra against each other and both
-//!   reconstructions against the input.
 //! * **assembly** — design-level analysis scaling over many-instance
 //!   arrays (4/16/64 instances of c880 by default): serial vs parallel
 //!   wall-clock, cold vs warm, the per-phase breakdown of the warm
-//!   parallel run, and (schema 3) a **propagate** duel on the assembled
-//!   design graph — push-based topo-order propagation vs the levelized
-//!   pull engine, plus the schedule's level count and maximum level
-//!   width. Serial and parallel results are asserted bit-identical; in
-//!   full mode the pull engine must beat push on the 16- and
-//!   64-instance rows. Schema 6 drops the threaded-pull column: passes
-//!   run on the calling thread, so `parallel_speedup` measures the
-//!   assembly fan-outs alone.
+//!   parallel run (the eigensolve is `phases.eigen_seconds`), and the
+//!   assembled design graph's level count and widest level. Serial and
+//!   parallel results are asserted bit-identical. Passes run on the
+//!   calling thread, so `parallel_speedup` measures the assembly
+//!   fan-outs alone.
 //! * **sequential** (schema 5) — registered-pipeline scaling rows:
 //!   characterize + registered extraction wall-clock per chain, then
 //!   stage-by-stage `analyze_sequential` serial vs threaded (asserted
 //!   bit-identical) with per-stage required-period/slack means.
 //!
+//! Schema 7 has no solver or engine duels: the harness asserts
+//! equivalences only, never a wall-clock ordering.
+//!
 //! `--tiny` (or `SSTA_BENCH_PROFILE=tiny`) shrinks every size so CI can
-//! exercise the whole path in seconds; speed assertions are relaxed to
-//! equivalence-only there, because tiny graphs measure mostly overhead.
+//! exercise the whole path in seconds.
 //!
 //! Run with `cargo run -p ssta-bench --release --bin bench_json`.
 
@@ -37,13 +31,9 @@ use ssta_bench::{
 };
 use ssta_core::{
     analyze_sequential, analyze_with, assemble_design_graph, AnalyzeOptions, CorrelationMode,
-    CorrelationModel, DesignTiming, ExtractOptions, PhaseTimings, SequentialAnalyzeOptions,
-    SstaConfig,
+    DesignTiming, ExtractOptions, PhaseTimings, SequentialAnalyzeOptions, SstaConfig,
 };
-use ssta_math::eigen::{symmetric_eigen, symmetric_eigen_jacobi};
-use ssta_math::tridiag::symmetric_eigen_ql;
-use ssta_math::Matrix;
-use ssta_timing::{levels, LevelSchedule};
+use ssta_timing::LevelSchedule;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,22 +46,11 @@ struct Report {
     /// (`effective_threads(0)`) — without it, speedups from different
     /// machines are not comparable.
     effective_threads: usize,
-    eigen: EigenDuel,
     assembly: Vec<ScalingPoint>,
     /// Schema 5: the registered-pipeline scaling rows — sequential
     /// extraction plus stage-by-stage propagation through registered
     /// boundaries.
     sequential: Vec<SequentialPoint>,
-}
-
-#[derive(Serialize)]
-struct EigenDuel {
-    n: usize,
-    jacobi_seconds: f64,
-    ql_seconds: f64,
-    speedup: f64,
-    max_relative_eigenvalue_diff: f64,
-    max_reconstruction_error: f64,
 }
 
 #[derive(Serialize)]
@@ -90,23 +69,10 @@ struct ScalingPoint {
     replace_share: f64,
     /// `propagate / total` share of the warm run's phase time.
     propagate_share: f64,
-    /// The push-vs-pull propagation duel on this row's assembled graph.
-    propagate: PropagateDuel,
-}
-
-/// Propagation-engine duel on one assembled design graph. The pull rows
-/// share one `LevelSchedule` (timed separately in
-/// `schedule_build_seconds`) — the engine levelizes once per graph and
-/// amortizes it over every pass, while push re-runs its Kahn sort inside
-/// each call, which is exactly the serial tail this engine kills.
-#[derive(Serialize)]
-struct PropagateDuel {
+    /// Wavefront levels of the assembled design graph.
     n_levels: usize,
+    /// Vertices in its widest level.
     max_level_width: usize,
-    schedule_build_seconds: f64,
-    push_serial_seconds: f64,
-    pull_serial_seconds: f64,
-    pull_vs_push_speedup: f64,
 }
 
 /// One registered-pipeline scaling row: a chain of register-bounded
@@ -140,38 +106,11 @@ struct StagePoint {
 fn main() {
     let bench = BenchProfile::from_env("BENCH_assembly");
     let tiny = bench.tiny;
-    let (eigen_n, instance_counts, reps): (usize, &[usize], usize) = if tiny {
-        (64, &[2, 4], 1)
+    let (instance_counts, reps): (&[usize], usize) = if tiny {
+        (&[2, 4], 1)
     } else {
-        (200, &[4, 16, 64], 3)
+        (&[4, 16, 64], 3)
     };
-
-    let duel = eigen_duel(eigen_n, reps);
-    println!(
-        "eigen {0}x{0}: jacobi {1:.1} ms, ql {2:.1} ms -> {3:.1}x (max rel dλ {4:.1e})",
-        duel.n,
-        1e3 * duel.jacobi_seconds,
-        1e3 * duel.ql_seconds,
-        duel.speedup,
-        duel.max_relative_eigenvalue_diff,
-    );
-    assert!(
-        duel.max_relative_eigenvalue_diff < 1e-6,
-        "QL spectrum diverged from the Jacobi oracle: {:.3e}",
-        duel.max_relative_eigenvalue_diff
-    );
-    assert!(
-        duel.max_reconstruction_error < 1e-9,
-        "eigendecomposition failed to reconstruct the covariance: {:.3e}",
-        duel.max_reconstruction_error
-    );
-    let speedup_floor = if tiny { 1.0 } else { 5.0 };
-    assert!(
-        duel.speedup >= speedup_floor,
-        "QL speedup {:.2}x below the {speedup_floor}x floor on {1}x{1}",
-        duel.speedup,
-        duel.n
-    );
 
     println!("characterizing c880 once (model shared across all array sizes)...");
     let ctx = characterize("c880");
@@ -183,10 +122,7 @@ fn main() {
     let mut points = Vec::new();
     for &n in instance_counts {
         let design = module_array_from_model("c880", Arc::clone(&model), n, SstaConfig::paper());
-        // Pull must beat push once the graph is big enough to matter; the
-        // tiny profile (and the small full rows) only assert equivalence.
-        let assert_pull_wins = !tiny && n >= 16;
-        let point = scaling_point(&design, n, reps, assert_pull_wins);
+        let point = scaling_point(&design, n, reps);
         println!(
             "c880 x{n}: {} grids, serial {:.1} ms, parallel cold {:.1} ms / warm {:.1} ms ({:.2}x) | {}",
             point.n_grids,
@@ -197,12 +133,8 @@ fn main() {
             point.phases,
         );
         println!(
-            "         propagate ({} levels, widest {}): push {:.1} ms, pull {:.1} ms ({:.2}x)",
-            point.propagate.n_levels,
-            point.propagate.max_level_width,
-            1e3 * point.propagate.push_serial_seconds,
-            1e3 * point.propagate.pull_serial_seconds,
-            point.propagate.pull_vs_push_speedup,
+            "         {} levels, widest {}",
+            point.n_levels, point.max_level_width,
         );
         points.push(point);
     }
@@ -245,88 +177,12 @@ fn main() {
     }
 
     bench.write(&Report {
-        schema: 6,
+        schema: 7,
         profile: bench.name(),
         effective_threads: ssta_math::parallel::effective_threads(0),
-        eigen: duel,
         assembly: points,
         sequential,
     });
-}
-
-/// Times both eigensolvers on the paper's spatial correlation over an
-/// `n`-grid die and cross-checks their results.
-fn eigen_duel(n: usize, reps: usize) -> EigenDuel {
-    // A wide-die grid layout with ~n grids, so the matrix has the same
-    // banded-with-cutoff structure the design-level assembly produces.
-    let cols = (n as f64).sqrt().ceil() as usize * 2;
-    let centers: Vec<(f64, f64)> = (0..n)
-        .map(|k| {
-            let (r, c) = (k / cols, k % cols);
-            ((c as f64 + 0.5) * 20.0, (r as f64 + 0.5) * 20.0)
-        })
-        .collect();
-    let cov = CorrelationModel::paper().covariance_matrix(&centers, 20.0);
-
-    let mut ql_seconds = f64::INFINITY;
-    let mut ql = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let e = symmetric_eigen_ql(&cov).expect("QL eigensolve");
-        ql_seconds = ql_seconds.min(t.elapsed().as_secs_f64());
-        ql = Some(e);
-    }
-    let ql = ql.expect("at least one rep");
-
-    let mut jacobi_seconds = f64::INFINITY;
-    let mut jacobi = None;
-    for _ in 0..reps.min(2) {
-        let t = Instant::now();
-        let e = symmetric_eigen_jacobi(&cov).expect("Jacobi eigensolve");
-        jacobi_seconds = jacobi_seconds.min(t.elapsed().as_secs_f64());
-        jacobi = Some(e);
-    }
-    let jacobi = jacobi.expect("at least one rep");
-
-    let max_relative_eigenvalue_diff = ql
-        .eigenvalues
-        .iter()
-        .zip(&jacobi.eigenvalues)
-        .map(|(a, b)| (a - b).abs() / a.abs().max(1.0))
-        .fold(0.0, f64::max);
-    let max_reconstruction_error =
-        reconstruction_error(&ql, &cov).max(reconstruction_error(&jacobi, &cov));
-
-    // The default entry point must be the fast path.
-    let via_default = symmetric_eigen(&cov).expect("default eigensolve");
-    assert_eq!(
-        via_default.eigenvalues, ql.eigenvalues,
-        "symmetric_eigen no longer dispatches to the QL solver"
-    );
-
-    EigenDuel {
-        n,
-        jacobi_seconds,
-        ql_seconds,
-        speedup: jacobi_seconds / ql_seconds,
-        max_relative_eigenvalue_diff,
-        max_reconstruction_error,
-    }
-}
-
-fn reconstruction_error(e: &ssta_math::eigen::SymmetricEigen, a: &Matrix) -> f64 {
-    let n = e.eigenvalues.len();
-    let mut lam = Matrix::zeros(n, n);
-    for i in 0..n {
-        lam[(i, i)] = e.eigenvalues[i];
-    }
-    e.eigenvectors
-        .matmul(&lam)
-        .expect("shape")
-        .matmul(&e.eigenvectors.transposed())
-        .expect("shape")
-        .max_abs_diff(a)
-        .expect("shape")
 }
 
 /// Measures one instance count: a cold parallel run first (first-touch
@@ -334,12 +190,7 @@ fn reconstruction_error(e: &ssta_math::eigen::SymmetricEigen, a: &Matrix) -> f64
 /// (min-of-reps each), asserting parallel ≡ serial bit-identically.
 /// `parallel_speedup` compares the two *warm* paths, so it reads ~1.0 on
 /// a single-core machine and scales with cores elsewhere.
-fn scaling_point(
-    design: &ssta_core::Design,
-    instances: usize,
-    reps: usize,
-    assert_pull_wins: bool,
-) -> ScalingPoint {
+fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> ScalingPoint {
     let serial_opts = AnalyzeOptions { threads: 1 };
     let parallel_opts = AnalyzeOptions::default();
 
@@ -367,14 +218,16 @@ fn scaling_point(
     }
     assert_bit_identical(&serial, &warm);
 
-    // The partition alone is enough for the grid count — rebuilding the
-    // full variable space would redo the covariance + eigensolve.
+    // Neither the grid count nor the wavefront shape is part of the
+    // analysis result: rebuild the partition and the assembled graph.
     let partition = ssta_core::hier::DesignPartition::build(
         design.die(),
         &design.translated_geometries(),
         design.config().grid_pitch_um(),
     );
-    let propagate = propagate_duel(design, reps, assert_pull_wins);
+    let assembled =
+        assemble_design_graph(design, CorrelationMode::Proposed, &parallel_opts).expect("assembly");
+    let schedule = LevelSchedule::build(&assembled.graph).expect("levelize");
 
     let total = warm.phases.total_seconds();
     let share = |phase: f64| if total > 0.0 { phase / total } else { 0.0 };
@@ -389,86 +242,8 @@ fn scaling_point(
         replace_share: share(warm.phases.replace_seconds),
         propagate_share: share(warm.phases.propagate_seconds),
         phases: warm.phases,
-        propagate,
-    }
-}
-
-/// Races the push-based reference propagation against the levelized pull
-/// engine on the row's assembled design graph (min of `reps` each). The
-/// pull passes share one schedule, timed separately — that once-per-graph
-/// amortization is the engine's contract (all-pairs extraction and
-/// criticality run hundreds of passes per schedule), while push re-sorts
-/// inside every call. Asserts pull ≈ push within working precision at
-/// every primary output and — when `assert_pull_wins` — that pull is
-/// strictly faster.
-fn propagate_duel(
-    design: &ssta_core::Design,
-    reps: usize,
-    assert_pull_wins: bool,
-) -> PropagateDuel {
-    let assembled = assemble_design_graph(
-        design,
-        CorrelationMode::Proposed,
-        &AnalyzeOptions::default(),
-    )
-    .expect("assembly");
-    let graph = &assembled.graph;
-    let sources = &assembled.sources;
-
-    let mut push_serial_seconds = f64::INFINITY;
-    let mut push = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let arr = ssta_timing::propagate::forward(graph, sources).expect("push forward");
-        push_serial_seconds = push_serial_seconds.min(t.elapsed().as_secs_f64());
-        push = Some(arr);
-    }
-    let push = push.expect("at least one rep");
-
-    let mut schedule_build_seconds = f64::INFINITY;
-    let mut built = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let s = LevelSchedule::build(graph).expect("levelize");
-        schedule_build_seconds = schedule_build_seconds.min(t.elapsed().as_secs_f64());
-        built = Some(s);
-    }
-    let schedule = built.expect("at least one rep");
-
-    let mut pull_serial_seconds = f64::INFINITY;
-    let mut pull = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let arr = levels::forward(graph, &schedule, sources).expect("pull forward");
-        pull_serial_seconds = pull_serial_seconds.min(t.elapsed().as_secs_f64());
-        pull = Some(arr);
-    }
-    let pull = pull.expect("at least one rep");
-
-    // Pull re-associates Clark's order-sensitive max, so against push it
-    // agrees to working precision, not bit-exactly.
-    for &v in graph.outputs() {
-        let a = pull[v.0 as usize].as_ref().expect("PO reachable");
-        let b = push[v.0 as usize].as_ref().expect("PO reachable");
-        let rel = (a.mean() - b.mean()).abs() / b.mean().abs().max(1.0);
-        assert!(rel < 1e-3, "pull vs push mean drift {rel:.3e} at a PO");
-    }
-    if assert_pull_wins {
-        assert!(
-            pull_serial_seconds < push_serial_seconds,
-            "levelized pull ({:.3} ms) failed to beat push ({:.3} ms)",
-            1e3 * pull_serial_seconds,
-            1e3 * push_serial_seconds,
-        );
-    }
-
-    PropagateDuel {
         n_levels: schedule.n_levels(),
         max_level_width: schedule.max_width(),
-        schedule_build_seconds,
-        push_serial_seconds,
-        pull_serial_seconds,
-        pull_vs_push_speedup: push_serial_seconds / pull_serial_seconds,
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Extracted [`TimingModel`]s are the product the DATE'09 flow ships
 //! across the IP-vendor/integrator boundary, so their wire format is a
-//! contract, and this codec is the model library's only one. JSON (the
-//! serde handoff) is self-describing but bulky — a c880 model weighs
+//! contract, and this codec is the only one: [`decode_model`] is the
+//! one way to load a model, and it validates the parts it decodes. JSON
+//! is self-describing but bulky — a c880 model weighs
 //! ~118 KiB, dominated by `f64`s printed at 17 significant digits. This
 //! codec stores the same structure as a deterministic, length-prefixed
 //! binary stream built on [`ssta_math::codec`]:

@@ -4,9 +4,10 @@
 //! compressed timing graph with the same ports and (statistically) the
 //! same input/output delay matrix, plus the spatial metadata — grid
 //! geometry and PCA bases — that the hierarchical variable-replacement
-//! step needs to re-correlate the model inside a larger design. The whole
-//! structure is serializable (`serde`), which the `ip_model_handoff`
-//! example exercises end to end.
+//! step needs to re-correlate the model inside a larger design. It
+//! travels as the binary payload of [`crate::codec`], whose decoder
+//! validates it; the `ip_model_handoff` example exercises that handoff
+//! end to end.
 
 use crate::canonical::CanonicalForm;
 use crate::extract::SequentialModel;
@@ -61,7 +62,7 @@ impl ExtractionStats {
 /// A pre-characterized statistical timing model of a module —
 /// combinational, or registered when a [`SequentialModel`] interface is
 /// attached.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TimingModel {
     name: String,
     graph: TimingGraph<CanonicalForm>,
@@ -71,9 +72,7 @@ pub struct TimingModel {
     config: SstaConfig,
     stats: ExtractionStats,
     /// Sequential interface (setup/hold/launch constraint arcs); `None`
-    /// for purely combinational models. `serde(default)` keeps pre-
-    /// sequential JSON artifacts loadable.
-    #[serde(default)]
+    /// for purely combinational models.
     sequential: Option<SequentialModel>,
 }
 
@@ -373,10 +372,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_preserves_model() {
+    fn codec_round_trip_preserves_model() {
         let m = model();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: TimingModel = serde_json::from_str(&json).unwrap();
+        let back = crate::codec::decode_model(&crate::codec::encode_model(&m)).unwrap();
         assert_eq!(back.name(), m.name());
         assert_eq!(back.edge_count(), m.edge_count());
         assert_eq!(back.n_inputs(), m.n_inputs());

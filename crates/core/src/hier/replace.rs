@@ -138,12 +138,8 @@ impl InstanceReplacement {
             // T_d restricted to this instance's grid rows.
             let cols: Vec<usize> = (0..design_t.cols()).collect();
             let t_sub = design_t.select(&rows, &cols);
-            // R = W_m · T_d[rows]  (k_m × k_d). Cache-blocked: t_sub is
-            // `grids × design-components` — hundreds of columns on
-            // thousand-grid dies — and the unblocked kernel re-streams
-            // all of it once per whitening row. Bit-identical to
-            // `matmul` (regression-tested below and in ssta_math).
-            let r = module_basis.whiten().matmul_blocked(&t_sub)?;
+            // R = W_m · T_d[rows]  (k_m × k_d).
+            let r = module_basis.whiten().matmul(&t_sub)?;
             per_param.push(r);
         }
         Ok(InstanceReplacement { per_param })
@@ -242,31 +238,6 @@ mod tests {
                 let eye = Matrix::identity(r.rows());
                 let err = rrt.max_abs_diff(&eye).unwrap();
                 assert!(err < 1e-6, "instance {idx} param {p}: ||RRᵀ - I|| = {err}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_replacement_build_is_bit_identical_to_unblocked() {
-        // The replacement matrices must not change by a single bit from
-        // the cache-blocking of their defining matmul — the engine's
-        // fingerprint-keyed model reuse depends on design-level results
-        // staying bit-deterministic across kernel choices.
-        let (design, model) = two_instance_design();
-        let vars = DesignVariables::build(&design).unwrap();
-        for idx in 0..2 {
-            let repl = InstanceReplacement::build(&model, &vars, idx).unwrap();
-            let rows: Vec<usize> = vars.partition().instance_range(idx).collect();
-            for (p, module_basis) in model.pca().iter().enumerate() {
-                let design_t = vars.pca()[p].transform();
-                let cols: Vec<usize> = (0..design_t.cols()).collect();
-                let t_sub = design_t.select(&rows, &cols);
-                let unblocked = module_basis.whiten().matmul(&t_sub).unwrap();
-                assert_eq!(
-                    repl.matrix(p).as_slice(),
-                    unblocked.as_slice(),
-                    "instance {idx} param {p}: blocked replacement diverged"
-                );
             }
         }
     }

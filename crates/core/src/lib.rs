@@ -11,7 +11,7 @@
 //!   partition, per-parameter PCA, and the statistical timing graph;
 //! * [`criticality`] — all-pairs edge criticality (Section IV-B);
 //! * [`extract`] — gray-box timing-model extraction: criticality pruning
-//!   plus serial/parallel merges (Section IV), producing a serializable
+//!   plus serial/parallel merges (Section IV), producing a
 //!   [`TimingModel`];
 //! * [`codec`] — the deterministic binary wire format for extracted
 //!   models (SSTM payload codec 1): bit-exact `f64`s, varint topology,

@@ -1,18 +1,9 @@
 //! Symmetric eigendecomposition.
 //!
-//! Two solvers share one entry point:
-//!
-//! * [`symmetric_eigen`] — the default path, dispatching to the
-//!   Householder + implicit-shift QL solver in [`crate::tridiag`]. For
-//!   the design-level covariance matrices of many-instance designs
-//!   (hundreds of grids) it is an order of magnitude faster than Jacobi.
-//! * [`symmetric_eigen_jacobi`] — the cyclic Jacobi method, kept as a
-//!   slow-but-transparent reference oracle: it never loses symmetry and
-//!   its rotations are easy to audit, so tests cross-check the fast
-//!   solver's spectrum against it.
-//!
-//! Both solvers are loop-order deterministic: the same input always
-//! yields the bit-identical decomposition.
+//! [`symmetric_eigen`] runs Householder tridiagonalization followed by
+//! the implicit-shift QL iteration. The solver is loop-order
+//! deterministic: the same input always yields the bit-identical
+//! decomposition.
 
 use crate::{MathError, Matrix};
 
@@ -26,50 +17,16 @@ pub struct SymmetricEigen {
     pub eigenvectors: Matrix,
 }
 
-/// Maximum number of Jacobi sweeps before giving up. Convergence is
-/// typically reached in 6–12 sweeps even for n in the hundreds.
-const MAX_SWEEPS: usize = 64;
-
-/// Validates that `a` is square and symmetric (to `1e-8` relative to the
-/// largest diagonal entry), returning the scale used for tolerances.
-///
-/// # Errors
-///
-/// * [`MathError::DimensionMismatch`] for non-square input.
-/// * [`MathError::NotSymmetric`] beyond the asymmetry tolerance.
-pub(crate) fn validate_symmetric(a: &Matrix, context: &'static str) -> Result<f64, MathError> {
-    let n = a.rows();
-    if !a.is_square() {
-        return Err(MathError::DimensionMismatch {
-            context,
-            expected: (n, n),
-            found: (a.rows(), a.cols()),
-        });
-    }
-    let scale = (0..n).map(|i| a[(i, i)].abs()).fold(1.0, f64::max);
-    let asym = a.max_asymmetry();
-    if asym > 1e-8 * scale {
-        return Err(MathError::NotSymmetric {
-            max_asymmetry: asym,
-        });
-    }
-    Ok(scale)
-}
-
-/// Computes all eigenvalues and eigenvectors of a symmetric matrix.
-///
-/// Dispatches to the Householder + implicit-shift QL solver
-/// ([`crate::tridiag::symmetric_eigen_ql`]); use
-/// [`symmetric_eigen_jacobi`] when the (slower) Jacobi reference oracle
-/// is wanted explicitly.
+/// Computes all eigenvalues and eigenvectors of a symmetric matrix via
+/// Householder tridiagonalization and implicit-shift QL.
 ///
 /// # Errors
 ///
 /// * [`MathError::DimensionMismatch`] for non-square input.
 /// * [`MathError::NotSymmetric`] if `a` deviates from symmetry by more than
 ///   `1e-8` relative to its largest diagonal entry.
-/// * [`MathError::EigenNoConvergence`] if the iteration budget is exhausted
-///   (practically unreachable for well-formed covariance matrices).
+/// * [`MathError::EigenNoConvergence`] if an eigenvalue exhausts the
+///   iteration budget (practically unreachable for symmetric input).
 ///
 /// # Example
 ///
@@ -88,147 +45,9 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, MathError> {
     crate::tridiag::symmetric_eigen_ql(a)
 }
 
-/// Computes all eigenvalues and eigenvectors of a symmetric matrix with
-/// the cyclic Jacobi method — the reference oracle the fast QL solver is
-/// cross-checked against.
-///
-/// # Errors
-///
-/// Same contract as [`symmetric_eigen`].
-pub fn symmetric_eigen_jacobi(a: &Matrix) -> Result<SymmetricEigen, MathError> {
-    let scale = validate_symmetric(a, "symmetric_eigen_jacobi")?;
-    let n = a.rows();
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
-    let tol = 1e-14 * scale.max(f64::MIN_POSITIVE);
-
-    for _sweep in 0..MAX_SWEEPS {
-        let off = off_diagonal_norm(&m);
-        if off <= tol * n as f64 {
-            return Ok(collect_diagonal(&m, v));
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= tol {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                // Classic Jacobi rotation: choose t = tan(θ) so that the
-                // rotated (p, q) entry vanishes.
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-
-                rotate(&mut m, p, q, c, s);
-                rotate_columns(&mut v, p, q, c, s);
-            }
-        }
-    }
-
-    let off = off_diagonal_norm(&m);
-    if off <= 1e-9 * scale * n as f64 {
-        // Converged well enough for covariance work even if the strict
-        // tolerance was not met.
-        return Ok(collect_diagonal(&m, v));
-    }
-    Err(MathError::EigenNoConvergence {
-        off_diagonal_norm: off,
-    })
-}
-
-fn off_diagonal_norm(m: &Matrix) -> f64 {
-    let n = m.rows();
-    let mut sum = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            sum += 2.0 * m[(i, j)] * m[(i, j)];
-        }
-    }
-    sum.sqrt()
-}
-
-/// Applies the two-sided Jacobi rotation `Jᵀ M J` in place, where `J` is the
-/// Givens rotation in the (p, q) plane.
-fn rotate(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = m.rows();
-    let app = m[(p, p)];
-    let aqq = m[(q, q)];
-    let apq = m[(p, q)];
-
-    m[(p, p)] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
-    m[(q, q)] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
-    m[(p, q)] = 0.0;
-    m[(q, p)] = 0.0;
-
-    for k in 0..n {
-        if k == p || k == q {
-            continue;
-        }
-        let akp = m[(k, p)];
-        let akq = m[(k, q)];
-        m[(k, p)] = c * akp - s * akq;
-        m[(p, k)] = m[(k, p)];
-        m[(k, q)] = s * akp + c * akq;
-        m[(q, k)] = m[(k, q)];
-    }
-}
-
-/// Applies the rotation to the eigenvector accumulator columns p and q.
-fn rotate_columns(v: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let n = v.rows();
-    for k in 0..n {
-        let vkp = v[(k, p)];
-        let vkq = v[(k, q)];
-        v[(k, p)] = c * vkp - s * vkq;
-        v[(k, q)] = s * vkp + c * vkq;
-    }
-}
-
-/// Sorts by descending eigenvalue and packages the result. `d[i]` is the
-/// eigenvalue whose eigenvector is column `i` of `v`.
-pub(crate) fn collect_sorted(d: &[f64], v: Matrix) -> SymmetricEigen {
-    let n = d.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).expect("NaN eigenvalue"));
-
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let eigenvectors = Matrix::from_fn(n, n, |r, c| v[(r, order[c])]);
-    SymmetricEigen {
-        eigenvalues,
-        eigenvectors,
-    }
-}
-
-/// [`collect_sorted`] reading the eigenvalues off a (numerically)
-/// diagonalized matrix.
-fn collect_diagonal(m: &Matrix, v: Matrix) -> SymmetricEigen {
-    let d: Vec<f64> = (0..m.rows()).map(|i| m[(i, i)]).collect();
-    collect_sorted(&d, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reconstruct(e: &SymmetricEigen) -> Matrix {
-        let n = e.eigenvalues.len();
-        let mut lam = Matrix::zeros(n, n);
-        for i in 0..n {
-            lam[(i, i)] = e.eigenvalues[i];
-        }
-        e.eigenvectors
-            .matmul(&lam)
-            .unwrap()
-            .matmul(&e.eigenvectors.transposed())
-            .unwrap()
-    }
 
     #[test]
     fn two_by_two_known_eigenvalues() {
@@ -243,18 +62,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 5.0, 0.0], &[0.0, 0.0, 3.0]]).unwrap();
         let e = symmetric_eigen(&a).unwrap();
         assert_eq!(e.eigenvalues, vec![5.0, 3.0, 1.0]);
-    }
-
-    #[test]
-    fn reconstruction_matches_input() {
-        // A covariance-like matrix: exponential decay off the diagonal.
-        let n = 12;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let d = (i as f64 - j as f64).abs();
-            (-d / 4.0).exp()
-        });
-        let e = symmetric_eigen(&a).unwrap();
-        assert!(reconstruct(&e).max_abs_diff(&a).unwrap() < 1e-9);
     }
 
     #[test]
@@ -288,25 +95,6 @@ mod tests {
             symmetric_eigen(&a),
             Err(MathError::NotSymmetric { .. })
         ));
-        assert!(matches!(
-            symmetric_eigen_jacobi(&a),
-            Err(MathError::NotSymmetric { .. })
-        ));
-    }
-
-    #[test]
-    fn jacobi_oracle_reconstructs_and_matches_default_spectrum() {
-        let n = 12;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let d = (i as f64 - j as f64).abs();
-            (-d / 4.0).exp()
-        });
-        let jac = symmetric_eigen_jacobi(&a).unwrap();
-        assert!(reconstruct(&jac).max_abs_diff(&a).unwrap() < 1e-9);
-        let ql = symmetric_eigen(&a).unwrap();
-        for (x, y) in ql.eigenvalues.iter().zip(&jac.eigenvalues) {
-            assert!((x - y).abs() < 1e-9 * x.abs().max(1.0), "{x} vs {y}");
-        }
     }
 
     #[test]

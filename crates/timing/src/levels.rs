@@ -1,16 +1,13 @@
-//! Levelized (wavefront) propagation.
+//! Levelized (wavefront) propagation: longest-path arrival times
+//! ([`forward`]) and max delays to a set of sinks ([`backward`], the
+//! negated required time of Section IV-B of the paper).
 //!
-//! [`propagate`](crate::propagate) re-runs Kahn's algorithm on every
-//! invocation and pushes values along out-edges in topological order —
-//! fine for one pass, wasteful for the many passes model extraction and
-//! criticality run over one graph (one forward per input, one backward
-//! per output), and inherently serial because successive vertices race
-//! on their common fan-out slots.
-//!
-//! This module computes a [`LevelSchedule`] **once** per graph — Kahn
-//! level assignment, CSR-flattened in/out adjacency and per-level vertex
-//! ranges — and reuses it across every pass. [`forward`]/[`backward`]
-//! are *pull*-based: each vertex reduces over its own in-edges (out-edges
+//! Model extraction and criticality run many passes over one graph (one
+//! forward per input, one backward per output), so this module computes
+//! a [`LevelSchedule`] **once** per graph — Kahn level assignment,
+//! CSR-flattened in/out adjacency and per-level vertex ranges — and
+//! reuses it across every pass. [`forward`]/[`backward`] are
+//! *pull*-based: each vertex reduces over its own in-edges (out-edges
 //! for backward) in fixed edge-index order, so the result never depends
 //! on the order vertices within one level are visited.
 //!
@@ -24,13 +21,12 @@
 //! schedule (criticality, all-pairs extraction) and many analyses per
 //! call (sweep groups, serve workers).
 //!
-//! Two propagation orders, one caveat: for scalar (`f64`) delays pull
-//! and push produce bit-identical results (`max`/`+` over the same path
-//! sets). For canonical forms, Clark's `maximum` is order-sensitive, so
-//! pull-based results differ from push-based ones *within working
-//! precision* — equivalent as distributions, not as bits. Model
-//! extraction therefore re-keys its store artifacts when switching
-//! engines (see the module fingerprint header).
+//! For scalar (`f64`) delays no reduction order can change a bit (`max`
+//! and `+` over the same path sets). For canonical forms Clark's
+//! `maximum` is order-sensitive, so the fixed pull order is part of every
+//! result: another order agrees within working precision, not bit for
+//! bit, which is why the module fingerprint was re-keyed (v4) when
+//! extraction adopted this one.
 
 use crate::{DelayAlgebra, TimingError, TimingGraph, VertexId};
 use std::cell::Cell;
@@ -86,8 +82,7 @@ impl LevelSchedule {
         let bound = graph.vertex_bound();
         let n_live = graph.n_vertices();
 
-        // CSR adjacency in the graph's edge-index order (the same order
-        // the push-based reference traverses fan-outs in).
+        // CSR adjacency in the graph's edge-index order.
         let mut in_offsets = Vec::with_capacity(bound + 1);
         let mut out_offsets = Vec::with_capacity(bound + 1);
         let mut in_arcs = Vec::with_capacity(graph.n_edges());
@@ -231,8 +226,7 @@ impl LevelSchedule {
 }
 
 /// Folds the `(vertex, initial)` pairs into a per-slot seed array; a
-/// vertex listed twice keeps the max of its initial values (matching the
-/// push-based reference).
+/// vertex listed twice keeps the max of its initial values.
 fn seed<D: DelayAlgebra>(bound: usize, pairs: &[(VertexId, D)]) -> Vec<Option<D>> {
     let mut seeds: Vec<Option<D>> = vec![None; bound];
     for (v, init) in pairs {
@@ -290,25 +284,9 @@ fn reduce_backward<D: DelayAlgebra>(
     acc
 }
 
-/// Runs one wavefront: computes `reduce(v)` for every vertex of the
-/// level and stores the non-`None` results. All reads go to
-/// earlier-processed levels (plus the vertex's own seed).
-fn run_level<D, F>(level: &[u32], values: &mut [Option<D>], reduce: F)
-where
-    F: Fn(&[Option<D>], usize) -> Option<D>,
-{
-    for &v in level {
-        if let Some(r) = reduce(values, v as usize) {
-            values[v as usize] = Some(r);
-        }
-    }
-}
-
 /// Arrival times from the given `(vertex, initial)` sources, level by
-/// level. Semantics match [`propagate::forward`](crate::propagate::forward)
-/// (`None` = unreachable, duplicate sources keep the max); the reduction
-/// is pull-ordered, so canonical-form results agree with the push-based
-/// reference within working precision, not bit-for-bit.
+/// level: one `Option<D>` per vertex slot, `None` for a vertex no source
+/// reaches. A vertex listed twice keeps the max of its initial values.
 ///
 /// # Errors
 ///
@@ -325,19 +303,18 @@ pub fn forward<D: DelayAlgebra>(
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
     let mut arrival = seed(schedule.vertex_bound, sources);
-    for l in 0..schedule.n_levels() {
-        run_level(schedule.level_range(l), &mut arrival, |values, v| {
-            reduce_forward(graph, schedule, values, v)
-        });
+    // Level-major order: a vertex reads only lower levels and its seed.
+    for &v in &schedule.order {
+        if let Some(a) = reduce_forward(graph, schedule, &arrival, v as usize) {
+            arrival[v as usize] = Some(a);
+        }
     }
     Ok(arrival)
 }
 
 /// Max delay from each vertex to the given `(vertex, initial)` sinks,
-/// level by level in reverse. The per-vertex reduction order (seed
-/// first, then out-edges in edge-index order) matches the push-based
-/// [`propagate::backward`](crate::propagate::backward) exactly, so
-/// results are bit-identical to it for every delay algebra.
+/// level by level in reverse. Each vertex folds its sink value first,
+/// then its out-edges in edge-index order.
 ///
 /// # Errors
 ///
@@ -354,10 +331,15 @@ pub fn backward<D: DelayAlgebra>(
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
     let mut required = seed(schedule.vertex_bound, sinks);
+    // Levels in reverse, each in ascending id order: a vertex reads only
+    // higher levels and its seed. Walking `order` backwards visits ids
+    // descending instead, which measured ~4 % slower cold extraction.
     for l in (0..schedule.n_levels()).rev() {
-        run_level(schedule.level_range(l), &mut required, |values, v| {
-            reduce_backward(graph, schedule, values, v)
-        });
+        for &v in schedule.level_range(l) {
+            if let Some(r) = reduce_backward(graph, schedule, &required, v as usize) {
+                required[v as usize] = Some(r);
+            }
+        }
     }
     Ok(required)
 }
@@ -365,7 +347,6 @@ pub fn backward<D: DelayAlgebra>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate;
 
     /// in --1--> a --3--> out
     ///   \--2--> b --1--> out
@@ -396,19 +377,45 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_push_reference_exactly_for_scalars() {
-        let (g, [i, ..]) = diamond();
+    fn forward_takes_longest_path() {
+        let (g, [i, a, b, o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
-        let push = propagate::forward(&g, &[(i, 0.0)]).unwrap();
-        assert_eq!(forward(&g, &s, &[(i, 0.0)]).unwrap(), push);
+        let arr = forward(&g, &s, &[(i, 0.0)]).unwrap();
+        assert_eq!(arr[i.0 as usize], Some(0.0));
+        assert_eq!(arr[a.0 as usize], Some(1.0));
+        assert_eq!(arr[b.0 as usize], Some(2.0));
+        assert_eq!(arr[o.0 as usize], Some(4.0)); // max(1+3, 2+1)
     }
 
     #[test]
-    fn backward_matches_push_reference_exactly_for_scalars() {
-        let (g, [.., o]) = diamond();
+    fn backward_mirrors_forward() {
+        let (g, [i, a, b, o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
-        let push = propagate::backward(&g, &[(o, 0.0)]).unwrap();
-        assert_eq!(backward(&g, &s, &[(o, 0.0)]).unwrap(), push);
+        let req = backward(&g, &s, &[(o, 0.0)]).unwrap();
+        assert_eq!(req[o.0 as usize], Some(0.0));
+        assert_eq!(req[a.0 as usize], Some(3.0));
+        assert_eq!(req[b.0 as usize], Some(1.0));
+        assert_eq!(req[i.0 as usize], Some(4.0));
+    }
+
+    #[test]
+    fn edge_criticality_identity_holds() {
+        // For every edge e: ae + d + re <= graph delay, with equality on
+        // the critical path (the de = ae + d + re identity of eq. (15)).
+        let (g, [i, _, _, o]) = diamond();
+        let s = LevelSchedule::build(&g).unwrap();
+        let arr = forward(&g, &s, &[(i, 0.0)]).unwrap();
+        let req = backward(&g, &s, &[(o, 0.0)]).unwrap();
+        let total = arr[o.0 as usize].unwrap();
+        let mut on_critical = 0;
+        for (_, e) in g.edges_iter() {
+            let de = arr[e.from.0 as usize].unwrap() + e.delay + req[e.to.0 as usize].unwrap();
+            assert!(de <= total + 1e-12);
+            if (de - total).abs() < 1e-12 {
+                on_critical += 1;
+            }
+        }
+        assert_eq!(on_critical, 2); // i->a->o is the critical path
     }
 
     #[test]

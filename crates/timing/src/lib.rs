@@ -10,13 +10,10 @@
 //! * [`TimingGraph`] — a multi-edge DAG with designated input/output
 //!   vertices, tombstone-based edge removal (model extraction rewrites the
 //!   graph heavily) and netlist import;
-//! * [`propagate`] — push-based forward (arrival-time) and backward
-//!   (required-time) longest-path propagation in topological order (the
-//!   reference engine);
-//! * [`levels`] — the levelized wavefront engine: a [`LevelSchedule`]
-//!   (Kahn levels + CSR adjacency) computed once per graph and reused
-//!   across every pull-based forward/backward pass, each run on the
-//!   calling thread;
+//! * [`levels`] — the propagation engine: a [`LevelSchedule`] (Kahn
+//!   levels + CSR adjacency) computed once per graph and reused across
+//!   every pull-based forward (arrival-time) and backward (required-time)
+//!   longest-path pass, each run on the calling thread;
 //! * [`allpairs`] — the per-input/per-output traversals of Sapatnekar
 //!   (ISCAS'96) producing the input/output [`DelayMatrix`] that timing
 //!   models must preserve;
@@ -48,7 +45,6 @@ mod graph;
 
 pub mod allpairs;
 pub mod levels;
-pub mod propagate;
 pub mod sta;
 
 pub use allpairs::DelayMatrix;

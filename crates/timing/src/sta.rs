@@ -6,7 +6,18 @@
 //! plus critical-path extraction — on the same [`TimingGraph`] engine the
 //! statistical analysis uses.
 
-use crate::{propagate, DelayAlgebra, EdgeId, TimingError, TimingGraph};
+use crate::{levels, DelayAlgebra, EdgeId, LevelSchedule, TimingError, TimingGraph};
+
+/// Arrival times of one levelized pass with every input seeded by
+/// `zero()`.
+fn arrivals_from_inputs<D: DelayAlgebra>(
+    graph: &TimingGraph<D>,
+    mut zero: impl FnMut() -> D,
+) -> Result<Vec<Option<D>>, TimingError> {
+    let schedule = LevelSchedule::build(graph)?;
+    let sources: Vec<_> = graph.inputs().iter().map(|&v| (v, zero())).collect();
+    levels::forward(graph, &schedule, &sources)
+}
 
 /// The overall graph delay: maximum arrival time over all outputs, with
 /// arrival 0 at every input.
@@ -16,8 +27,7 @@ use crate::{propagate, DelayAlgebra, EdgeId, TimingError, TimingGraph};
 /// * [`TimingError::CyclicGraph`] for cyclic graphs;
 /// * [`TimingError::NoPath`] when no output is reachable from any input.
 pub fn graph_delay(graph: &TimingGraph<f64>) -> Result<f64, TimingError> {
-    let sources: Vec<_> = graph.inputs().iter().map(|&v| (v, 0.0)).collect();
-    let arrival = propagate::forward(graph, &sources)?;
+    let arrival = arrivals_from_inputs(graph, || 0.0)?;
     graph
         .outputs()
         .iter()
@@ -36,8 +46,7 @@ pub fn graph_delay(graph: &TimingGraph<f64>) -> Result<f64, TimingError> {
 /// * [`TimingError::CyclicGraph`] for cyclic graphs;
 /// * [`TimingError::NoPath`] when no output is reachable.
 pub fn critical_path(graph: &TimingGraph<f64>) -> Result<(f64, Vec<EdgeId>), TimingError> {
-    let sources: Vec<_> = graph.inputs().iter().map(|&v| (v, 0.0)).collect();
-    let arrival = propagate::forward(graph, &sources)?;
+    let arrival = arrivals_from_inputs(graph, || 0.0)?;
 
     // Find the worst output.
     let mut end = None;
@@ -92,10 +101,9 @@ pub fn derated(graph: &TimingGraph<f64>, factor: f64) -> TimingGraph<f64> {
 /// Returns [`TimingError::CyclicGraph`] for cyclic graphs.
 pub fn output_arrivals<D: DelayAlgebra>(
     graph: &TimingGraph<D>,
-    mut zero: impl FnMut() -> D,
+    zero: impl FnMut() -> D,
 ) -> Result<Vec<Option<D>>, TimingError> {
-    let sources: Vec<_> = graph.inputs().iter().map(|&v| (v, zero())).collect();
-    let arrival = propagate::forward(graph, &sources)?;
+    let arrival = arrivals_from_inputs(graph, zero)?;
     Ok(graph
         .outputs()
         .iter()

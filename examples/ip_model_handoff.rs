@@ -6,15 +6,18 @@
 //!
 //! Two handoff vehicles are shown:
 //!
-//! 1. a raw JSON artifact moved by hand (the original paper-era flow);
+//! 1. a binary model artifact (the payload the model library stores)
+//!    moved by hand; loading it validates the model's parts against each
+//!    other before the integrator can use it;
 //! 2. the engine's **persistent model library** — the vendor publishes
 //!    into a content-addressed store, the integrator's engine pulls from
 //!    it and analyzes the design with *zero* extractions.
 //!
 //! Run with `cargo run --release --example ip_model_handoff`.
 
+use hier_ssta::core::codec::{decode_model, encode_model};
 use hier_ssta::core::{
-    analyze, CorrelationMode, DesignBuilder, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
+    analyze, CorrelationMode, DesignBuilder, ExtractOptions, ModuleContext, SstaConfig,
 };
 use hier_ssta::engine::{DesignSpec, Engine, ModelSource};
 use hier_ssta::netlist::{generators, DieRect};
@@ -33,13 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (100.0 * model.stats().edge_ratio()).round()
     );
 
-    // Serialize — the handoff artifact. (JSON here for inspectability;
-    // any serde format works.)
-    let artifact = serde_json::to_vec(&model)?;
-    println!("vendor: serialized model is {} KiB", artifact.len() / 1024);
+    // Encode — the handoff artifact.
+    let artifact = encode_model(&model);
+    println!("vendor: encoded model is {} KiB", artifact.len() / 1024);
 
     // ---------------- integrator side ----------------
-    let loaded: TimingModel = serde_json::from_slice(&artifact)?;
+    let loaded = decode_model(&artifact)?;
     loaded.check_compatible(&config)?;
     println!(
         "integrator: loaded `{}` ({} inputs, {} outputs), compatible with design config",

@@ -1,17 +1,20 @@
 //! Cross-checks for the fast assembly path introduced with the parallel
 //! design-level pipeline:
 //!
-//! * property tests of the Householder + implicit-shift QL eigensolver
-//!   against the cyclic Jacobi oracle on random SPD covariance matrices;
+//! * the Householder + implicit-shift QL eigensolver against the cyclic
+//!   Jacobi oracle (`support/jacobi.rs`): property tests on random SPD
+//!   matrices, plus fixed exponential-decay covariances;
 //! * a bit-identity regression of the parallel design-level analysis
 //!   against the serial path on a multi-instance design.
+
+#[path = "support/jacobi.rs"]
+mod jacobi;
 
 use hier_ssta::core::{
     analyze_with, AnalyzeOptions, CorrelationMode, Design, DesignBuilder, ExtractOptions,
     ModuleContext, SstaConfig,
 };
-use hier_ssta::math::eigen::symmetric_eigen_jacobi;
-use hier_ssta::math::tridiag::symmetric_eigen_ql;
+use hier_ssta::math::eigen::{symmetric_eigen, SymmetricEigen};
 use hier_ssta::math::Matrix;
 use hier_ssta::netlist::{generators, DieRect};
 use proptest::prelude::*;
@@ -34,8 +37,8 @@ proptest! {
 
     #[test]
     fn ql_solver_matches_jacobi_oracle_on_random_spd(a in spd_matrix(10)) {
-        let ql = symmetric_eigen_ql(&a).expect("QL solve");
-        let jacobi = symmetric_eigen_jacobi(&a).expect("Jacobi solve");
+        let ql = symmetric_eigen(&a).expect("QL solve");
+        let jacobi = jacobi::symmetric_eigen_jacobi(&a).expect("Jacobi solve");
         let scale = (0..a.rows()).map(|i| a[(i, i)].abs()).fold(1.0, f64::max);
 
         // Sorted spectrum, descending, and agreeing with the oracle.
@@ -52,15 +55,43 @@ proptest! {
         prop_assert!(ortho_err < 1e-8, "eigenvectors not orthonormal: {ortho_err}");
 
         // Reconstruction A = V·Λ·Vᵀ to 1e-9 (relative to the scale).
-        let n = a.rows();
-        let mut lam = Matrix::zeros(n, n);
-        for i in 0..n {
-            lam[(i, i)] = ql.eigenvalues[i];
-        }
-        let back = ql.eigenvectors.matmul(&lam).expect("shape")
-            .matmul(&ql.eigenvectors.transposed()).expect("shape");
-        let recon_err = back.max_abs_diff(&a).expect("same shape");
+        let recon_err = reconstruction_error(&ql, &a);
         prop_assert!(recon_err <= 1e-9 * scale.max(1.0), "reconstruction error {recon_err}");
+    }
+}
+
+/// `max |V·Λ·Vᵀ − A|` over the entries of `a`.
+fn reconstruction_error(e: &SymmetricEigen, a: &Matrix) -> f64 {
+    let n = a.rows();
+    let mut lam = Matrix::zeros(n, n);
+    for i in 0..n {
+        lam[(i, i)] = e.eigenvalues[i];
+    }
+    let back = e
+        .eigenvectors
+        .matmul(&lam)
+        .expect("shape")
+        .matmul(&e.eigenvectors.transposed())
+        .expect("shape");
+    back.max_abs_diff(a).expect("same shape")
+}
+
+/// Exponential-decay covariances `exp(-|i - j| / length)`, the banded
+/// shape of a spatial correlation matrix: the oracle reconstructs each
+/// one, and the QL spectrum matches the oracle's to 1e-9 relative.
+#[test]
+fn ql_solver_matches_jacobi_oracle_on_exp_decay_covariances() {
+    for (n, length) in [(12, 4.0), (24, 2.5)] {
+        let a = Matrix::from_fn(n, n, |i, j| (-(i as f64 - j as f64).abs() / length).exp());
+        let jacobi = jacobi::symmetric_eigen_jacobi(&a).expect("Jacobi solve");
+        assert!(reconstruction_error(&jacobi, &a) < 1e-9, "{n}x{n}");
+        let ql = symmetric_eigen(&a).expect("QL solve");
+        for (x, y) in ql.eigenvalues.iter().zip(&jacobi.eigenvalues) {
+            assert!(
+                (x - y).abs() < 1e-9 * x.abs().max(1.0),
+                "{n}x{n}: {x} vs {y}"
+            );
+        }
     }
 }
 

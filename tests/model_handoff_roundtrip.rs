@@ -1,7 +1,8 @@
-//! The IP-handoff contract: a serialized timing model must behave
-//! identically after a round trip — same ports, same delay matrix, same
-//! design-level analysis results.
+//! The IP-handoff contract: a timing model encoded with the binary model
+//! codec must behave identically after a round trip — same ports, same
+//! delay matrix, same design-level analysis results.
 
+use hier_ssta::core::codec::{decode_model, encode_model};
 use hier_ssta::core::{
     analyze, CorrelationMode, DesignBuilder, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
 };
@@ -20,11 +21,15 @@ fn extract_model() -> (ModuleContext, TimingModel) {
     (ctx, model)
 }
 
+/// The model as the integrator receives it: encoded, then decoded.
+fn reload(model: &TimingModel) -> TimingModel {
+    decode_model(&encode_model(model)).expect("decode")
+}
+
 #[test]
-fn json_round_trip_preserves_delay_matrix() {
+fn round_trip_preserves_delay_matrix() {
     let (_, model) = extract_model();
-    let json = serde_json::to_string(&model).expect("serialize");
-    let back: TimingModel = serde_json::from_str(&json).expect("deserialize");
+    let back = reload(&model);
 
     let a = model.delay_matrix().expect("matrix");
     let b = back.delay_matrix().expect("matrix");
@@ -38,8 +43,7 @@ fn json_round_trip_preserves_delay_matrix() {
 #[test]
 fn reloaded_model_analyzes_identically_in_a_design() {
     let (_, model) = extract_model();
-    let json = serde_json::to_string(&model).expect("serialize");
-    let reloaded: TimingModel = serde_json::from_str(&json).expect("deserialize");
+    let reloaded = reload(&model);
 
     let build = |m: Arc<TimingModel>| {
         let (w, h) = m.geometry().extent_um();
@@ -81,8 +85,7 @@ fn reloaded_model_analyzes_identically_in_a_design() {
 #[test]
 fn incompatible_config_is_caught_after_reload() {
     let (_, model) = extract_model();
-    let json = serde_json::to_string(&model).expect("serialize");
-    let reloaded: TimingModel = serde_json::from_str(&json).expect("deserialize");
+    let reloaded = reload(&model);
     let mut other = SstaConfig::paper();
     other.grid_side_cells = 4;
     assert!(reloaded.check_compatible(&other).is_err());

@@ -1,8 +1,10 @@
 //! Property-based tests (proptest) of the levelized pull propagation
-//! engine against the push-based reference on random DAGs:
+//! engine against the push-based oracle (`support/push.rs`) on random
+//! DAGs:
 //!
 //! * scalar algebra: pull ≡ push bit-exactly (f64 max/+ is
-//!   order-insensitive), forward and backward;
+//!   order-insensitive), forward and backward, and scalar STA's graph
+//!   delay and critical path agree with the oracle's arrivals;
 //! * canonical algebra: backward is bit-identical (same per-vertex
 //!   reduction order as the reference), forward agrees within working
 //!   precision (Clark's `maximum` is order-sensitive, so pull's fixed
@@ -10,8 +12,11 @@
 //! * one `LevelSchedule` serves arbitrarily many passes — the build
 //!   counter moves once per graph, not once per pass.
 
+#[path = "support/push.rs"]
+mod push;
+
 use hier_ssta::core::CanonicalForm;
-use hier_ssta::timing::{levels, LevelSchedule, TimingGraph, VertexId};
+use hier_ssta::timing::{levels, sta, LevelSchedule, TimingError, TimingGraph, VertexId};
 use proptest::prelude::*;
 
 /// A random DAG encoded as a vertex count plus candidate edges; pairs are
@@ -84,7 +89,7 @@ proptest! {
     fn scalar_pull_forward_is_bit_identical_to_push(dag in dag()) {
         let (g, vs) = scalar_graph(&dag);
         let sources = [(vs[0], 0.0)];
-        let push = hier_ssta::timing::propagate::forward(&g, &sources).unwrap();
+        let push = push::forward(&g, &sources).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
         let pull = levels::forward(&g, &schedule, &sources).unwrap();
         prop_assert_eq!(pull, push);
@@ -94,10 +99,38 @@ proptest! {
     fn scalar_pull_backward_is_bit_identical_to_push(dag in dag()) {
         let (g, vs) = scalar_graph(&dag);
         let sinks = [(vs[dag.n - 1], 0.0)];
-        let push = hier_ssta::timing::propagate::backward(&g, &sinks).unwrap();
+        let push = push::backward(&g, &sinks).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
         let pull = levels::backward(&g, &schedule, &sinks).unwrap();
         prop_assert_eq!(pull, push);
+    }
+
+    #[test]
+    fn scalar_sta_matches_push_oracle(dag in dag()) {
+        // The worst output arrival of one push pass is the graph delay,
+        // bit for bit; no reachable output means `NoPath` on both sides.
+        let (g, _) = scalar_graph(&dag);
+        let sources: Vec<_> = g.inputs().iter().map(|&v| (v, 0.0)).collect();
+        let arrival = push::forward(&g, &sources).unwrap();
+        let oracle = g
+            .outputs()
+            .iter()
+            .filter_map(|&v| arrival[v.0 as usize])
+            .reduce(f64::max);
+        match oracle {
+            Some(want) => {
+                let delay = sta::graph_delay(&g).unwrap();
+                prop_assert_eq!(delay.to_bits(), want.to_bits());
+                let (path_delay, path) = sta::critical_path(&g).unwrap();
+                prop_assert_eq!(path_delay.to_bits(), want.to_bits());
+                let sum: f64 = path.iter().map(|&e| g.edge(e).delay).sum();
+                prop_assert!((sum - want).abs() < 1e-9, "path sums to {} of {}", sum, want);
+            }
+            None => {
+                prop_assert_eq!(sta::graph_delay(&g), Err(TimingError::NoPath));
+                prop_assert_eq!(sta::critical_path(&g), Err(TimingError::NoPath));
+            }
+        }
     }
 
     #[test]
@@ -109,7 +142,7 @@ proptest! {
         // payload was bumped to v4), not bit-exactly.
         let (g, vs) = canonical_graph(&dag);
         let sources = [(vs[0], czero())];
-        let push = hier_ssta::timing::propagate::forward(&g, &sources).unwrap();
+        let push = push::forward(&g, &sources).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
         let pull = levels::forward(&g, &schedule, &sources).unwrap();
         for (slot, (a, b)) in pull.iter().zip(&push).enumerate() {
@@ -134,7 +167,7 @@ proptest! {
         // even the order-sensitive algebra must match bit for bit.
         let (g, vs) = canonical_graph(&dag);
         let sinks = [(vs[dag.n - 1], czero())];
-        let push = hier_ssta::timing::propagate::backward(&g, &sinks).unwrap();
+        let push = push::backward(&g, &sinks).unwrap();
         let schedule = LevelSchedule::build(&g).unwrap();
         let pull = levels::backward(&g, &schedule, &sinks).unwrap();
         prop_assert_eq!(pull, push);

@@ -14,7 +14,8 @@
 //!   bases carry is rejected at every boundary it can enter through —
 //!   the decoder, a store read (counted as a reject and re-extracted)
 //!   and SDF import;
-//! * the binary c880 artifact is at most half the JSON handoff size.
+//! * the binary c880 artifact is at most half the size of its serde
+//!   JSON rendering.
 
 use hier_ssta::core::{CoreError, ExtractOptions, ModuleContext, SstaConfig, TimingModel};
 use hier_ssta::engine::store::envelope;
@@ -23,6 +24,7 @@ use hier_ssta::engine::{
     FsBackend, MemoryBackend, ModelStore, RemoteBackend, StorageBackend, TieredBackend,
     TieredOptions,
 };
+use hier_ssta::math::ByteWriter;
 use hier_ssta::netlist::{generators, DieRect};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -530,12 +532,13 @@ fn multi_byte_payload_damage_is_rejected_or_decodes_to_usable_models() {
     );
 }
 
-/// `ripple_carry_adder(2)`'s model with every edge dropped and a layout
-/// claiming 2³⁰ locals per parameter (2³² in all) over PCA bases of a
-/// few components, re-encoded. Every length prefix is in bounds and the
-/// bytes are well formed; only the parts disagree. The first delay
-/// matrix of such a model asks for a 32 GiB allocation, which aborts the
-/// process instead of panicking, so no boundary may admit it.
+/// `ripple_carry_adder(2)`'s model with every edge dropped, encoded,
+/// with its layout block spliced to claim 2³⁰ locals per parameter (2³²
+/// in all) over PCA bases of a few components. Every length prefix is in
+/// bounds and the bytes are well formed; only the parts disagree. The
+/// first delay matrix of such a model asks for a 32 GiB allocation,
+/// which aborts the process instead of panicking, so no boundary may
+/// admit it.
 fn oversized_layout_payload() -> Vec<u8> {
     let model = extract(
         generators::ripple_carry_adder(2).expect("adder"),
@@ -546,24 +549,48 @@ fn oversized_layout_payload() -> Vec<u8> {
     for e in edges {
         bare.remove_edge(e);
     }
-    let n_params = model.layout().n_params();
-    let offsets: Vec<String> = (0..=n_params).map(|p| (p << 30).to_string()).collect();
-    let patched = serde_json::to_string(&model)
-        .expect("json")
-        .replacen(
-            &serde_json::to_string(model.graph()).expect("json"),
-            &serde_json::to_string(&bare).expect("json"),
-            1,
-        )
-        .replacen(
-            &serde_json::to_string(model.layout()).expect("json"),
-            &format!("{{\"offsets\":[{}]}}", offsets.join(",")),
-            1,
-        );
-    let patched: TimingModel = serde_json::from_str(&patched).expect("patched model");
-    assert_eq!(patched.edge_count(), 0);
-    assert_eq!(patched.layout().n_locals(), n_params << 30);
-    hier_ssta::core::codec::encode_model(&patched)
+    let bare = TimingModel::assemble(
+        model.name().to_owned(),
+        bare,
+        model.geometry(),
+        model.layout().clone(),
+        model.pca().to_vec(),
+        model.config().clone(),
+        *model.stats(),
+        model.sequential().cloned(),
+    )
+    .expect("an edge-free model is valid");
+    let payload = hier_ssta::core::codec::encode_model(&bare);
+
+    // The layout block: `n_params`, then each parameter's local count.
+    let block = |counts: &[usize]| {
+        let mut w = ByteWriter::new();
+        w.put_usize(counts.len());
+        for &c in counts {
+            w.put_usize(c);
+        }
+        w.into_bytes()
+    };
+    let layout = bare.layout();
+    let counts: Vec<usize> = (0..layout.n_params())
+        .map(|p| layout.local_range(p).len())
+        .collect();
+    let honest = block(&counts);
+    let at: Vec<usize> = payload
+        .windows(honest.len())
+        .enumerate()
+        .filter(|(_, w)| *w == honest.as_slice())
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(
+        at.len(),
+        1,
+        "the layout block {honest:?} occurs exactly once"
+    );
+    let mut spliced = payload[..at[0]].to_vec();
+    spliced.extend(block(&vec![1 << 30; counts.len()]));
+    spliced.extend(&payload[at[0] + honest.len()..]);
+    spliced
 }
 
 #[test]
