@@ -63,11 +63,15 @@ struct ScalingPoint {
     warm_seconds: f64,
     parallel_speedup: f64,
     phases: PhaseTimings,
-    /// `replace / total` share of the warm run's phase time — the
-    /// committed gate on the "serial tail" (ROADMAP): the per-instance
-    /// replacement matmuls this schema revision cache-blocks.
+    /// `replace / total` share of the warm run's phase time: building
+    /// the per-instance replacement matrices and flattening the
+    /// instance graphs. Edges are rewritten into the design variable
+    /// space as propagation pulls them, so that rewrite counts in
+    /// `propagate_share`.
     replace_share: f64,
-    /// `propagate / total` share of the warm run's phase time.
+    /// `propagate / total` share of the warm run's phase time,
+    /// including the rewrite of each edge into the design variable
+    /// space.
     propagate_share: f64,
     /// Wavefront levels of the assembled design graph.
     n_levels: usize,

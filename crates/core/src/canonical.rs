@@ -213,6 +213,49 @@ impl CanonicalForm {
         }
     }
 
+    /// `self ← max(self, a + d)` in place, with the bits of
+    /// `self.maximum(&a.sum(d))` and no allocation.
+    ///
+    /// Pass 1 forms `c = a + d` on the fly and accumulates Σp², Σc² and
+    /// Σp·c per block in index order, exactly as `variance` and
+    /// `covariance` sum. Clark's tightness then either keeps `self`,
+    /// writes `c`, or — pass 2 — blends `c` into `self` while summing the
+    /// blended squares for the random refit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the variable-space dimensions differ.
+    fn max_plus_assign(&mut self, a: &CanonicalForm, d: &CanonicalForm) {
+        assert_dims(a, d);
+        assert_dims(self, a);
+        let c_nominal = a.nominal + d.nominal;
+        let c_random = (a.random * a.random + d.random * d.random).sqrt();
+        let g = fused_moments(&self.globals, &a.globals, &d.globals);
+        let l = fused_moments(&self.locals, &a.locals, &d.locals);
+        let moments = clark_max(
+            self.nominal,
+            g.pp + l.pp + self.random * self.random,
+            c_nominal,
+            g.cc + l.cc + c_random * c_random,
+            g.pc + l.pc,
+        );
+        let tp = moments.tightness;
+        if tp >= 1.0 {
+            return;
+        }
+        if tp <= 0.0 {
+            self.nominal = c_nominal;
+            write_sum(&mut self.globals, &a.globals, &d.globals);
+            write_sum(&mut self.locals, &a.locals, &d.locals);
+            self.random = c_random;
+            return;
+        }
+        let shared = blend_into(&mut self.globals, &a.globals, &d.globals, tp)
+            + blend_into(&mut self.locals, &a.locals, &d.locals, tp);
+        self.nominal = moments.mean;
+        self.random = (moments.variance - shared).max(0.0).sqrt();
+    }
+
     /// The moment-matched `min{A, B}` via `−max{−A, −B}`.
     ///
     /// # Panics
@@ -259,6 +302,25 @@ impl CanonicalForm {
         }
     }
 
+    /// Overwrites this form with `src`'s nominal, globals and random part
+    /// and lets `write_locals` fill the local block — the design-level
+    /// analysis rewrites each module-space edge into one reused
+    /// design-space form this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the global dimensions differ.
+    pub(crate) fn assign_rewritten<E>(
+        &mut self,
+        src: &CanonicalForm,
+        write_locals: impl FnOnce(&mut [f64]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.nominal = src.nominal;
+        self.globals.copy_from_slice(&src.globals);
+        self.random = src.random;
+        write_locals(&mut self.locals)
+    }
+
     /// Number of global coefficients.
     pub fn n_globals(&self) -> usize {
         self.globals.len()
@@ -281,6 +343,15 @@ impl DelayAlgebra for CanonicalForm {
 
     fn nominal(&self) -> f64 {
         self.nominal
+    }
+
+    /// The fused step: bit for bit `acc.maximum(&a.sum(d))`, computed in
+    /// place without building `a + d`.
+    fn max_plus_into(acc: &mut Option<Self>, a: &Self, d: &Self) {
+        match acc {
+            Some(p) => p.max_plus_assign(a, d),
+            None => *acc = Some(a.sum(d)),
+        }
     }
 }
 
@@ -314,6 +385,50 @@ fn blend(a: &[f64], b: &[f64], tp: f64) -> Vec<f64> {
         .zip(b)
         .map(|(x, y)| tp * x + (1.0 - tp) * y)
         .collect()
+}
+
+/// The sums pass 1 of the fused step needs over one coefficient block.
+struct BlockMoments {
+    pp: f64,
+    cc: f64,
+    pc: f64,
+}
+
+/// Σp², Σc² and Σp·c with `c = a + d` formed on the fly. Each sum starts
+/// at `-0.0` and runs in index order, as `Iterator::sum` does for `f64`,
+/// so the results carry the bits of `sq_sum`/`dot`.
+fn fused_moments(p: &[f64], a: &[f64], d: &[f64]) -> BlockMoments {
+    let mut m = BlockMoments {
+        pp: -0.0,
+        cc: -0.0,
+        pc: -0.0,
+    };
+    for ((&x, &y), &z) in p.iter().zip(a).zip(d) {
+        let c = y + z;
+        m.pp += x * x;
+        m.cc += c * c;
+        m.pc += x * c;
+    }
+    m
+}
+
+/// Writes `a + d` into `p`.
+fn write_sum(p: &mut [f64], a: &[f64], d: &[f64]) {
+    for ((x, &y), &z) in p.iter_mut().zip(a).zip(d) {
+        *x = y + z;
+    }
+}
+
+/// Writes `tp·p + (1−tp)·(a + d)` into `p` and returns the blended
+/// block's Σm², summed as [`fused_moments`] sums.
+fn blend_into(p: &mut [f64], a: &[f64], d: &[f64], tp: f64) -> f64 {
+    let mut mm = -0.0;
+    for ((x, &y), &z) in p.iter_mut().zip(a).zip(d) {
+        let m = tp * *x + (1.0 - tp) * (y + z);
+        *x = m;
+        mm += m * m;
+    }
+    mm
 }
 
 #[cfg(test)]
@@ -511,6 +626,107 @@ mod tests {
         let m1 = DA::maximum(&a, &b);
         let m2 = CanonicalForm::maximum(&a, &b);
         assert_eq!(m1, m2);
+    }
+
+    /// Every coefficient of a form as raw bits, so `-0.0` and `0.0` differ.
+    fn bits(f: &CanonicalForm) -> Vec<u64> {
+        let mut out = vec![f.nominal.to_bits(), f.random.to_bits()];
+        out.extend(f.globals.iter().chain(&f.locals).map(|x| x.to_bits()));
+        out
+    }
+
+    /// A random coefficient: mostly uniform, sometimes `±0.0`.
+    fn coefficient(rng: &mut impl rand::Rng) -> f64 {
+        match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0..2.0),
+        }
+    }
+
+    /// A random form; `private` = false pins the random part at 0.
+    fn random_form(
+        rng: &mut impl rand::Rng,
+        (n_g, n_l): (usize, usize),
+        nominal: f64,
+        private: bool,
+    ) -> CanonicalForm {
+        if rng.gen_range(0u32..10) == 0 {
+            // Zero variance, signed zeros included.
+            let z = if rng.gen_bool(0.5) { -0.0 } else { 0.0 };
+            return form(nominal, &vec![z; n_g], &vec![z; n_l], 0.0);
+        }
+        let g: Vec<f64> = (0..n_g).map(|_| coefficient(rng)).collect();
+        let l: Vec<f64> = (0..n_l).map(|_| coefficient(rng)).collect();
+        let r = if private && rng.gen_bool(0.8) {
+            rng.gen_range(0.0..2.0)
+        } else {
+            0.0
+        };
+        form(nominal, &g, &l, r)
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_to_sum_then_maximum() {
+        use rand::Rng;
+        use ssta_timing::DelayAlgebra as DA;
+        let mut rng = ssta_math::rng::seeded_rng(19);
+        // [keep p, take c, blend, degenerate θ] cases seen.
+        let mut branches = [0usize; 4];
+        for case in 0..4000 {
+            let dims = (rng.gen_range(0usize..4), rng.gen_range(0usize..24));
+            let (mean_a, mean_d) = (rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0));
+            // The accumulator sits far above, far below or near `a + d`,
+            // or is a deterministic `a + d` up to a mean shift (θ = 0).
+            let private = case % 4 != 3;
+            let a = random_form(&mut rng, dims, mean_a, private);
+            let d = random_form(&mut rng, dims, mean_d, private);
+            let c = a.sum(&d);
+            let shift = rng.gen_range(-1.0..1.0);
+            let p = match case % 4 {
+                0 => random_form(&mut rng, dims, c.mean() + 1e3, true),
+                1 => random_form(&mut rng, dims, c.mean() - 1e3, true),
+                2 => random_form(&mut rng, dims, c.mean() + shift, true),
+                _ => CanonicalForm {
+                    nominal: c.mean() + shift,
+                    ..c.clone()
+                },
+            };
+            let moments = clark_max(
+                p.mean(),
+                p.variance(),
+                c.mean(),
+                c.variance(),
+                p.covariance(&c),
+            );
+            let theta_sq = p.variance() + c.variance() - 2.0 * p.covariance(&c);
+            let degenerate = theta_sq <= 1e-12 * p.variance().max(c.variance()).max(1e-300);
+            branches[match moments.tightness {
+                _ if degenerate => 3,
+                tp if tp >= 1.0 => 0,
+                tp if tp <= 0.0 => 1,
+                _ => 2,
+            }] += 1;
+
+            // Forward orientation, `acc ← max(acc, a + d)`.
+            let want = p.maximum(&a.sum(&d));
+            let mut acc = Some(p.clone());
+            DA::max_plus_into(&mut acc, &a, &d);
+            assert_eq!(bits(acc.as_ref().unwrap()), bits(&want), "case {case}");
+
+            // Backward orientation: a pass calls `(required, delay)` for
+            // `delay.sum(required)`.
+            let want = p.maximum(&d.sum(&a));
+            let mut acc = Some(p.clone());
+            DA::max_plus_into(&mut acc, &a, &d);
+            assert_eq!(bits(acc.as_ref().unwrap()), bits(&want), "case {case}");
+
+            // An empty accumulator takes the plain sum.
+            let mut acc = None;
+            DA::max_plus_into(&mut acc, &a, &d);
+            assert_eq!(bits(acc.as_ref().unwrap()), bits(&a.sum(&d)), "case {case}");
+        }
+        assert!(branches.iter().all(|&n| n >= 100), "branches {branches:?}");
     }
 
     #[test]

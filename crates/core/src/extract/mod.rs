@@ -28,7 +28,7 @@ use crate::canonical::CanonicalForm;
 use crate::criticality::{criticalities_until, CriticalityOptions};
 use crate::module::ModuleContext;
 use crate::CoreError;
-use ssta_timing::{EdgeId, TimingGraph, VertexId};
+use ssta_timing::{DelayAlgebra, EdgeId, TimingGraph, VertexId};
 use std::time::Instant;
 
 /// Options for [`extract`].
@@ -320,12 +320,7 @@ fn masked_forward(
                 continue;
             }
             let edge = graph.edge(e);
-            let cand = at_v.sum(&edge.delay);
-            let slot = &mut arr[edge.to.0 as usize];
-            *slot = Some(match slot.take() {
-                Some(prev) => prev.maximum(&cand),
-                None => cand,
-            });
+            CanonicalForm::max_plus_into(&mut arr[edge.to.0 as usize], &at_v, &edge.delay);
         }
         arr[v.0 as usize] = Some(at_v);
     }

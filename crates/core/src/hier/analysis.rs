@@ -16,7 +16,7 @@ use crate::params::VariableLayout;
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use ssta_math::parallel::{effective_threads, try_parallel_indexed};
-use ssta_timing::{levels, LevelSchedule, TimingGraph, VertexId};
+use ssta_timing::{levels, DelayAlgebra, EdgeId, LevelSchedule, TimingGraph, VertexId};
 use std::fmt;
 use std::time::Instant;
 
@@ -34,10 +34,11 @@ pub enum CorrelationMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyzeOptions {
     /// Worker threads for the parallel assembly phases (design covariance
-    /// rows, per-instance replacement build and coefficient rewriting);
-    /// `0` uses the available parallelism, `1` forces the serial path.
-    /// Step 4's propagation always runs on the calling thread. Every
-    /// thread count produces bit-identical results.
+    /// rows and the per-instance replacement matrices); `0` uses the
+    /// available parallelism, `1` forces the serial path. Step 4's
+    /// propagation, which also rewrites each edge into the design
+    /// variable space, always runs on the calling thread. Every thread
+    /// count produces bit-identical results.
     pub threads: usize,
 }
 
@@ -59,9 +60,11 @@ pub struct PhaseTimings {
     /// Step 2b — its eigendecomposition (PCA).
     pub eigen_seconds: f64,
     /// Step 3 — building the per-instance replacement matrices and
-    /// rewriting every edge delay into the design variable space.
+    /// flattening the instance graphs, whose edges stay in module space.
     pub replace_seconds: f64,
-    /// Step 4 — arrival-time propagation over the assembled graph.
+    /// Step 4 — arrival-time propagation over the assembled graph,
+    /// including step 3's rewrite of each edge into the design variable
+    /// space, which runs as propagation pulls the edge.
     pub propagate_seconds: f64,
 }
 
@@ -136,9 +139,9 @@ pub fn analyze(design: &Design, mode: CorrelationMode) -> Result<DesignTiming, C
 ///
 /// The assembly phases fan out across `options.threads` workers: the
 /// design covariance is filled by row blocks, and each instance's
-/// replacement matrices + edge-delay rewrites are built independently.
-/// Results are bit-identical for every thread count — each unit of work
-/// is self-contained and joined in deterministic index order.
+/// replacement matrices are built independently. Results are
+/// bit-identical for every thread count — each unit of work is
+/// self-contained and joined in deterministic index order.
 ///
 /// # Errors
 ///
@@ -163,6 +166,12 @@ pub fn analyze_with(
 /// scenarios. [`analyze_with`] is [`assemble_design_graph`] + one
 /// schedule build + this.
 ///
+/// The pass rewrites each edge into the design variable space when it
+/// pulls it (the hot half of step 3), into one reused scratch form that
+/// the fused Clark step reads, so the design-space edge delays are
+/// never materialized. Results carry the bits of rewriting every edge
+/// first and then propagating.
+///
 /// The returned timing's `phases` are the assembly's phases plus this
 /// propagation; `elapsed_seconds` is their sum (callers owning the full
 /// wall clock overwrite it).
@@ -175,8 +184,10 @@ pub fn analyze_with(
 /// # Errors
 ///
 /// Returns [`CoreError::Timing`]`(StaleSchedule)` if the schedule does
-/// not match the graph's shape, and `(NoPath)` if a design output is
-/// unreachable.
+/// not match the graph's shape, `(NoPath)` if a design output is
+/// unreachable, and [`CoreError::Math`] if an edge does not fit its
+/// instance's replacement (which a graph built by
+/// [`assemble_design_graph`] always does).
 pub fn propagate_assembled(
     assembled: &AssembledDesign,
     schedule: &LevelSchedule,
@@ -186,7 +197,13 @@ pub fn propagate_assembled(
     let graph = &assembled.graph;
 
     let propagate_started = Instant::now();
-    let arrivals = levels::forward(graph, schedule, &assembled.sources)?;
+    let mut scratch =
+        CanonicalForm::constant(0.0, assembled.n_globals, assembled.n_local_components);
+    let arrivals = levels::forward_with(graph, schedule, &assembled.sources, |acc, a, e| {
+        assembled.rewrite_edge(e, &mut scratch)?;
+        CanonicalForm::max_plus_into(acc, a, &scratch);
+        Ok::<(), CoreError>(())
+    })?;
     let po_arrivals: Vec<CanonicalForm> = graph
         .outputs()
         .iter()
@@ -213,18 +230,27 @@ pub fn propagate_assembled(
 }
 
 /// The assembled design-level timing graph (Fig. 5 steps 1–3) before
-/// arrival-time propagation: the flattened instance graphs with every
-/// edge delay rewritten into the design variable space, plus the
+/// arrival-time propagation: the flattened instance graphs, plus the
 /// propagation sources (one zero form per design primary input).
 ///
-/// Produced by [`assemble_design_graph`] for tooling that wants to run
-/// or measure propagation engines directly (e.g. the perf harness'
-/// push-vs-pull duel); [`analyze_with`] is this plus step 4.
+/// Instance edges keep their delays in their module's own variable
+/// space, and top-level edges (design PIs to instance inputs, and
+/// inter-module wires) hold deterministic forms with no local
+/// coefficients. [`propagate_assembled`] rewrites each edge into the
+/// design variable space at the moment it pulls that edge, so the
+/// design-space delays are never materialized. Use [`graph`](Self::graph)
+/// for its structure (e.g. [`LevelSchedule::build`]), not as a
+/// design-space graph.
+///
+/// Produced by [`assemble_design_graph`] for tooling that times
+/// assembly and propagation separately, or reuses one schedule across
+/// assemblies; [`analyze_with`] is this plus step 4.
 #[derive(Debug, Clone)]
 pub struct AssembledDesign {
     /// The analysis mode this graph was assembled for.
     pub mode: CorrelationMode,
-    /// The design-level timing graph.
+    /// The design-level timing graph: instance edges in module space,
+    /// top-level edges without locals.
     pub graph: TimingGraph<CanonicalForm>,
     /// Propagation sources: `(input vertex, zero form)` per design PI.
     pub sources: Vec<(VertexId, CanonicalForm)>,
@@ -232,10 +258,43 @@ pub struct AssembledDesign {
     pub n_local_components: usize,
     /// Wall-clock breakdown of the assembly phases (propagate is 0).
     pub phases: PhaseTimings,
+    /// Global coefficients per form (one per process parameter).
+    n_globals: usize,
+    /// Per edge id: the instance whose module space holds the delay, or
+    /// `None` for a top-level edge.
+    edge_instance: Vec<Option<u32>>,
+    /// Per instance: its transform into the design variable space and
+    /// its module's variable layout.
+    transforms: Vec<LocalTransform>,
+    module_layouts: Vec<VariableLayout>,
+    design_layout: VariableLayout,
+}
+
+impl AssembledDesign {
+    /// Writes edge `e`'s delay, rewritten into the design variable space,
+    /// into `out` — the form [`analyze_with`]'s step 4 pulls.
+    fn rewrite_edge(&self, e: EdgeId, out: &mut CanonicalForm) -> Result<(), CoreError> {
+        let form = &self.graph.edge(e).delay;
+        out.assign_rewritten(form, |dst| match self.edge_instance[e.0 as usize] {
+            Some(idx) => {
+                let idx = idx as usize;
+                self.transforms[idx].apply_into(
+                    form.locals(),
+                    &self.module_layouts[idx],
+                    &self.design_layout,
+                    dst,
+                )
+            }
+            None => {
+                dst.fill(0.0);
+                Ok(())
+            }
+        })
+    }
 }
 
 /// Builds the design-level timing graph without propagating (steps 1–3
-/// of Fig. 5): partition, design PCA, per-instance variable replacement
+/// of Fig. 5): partition, design PCA, per-instance replacement matrices
 /// and graph flattening, fanned out across `options.threads` workers.
 ///
 /// # Errors
@@ -277,34 +336,12 @@ pub fn assemble_design_graph_with_basis(
         build_variable_space(design, mode, threads, basis)?;
     let n_globals = design.config().parameters.len();
     let n_locals = design_layout.n_locals();
-    let zero = || CanonicalForm::constant(0.0, n_globals, n_locals);
 
-    // Step 3 (hot half): rewrite every instance's edge delays into the
-    // design variable space, one instance per work unit. Delays come back
-    // in `edges_iter` order per instance, so the serial graph assembly
-    // below consumes them deterministically. With one thread the rewrite
-    // streams instance by instance inside the assembly loop instead
-    // (same result, no all-instances delay buffer held at once).
-    let instances = design.instances();
-    let rewrite_instance = |idx: usize| -> Result<Vec<CanonicalForm>, CoreError> {
-        let inst = &instances[idx];
-        inst.model
-            .graph()
-            .edges_iter()
-            .map(|(_, e)| transforms[idx].apply(&e.delay, inst.model.layout(), &design_layout))
-            .collect()
-    };
-    let mut mapped_delays: Option<std::vec::IntoIter<Vec<CanonicalForm>>> = if threads > 1 {
-        let replace_started = Instant::now();
-        let all = try_parallel_indexed(instances.len(), threads, rewrite_instance)?;
-        phases.replace_seconds += replace_started.elapsed().as_secs_f64();
-        Some(all.into_iter())
-    } else {
-        None
-    };
-
-    // Build the design-level timing graph.
+    // Flatten the instance graphs. Edge delays stay in module space:
+    // step 4 rewrites each one as it pulls it.
+    let flatten_started = Instant::now();
     let mut graph: TimingGraph<CanonicalForm> = TimingGraph::new();
+    let mut edge_instance: Vec<Option<u32>> = Vec::new();
     let mut pi_vertices = Vec::with_capacity(design.pi_bindings().len());
     for _ in design.pi_bindings() {
         pi_vertices.push(graph.add_input());
@@ -319,19 +356,11 @@ pub fn assemble_design_graph_with_basis(
         for v in mg.vertices() {
             map[v.0 as usize] = Some(graph.add_vertex());
         }
-        let delays = match mapped_delays.as_mut() {
-            Some(iter) => iter.next().expect("one delay block per instance"),
-            None => {
-                let replace_started = Instant::now();
-                let block = rewrite_instance(idx)?;
-                phases.replace_seconds += replace_started.elapsed().as_secs_f64();
-                block
-            }
-        };
-        for ((_, e), delay) in mg.edges_iter().zip(delays) {
+        for (_, e) in mg.edges_iter() {
             let from = map[e.from.0 as usize].expect("live endpoint");
             let to = map[e.to.0 as usize].expect("live endpoint");
-            graph.add_edge(from, to, delay);
+            graph.add_edge(from, to, e.delay.clone());
+            edge_instance.push(Some(idx as u32));
         }
         in_ports.push(
             mg.inputs()
@@ -347,22 +376,28 @@ pub fn assemble_design_graph_with_basis(
         );
     }
 
-    // Design PIs → instance inputs.
+    // Design PIs → instance inputs, then inter-module wires: deterministic
+    // delays, so their locals are implicitly zero.
+    let mut add_top_level = |from: VertexId, to: VertexId, delay_ps: f64| {
+        graph.add_edge(from, to, CanonicalForm::constant(delay_ps, n_globals, 0));
+        edge_instance.push(None);
+    };
     for (pi, targets) in design.pi_bindings().iter().enumerate() {
         for &(inst, port) in targets {
-            graph.add_edge(pi_vertices[pi], in_ports[inst][port], zero());
+            add_top_level(pi_vertices[pi], in_ports[inst][port], 0.0);
         }
     }
-    // Inter-module wires.
     for c in design.connections() {
-        let mut wire = zero();
-        if c.wire_delay_ps != 0.0 {
-            wire = CanonicalForm::constant(c.wire_delay_ps, n_globals, n_locals);
-        }
-        graph.add_edge(
+        // Every zero wire carries `+0.0`, also one given as `-0.0`.
+        let delay_ps = if c.wire_delay_ps == 0.0 {
+            0.0
+        } else {
+            c.wire_delay_ps
+        };
+        add_top_level(
             out_ports[c.from.0][c.from.1],
             in_ports[c.to.0][c.to.1],
-            wire,
+            delay_ps,
         );
     }
     // Design POs.
@@ -370,20 +405,35 @@ pub fn assemble_design_graph_with_basis(
         graph.mark_output(out_ports[inst][port]);
     }
 
-    let sources: Vec<(VertexId, CanonicalForm)> =
-        graph.inputs().iter().map(|&v| (v, zero())).collect();
+    let sources: Vec<(VertexId, CanonicalForm)> = graph
+        .inputs()
+        .iter()
+        .map(|&v| (v, CanonicalForm::constant(0.0, n_globals, n_locals)))
+        .collect();
+    let module_layouts = design
+        .instances()
+        .iter()
+        .map(|inst| inst.model.layout().clone())
+        .collect();
+    phases.replace_seconds += flatten_started.elapsed().as_secs_f64();
     Ok(AssembledDesign {
         mode,
         graph,
         sources,
         n_local_components: n_locals,
         phases,
+        n_globals,
+        edge_instance,
+        transforms,
+        module_layouts,
+        design_layout,
     })
 }
 
 /// A per-instance coefficient transform into the design variable space.
 /// `pub(crate)` so the sequential analysis can rewrite constraint arcs
 /// with the exact transform its edge delays get.
+#[derive(Debug, Clone)]
 pub(crate) enum LocalTransform {
     /// Proposed mode: full replacement matrices.
     Replace(InstanceReplacement),
@@ -395,22 +445,37 @@ pub(crate) enum LocalTransform {
 }
 
 impl LocalTransform {
+    /// Rewrites a whole form into the design variable space (allocating).
     pub(crate) fn apply(
         &self,
         form: &CanonicalForm,
         module_layout: &VariableLayout,
         design_layout: &VariableLayout,
     ) -> Result<CanonicalForm, CoreError> {
+        let mut locals = vec![0.0; design_layout.n_locals()];
+        self.apply_into(form.locals(), module_layout, design_layout, &mut locals)?;
+        Ok(form.with_locals(locals))
+    }
+
+    /// Writes the design-space image of module-space locals `src` into
+    /// `dst`.
+    pub(crate) fn apply_into(
+        &self,
+        src: &[f64],
+        module_layout: &VariableLayout,
+        design_layout: &VariableLayout,
+        dst: &mut [f64],
+    ) -> Result<(), CoreError> {
         match self {
-            LocalTransform::Replace(r) => r.apply(form, module_layout, design_layout),
+            LocalTransform::Replace(r) => r.apply_into(src, module_layout, design_layout, dst),
             LocalTransform::Offset { per_param } => {
-                let mut locals = vec![0.0; design_layout.n_locals()];
+                dst.fill(0.0);
                 for (p, &off) in per_param.iter().enumerate() {
-                    let src = &form.locals()[module_layout.local_range(p)];
+                    let block = &src[module_layout.local_range(p)];
                     let base = design_layout.local_range(p).start + off;
-                    locals[base..base + src.len()].copy_from_slice(src);
+                    dst[base..base + block.len()].copy_from_slice(block);
                 }
-                Ok(form.with_locals(locals))
+                Ok(())
             }
         }
     }

@@ -156,7 +156,8 @@ impl InstanceReplacement {
 
     /// Rewrites a canonical form from module space into design space:
     /// per-parameter local blocks map through `Rᵀ`; nominal, globals and
-    /// the private random part are unchanged.
+    /// the private random part are unchanged. Allocates the result; see
+    /// [`apply_into`](Self::apply_into) for the in-place rewrite.
     ///
     /// # Errors
     ///
@@ -169,13 +170,37 @@ impl InstanceReplacement {
         design_layout: &VariableLayout,
     ) -> Result<CanonicalForm, CoreError> {
         let mut locals = vec![0.0; design_layout.n_locals()];
-        for (p, r) in self.per_param.iter().enumerate() {
-            let src = &form.locals()[module_layout.local_range(p)];
-            let mapped = r.mat_vec_transposed(src)?;
-            let dst_range = design_layout.local_range(p);
-            locals[dst_range].copy_from_slice(&mapped);
-        }
+        self.apply_into(form.locals(), module_layout, design_layout, &mut locals)?;
         Ok(form.with_locals(locals))
+    }
+
+    /// Writes the design-space image of a module-space local coefficient
+    /// vector into `dst`: `dst[design block p] = R_pᵀ · src[module block
+    /// p]`, and zero outside the blocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Math`] if a block of `src` or `dst` does not
+    /// match the replacement's shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is shorter than its layout.
+    pub fn apply_into(
+        &self,
+        src: &[f64],
+        module_layout: &VariableLayout,
+        design_layout: &VariableLayout,
+        dst: &mut [f64],
+    ) -> Result<(), CoreError> {
+        dst.fill(0.0);
+        for (p, r) in self.per_param.iter().enumerate() {
+            r.add_mat_vec_transposed(
+                &src[module_layout.local_range(p)],
+                &mut dst[design_layout.local_range(p)],
+            )?;
+        }
+        Ok(())
     }
 }
 

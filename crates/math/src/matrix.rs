@@ -253,29 +253,31 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Transposed matrix–vector product `selfᵀ · v`.
+    /// Adds the transposed matrix–vector product `selfᵀ · v` to `out`, in
+    /// place: rows ascend, rows whose `vᵢ` is zero are skipped, and each
+    /// row adds `vᵢ · self[i][j]` to `out[j]`.
     ///
     /// # Errors
     ///
-    /// Returns [`MathError::DimensionMismatch`] unless `v.len() == rows`.
-    pub fn mat_vec_transposed(&self, v: &[f64]) -> Result<Vec<f64>, MathError> {
-        if v.len() != self.rows {
+    /// Returns [`MathError::DimensionMismatch`] unless `v.len() == rows`
+    /// and `out.len() == cols`.
+    pub fn add_mat_vec_transposed(&self, v: &[f64], out: &mut [f64]) -> Result<(), MathError> {
+        if (v.len(), out.len()) != (self.rows, self.cols) {
             return Err(MathError::DimensionMismatch {
-                context: "Matrix::mat_vec_transposed",
-                expected: (self.rows, 1),
-                found: (v.len(), 1),
+                context: "Matrix::add_mat_vec_transposed",
+                expected: (self.rows, self.cols),
+                found: (v.len(), out.len()),
             });
         }
-        let mut out = vec![0.0; self.cols];
         for (i, &vi) in v.iter().enumerate() {
             if vi == 0.0 {
                 continue;
             }
-            for (j, &a) in self.row(i).iter().enumerate() {
-                out[j] += vi * a;
+            for (o, &a) in out.iter_mut().zip(self.row(i)) {
+                *o += vi * a;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Extracts the sub-matrix given by a list of row indices and a list of
@@ -520,8 +522,11 @@ mod tests {
         assert_eq!(got, vec![50.0, 110.0, 170.0]);
 
         let w = vec![1.0, 1.0, 1.0];
-        let got_t = a.mat_vec_transposed(&w).unwrap();
-        assert_eq!(got_t, vec![9.0, 12.0]);
+        let mut got_t = vec![0.5, 0.0];
+        a.add_mat_vec_transposed(&w, &mut got_t).unwrap();
+        assert_eq!(got_t, vec![9.5, 12.0]);
+        assert!(a.add_mat_vec_transposed(&v, &mut got_t).is_err());
+        assert!(a.add_mat_vec_transposed(&w, &mut [0.0; 3]).is_err());
     }
 
     #[test]

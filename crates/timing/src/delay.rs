@@ -19,6 +19,20 @@ pub trait DelayAlgebra: Clone + Debug {
     /// A scalar representative (the nominal/mean value) used for reporting
     /// and tie-breaking; must be finite.
     fn nominal(&self) -> f64;
+
+    /// One pull step of a propagation pass: `acc ← max(acc, a + d)`, or
+    /// `a + d` when `acc` is empty. Every pass in this crate reduces
+    /// through it, so an implementation may override it with a fused
+    /// kernel; an override must give exactly the bits of this default.
+    /// Backward passes call it as `(required, delay)`, so `sum` must be
+    /// commutative.
+    fn max_plus_into(acc: &mut Option<Self>, a: &Self, d: &Self) {
+        let cand = a.sum(d);
+        *acc = Some(match acc.take() {
+            Some(prev) => prev.maximum(&cand),
+            None => cand,
+        });
+    }
 }
 
 impl DelayAlgebra for f64 {
@@ -53,5 +67,16 @@ mod tests {
         }
         assert_eq!(propagate(1.0, 2.0, 10.0), 10.0);
         assert_eq!(propagate(5.0, 6.0, 10.0), 11.0);
+    }
+
+    #[test]
+    fn max_plus_into_seeds_then_folds() {
+        let mut acc = None;
+        f64::max_plus_into(&mut acc, &1.0, &2.0);
+        assert_eq!(acc, Some(3.0));
+        f64::max_plus_into(&mut acc, &0.5, &1.0);
+        assert_eq!(acc, Some(3.0));
+        f64::max_plus_into(&mut acc, &4.0, &1.0);
+        assert_eq!(acc, Some(5.0));
     }
 }

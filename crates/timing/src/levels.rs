@@ -11,6 +11,14 @@
 //! for backward) in fixed edge-index order, so the result never depends
 //! on the order vertices within one level are visited.
 //!
+//! Both directions run one pull loop, and each pulled edge costs one
+//! [`DelayAlgebra::max_plus_into`] step, `acc ← max(acc, a + d)`, which
+//! canonical forms fuse into one in-place kernel. [`forward_with`]
+//! takes the step from the caller: the design-level analysis keeps each
+//! instance edge in its module's variable space and rewrites it into
+//! the design space inside the step, so no pass materializes
+//! design-space edge delays.
+//!
 //! Passes run on the calling thread. Fanning each level out across
 //! scoped threads measured slower than the serial loop at every size
 //! tried on a 2-vCPU VM: a design analysis of 4, 16 and 64 chained
@@ -28,7 +36,7 @@
 //! bit, which is why the module fingerprint was re-keyed (v4) when
 //! extraction adopted this one.
 
-use crate::{DelayAlgebra, TimingError, TimingGraph, VertexId};
+use crate::{DelayAlgebra, EdgeId, TimingError, TimingGraph, VertexId};
 use std::cell::Cell;
 
 thread_local! {
@@ -239,49 +247,54 @@ fn seed<D: DelayAlgebra>(bound: usize, pairs: &[(VertexId, D)]) -> Vec<Option<D>
     seeds
 }
 
-/// Pull-reduction for one vertex of a forward pass: seed value first,
-/// then each in-edge's `arrival[from] + delay` in fixed edge-index
-/// order. No per-vertex clone of propagated values — the accumulator is
-/// built from the first contribution and updated in place.
-fn reduce_forward<D: DelayAlgebra>(
-    graph: &TimingGraph<D>,
-    schedule: &LevelSchedule,
-    arrival: &[Option<D>],
-    v: usize,
-) -> Option<D> {
-    let mut acc: Option<D> = arrival[v].clone();
-    for &(e, from) in schedule.in_arcs_of(v) {
-        if let Some(a) = &arrival[from as usize] {
-            let cand = a.sum(&graph.edge(crate::EdgeId(e)).delay);
-            acc = Some(match acc {
-                Some(prev) => prev.maximum(&cand),
-                None => cand,
-            });
-        }
-    }
-    acc
+/// Which way a pass pulls.
+#[derive(Clone, Copy)]
+enum Direction {
+    /// Levels ascending; each vertex folds its in-edges.
+    Forward,
+    /// Levels descending; each vertex folds its out-edges.
+    Backward,
 }
 
-/// Pull-reduction for one vertex of a backward pass: seed (sink) value
-/// first, then each out-edge's `delay + required[to]` in fixed
-/// edge-index order.
-fn reduce_backward<D: DelayAlgebra>(
-    graph: &TimingGraph<D>,
+/// The one pull loop behind every pass. Each vertex starts from its
+/// seed and folds `step(acc, value[w], e)` over its arcs `(e, w)` in
+/// fixed edge-index order, skipping arcs whose far end holds no value.
+/// Levels run in `direction` order, and a level's vertices ascend by id
+/// in both directions: walking `order` backwards visits ids descending
+/// instead, which measured ~4 % slower cold extraction.
+fn pull<D, E, F>(
     schedule: &LevelSchedule,
-    required: &[Option<D>],
-    v: usize,
-) -> Option<D> {
-    let mut acc: Option<D> = required[v].clone();
-    for &(e, to) in schedule.out_arcs_of(v) {
-        if let Some(r) = &required[to as usize] {
-            let cand = graph.edge(crate::EdgeId(e)).delay.sum(r);
-            acc = Some(match acc {
-                Some(prev) => prev.maximum(&cand),
-                None => cand,
-            });
+    mut values: Vec<Option<D>>,
+    direction: Direction,
+    mut step: F,
+) -> Result<Vec<Option<D>>, E>
+where
+    F: FnMut(&mut Option<D>, &D, EdgeId) -> Result<(), E>,
+{
+    let n_levels = schedule.n_levels();
+    for i in 0..n_levels {
+        let l = match direction {
+            Direction::Forward => i,
+            Direction::Backward => n_levels - 1 - i,
+        };
+        for &v in schedule.level_range(l) {
+            let v = v as usize;
+            let arcs = match direction {
+                Direction::Forward => schedule.in_arcs_of(v),
+                Direction::Backward => schedule.out_arcs_of(v),
+            };
+            // A vertex reads only other levels (a DAG has no self-arcs),
+            // so its own slot can be taken and updated in place.
+            let mut acc = values[v].take();
+            for &(e, w) in arcs {
+                if let Some(x) = &values[w as usize] {
+                    step(&mut acc, x, EdgeId(e))?;
+                }
+            }
+            values[v] = acc;
         }
     }
-    acc
+    Ok(values)
 }
 
 /// Arrival times from the given `(vertex, initial)` sources, level by
@@ -301,20 +314,48 @@ pub fn forward<D: DelayAlgebra>(
     schedule: &LevelSchedule,
     sources: &[(VertexId, D)],
 ) -> Result<Vec<Option<D>>, TimingError> {
+    forward_with(graph, schedule, sources, |acc, a, e| {
+        D::max_plus_into(acc, a, &graph.edge(e).delay);
+        Ok(())
+    })
+}
+
+/// [`forward`] with a caller-supplied pull step: each vertex folds
+/// `step(acc, arrival[from], edge)` over its in-edges, where the plain
+/// step is `D::max_plus_into(acc, arrival, &graph.edge(edge).delay)`.
+/// A caller whose edges hold delays in another representation (the
+/// design-level analysis keeps instance edges in module space) converts
+/// each edge inside its step, at the moment the pass pulls it. The
+/// first error a step returns ends the pass.
+///
+/// # Errors
+///
+/// Returns [`TimingError::StaleSchedule`] (converted into `E`) when
+/// `schedule` was built from a different graph state, and the first
+/// error `step` returns.
+///
+/// # Panics
+///
+/// Panics if a source vertex id is out of range.
+pub fn forward_with<D, E, F>(
+    graph: &TimingGraph<D>,
+    schedule: &LevelSchedule,
+    sources: &[(VertexId, D)],
+    step: F,
+) -> Result<Vec<Option<D>>, E>
+where
+    D: DelayAlgebra,
+    E: From<TimingError>,
+    F: FnMut(&mut Option<D>, &D, EdgeId) -> Result<(), E>,
+{
     schedule.ensure_matches(graph)?;
-    let mut arrival = seed(schedule.vertex_bound, sources);
-    // Level-major order: a vertex reads only lower levels and its seed.
-    for &v in &schedule.order {
-        if let Some(a) = reduce_forward(graph, schedule, &arrival, v as usize) {
-            arrival[v as usize] = Some(a);
-        }
-    }
-    Ok(arrival)
+    let seeds = seed(schedule.vertex_bound, sources);
+    pull(schedule, seeds, Direction::Forward, step)
 }
 
 /// Max delay from each vertex to the given `(vertex, initial)` sinks,
 /// level by level in reverse. Each vertex folds its sink value first,
-/// then its out-edges in edge-index order.
+/// then `delay + required[to]` over its out-edges in edge-index order.
 ///
 /// # Errors
 ///
@@ -330,18 +371,13 @@ pub fn backward<D: DelayAlgebra>(
     sinks: &[(VertexId, D)],
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
-    let mut required = seed(schedule.vertex_bound, sinks);
-    // Levels in reverse, each in ascending id order: a vertex reads only
-    // higher levels and its seed. Walking `order` backwards visits ids
-    // descending instead, which measured ~4 % slower cold extraction.
-    for l in (0..schedule.n_levels()).rev() {
-        for &v in schedule.level_range(l) {
-            if let Some(r) = reduce_backward(graph, schedule, &required, v as usize) {
-                required[v as usize] = Some(r);
-            }
-        }
-    }
-    Ok(required)
+    let seeds = seed(schedule.vertex_bound, sinks);
+    // `sum` is commutative, so `required + delay` has the bits of
+    // `delay + required`.
+    pull(schedule, seeds, Direction::Backward, |acc, r, e| {
+        D::max_plus_into(acc, r, &graph.edge(e).delay);
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -426,6 +462,29 @@ mod tests {
         assert_eq!(pull[o.0 as usize], Some(9.0));
         let pull = forward(&g, &s, &[(i, 10.0)]).unwrap();
         assert_eq!(pull[o.0 as usize], Some(14.0));
+    }
+
+    #[test]
+    fn forward_with_folds_the_callers_step_and_stops_at_its_error() {
+        let (g, [i, a, b, o]) = diamond();
+        let s = LevelSchedule::build(&g).unwrap();
+        // A step that doubles every edge delay on the way.
+        let doubled = forward_with(&g, &s, &[(i, 0.0)], |acc, x, e| {
+            f64::max_plus_into(acc, x, &(2.0 * g.edge(e).delay));
+            Ok::<(), TimingError>(())
+        })
+        .unwrap();
+        assert_eq!(doubled[a.0 as usize], Some(2.0));
+        assert_eq!(doubled[b.0 as usize], Some(4.0));
+        assert_eq!(doubled[o.0 as usize], Some(8.0));
+        let failed = forward_with(&g, &s, &[(i, 0.0)], |acc, x, e| {
+            if g.edge(e).to == o {
+                return Err(TimingError::NoPath);
+            }
+            f64::max_plus_into(acc, x, &g.edge(e).delay);
+            Ok(())
+        });
+        assert_eq!(failed, Err(TimingError::NoPath));
     }
 
     #[test]

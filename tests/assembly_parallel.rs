@@ -5,20 +5,28 @@
 //!   Jacobi oracle (`support/jacobi.rs`): property tests on random SPD
 //!   matrices, plus fixed exponential-decay covariances;
 //! * a bit-identity regression of the parallel design-level analysis
-//!   against the serial path on a multi-instance design.
+//!   against the serial path on a multi-instance design;
+//! * the analysis that rewrites each edge into the design variable space
+//!   as propagation pulls it, against the fully materialized oracle
+//!   (`support/materialized.rs`), bit for bit, on c880 arrays and on a
+//!   mixed-module chain with nonzero wire delays, plus pinned digests of
+//!   the c880 array results.
 
 #[path = "support/jacobi.rs"]
 mod jacobi;
+#[path = "support/materialized.rs"]
+mod materialized;
 
 use hier_ssta::core::{
-    analyze_with, AnalyzeOptions, CorrelationMode, Design, DesignBuilder, ExtractOptions,
-    ModuleContext, SstaConfig,
+    analyze_with, assemble_design_graph, propagate_assembled, AnalyzeOptions, CanonicalForm,
+    CorrelationMode, Design, DesignBuilder, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
 };
 use hier_ssta::math::eigen::{symmetric_eigen, SymmetricEigen};
 use hier_ssta::math::Matrix;
 use hier_ssta::netlist::{generators, DieRect};
+use hier_ssta::timing::LevelSchedule;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A random symmetric positive-definite matrix `B·Bᵀ + ε·I` of size `n`.
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
@@ -179,4 +187,217 @@ fn phase_timings_cover_the_elapsed_time() {
     assert!(t.phases.total_seconds() > 0.0);
     assert!(t.phases.total_seconds() <= t.elapsed_seconds + 1e-9);
     assert!(t.phases.eigen_seconds > 0.0, "eigen phase untimed");
+}
+
+/// An ISCAS-85 module characterized and extracted once per test binary.
+fn iscas_model(name: &'static str) -> Arc<TimingModel> {
+    type Cache = Mutex<Vec<(&'static str, Arc<TimingModel>)>>;
+    static MODELS: Cache = Mutex::new(Vec::new());
+    let mut models = MODELS.lock().expect("model cache");
+    if let Some((_, model)) = models.iter().find(|(n, _)| *n == name) {
+        return Arc::clone(model);
+    }
+    let ctx = ModuleContext::characterize(
+        generators::iscas85(name).expect("benchmark"),
+        &SstaConfig::paper(),
+    )
+    .expect("characterize");
+    let model = Arc::new(
+        ctx.extract_model(&ExtractOptions::default())
+            .expect("extract"),
+    );
+    models.push((name, Arc::clone(&model)));
+    model
+}
+
+/// `n` c880 instances tiled on a near-square die, each feeding its first
+/// `min(outputs, inputs)` ports to the next — the shape of the sweep
+/// benchmark's design.
+fn c880_array(n: usize) -> Design {
+    let model = iscas_model("c880");
+    let (mw, mh) = model.geometry().extent_um();
+    let cols = (n as f64).sqrt().ceil() as usize;
+    let rows = n.div_ceil(cols);
+    let die = DieRect {
+        width: cols as f64 * mw,
+        height: rows as f64 * mh,
+    };
+    let mut b = DesignBuilder::new(format!("c880-array-{n}"), die, SstaConfig::paper());
+    let ids: Vec<usize> = (0..n)
+        .map(|i| {
+            let origin = ((i % cols) as f64 * mw, (i / cols) as f64 * mh);
+            b.add_instance(format!("u{i}"), Arc::clone(&model), None, origin)
+                .expect("place")
+        })
+        .collect();
+    let chained = model.n_outputs().min(model.n_inputs());
+    for w in ids.windows(2) {
+        for k in 0..chained {
+            b.connect(w[0], k, w[1], k, 0.0).expect("wire");
+        }
+    }
+    for k in 0..model.n_inputs() {
+        b.expose_input(vec![(ids[0], k)]).expect("pi");
+    }
+    for &id in &ids[1..] {
+        for k in chained..model.n_inputs() {
+            b.expose_input(vec![(id, k)]).expect("pi");
+        }
+    }
+    for k in 0..model.n_outputs() {
+        b.expose_output(ids[n - 1], k).expect("po");
+    }
+    b.finish().expect("array design")
+}
+
+/// c432 → c499 → c880 → c1355 in a row, each stage feeding the next
+/// through wires of 1.5–4.5 ps: different module spaces per instance and
+/// top-level edges that carry a delay.
+fn mixed_chain() -> Design {
+    let models: Vec<Arc<TimingModel>> = ["c432", "c499", "c880", "c1355"]
+        .into_iter()
+        .map(iscas_model)
+        .collect();
+    let width: f64 = models.iter().map(|m| m.geometry().extent_um().0).sum();
+    let height = models
+        .iter()
+        .map(|m| m.geometry().extent_um().1)
+        .fold(0.0, f64::max);
+    let mut b = DesignBuilder::new(
+        "mixed-chain",
+        DieRect { width, height },
+        SstaConfig::paper(),
+    );
+    let mut x = 0.0;
+    let ids: Vec<usize> = models
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let id = b
+                .add_instance(format!("u{i}"), Arc::clone(m), None, (x, 0.0))
+                .expect("place");
+            x += m.geometry().extent_um().0;
+            id
+        })
+        .collect();
+    for (i, w) in ids.windows(2).enumerate() {
+        let chained = models[i].n_outputs().min(models[i + 1].n_inputs());
+        for k in 0..chained {
+            let wire_ps = 1.5 + (k % 4) as f64;
+            b.connect(w[0], k, w[1], k, wire_ps).expect("wire");
+        }
+        for k in chained..models[i + 1].n_inputs() {
+            b.expose_input(vec![(w[1], k)]).expect("pi");
+        }
+    }
+    for k in 0..models[0].n_inputs() {
+        b.expose_input(vec![(ids[0], k)]).expect("pi");
+    }
+    let last = models.len() - 1;
+    for k in 0..models[last].n_outputs() {
+        b.expose_output(ids[last], k).expect("po");
+    }
+    b.finish().expect("chain design")
+}
+
+/// Every coefficient of `f` as little-endian bytes.
+fn push_form_bytes(f: &CanonicalForm, out: &mut Vec<u8>) {
+    let coefficients = std::iter::once(f.mean())
+        .chain(f.globals().iter().copied())
+        .chain(f.locals().iter().copied())
+        .chain(std::iter::once(f.random()));
+    for c in coefficients {
+        out.extend_from_slice(&c.to_bits().to_le_bytes());
+    }
+}
+
+/// The bytes of every PO arrival, then the design delay.
+fn result_bytes(po_arrivals: &[CanonicalForm], delay: &CanonicalForm) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for a in po_arrivals.iter().chain(std::iter::once(delay)) {
+        push_form_bytes(a, &mut bytes);
+    }
+    bytes
+}
+
+/// Asserts that both analysis entry points reproduce the materialized
+/// oracle bit for bit (`-0.0` and `0.0` differ).
+fn assert_matches_oracle(design: &Design, mode: CorrelationMode) {
+    let (po, delay) = materialized::analyze_materialized(design, mode);
+    let want = result_bytes(&po, &delay);
+    for threads in [1, 2] {
+        let t = analyze_with(design, mode, &AnalyzeOptions { threads }).expect("analysis");
+        assert!(
+            result_bytes(&t.po_arrivals, &t.delay) == want,
+            "{} {mode:?} at {threads} threads drifted from the materialized oracle",
+            design.name()
+        );
+    }
+    let assembled =
+        assemble_design_graph(design, mode, &AnalyzeOptions { threads: 1 }).expect("assembly");
+    let schedule = LevelSchedule::build(&assembled.graph).expect("levelize");
+    let t = propagate_assembled(&assembled, &schedule, 1).expect("propagation");
+    assert!(
+        result_bytes(&t.po_arrivals, &t.delay) == want,
+        "{} {mode:?}: propagate_assembled drifted from the materialized oracle",
+        design.name()
+    );
+}
+
+#[test]
+fn rewrite_on_pull_matches_the_materialized_oracle() {
+    for n in [4, 16] {
+        let design = c880_array(n);
+        for mode in [CorrelationMode::Proposed, CorrelationMode::GlobalOnly] {
+            assert_matches_oracle(&design, mode);
+        }
+    }
+    let chain = mixed_chain();
+    assert!(chain.connections().iter().all(|c| c.wire_delay_ps > 0.0));
+    for mode in [CorrelationMode::Proposed, CorrelationMode::GlobalOnly] {
+        assert_matches_oracle(&chain, mode);
+    }
+}
+
+#[test]
+fn c880_array_results_match_golden_digests() {
+    // SHA-256 over the bits of every PO arrival and the design delay.
+    // Any change to replacement, the Clark step or the pull order that
+    // moves one result bit changes these.
+    let golden = [
+        (
+            4,
+            CorrelationMode::Proposed,
+            "ea2e92323f14cc88ade7427146d83bf61c4d052a9165cc76a009b728dd1758d7",
+        ),
+        (
+            4,
+            CorrelationMode::GlobalOnly,
+            "28a67b44bac1f5b91a87145020dd8430e90605145db647ad9883f50f7815fec2",
+        ),
+        (
+            16,
+            CorrelationMode::Proposed,
+            "dea4f4c056fbed183d9cd56bbe25c6be0384b75840c2df2089063627cfbd3680",
+        ),
+        (
+            16,
+            CorrelationMode::GlobalOnly,
+            "0d73dda818827b4d6ae860c773698a309a80aaac5f060c8eeca9178a46d984ef",
+        ),
+    ];
+    let mut drifted = Vec::new();
+    for (n, mode, want) in golden {
+        let t =
+            analyze_with(&c880_array(n), mode, &AnalyzeOptions { threads: 1 }).expect("analysis");
+        let got = hier_ssta::math::digest::sha256(&result_bytes(&t.po_arrivals, &t.delay)).to_hex();
+        if got != want {
+            drifted.push(format!("c880 x{n} {mode:?}: {got}"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "digests drifted:\n{}",
+        drifted.join("\n")
+    );
 }
