@@ -268,11 +268,17 @@ impl CanonicalForm {
     /// The negated form `−D` (the random coefficient stays non-negative;
     /// `x_r` is symmetric).
     pub fn negated(&self) -> CanonicalForm {
-        CanonicalForm {
-            nominal: -self.nominal,
-            globals: self.globals.iter().map(|c| -c).collect(),
-            locals: self.locals.iter().map(|c| -c).collect(),
-            random: self.random,
+        let mut negated = self.clone();
+        negated.negate();
+        negated
+    }
+
+    /// Negates this form in place, with the bits of
+    /// [`negated`](Self::negated).
+    pub(crate) fn negate(&mut self) {
+        self.nominal = -self.nominal;
+        for c in self.globals.iter_mut().chain(&mut self.locals) {
+            *c = -*c;
         }
     }
 

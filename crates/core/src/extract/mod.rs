@@ -240,11 +240,10 @@ fn repair_accuracy(
         o.dedup();
         o
     };
-    // One levelization + one topological sort serve every pass below:
-    // the reference loop, every repair round's masked sweeps, and the
-    // per-pair criticality probes.
+    // One levelization serves every pass below: the reference loop,
+    // every repair round's kept-subgraph sweeps, and the per-pair
+    // criticality probes.
     let schedule = ssta_timing::LevelSchedule::build(graph).map_err(CoreError::Timing)?;
-    let order = graph.topo_order().map_err(CoreError::Timing)?;
 
     // Reference means from the full graph, one forward pass per input.
     let mut reference: Vec<Vec<Option<f64>>> = Vec::with_capacity(graph.inputs().len());
@@ -263,7 +262,18 @@ fn repair_accuracy(
     for round in 0..max_rounds {
         let mut failing: Vec<(usize, usize)> = Vec::new();
         for (i, &vi) in graph.inputs().iter().enumerate() {
-            let arr = masked_forward(graph, &order, vi, &zero, keep);
+            // The kept subgraph: the step skips every pruned edge.
+            let arr = ssta_timing::levels::forward_with(
+                graph,
+                &schedule,
+                [(vi, zero.clone())],
+                |acc, a, e| {
+                    if keep[e.0 as usize] {
+                        CanonicalForm::max_plus_into(acc, a, &graph.edge(e).delay);
+                    }
+                    Ok::<(), CoreError>(())
+                },
+            )?;
             for (j, &vj) in outputs.iter().enumerate() {
                 let Some(want) = reference[i][j] else {
                     continue;
@@ -295,36 +305,6 @@ fn repair_accuracy(
         }
     }
     Ok(repaired.len())
-}
-
-/// Canonical-form forward propagation over a precomputed topological
-/// order, restricted to kept edges.
-fn masked_forward(
-    graph: &TimingGraph<CanonicalForm>,
-    order: &[VertexId],
-    source: VertexId,
-    zero: &CanonicalForm,
-    keep: &[bool],
-) -> Vec<Option<CanonicalForm>> {
-    let mut arr: Vec<Option<CanonicalForm>> = vec![None; graph.vertex_bound()];
-    arr[source.0 as usize] = Some(zero.clone());
-    for &v in order {
-        // Take instead of clone (canonical forms carry full coefficient
-        // vectors); a DAG has no self-edges, so the slot is never read
-        // while vacated.
-        let Some(at_v) = arr[v.0 as usize].take() else {
-            continue;
-        };
-        for e in graph.out_edges(v) {
-            if !keep[e.0 as usize] {
-                continue;
-            }
-            let edge = graph.edge(e);
-            CanonicalForm::max_plus_into(&mut arr[edge.to.0 as usize], &at_v, &edge.delay);
-        }
-        arr[v.0 as usize] = Some(at_v);
-    }
-    arr
 }
 
 /// Walks the predecessor chain from `vj` back to `vi`, marking edges kept.

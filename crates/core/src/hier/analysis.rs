@@ -135,7 +135,9 @@ pub fn analyze(design: &Design, mode: CorrelationMode) -> Result<DesignTiming, C
     analyze_with(design, mode, &AnalyzeOptions::default())
 }
 
-/// Analyzes a hierarchical design with explicit options.
+/// Analyzes a hierarchical design with explicit options. A registered
+/// instance is opaque (see [`AssembledDesign`]): paths end at its
+/// inputs and start again at its outputs.
 ///
 /// The assembly phases fan out across `options.threads` workers: the
 /// design covariance is filled by row blocks, and each instance's
@@ -194,17 +196,10 @@ pub fn propagate_assembled(
     _threads: usize,
 ) -> Result<DesignTiming, CoreError> {
     let mut phases = assembled.phases;
-    let graph = &assembled.graph;
-
     let propagate_started = Instant::now();
-    let mut scratch =
-        CanonicalForm::constant(0.0, assembled.n_globals, assembled.n_local_components);
-    let arrivals = levels::forward_with(graph, schedule, &assembled.sources, |acc, a, e| {
-        assembled.rewrite_edge(e, &mut scratch)?;
-        CanonicalForm::max_plus_into(acc, a, &scratch);
-        Ok::<(), CoreError>(())
-    })?;
-    let po_arrivals: Vec<CanonicalForm> = graph
+    let arrivals = assembled.arrivals(schedule, false)?;
+    let po_arrivals: Vec<CanonicalForm> = assembled
+        .graph
         .outputs()
         .iter()
         .map(|&v| {
@@ -230,8 +225,16 @@ pub fn propagate_assembled(
 }
 
 /// The assembled design-level timing graph (Fig. 5 steps 1–3) before
-/// arrival-time propagation: the flattened instance graphs, plus the
-/// propagation sources (one zero form per design primary input).
+/// arrival-time propagation: the flattened instance graphs.
+///
+/// A combinational instance contributes its model graph. A registered
+/// instance (one whose model has a
+/// [`sequential`](crate::extract::TimingModel::sequential) interface)
+/// is opaque: one capture vertex per input port and one launch vertex
+/// per output port, with no edges between them, so no path crosses its
+/// registers within a cycle. Each pass builds its own seeds, a zero form
+/// at every design primary input and each launch vertex's
+/// clock-to-output arc, so the assembly keeps no source forms.
 ///
 /// Instance edges keep their delays in their module's own variable
 /// space, and top-level edges (design PIs to instance inputs, and
@@ -252,8 +255,6 @@ pub struct AssembledDesign {
     /// The design-level timing graph: instance edges in module space,
     /// top-level edges without locals.
     pub graph: TimingGraph<CanonicalForm>,
-    /// Propagation sources: `(input vertex, zero form)` per design PI.
-    pub sources: Vec<(VertexId, CanonicalForm)>,
     /// Total local components in the design variable space.
     pub n_local_components: usize,
     /// Wall-clock breakdown of the assembly phases (propagate is 0).
@@ -268,9 +269,61 @@ pub struct AssembledDesign {
     transforms: Vec<LocalTransform>,
     module_layouts: Vec<VariableLayout>,
     design_layout: VariableLayout,
+    /// Per instance: the vertex of each input port.
+    in_ports: Vec<Vec<VertexId>>,
+    /// Each registered instance's launch vertices, seeded with their
+    /// clock-to-output arcs in the design variable space.
+    launches: Vec<(VertexId, CanonicalForm)>,
 }
 
 impl AssembledDesign {
+    /// Instance `idx`'s input-port vertices (a registered instance's
+    /// capture vertices).
+    pub(crate) fn input_ports(&self, idx: usize) -> &[VertexId] {
+        &self.in_ports[idx]
+    }
+
+    /// Rewrites a constraint arc of instance `idx` into the design
+    /// variable space, with the transform its edges get.
+    pub(crate) fn rewrite_arc(
+        &self,
+        idx: usize,
+        form: &CanonicalForm,
+    ) -> Result<CanonicalForm, CoreError> {
+        self.transforms[idx].apply(form, &self.module_layouts[idx], &self.design_layout)
+    }
+
+    /// One arrival pass: a zero form at every design PI and each launch
+    /// arc at its vertex, then every pulled edge rewritten into the
+    /// design variable space. With `early`, each seed and each rewritten
+    /// edge is negated, so the max pass yields the negated earliest
+    /// arrivals (a statistical min without a second engine).
+    pub(crate) fn arrivals(
+        &self,
+        schedule: &LevelSchedule,
+        early: bool,
+    ) -> Result<Vec<Option<CanonicalForm>>, CoreError> {
+        let zero = CanonicalForm::constant(0.0, self.n_globals, self.n_local_components);
+        let pi_seeds = self.graph.inputs().iter().map(|&v| (v, zero.clone()));
+        let seeds = pi_seeds
+            .chain(self.launches.iter().cloned())
+            .map(|(v, mut f)| {
+                if early {
+                    f.negate();
+                }
+                (v, f)
+            });
+        let mut scratch = zero.clone();
+        levels::forward_with(&self.graph, schedule, seeds, |acc, a, e| {
+            self.rewrite_edge(e, &mut scratch)?;
+            if early {
+                scratch.negate();
+            }
+            CanonicalForm::max_plus_into(acc, a, &scratch);
+            Ok::<(), CoreError>(())
+        })
+    }
+
     /// Writes edge `e`'s delay, rewritten into the design variable space,
     /// into `out` — the form [`analyze_with`]'s step 4 pulls.
     fn rewrite_edge(&self, e: EdgeId, out: &mut CanonicalForm) -> Result<(), CoreError> {
@@ -299,7 +352,9 @@ impl AssembledDesign {
 ///
 /// # Errors
 ///
-/// Propagates partition/PCA/graph errors.
+/// Propagates partition/PCA/graph errors, and returns
+/// [`CoreError::Incompatible`] for a registered model without a launch
+/// arc on one of its output ports.
 pub fn assemble_design_graph(
     design: &Design,
     mode: CorrelationMode,
@@ -324,7 +379,7 @@ pub fn assemble_design_graph(
 ///
 /// # Errors
 ///
-/// Propagates partition/PCA/graph errors.
+/// As [`assemble_design_graph`].
 pub fn assemble_design_graph_with_basis(
     design: &Design,
     mode: CorrelationMode,
@@ -347,11 +402,32 @@ pub fn assemble_design_graph_with_basis(
         pi_vertices.push(graph.add_input());
     }
 
-    // Instantiate each model's graph.
+    // Instantiate each model's graph, or a registered model's capture
+    // and launch vertices.
     let mut in_ports: Vec<Vec<VertexId>> = Vec::with_capacity(design.instances().len());
     let mut out_ports: Vec<Vec<VertexId>> = Vec::with_capacity(design.instances().len());
+    let mut launches = Vec::new();
     for (idx, inst) in design.instances().iter().enumerate() {
-        let mg = inst.model.graph();
+        let model = &*inst.model;
+        if let Some(seq) = model.sequential() {
+            let captures = (0..model.n_inputs()).map(|_| graph.add_vertex()).collect();
+            let outputs: Vec<VertexId> =
+                (0..model.n_outputs()).map(|_| graph.add_vertex()).collect();
+            for (j, &v) in outputs.iter().enumerate() {
+                let arc = seq.launch_of(j).ok_or_else(|| CoreError::Incompatible {
+                    reason: format!(
+                        "registered model `{}` has no launch arc for output port {j}",
+                        model.name()
+                    ),
+                })?;
+                let arc = transforms[idx].apply(arc, model.layout(), &design_layout)?;
+                launches.push((v, arc));
+            }
+            in_ports.push(captures);
+            out_ports.push(outputs);
+            continue;
+        }
+        let mg = model.graph();
         let mut map: Vec<Option<VertexId>> = vec![None; mg.vertex_bound()];
         for v in mg.vertices() {
             map[v.0 as usize] = Some(graph.add_vertex());
@@ -405,11 +481,6 @@ pub fn assemble_design_graph_with_basis(
         graph.mark_output(out_ports[inst][port]);
     }
 
-    let sources: Vec<(VertexId, CanonicalForm)> = graph
-        .inputs()
-        .iter()
-        .map(|&v| (v, CanonicalForm::constant(0.0, n_globals, n_locals)))
-        .collect();
     let module_layouts = design
         .instances()
         .iter()
@@ -419,7 +490,6 @@ pub fn assemble_design_graph_with_basis(
     Ok(AssembledDesign {
         mode,
         graph,
-        sources,
         n_local_components: n_locals,
         phases,
         n_globals,
@@ -427,12 +497,12 @@ pub fn assemble_design_graph_with_basis(
         transforms,
         module_layouts,
         design_layout,
+        in_ports,
+        launches,
     })
 }
 
 /// A per-instance coefficient transform into the design variable space.
-/// `pub(crate)` so the sequential analysis can rewrite constraint arcs
-/// with the exact transform its edge delays get.
 #[derive(Debug, Clone)]
 pub(crate) enum LocalTransform {
     /// Proposed mode: full replacement matrices.
@@ -481,7 +551,7 @@ impl LocalTransform {
     }
 }
 
-pub(crate) fn build_variable_space(
+fn build_variable_space(
     design: &Design,
     mode: CorrelationMode,
     threads: usize,

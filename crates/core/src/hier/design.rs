@@ -166,7 +166,9 @@ impl DesignBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] for out-of-range ports or instances.
+    /// Returns [`CoreError::Config`] for out-of-range ports or instances,
+    /// and for a wire delay that is not finite or is negative (`-0.0` is
+    /// a zero wire).
     pub fn connect(
         &mut self,
         from: usize,
@@ -177,6 +179,15 @@ impl DesignBuilder {
     ) -> Result<(), CoreError> {
         self.check_output(from, from_port)?;
         self.check_input(to, to_port)?;
+        if !(wire_delay_ps.is_finite() && wire_delay_ps >= 0.0) {
+            return Err(CoreError::Config {
+                reason: format!(
+                    "wire from `{}` output {from_port} to `{}` input {to_port} has delay \
+                     {wire_delay_ps} ps; a wire delay must be finite and non-negative",
+                    self.instances[from].name, self.instances[to].name
+                ),
+            });
+        }
         self.connections.push(Connection {
             from: (from, from_port),
             to: (to, to_port),
@@ -400,5 +411,27 @@ mod tests {
         assert!(b.expose_output(i, 999).is_err());
         assert!(b.connect(i, 999, i, 0, 0.0).is_err());
         assert!(b.expose_input(vec![]).is_err());
+    }
+
+    #[test]
+    fn wire_delays_must_be_finite_and_non_negative() {
+        let (model, _) = model_and_ctx();
+        let mut b = DesignBuilder::new("d", big_die(), SstaConfig::paper());
+        let u0 = b
+            .add_instance("u0", model.clone(), None, (0.0, 0.0))
+            .unwrap();
+        let u1 = b.add_instance("u1", model, None, (100.0, 0.0)).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -50.0] {
+            match b.connect(u0, 0, u1, 0, bad) {
+                Err(CoreError::Config { reason }) => {
+                    assert!(reason.contains("`u0` output 0 to `u1` input 0"), "{reason}")
+                }
+                other => panic!("{bad} ps wire accepted: {other:?}"),
+            }
+        }
+        for (port, good) in [0.0, -0.0, 12.5].into_iter().enumerate() {
+            b.connect(u0, 0, u1, port, good).unwrap();
+        }
+        assert_eq!(b.connections.len(), 3);
     }
 }

@@ -8,30 +8,30 @@
 //! arriving at its input ports is captured by the input register bank —
 //! it never races through to the outputs within the same cycle — and its
 //! outputs launch fresh from the clock edge. That boundary makes the
-//! analysis per-stage:
+//! analysis per-stage. It runs over the graph the combinational analysis
+//! assembles ([`AssembledDesign`](crate::hier::AssembledDesign)):
 //!
 //! * each registered instance contributes one **capture sink** per input
 //!   port (arrival there is checked against `T − setup`) and one
 //!   **launch source** per output port, seeded with the model's
 //!   clock-to-output arc;
-//! * combinational instances (no sequential interface) flatten exactly as
-//!   in the purely combinational analysis and simply extend the paths
-//!   between register banks;
+//! * combinational instances (no sequential interface) contribute their
+//!   model graphs and simply extend the paths between register banks;
 //! * all constraint arcs are rewritten into the design variable space by
 //!   the same independent-variable replacement the edge delays get, so
 //!   setup checks correlate correctly with the paths feeding them.
 //!
-//! Early (hold) analysis reuses the propagation engine through the
-//! negation trick: negate every edge delay and every source seed, run the
-//! late (max) propagation, negate the result — a statistical min
-//! propagation without a second engine.
+//! Early (hold) analysis reuses the one propagation pass through the
+//! negation trick: over the same graph and schedule, it negates every
+//! source seed and each edge delay as it pulls that edge, runs the late
+//! (max) propagation and negates the result — a statistical min
+//! propagation without a second engine or a second graph.
 
 use crate::canonical::CanonicalForm;
-use crate::hier::analysis::{build_variable_space, CorrelationMode, PhaseTimings};
+use crate::hier::analysis::{assemble_design_graph, AnalyzeOptions, CorrelationMode, PhaseTimings};
 use crate::hier::design::Design;
 use crate::CoreError;
-use ssta_math::parallel::effective_threads;
-use ssta_timing::{levels, LevelSchedule, TimingGraph, VertexId};
+use ssta_timing::LevelSchedule;
 use std::time::Instant;
 
 /// Options for [`analyze_sequential`].
@@ -121,18 +121,6 @@ pub struct SequentialTiming {
     pub phases: PhaseTimings,
 }
 
-/// One registered instance's capture bookkeeping inside the assembled
-/// graph.
-struct StagePorts {
-    instance: usize,
-    /// Capture vertex per input port.
-    captures: Vec<VertexId>,
-    /// Setup arc per input port, rewritten into the design space.
-    setup: Vec<Option<CanonicalForm>>,
-    /// Hold arc per input port, rewritten into the design space.
-    hold: Vec<Option<CanonicalForm>>,
-}
-
 /// Analyzes a registered design: propagates arrival times through
 /// registered module boundaries stage by stage and reports per-stage
 /// slack and required-period statistics.
@@ -153,151 +141,47 @@ pub fn analyze_sequential(
     options: &SequentialAnalyzeOptions,
 ) -> Result<SequentialTiming, CoreError> {
     let started = Instant::now();
-    let threads = effective_threads(options.threads);
     check_interfaces(design)?;
-
-    let (design_layout, transforms, mut phases) =
-        build_variable_space(design, options.mode, threads, None)?;
+    let assembled = assemble_design_graph(
+        design,
+        options.mode,
+        &AnalyzeOptions {
+            threads: options.threads,
+        },
+    )?;
     let n_globals = design.config().parameters.len();
-    let n_locals = design_layout.n_locals();
-    let zero = || CanonicalForm::constant(0.0, n_globals, n_locals);
+    let n_locals = assembled.n_local_components;
+    let mut phases = assembled.phases;
 
-    // Assemble the design graph with register-aware instance expansion.
-    // The late and early graphs share one structure (vertices and edges
-    // are added in lockstep; only delay signs differ), so one level
-    // schedule serves both propagations.
-    let replace_started = Instant::now();
-    let mut graph: TimingGraph<CanonicalForm> = TimingGraph::new();
-    let mut neg = TimingGraph::new();
-    let mut pi_vertices = Vec::with_capacity(design.pi_bindings().len());
-    for _ in design.pi_bindings() {
-        pi_vertices.push(graph.add_input());
-        neg.add_input();
-    }
-
-    let mut sources: Vec<(VertexId, CanonicalForm)> = Vec::new();
-    let mut stages: Vec<StagePorts> = Vec::new();
-    let mut in_ports: Vec<Vec<VertexId>> = Vec::with_capacity(design.instances().len());
-    let mut out_ports: Vec<Vec<VertexId>> = Vec::with_capacity(design.instances().len());
-    for (idx, inst) in design.instances().iter().enumerate() {
-        let model = &*inst.model;
-        let rewrite = |form: &CanonicalForm| -> Result<CanonicalForm, CoreError> {
-            transforms[idx].apply(form, model.layout(), &design_layout)
-        };
-        if let Some(seq) = model.sequential() {
-            // Opaque registered instance: capture sinks + launch sources,
-            // no internal edges.
-            let captures: Vec<VertexId> = (0..model.n_inputs())
-                .map(|_| {
-                    neg.add_vertex();
-                    graph.add_vertex()
-                })
-                .collect();
-            let launches: Vec<VertexId> = (0..model.n_outputs())
-                .map(|_| {
-                    neg.add_vertex();
-                    graph.add_vertex()
-                })
-                .collect();
-            for (j, &v) in launches.iter().enumerate() {
-                let arc = seq.launch_of(j).ok_or_else(|| CoreError::Incompatible {
-                    reason: format!(
-                        "registered model `{}` has no launch arc for output port {j}",
-                        model.name()
-                    ),
-                })?;
-                sources.push((v, rewrite(arc)?));
-            }
-            stages.push(StagePorts {
-                instance: idx,
-                captures: captures.clone(),
-                setup: (0..model.n_inputs())
-                    .map(|p| seq.setup_of(p).map(&rewrite).transpose())
-                    .collect::<Result<_, _>>()?,
-                hold: (0..model.n_inputs())
-                    .map(|p| seq.hold_of(p).map(&rewrite).transpose())
-                    .collect::<Result<_, _>>()?,
-            });
-            in_ports.push(captures);
-            out_ports.push(launches);
-        } else {
-            // Combinational instance: flatten as in the combinational
-            // analysis.
-            let mg = model.graph();
-            let mut map: Vec<Option<VertexId>> = vec![None; mg.vertex_bound()];
-            for v in mg.vertices() {
-                neg.add_vertex();
-                map[v.0 as usize] = Some(graph.add_vertex());
-            }
-            for (_, e) in mg.edges_iter() {
-                let from = map[e.from.0 as usize].expect("live endpoint");
-                let to = map[e.to.0 as usize].expect("live endpoint");
-                let delay = rewrite(&e.delay)?;
-                neg.add_edge(from, to, delay.negated());
-                graph.add_edge(from, to, delay);
-            }
-            in_ports.push(
-                mg.inputs()
-                    .iter()
-                    .map(|&v| map[v.0 as usize].expect("input is live"))
-                    .collect(),
-            );
-            out_ports.push(
-                mg.outputs()
-                    .iter()
-                    .map(|&v| map[v.0 as usize].expect("output is live"))
-                    .collect(),
-            );
-        }
-    }
-
-    // Design PIs → instance inputs; inter-module wires; design POs.
-    for (pi, targets) in design.pi_bindings().iter().enumerate() {
-        for &(inst, port) in targets {
-            neg.add_edge(pi_vertices[pi], in_ports[inst][port], zero());
-            graph.add_edge(pi_vertices[pi], in_ports[inst][port], zero());
-        }
-    }
-    for c in design.connections() {
-        let wire = CanonicalForm::constant(c.wire_delay_ps, n_globals, n_locals);
-        let (from, to) = (out_ports[c.from.0][c.from.1], in_ports[c.to.0][c.to.1]);
-        neg.add_edge(from, to, wire.negated());
-        graph.add_edge(from, to, wire);
-    }
-    for &(inst, port) in design.po_sources() {
-        neg.mark_output(out_ports[inst][port]);
-        graph.mark_output(out_ports[inst][port]);
-    }
-    // Design PIs launch at the clock edge with zero delay.
-    for &v in &pi_vertices {
-        sources.push((v, zero()));
-    }
-    phases.replace_seconds += replace_started.elapsed().as_secs_f64();
-
-    // Late pass (setup) and early pass (hold, via negation).
+    // Late pass (setup) and early pass (hold, via negation) over one
+    // graph and one schedule.
     let propagate_started = Instant::now();
-    let schedule = LevelSchedule::build(&graph)?;
-    let late = levels::forward(&graph, &schedule, &sources)?;
-    let neg_sources: Vec<(VertexId, CanonicalForm)> =
-        sources.iter().map(|(v, f)| (*v, f.negated())).collect();
-    let early_neg = levels::forward(&neg, &schedule, &neg_sources)?;
+    let schedule = LevelSchedule::build(&assembled.graph)?;
+    let late = assembled.arrivals(&schedule, false)?;
+    let early_neg = assembled.arrivals(&schedule, true)?;
     phases.propagate_seconds = propagate_started.elapsed().as_secs_f64();
 
-    // Per-stage capture statistics.
+    // Per-stage capture statistics, the constraint arcs rewritten as the
+    // instance's edges are.
     let missing = || CoreError::Timing(ssta_timing::TimingError::NoPath);
-    let mut stage_timings = Vec::with_capacity(stages.len());
-    for stage in &stages {
-        let inst = &design.instances()[stage.instance];
+    let mut stage_timings = Vec::new();
+    for (idx, inst) in design.instances().iter().enumerate() {
+        let Some(seq) = inst.model.sequential() else {
+            continue;
+        };
+        let captures = assembled.input_ports(idx);
         let mut capture_arrival: Option<CanonicalForm> = None;
         let mut required: Option<CanonicalForm> = None;
         let mut hold_slack: Option<CanonicalForm> = None;
-        for (p, &v) in stage.captures.iter().enumerate() {
+        for (p, &v) in captures.iter().enumerate() {
             let arrival = late[v.0 as usize].as_ref().ok_or_else(missing)?;
             capture_arrival = Some(fold(capture_arrival, arrival, CanonicalForm::maximum));
-            if let Some(setup) = &stage.setup[p] {
-                required = Some(fold(required, &arrival.sum(setup), CanonicalForm::maximum));
+            if let Some(setup) = seq.setup_of(p) {
+                let setup = assembled.rewrite_arc(idx, setup)?;
+                required = Some(fold(required, &arrival.sum(&setup), CanonicalForm::maximum));
             }
-            if let Some(hold) = &stage.hold[p] {
+            if let Some(hold) = seq.hold_of(p) {
+                let hold = assembled.rewrite_arc(idx, hold)?;
                 let early = early_neg[v.0 as usize]
                     .as_ref()
                     .ok_or_else(missing)?
@@ -318,7 +202,7 @@ pub fn analyze_sequential(
         let period = CanonicalForm::constant(options.clock_period_ps, n_globals, n_locals);
         stage_timings.push(StageTiming {
             instance: inst.name.clone(),
-            n_capture_ports: stage.captures.len(),
+            n_capture_ports: captures.len(),
             capture_arrival: capture_arrival.expect("registered instance has inputs"),
             setup_slack: period.sum(&required.negated()),
             required_period: required,
@@ -539,6 +423,42 @@ mod tests {
             let rel = (a.required_period.mean() - b.required_period.mean()).abs()
                 / a.required_period.mean();
             assert!(rel < 0.02, "stage {} drifted {rel}", a.instance);
+        }
+    }
+
+    #[test]
+    fn a_missing_launch_arc_is_rejected_by_both_analyses() {
+        let stages = generators::registered_pipeline(&["rca4"], "DFF").unwrap();
+        let config = SstaConfig::paper();
+        let ctx = ModuleContext::characterize(stages[0].core().clone(), &config).unwrap();
+        let model = extract_registered(&ctx, stages[0].register(), &ExtractOptions::default());
+        let model = model.unwrap();
+        let mut seq = model.sequential().unwrap().clone();
+        seq.launch.retain(|arc| arc.port != 1);
+        let model = Arc::new(model.with_sequential(seq));
+        let (mw, mh) = model.geometry().extent_um();
+        let die = DieRect {
+            width: mw + 100.0,
+            height: mh + 100.0,
+        };
+        let mut b = DesignBuilder::new("no-launch", die, config);
+        let u = b
+            .add_instance("u0", model.clone(), None, (0.0, 0.0))
+            .unwrap();
+        for p in 0..model.n_inputs() {
+            b.expose_input(vec![(u, p)]).unwrap();
+        }
+        b.expose_output(u, 0).unwrap();
+        let d = b.finish().unwrap();
+        let errors = [
+            analyze_sequential(&d, &SequentialAnalyzeOptions::default()).unwrap_err(),
+            crate::hier::analyze(&d, CorrelationMode::Proposed).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                err.to_string().contains("no launch arc for output port 1"),
+                "{err}"
+            );
         }
     }
 

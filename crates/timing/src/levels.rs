@@ -14,10 +14,12 @@
 //! Both directions run one pull loop, and each pulled edge costs one
 //! [`DelayAlgebra::max_plus_into`] step, `acc ← max(acc, a + d)`, which
 //! canonical forms fuse into one in-place kernel. [`forward_with`]
-//! takes the step from the caller: the design-level analysis keeps each
-//! instance edge in its module's variable space and rewrites it into
-//! the design space inside the step, so no pass materializes
-//! design-space edge delays.
+//! takes its seeds by value and the step from the caller: the
+//! design-level analysis keeps each instance edge in its module's
+//! variable space and rewrites it into the design space inside the step
+//! (negated, for the early pass of sequential timing), so no pass
+//! materializes design-space edge delays, and extraction's accuracy
+//! repair skips pruned edges inside its step.
 //!
 //! Passes run on the calling thread. Fanning each level out across
 //! scoped threads measured slower than the serial loop at every size
@@ -233,15 +235,18 @@ impl LevelSchedule {
     }
 }
 
-/// Folds the `(vertex, initial)` pairs into a per-slot seed array; a
+/// Moves the `(vertex, initial)` pairs into a per-slot seed array; a
 /// vertex listed twice keeps the max of its initial values.
-fn seed<D: DelayAlgebra>(bound: usize, pairs: &[(VertexId, D)]) -> Vec<Option<D>> {
+fn seed<D: DelayAlgebra>(
+    bound: usize,
+    pairs: impl IntoIterator<Item = (VertexId, D)>,
+) -> Vec<Option<D>> {
     let mut seeds: Vec<Option<D>> = vec![None; bound];
     for (v, init) in pairs {
         let slot = &mut seeds[v.0 as usize];
         *slot = Some(match slot.take() {
-            Some(prev) => prev.maximum(init),
-            None => init.clone(),
+            Some(prev) => prev.maximum(&init),
+            None => init,
         });
     }
     seeds
@@ -314,19 +319,21 @@ pub fn forward<D: DelayAlgebra>(
     schedule: &LevelSchedule,
     sources: &[(VertexId, D)],
 ) -> Result<Vec<Option<D>>, TimingError> {
-    forward_with(graph, schedule, sources, |acc, a, e| {
+    forward_with(graph, schedule, sources.iter().cloned(), |acc, a, e| {
         D::max_plus_into(acc, a, &graph.edge(e).delay);
         Ok(())
     })
 }
 
-/// [`forward`] with a caller-supplied pull step: each vertex folds
-/// `step(acc, arrival[from], edge)` over its in-edges, where the plain
-/// step is `D::max_plus_into(acc, arrival, &graph.edge(edge).delay)`.
-/// A caller whose edges hold delays in another representation (the
-/// design-level analysis keeps instance edges in module space) converts
-/// each edge inside its step, at the moment the pass pulls it. The
-/// first error a step returns ends the pass.
+/// [`forward`] with sources taken by value and a caller-supplied pull
+/// step: each vertex folds `step(acc, arrival[from], edge)` over its
+/// in-edges, where the plain step is
+/// `D::max_plus_into(acc, arrival, &graph.edge(edge).delay)`. A caller
+/// whose edges hold delays in another representation (the design-level
+/// analysis keeps instance edges in module space) converts each edge
+/// inside its step, at the moment the pass pulls it; a step that leaves
+/// `acc` alone skips the edge. The first error a step returns ends the
+/// pass.
 ///
 /// # Errors
 ///
@@ -340,7 +347,7 @@ pub fn forward<D: DelayAlgebra>(
 pub fn forward_with<D, E, F>(
     graph: &TimingGraph<D>,
     schedule: &LevelSchedule,
-    sources: &[(VertexId, D)],
+    sources: impl IntoIterator<Item = (VertexId, D)>,
     step: F,
 ) -> Result<Vec<Option<D>>, E>
 where
@@ -371,7 +378,7 @@ pub fn backward<D: DelayAlgebra>(
     sinks: &[(VertexId, D)],
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
-    let seeds = seed(schedule.vertex_bound, sinks);
+    let seeds = seed(schedule.vertex_bound, sinks.iter().cloned());
     // `sum` is commutative, so `required + delay` has the bits of
     // `delay + required`.
     pull(schedule, seeds, Direction::Backward, |acc, r, e| {
@@ -469,7 +476,7 @@ mod tests {
         let (g, [i, a, b, o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
         // A step that doubles every edge delay on the way.
-        let doubled = forward_with(&g, &s, &[(i, 0.0)], |acc, x, e| {
+        let doubled = forward_with(&g, &s, [(i, 0.0)], |acc, x, e| {
             f64::max_plus_into(acc, x, &(2.0 * g.edge(e).delay));
             Ok::<(), TimingError>(())
         })
@@ -477,7 +484,7 @@ mod tests {
         assert_eq!(doubled[a.0 as usize], Some(2.0));
         assert_eq!(doubled[b.0 as usize], Some(4.0));
         assert_eq!(doubled[o.0 as usize], Some(8.0));
-        let failed = forward_with(&g, &s, &[(i, 0.0)], |acc, x, e| {
+        let failed = forward_with(&g, &s, [(i, 0.0)], |acc, x, e| {
             if g.edge(e).to == o {
                 return Err(TimingError::NoPath);
             }

@@ -7,9 +7,14 @@
 //! * parallel and serial engine runs produce bit-identical results;
 //! * invalidating one module recomputes only that module;
 //! * the versioned on-disk format round-trips models bit-exactly and
-//!   rejects corrupt, wrong-version or retired-format artifacts cleanly.
+//!   rejects corrupt, wrong-version or retired-format artifacts cleanly;
+//! * spec wire delays reach the analysis, and a non-finite one is an
+//!   error.
 
-use hier_ssta::core::{analyze, CorrelationMode, DesignBuilder, SstaConfig};
+use hier_ssta::core::{
+    analyze, analyze_with, AnalyzeOptions, CanonicalForm, CorrelationMode, Design, DesignBuilder,
+    SstaConfig,
+};
 use hier_ssta::engine::{
     store, DesignSpec, Engine, EngineError, EngineOptions, ModelStore, ModuleId,
 };
@@ -31,6 +36,11 @@ fn temp_store_dir(tag: &str) -> PathBuf {
 /// Four instances of one 4-bit adder in a 2×2 arrangement, chained
 /// through their carry inputs, everything else driven from design PIs.
 fn quad_adder_spec() -> (DesignSpec, ModuleId) {
+    quad_adder_spec_with_wires(0.0)
+}
+
+/// [`quad_adder_spec`] with `wire_ps` on each carry wire.
+fn quad_adder_spec_with_wires(wire_ps: f64) -> (DesignSpec, ModuleId) {
     let netlist = generators::ripple_carry_adder(4).expect("adder");
     let mut b = DesignSpec::builder(
         "quad-adder",
@@ -46,9 +56,9 @@ fn quad_adder_spec() -> (DesignSpec, ModuleId) {
     let u3 = b.add_instance("u3", m, (25.0, 25.0)).expect("u3");
     // Carry chain through the quad: sum bit 0 feeds the next carry-in
     // (input port 8 of the 9-input adder).
-    b.connect(u0, 0, u1, 8);
-    b.connect(u1, 0, u2, 8);
-    b.connect(u2, 0, u3, 8);
+    b.connect_with_delay(u0, 0, u1, 8, wire_ps);
+    b.connect_with_delay(u1, 0, u2, 8, wire_ps);
+    b.connect_with_delay(u2, 0, u3, 8, wire_ps);
     for (i, inst) in [u0, u1, u2, u3].into_iter().enumerate() {
         for k in 0..8 {
             b.expose_input(vec![(inst, k)]);
@@ -282,15 +292,9 @@ fn invalidate_all_clears_artifacts_from_other_engines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn engine_matches_the_direct_analysis_path() {
-    // The engine adds scheduling and caching, not semantics: assembling
-    // the same design by hand must give identical timing.
-    let (spec, _) = quad_adder_spec();
-    let config = SstaConfig::paper();
-    let mut engine = Engine::new(config.clone());
-    let run = engine.analyze(&spec).expect("engine analysis");
-
+/// The design [`quad_adder_spec_with_wires`] describes, assembled by
+/// hand from the engine's cached adder model.
+fn quad_adder_design(engine: &mut Engine, config: &SstaConfig, wire_ps: f64) -> Design {
     let netlist = generators::ripple_carry_adder(4).expect("adder");
     let (model, _) = engine.model_for(&netlist).expect("cached model");
     let mut b = DesignBuilder::new(
@@ -299,7 +303,7 @@ fn engine_matches_the_direct_analysis_path() {
             width: 60.0,
             height: 60.0,
         },
-        config,
+        config.clone(),
     );
     let mut insts = Vec::new();
     for (name, origin) in [
@@ -314,7 +318,7 @@ fn engine_matches_the_direct_analysis_path() {
         );
     }
     for w in insts.windows(2) {
-        b.connect(w[0], 0, w[1], 8, 0.0).expect("carry wire");
+        b.connect(w[0], 0, w[1], 8, wire_ps).expect("carry wire");
     }
     for (i, &inst) in insts.iter().enumerate() {
         for k in 0..8 {
@@ -327,10 +331,61 @@ fn engine_matches_the_direct_analysis_path() {
     for k in 0..5 {
         b.expose_output(insts[3], k).expect("po");
     }
-    let design = b.finish().expect("design");
+    b.finish().expect("design")
+}
+
+#[test]
+fn engine_matches_the_direct_analysis_path() {
+    // The engine adds scheduling and caching, not semantics: assembling
+    // the same design by hand must give identical timing.
+    let (spec, _) = quad_adder_spec();
+    let config = SstaConfig::paper();
+    let mut engine = Engine::new(config.clone());
+    let run = engine.analyze(&spec).expect("engine analysis");
+
+    let design = quad_adder_design(&mut engine, &config, 0.0);
     let direct = analyze(&design, CorrelationMode::Proposed).expect("direct analysis");
 
     assert_eq!(run.timing.po_arrivals, direct.po_arrivals);
+}
+
+/// The bits of every coefficient of every form.
+fn form_bits<'a>(forms: impl IntoIterator<Item = &'a CanonicalForm>) -> Vec<u64> {
+    forms
+        .into_iter()
+        .flat_map(|f| {
+            std::iter::once(f.mean())
+                .chain(f.globals().iter().copied())
+                .chain(f.locals().iter().copied())
+                .chain(std::iter::once(f.random()))
+        })
+        .map(f64::to_bits)
+        .collect()
+}
+
+#[test]
+fn spec_wire_delays_reach_the_analysis_and_non_finite_ones_are_rejected() {
+    let config = SstaConfig::paper();
+    let mut engine = Engine::new(config.clone());
+    let (spec, _) = quad_adder_spec_with_wires(2.5);
+    let run = engine.analyze(&spec).expect("engine analysis");
+    let design = quad_adder_design(&mut engine, &config, 2.5);
+    let direct = analyze_with(
+        &design,
+        CorrelationMode::Proposed,
+        &AnalyzeOptions { threads: 1 },
+    )
+    .expect("direct analysis");
+    let engine_forms = run.timing.po_arrivals.iter().chain([&run.timing.delay]);
+    let direct_forms = direct.po_arrivals.iter().chain([&direct.delay]);
+    assert!(form_bits(engine_forms) == form_bits(direct_forms));
+    // The wires are not dropped: the zero-wire design is faster.
+    let zero_wires = engine.analyze(&quad_adder_spec().0).expect("zero wires");
+    assert!(zero_wires.timing.delay.mean() < run.timing.delay.mean());
+
+    let (nan, _) = quad_adder_spec_with_wires(f64::NAN);
+    let err = engine.analyze(&nan).expect_err("a NaN wire is an error");
+    assert!(err.to_string().contains("finite and non-negative"), "{err}");
 }
 
 #[test]

@@ -5,13 +5,20 @@
 //!   uncompressed (paper-exact) models within 2% per stage;
 //! * exporting the registered models to SDF, importing them into the
 //!   engine's model store through the `SSTM` payload, and re-analyzing
-//!   reproduces the hierarchical result bit-identically.
+//!   reproduces the hierarchical result bit-identically;
+//! * pinned digests of two registered designs in both correlation
+//!   modes, one of them with combinational instances and nonzero wires
+//!   between the register banks;
+//! * the combinational analysis sees a registered instance as opaque: a
+//!   design output driven by one reports its clock-to-output arc.
 
 use hier_ssta::core::{
-    analyze_sequential, extract_registered, Design, DesignBuilder, ExtractOptions, ModuleContext,
-    SequentialAnalyzeOptions, SstaConfig, TimingModel,
+    analyze, analyze_sequential, analyze_with, extract_registered, AnalyzeOptions, CanonicalForm,
+    CorrelationMode, Design, DesignBuilder, ExtractOptions, ModuleContext,
+    SequentialAnalyzeOptions, SequentialTiming, SstaConfig, TimingModel,
 };
 use hier_ssta::engine::{MemoryBackend, ModelStore};
+use hier_ssta::math::digest::sha256;
 use hier_ssta::netlist::{generators, DieRect};
 use hier_ssta::sdf::{export_models, write_sdf, ExportOptions};
 use std::sync::Arc;
@@ -33,8 +40,19 @@ fn stage_models(options: &ExtractOptions) -> (SstaConfig, Vec<Arc<TimingModel>>)
 }
 
 /// Chains the stage models into one registered design: stage `k`
-/// outputs feed stage `k+1` register D pins round-robin.
+/// outputs feed stage `k+1` register D pins round-robin, with zero
+/// wires.
 fn chain(config: &SstaConfig, models: &[Arc<TimingModel>]) -> Design {
+    chain_with_wires(config, models, |_| 0.0)
+}
+
+/// [`chain`] with `wire_ps(p)` on the wire into input port `p` of each
+/// next instance.
+fn chain_with_wires(
+    config: &SstaConfig,
+    models: &[Arc<TimingModel>],
+    wire_ps: impl Fn(usize) -> f64,
+) -> Design {
     let widths: Vec<f64> = models.iter().map(|m| m.geometry().extent_um().0).collect();
     let height = models
         .iter()
@@ -57,7 +75,7 @@ fn chain(config: &SstaConfig, models: &[Arc<TimingModel>]) -> Design {
     for k in 0..models.len() - 1 {
         let n_out = models[k].n_outputs();
         for p in 0..models[k + 1].n_inputs() {
-            b.connect(ids[k], p % n_out, ids[k + 1], p, 0.0)
+            b.connect(ids[k], p % n_out, ids[k + 1], p, wire_ps(p))
                 .expect("connect");
         }
     }
@@ -143,4 +161,138 @@ fn sdf_store_round_trip_reproduces_the_analysis_bit_identically() {
     // import is idempotent, not duplicating artifacts.
     let again = store.import_sdf(&text, &config, 3.0).expect("re-import");
     assert_eq!(again, receipts);
+}
+
+/// Registered c432 → c880 → c499 → registered c432: two combinational
+/// instances between the register banks, joined by a mix of zero wires
+/// and 1.5–3.0 ps wires.
+fn mixed_registered_chain() -> Design {
+    let config = SstaConfig::paper();
+    let stages = generators::registered_pipeline(&["c432", "c880", "c499", "c432"], "DFF")
+        .expect("generator");
+    let models: Vec<Arc<TimingModel>> = stages
+        .iter()
+        .enumerate()
+        .map(|(k, stage)| {
+            let ctx = ModuleContext::characterize(stage.core().clone(), &config).expect("context");
+            let options = ExtractOptions::default();
+            let model = if k == 0 || k == stages.len() - 1 {
+                extract_registered(&ctx, stage.register(), &options)
+            } else {
+                ctx.extract_model(&options)
+            };
+            Arc::new(model.expect("extract"))
+        })
+        .collect();
+    chain_with_wires(&config, &models, |p| {
+        if p % 3 == 0 {
+            0.0
+        } else {
+            1.5 + 0.5 * (p % 4) as f64
+        }
+    })
+}
+
+/// Every coefficient of `f` as little-endian bytes; with `fold_zero_sign`
+/// a `-0.0` coefficient is written as `+0.0`.
+fn push_form_bytes(f: &CanonicalForm, fold_zero_sign: bool, out: &mut Vec<u8>) {
+    let coefficients = std::iter::once(f.mean())
+        .chain(f.globals().iter().copied())
+        .chain(f.locals().iter().copied())
+        .chain(std::iter::once(f.random()));
+    for c in coefficients {
+        let c = if fold_zero_sign && c == 0.0 { 0.0 } else { c };
+        out.extend_from_slice(&c.to_bits().to_le_bytes());
+    }
+}
+
+/// SHA-256 over every stage's forms, then the design-wide summaries.
+fn timing_digest(t: &SequentialTiming, fold_zero_sign: bool) -> String {
+    let mut bytes = Vec::new();
+    for s in &t.stages {
+        let forms = [&s.capture_arrival, &s.required_period, &s.setup_slack];
+        for f in forms.into_iter().chain(&s.hold_slack) {
+            push_form_bytes(f, fold_zero_sign, &mut bytes);
+        }
+    }
+    for f in [&t.min_period, &t.worst_setup_slack]
+        .into_iter()
+        .chain(&t.worst_hold_slack)
+    {
+        push_form_bytes(f, fold_zero_sign, &mut bytes);
+    }
+    sha256(&bytes).to_hex()
+}
+
+#[test]
+fn sequential_results_match_golden_digests() {
+    // Proposed-mode digests hash raw bits. GlobalOnly-mode digests fold
+    // the sign of zero: a coefficient outside an instance's private
+    // block is an exact zero whose sign only records which way the hold
+    // pass negated it.
+    let (config, models) = stage_models(&ExtractOptions::default());
+    let designs = [
+        (
+            "registered chain",
+            chain(&config, &models),
+            [
+                "a1be8b17de47cac185f9b6a8c77827104f7f7f3ec2694d7357d573218253f87f",
+                "2005a517c4f020f228cc4551b7c2d7abbc1b37be267a76bfcbbab430a5669805",
+            ],
+        ),
+        (
+            "mixed registered chain",
+            mixed_registered_chain(),
+            [
+                "ff37fa11cc115df76c6564f408a01fff90bc97b0921f6ee9b91426386cd5b37c",
+                "e9faa9457dbcf8fbfee89adb696582e2a4c13603f5ae9ffbfc4fb7024ccb9085",
+            ],
+        ),
+    ];
+    let mut drifted = Vec::new();
+    for (name, design, want) in &designs {
+        for (mode, want) in [CorrelationMode::Proposed, CorrelationMode::GlobalOnly]
+            .into_iter()
+            .zip(want)
+        {
+            for threads in [1, 2] {
+                let options = SequentialAnalyzeOptions {
+                    clock_period_ps: 3000.0,
+                    mode,
+                    threads,
+                };
+                let t = analyze_sequential(design, &options).expect("analyze");
+                let got = timing_digest(&t, mode == CorrelationMode::GlobalOnly);
+                if got != *want {
+                    drifted.push(format!("{name} {mode:?} at {threads} threads: {got}"));
+                }
+            }
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "digests drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+#[test]
+fn combinational_analysis_treats_registered_instances_as_opaque() {
+    // Every design output is a launch port of the last registered
+    // stage, which no path within the cycle reaches: its arrival is the
+    // clock-to-output arc, whose mean the rewrite into the design
+    // variable space keeps.
+    let (config, models) = stage_models(&ExtractOptions::default());
+    let design = chain(&config, &models);
+    let last = models.last().unwrap().sequential().expect("registered");
+    for mode in [CorrelationMode::Proposed, CorrelationMode::GlobalOnly] {
+        let t = analyze(&design, mode).expect("analyze");
+        assert_eq!(t.po_arrivals.len(), models.last().unwrap().n_outputs());
+        for (j, arrival) in t.po_arrivals.iter().enumerate() {
+            let launch = last.launch_of(j).expect("launch arc");
+            assert_eq!(arrival.mean(), launch.mean(), "{mode:?} PO {j}");
+        }
+        let serial = analyze_with(&design, mode, &AnalyzeOptions { threads: 1 }).expect("analyze");
+        assert_eq!(serial.po_arrivals, t.po_arrivals, "{mode:?}");
+    }
 }
