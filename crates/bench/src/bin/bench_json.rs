@@ -17,7 +17,12 @@
 //!   bit-identical) with per-stage required-period/slack means.
 //!
 //! Schema 7 has no solver or engine duels: the harness asserts
-//! equivalences only, never a wall-clock ordering.
+//! equivalences only, never a wall-clock ordering. Schema 8 adds each
+//! assembly row's `propagate_peak_bytes` and `propagate_allocations`:
+//! the heap high-water mark above the starting level, and the number of
+//! allocation requests, of one warm serial `propagate_assembled` on the
+//! row's Proposed assembly, counted by this binary's global allocator
+//! on the calling thread.
 //!
 //! `--tiny` (or `SSTA_BENCH_PROFILE=tiny`) shrinks every size so CI can
 //! exercise the whole path in seconds.
@@ -30,12 +35,99 @@ use ssta_bench::{
     BenchProfile,
 };
 use ssta_core::{
-    analyze_sequential, analyze_with, assemble_design_graph, AnalyzeOptions, CorrelationMode,
-    DesignTiming, ExtractOptions, PhaseTimings, SequentialAnalyzeOptions, SstaConfig,
+    analyze_sequential, analyze_with, assemble_design_graph, propagate_assembled, AnalyzeOptions,
+    CorrelationMode, DesignTiming, ExtractOptions, PhaseTimings, SequentialAnalyzeOptions,
+    SstaConfig,
 };
 use ssta_timing::LevelSchedule;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
+
+thread_local! {
+    /// Bytes this thread has allocated and not freed (negative when it
+    /// frees what another thread allocated).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The largest `LIVE` since the last [`heap_during`] began.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+    /// Allocation requests (`alloc`, `alloc_zeroed`, `realloc`) on this
+    /// thread.
+    static REQUESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting live bytes and requests on the
+/// calling thread.
+struct Counting;
+
+fn note(delta: isize, request: bool) {
+    // `try_with` fails only while the thread's locals are torn down;
+    // allocations then go unrecorded.
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+    if request {
+        let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` only updates
+// thread-local `Cell`s with const initializers, which neither allocate
+// nor unwind.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` contract passes through.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            note(layout.size() as isize, true);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` contract passes through.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            note(layout.size() as isize, true);
+        }
+        ptr
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            note(new_size as isize - layout.size() as isize, true);
+        }
+        moved
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize), false);
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `work` on the calling thread and returns its heap high-water
+/// mark above the starting level, in bytes, and its allocation
+/// requests.
+fn heap_during<T>(work: impl FnOnce() -> T) -> (usize, u64) {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    let requests = REQUESTS.with(Cell::get);
+    drop(work());
+    let peak = PEAK.with(Cell::get) - live;
+    (peak.max(0) as usize, REQUESTS.with(Cell::get) - requests)
+}
 
 /// The emitted `BENCH_assembly.json` document.
 #[derive(Serialize)]
@@ -77,6 +169,11 @@ struct ScalingPoint {
     n_levels: usize,
     /// Vertices in its widest level.
     max_level_width: usize,
+    /// Schema 8: heap high-water mark of one warm serial propagation
+    /// pass above its starting level, in bytes.
+    propagate_peak_bytes: usize,
+    /// Schema 8: allocation requests of that pass.
+    propagate_allocations: u64,
 }
 
 /// One registered-pipeline scaling row: a chain of register-bounded
@@ -137,8 +234,11 @@ fn main() {
             point.phases,
         );
         println!(
-            "         {} levels, widest {}",
-            point.n_levels, point.max_level_width,
+            "         {} levels, widest {}; a pass peaks at {:.2} MB over {} allocations",
+            point.n_levels,
+            point.max_level_width,
+            point.propagate_peak_bytes as f64 / 1e6,
+            point.propagate_allocations,
         );
         points.push(point);
     }
@@ -181,7 +281,7 @@ fn main() {
     }
 
     bench.write(&Report {
-        schema: 7,
+        schema: 8,
         profile: bench.name(),
         effective_threads: ssta_math::parallel::effective_threads(0),
         assembly: points,
@@ -193,7 +293,8 @@ fn main() {
 /// page faults and all), then `reps` warmed serial and parallel runs
 /// (min-of-reps each), asserting parallel ≡ serial bit-identically.
 /// `parallel_speedup` compares the two *warm* paths, so it reads ~1.0 on
-/// a single-core machine and scales with cores elsewhere.
+/// a single-core machine and scales with cores elsewhere. Last, the heap
+/// of one serial propagation pass is counted after a warm-up pass.
 fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> ScalingPoint {
     let serial_opts = AnalyzeOptions { threads: 1 };
     let parallel_opts = AnalyzeOptions::default();
@@ -232,6 +333,9 @@ fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> S
     let assembled =
         assemble_design_graph(design, CorrelationMode::Proposed, &parallel_opts).expect("assembly");
     let schedule = LevelSchedule::build(&assembled.graph).expect("levelize");
+    let propagate = || propagate_assembled(&assembled, &schedule, 1).expect("propagate");
+    drop(propagate());
+    let (propagate_peak_bytes, propagate_allocations) = heap_during(propagate);
 
     let total = warm.phases.total_seconds();
     let share = |phase: f64| if total > 0.0 { phase / total } else { 0.0 };
@@ -248,6 +352,8 @@ fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> S
         phases: warm.phases,
         n_levels: schedule.n_levels(),
         max_level_width: schedule.max_width(),
+        propagate_peak_bytes,
+        propagate_allocations,
     }
 }
 

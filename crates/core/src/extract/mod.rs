@@ -245,11 +245,19 @@ fn repair_accuracy(
     // criticality probes.
     let schedule = ssta_timing::LevelSchedule::build(graph).map_err(CoreError::Timing)?;
 
-    // Reference means from the full graph, one forward pass per input.
+    // Reference means from the full graph, one forward pass per input;
+    // like the kept-subgraph sweeps below, it reads only the outputs.
     let mut reference: Vec<Vec<Option<f64>>> = Vec::with_capacity(graph.inputs().len());
     for &vi in graph.inputs() {
-        let arr = ssta_timing::levels::forward(graph, &schedule, &[(vi, zero.clone())])
-            .map_err(CoreError::Timing)?;
+        let arr = ssta_timing::levels::forward_with(
+            graph,
+            &schedule,
+            [(vi, zero.clone())],
+            |acc, a, e| {
+                CanonicalForm::max_plus_into(acc, a, &graph.edge(e).delay);
+                Ok::<(), CoreError>(())
+            },
+        )?;
         reference.push(
             outputs
                 .iter()

@@ -131,10 +131,15 @@ fn plan(
     // Buckets run largest first: global-only analyses keep every
     // instance's local variables private, so they usually carry more
     // variables than the proposed mode's PCA-reduced space (1 024 vs 756
-    // on 64 c880 instances). After the larger analysis the smaller one
-    // fits in memory the allocator still holds; in the other order the
-    // warm sweep benchmark re-faulted tens of MB per group and lost
-    // ~17 % of its throughput.
+    // on 64 c880 instances), and after the larger analysis the smaller
+    // one fits in memory the allocator still holds. While a pass held
+    // every arrival (~68 MB per c880 x64 pass), the other order made
+    // the warm sweep benchmark re-fault tens of MB per group and lose
+    // ~17 % of its throughput. Since a pass frees each arrival once it
+    // has been read (~14 MB), the two orders measure alike: over 10
+    // alternating 15 s pairs on a 2-vCPU VM, medians of 555 (sorted)
+    // vs 556 corners/s, the sorted order ahead in 4, and 19.1k-19.7k
+    // vs 19.1k-24.3k minor faults per run (medians 19.4k both).
     for group in &mut groups {
         group
             .buckets
@@ -372,8 +377,10 @@ fn store_health(shared: &SharedState<'_>) -> StoreHealth {
 /// over shared engine state, with `shared.threads` as the whole call's
 /// thread budget. See the [module docs](self) for the three layers.
 ///
-/// Returns the error of the lowest-indexed failing group (groups are
-/// numbered in first-scenario order).
+/// Returns [`EngineError::Spec`] for wiring that no model could make
+/// valid (see [`DesignSpec::check_wiring`]) before any module resolves,
+/// and otherwise the error of the lowest-indexed failing group (groups
+/// are numbered in first-scenario order).
 pub(crate) fn run(
     spec: &DesignSpec,
     scenarios: impl IntoIterator<Item = Scenario>,
@@ -384,6 +391,7 @@ pub(crate) fn run(
     shared: SharedState<'_>,
 ) -> Result<SweepSummary, EngineError> {
     let started = Instant::now();
+    spec.check_wiring()?;
     // Health is attributed at the call boundary: groups share one
     // backend stack, so per-group deltas would double-count.
     let health_before = store_health(&shared);

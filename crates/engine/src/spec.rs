@@ -11,6 +11,7 @@
 use crate::error::EngineError;
 use ssta_core::{netlist_digest, NetlistDigest};
 use ssta_netlist::{DieRect, Netlist};
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a module definition within one [`DesignSpec`].
@@ -106,6 +107,55 @@ impl DesignSpec {
     pub fn instances(&self) -> &[InstanceSpec] {
         &self.instances
     }
+
+    /// The checks a spec's wiring can take before any model exists:
+    /// every wire delay is finite and non-negative (`-0.0` is a zero
+    /// wire), and every connection, PI binding and PO source names an
+    /// instance of the spec. Port ranges need the models, so assembly
+    /// checks them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Spec`] for the first violation found.
+    pub(crate) fn check_wiring(&self) -> Result<(), EngineError> {
+        for (k, c) in self.connections.iter().enumerate() {
+            let from = self.instance_name(c.from.0, format_args!("connection {k}"))?;
+            let to = self.instance_name(c.to.0, format_args!("connection {k}"))?;
+            let delay = c.wire_delay_ps;
+            if !(delay.is_finite() && delay >= 0.0) {
+                return Err(EngineError::Spec {
+                    reason: format!(
+                        "wire from `{from}` output {} to `{to}` input {} has delay {delay} ps; \
+                         a wire delay must be finite and non-negative",
+                        c.from.1, c.to.1
+                    ),
+                });
+            }
+        }
+        for (k, targets) in self.pi_bindings.iter().enumerate() {
+            for &(inst, _) in targets {
+                self.instance_name(inst, format_args!("primary input {k}"))?;
+            }
+        }
+        for (k, &(inst, _)) in self.po_sources.iter().enumerate() {
+            self.instance_name(inst, format_args!("primary output {k}"))?;
+        }
+        Ok(())
+    }
+
+    /// The name of instance `idx`, or the error that `what` names a
+    /// missing instance.
+    fn instance_name(&self, idx: usize, what: fmt::Arguments<'_>) -> Result<&str, EngineError> {
+        match self.instances.get(idx) {
+            Some(inst) => Ok(&inst.name),
+            None => Err(EngineError::Spec {
+                reason: format!(
+                    "{what} names instance {idx}, but the spec has {} instances",
+                    self.instances.len()
+                ),
+            }),
+        }
+    }
 }
 
 /// Incremental builder for [`DesignSpec`].
@@ -154,8 +204,9 @@ impl DesignSpecBuilder {
     }
 
     /// Wires instance `from`'s output port to instance `to`'s input port.
-    /// Port ranges are validated at assembly time, once models (and thus
-    /// port counts) exist.
+    /// An analysis checks the instance indices (and the wire delay)
+    /// before any module resolves, and the port ranges at assembly,
+    /// once models (and thus port counts) exist.
     pub fn connect(&mut self, from: usize, from_port: usize, to: usize, to_port: usize) {
         self.spec.connections.push(ConnectionSpec {
             from: (from, from_port),
@@ -164,7 +215,8 @@ impl DesignSpecBuilder {
         });
     }
 
-    /// As [`connect`](Self::connect) with an explicit wire delay.
+    /// As [`connect`](Self::connect) with an explicit wire delay, which
+    /// must be finite and non-negative.
     pub fn connect_with_delay(
         &mut self,
         from: usize,
@@ -199,8 +251,10 @@ impl DesignSpecBuilder {
     /// # Errors
     ///
     /// Returns [`EngineError::Spec`] if the design has no instances or no
-    /// outputs, or an instance references a missing module. Port-level
-    /// validation happens at assembly, via [`ssta_core::DesignBuilder`].
+    /// outputs, or an instance references a missing module. Wiring is
+    /// checked when an analysis starts, before any module resolves;
+    /// port-level validation happens at assembly, via
+    /// [`ssta_core::DesignBuilder`].
     pub fn finish(self) -> Result<DesignSpec, EngineError> {
         let spec = self.spec;
         if spec.instances.is_empty() || spec.po_sources.is_empty() {

@@ -11,6 +11,12 @@
 //! `O(inputs × (V + E))` in redundant topological sorting). The
 //! per-input passes are independent, so [`delay_matrix_with`] fans them
 //! out across workers with bit-identical, index-ordered rows.
+//!
+//! A row reads only output arrivals, so each pass is a
+//! [`levels::forward_with`] pass with the plain step: it drops each
+//! interior arrival once its last fanout has pulled it, and a worker
+//! holds one pass's frontier rather than a value per vertex. The rows
+//! carry the bits a keep-everything [`levels::forward`] gives.
 
 use crate::levels::{self, LevelSchedule};
 use crate::{DelayAlgebra, TimingError, TimingGraph};
@@ -119,7 +125,10 @@ pub fn delay_matrix_with<D: DelayAlgebra + Send + Sync>(
     let inputs = graph.inputs().to_vec();
     let outputs = graph.outputs().to_vec();
     let rows: Vec<Vec<Option<D>>> = try_parallel_indexed(inputs.len(), workers, |i| {
-        let arrival = levels::forward(graph, schedule, &[(inputs[i], zero())])?;
+        let arrival = levels::forward_with(graph, schedule, [(inputs[i], zero())], |acc, a, e| {
+            D::max_plus_into(acc, a, &graph.edge(e).delay);
+            Ok::<(), TimingError>(())
+        })?;
         Ok::<_, TimingError>(
             outputs
                 .iter()

