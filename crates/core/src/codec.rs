@@ -24,23 +24,28 @@
 //! independently of the store's envelope version; readers reject every
 //! other layout up front.
 //!
-//! Field order mirrors the logical structure: name, configuration,
-//! grid geometry, variable layout, PCA bases, timing graph (raw slots,
-//! tombstones included — see [`ssta_timing::RawGraphParts`]),
-//! extraction stats, and an optional sequential-interface block (clock
-//! pin + launch/setup/hold constraint arcs). The decoded model is
-//! validated as a whole (layout against PCA bases and grid, edge delays
-//! and constraint arcs against the variable space), so a hostile
-//! payload cannot claim more locals than its bases carry, smuggle in
-//! forms from a foreign variable space or name unknown pins. The
-//! graph's input list is *not* stored: it is
-//! fully determined by the `Input(i)` vertex kinds and re-derived on
-//! decode, which both saves bytes and makes that invariant
-//! unforgeable.
+//! Layout 3 stores, in order: name, configuration, grid geometry, a
+//! basis flag and at most one PCA basis (shared by every parameter),
+//! the timing graph (raw slots, tombstones included — see
+//! [`ssta_timing::RawGraphParts`]), the extraction stats, and an
+//! optional sequential-interface block (clock pin + launch/setup/hold
+//! constraint arcs). Two things are derived rather than stored: the
+//! variable layout, which the configuration's parameter count and the
+//! basis determine, and the graph's input list, which the `Input(i)`
+//! vertex kinds determine. Neither can then disagree with the data it
+//! describes, and both save bytes. The decoded model is validated as a
+//! whole (basis against grid, edge delays and constraint arcs against
+//! the variable space), so a hostile payload cannot claim more grids
+//! than its basis covers, smuggle in forms from a foreign variable space
+//! or name unknown pins.
+//!
+//! The stream holds no wall-clock time or other run-dependent field, so
+//! one model always encodes to the same bytes: artifacts stored under
+//! the same key are byte-identical whichever run extracted them.
 
 use crate::canonical::CanonicalForm;
 use crate::extract::{ConstraintArc, ExtractionStats, SequentialModel, TimingModel};
-use crate::params::{ParameterSpec, SstaConfig, VariableLayout};
+use crate::params::{ParameterSpec, SstaConfig};
 use crate::spatial::{CorrelationModel, GridGeometry};
 use crate::CoreError;
 use ssta_math::codec::{ByteReader, ByteWriter, CodecError};
@@ -50,7 +55,7 @@ use ssta_timing::{RawGraphParts, TimingGraph, VertexId, VertexKind};
 
 /// Version byte opening every binary model payload: the one layout
 /// this build reads and writes.
-pub const MODEL_CODEC_VERSION: u8 = 2;
+pub const MODEL_CODEC_VERSION: u8 = 3;
 
 impl From<CodecError> for CoreError {
     fn from(e: CodecError) -> Self {
@@ -72,11 +77,7 @@ pub fn encode_model(model: &TimingModel) -> Vec<u8> {
     w.put_str(model.name());
     encode_config(&mut w, model.config());
     encode_geometry(&mut w, model.geometry());
-    encode_layout(&mut w, model.layout());
-    w.put_usize(model.pca().len());
-    for basis in model.pca() {
-        encode_pca(&mut w, basis);
-    }
+    encode_basis(&mut w, model.pca());
     encode_graph(&mut w, model.graph());
     encode_stats(&mut w, model.stats());
     encode_sequential(&mut w, model.sequential());
@@ -89,9 +90,9 @@ pub fn encode_model(model: &TimingModel) -> Vec<u8> {
 ///
 /// Returns [`CoreError::Codec`] for truncated or structurally invalid
 /// payloads, unknown layout versions, and models whose parts disagree
-/// (a layout that does not match the PCA bases and grid, forms outside
-/// the model's own variable space, arcs naming unknown pins), naming the
-/// first defect.
+/// (a PCA basis that does not cover the grid, forms outside the model's
+/// own variable space, arcs naming unknown pins), naming the first
+/// defect.
 pub fn decode_model(bytes: &[u8]) -> Result<TimingModel, CoreError> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u8()?;
@@ -106,25 +107,19 @@ pub fn decode_model(bytes: &[u8]) -> Result<TimingModel, CoreError> {
     let name = r.get_str()?;
     let config = decode_config(&mut r)?;
     let geometry = decode_geometry(&mut r)?;
-    let layout = decode_layout(&mut r)?;
-    let n_pca = r.get_len(r.remaining())?;
-    let mut pca = Vec::with_capacity(n_pca);
-    for _ in 0..n_pca {
-        pca.push(decode_pca(&mut r)?);
-    }
+    let pca = decode_basis(&mut r)?;
     let graph = decode_graph(&mut r)?;
     let stats = decode_stats(&mut r)?;
     let sequential = decode_sequential(&mut r)?;
     r.finish()?;
     // The integrity stamp vouches for the bytes, not for what they
-    // describe: a payload whose lengths disagree with its own bases or
+    // describe: a payload whose lengths disagree with its own basis or
     // variable space is rejected here, where the store can re-extract.
-    TimingModel::from_parts(
-        name, graph, geometry, layout, pca, config, stats, sequential,
+    TimingModel::from_parts(name, graph, geometry, pca, config, stats, sequential).map_err(
+        |reason| CoreError::Codec {
+            reason: format!("stored {reason}"),
+        },
     )
-    .map_err(|reason| CoreError::Codec {
-        reason: format!("stored {reason}"),
-    })
 }
 
 fn encode_config(w: &mut ByteWriter, config: &SstaConfig) {
@@ -192,28 +187,6 @@ fn decode_geometry(r: &mut ByteReader<'_>) -> Result<GridGeometry, CoreError> {
     Ok(GridGeometry::from_raw_parts(origin, pitch, nx, ny))
 }
 
-fn encode_layout(w: &mut ByteWriter, layout: &VariableLayout) {
-    w.put_usize(layout.n_params());
-    for p in 0..layout.n_params() {
-        w.put_usize(layout.local_range(p).len());
-    }
-}
-
-fn decode_layout(r: &mut ByteReader<'_>) -> Result<VariableLayout, CoreError> {
-    // Structural bounds keep the prefix sum in `VariableLayout::new`
-    // far from usize overflow on corrupted counts: parameters are a
-    // handful (4 today), local PCA components a few hundred per
-    // parameter.
-    const MAX_PARAMS: usize = 256;
-    const MAX_LOCALS_PER_PARAM: usize = 1 << 32;
-    let n = r.get_len(MAX_PARAMS)?;
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts.push(r.get_len(MAX_LOCALS_PER_PARAM)?);
-    }
-    Ok(VariableLayout::new(&counts))
-}
-
 fn encode_matrix(w: &mut ByteWriter, m: &Matrix) {
     w.put_usize(m.rows());
     w.put_usize(m.cols());
@@ -263,6 +236,21 @@ fn decode_pca(r: &mut ByteReader<'_>) -> Result<PcaBasis, CoreError> {
             reason: format!("stored PCA basis is inconsistent: {e}"),
         }
     })
+}
+
+fn encode_basis(w: &mut ByteWriter, basis: Option<&PcaBasis>) {
+    w.put_bool(basis.is_some());
+    if let Some(basis) = basis {
+        encode_pca(w, basis);
+    }
+}
+
+fn decode_basis(r: &mut ByteReader<'_>) -> Result<Option<PcaBasis>, CoreError> {
+    if r.get_bool()? {
+        decode_pca(r).map(Some)
+    } else {
+        Ok(None)
+    }
 }
 
 fn encode_form(w: &mut ByteWriter, form: &CanonicalForm) {
@@ -453,7 +441,6 @@ fn encode_stats(w: &mut ByteWriter, s: &ExtractionStats) {
     w.put_usize(s.parallel_merges);
     w.put_usize(s.model_edges);
     w.put_usize(s.model_vertices);
-    w.put_f64(s.extraction_seconds);
 }
 
 fn decode_stats(r: &mut ByteReader<'_>) -> Result<ExtractionStats, CoreError> {
@@ -468,7 +455,6 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<ExtractionStats, CoreError> {
         parallel_merges: r.get_usize()?,
         model_edges: r.get_usize()?,
         model_vertices: r.get_usize()?,
-        extraction_seconds: r.get_f64()?,
     })
 }
 
@@ -538,9 +524,11 @@ mod tests {
     fn decoder_rejects_unknown_layout_version() {
         let m = model(2);
         let mut bytes = encode_model(&m);
-        // Only layout 2 decodes: the retired layout 1 (no sequential
-        // block) is rejected like any future layout.
-        for version in [1, MODEL_CODEC_VERSION + 1] {
+        // Only layout 3 decodes: the retired layouts 1 (no sequential
+        // block) and 2 (one basis per parameter, a stored variable layout
+        // and the extraction's wall clock) are rejected like any future
+        // layout.
+        for version in [1, 2, MODEL_CODEC_VERSION + 1] {
             bytes[0] = version;
             assert!(matches!(
                 decode_model(&bytes),
@@ -575,8 +563,7 @@ mod tests {
         w.put_str(m.name());
         encode_config(&mut w, m.config());
         encode_geometry(&mut w, m.geometry());
-        encode_layout(&mut w, m.layout());
-        w.put_usize(0); // no PCA bases
+        encode_basis(&mut w, None);
         w.put_usize(1); // one vertex slot...
         w.put_u8(1); // ...of Input kind...
         w.put_varint(u64::from(u32::MAX)); // ...with a hostile index
@@ -584,25 +571,6 @@ mod tests {
         assert!(matches!(
             decode_model(&w.into_bytes()),
             Err(CoreError::Codec { reason }) if reason.contains("out of range")
-        ));
-    }
-
-    #[test]
-    fn decoder_bounds_hostile_layout_counts() {
-        // Layout counts near u64::MAX must fail as a codec error, not
-        // overflow the prefix sum inside VariableLayout::new.
-        let m = model(2);
-        let mut w = ByteWriter::new();
-        w.put_u8(MODEL_CODEC_VERSION);
-        w.put_str(m.name());
-        encode_config(&mut w, m.config());
-        encode_geometry(&mut w, m.geometry());
-        w.put_usize(2); // two parameters...
-        w.put_varint(u64::MAX); // ...with an overflowing count
-        w.put_varint(1);
-        assert!(matches!(
-            decode_model(&w.into_bytes()),
-            Err(CoreError::Codec { reason }) if reason.contains("exceeds limit")
         ));
     }
 
@@ -641,11 +609,7 @@ mod tests {
         w.put_str(m.name());
         encode_config(&mut w, m.config());
         encode_geometry(&mut w, m.geometry());
-        encode_layout(&mut w, m.layout());
-        w.put_usize(m.pca().len());
-        for basis in m.pca() {
-            encode_pca(&mut w, basis);
-        }
+        encode_basis(&mut w, m.pca());
         encode_graph(&mut w, m.graph());
         encode_stats(&mut w, m.stats());
         encode_sequential(&mut w, Some(&hostile));
@@ -670,11 +634,7 @@ mod tests {
             w.put_str(m.name());
             encode_config(&mut w, m.config());
             encode_geometry(&mut w, m.geometry());
-            encode_layout(&mut w, m.layout());
-            w.put_usize(m.pca().len());
-            for basis in m.pca() {
-                encode_pca(&mut w, basis);
-            }
+            encode_basis(&mut w, m.pca());
             encode_graph(&mut w, m.graph());
             encode_stats(&mut w, m.stats());
             w.into_bytes().len()

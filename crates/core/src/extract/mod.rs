@@ -29,7 +29,6 @@ use crate::criticality::{criticalities_until, CriticalityOptions};
 use crate::module::ModuleContext;
 use crate::CoreError;
 use ssta_timing::{DelayAlgebra, EdgeId, TimingGraph, VertexId};
-use std::time::Instant;
 
 /// Options for [`extract`].
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +95,6 @@ pub fn extract(ctx: &ModuleContext, options: &ExtractOptions) -> Result<TimingMo
             reason: format!("delta {} outside [0, 1]", options.delta),
         });
     }
-    let started = Instant::now();
     let graph = ctx.graph();
     let original_edges = graph.n_edges();
     let original_vertices = graph.n_vertices();
@@ -153,7 +151,6 @@ pub fn extract(ctx: &ModuleContext, options: &ExtractOptions) -> Result<TimingMo
         parallel_merges: merge_stats.parallel_merges,
         model_edges: model_graph.n_edges(),
         model_vertices: model_graph.n_vertices(),
-        extraction_seconds: started.elapsed().as_secs_f64(),
     };
     Ok(TimingModel::new(ctx, model_graph, stats))
 }

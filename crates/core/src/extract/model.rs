@@ -3,7 +3,7 @@
 //! This is the artifact an IP vendor would ship instead of a netlist: a
 //! compressed timing graph with the same ports and (statistically) the
 //! same input/output delay matrix, plus the spatial metadata — grid
-//! geometry and PCA bases — that the hierarchical variable-replacement
+//! geometry and the PCA basis — that the hierarchical variable-replacement
 //! step needs to re-correlate the model inside a larger design. It
 //! travels as the binary payload of [`crate::codec`], whose decoder
 //! validates it; the `ip_model_handoff` example exercises that handoff
@@ -43,8 +43,6 @@ pub struct ExtractionStats {
     pub model_edges: usize,
     /// Vertices in the extracted model (`Vm`).
     pub model_vertices: usize,
-    /// Wall-clock extraction time (`T` in Table I).
-    pub extraction_seconds: f64,
 }
 
 impl ExtractionStats {
@@ -67,8 +65,9 @@ pub struct TimingModel {
     name: String,
     graph: TimingGraph<CanonicalForm>,
     geometry: GridGeometry,
-    layout: VariableLayout,
-    pca: Vec<PcaBasis>,
+    /// The PCA basis of the grid correlation, shared by every parameter;
+    /// `None` for a basis-free model (the interface-only SDF import).
+    pca: Option<PcaBasis>,
     config: SstaConfig,
     stats: ExtractionStats,
     /// Sequential interface (setup/hold/launch constraint arcs); `None`
@@ -86,8 +85,7 @@ impl TimingModel {
             name: ctx.netlist().name().to_owned(),
             graph,
             geometry: ctx.geometry(),
-            layout: ctx.layout().clone(),
-            pca: ctx.pca().iter().map(|p| (**p).clone()).collect(),
+            pca: Some(ctx.pca().clone()),
             config: ctx.config().clone(),
             stats,
             sequential: None,
@@ -108,13 +106,11 @@ impl TimingModel {
     ///
     /// The first violation, as a reason each caller wraps in its
     /// boundary's error variant.
-    #[allow(clippy::too_many_arguments)] // one argument per serialized section
     pub(crate) fn from_parts(
         name: String,
         graph: TimingGraph<CanonicalForm>,
         geometry: GridGeometry,
-        layout: VariableLayout,
-        pca: Vec<PcaBasis>,
+        pca: Option<PcaBasis>,
         config: SstaConfig,
         stats: ExtractionStats,
         sequential: Option<SequentialModel>,
@@ -123,7 +119,6 @@ impl TimingModel {
             name,
             graph,
             geometry,
-            layout,
             pca,
             config,
             stats,
@@ -137,61 +132,49 @@ impl TimingModel {
     /// SDF interchange layer uses to turn imported cells into analyzable
     /// models. The parts come from arbitrary outside data, so the model
     /// is validated before it is admitted, with the same checks the
-    /// binary decoder applies: layout against PCA bases and grid, every
-    /// form against the variable space, every constraint arc against the
-    /// ports.
+    /// binary decoder applies: PCA basis against grid, every form against
+    /// the variable space, every constraint arc against the ports.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Incompatible`] naming the first part that
     /// does not fit the model's variable space.
-    #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         name: String,
         graph: TimingGraph<CanonicalForm>,
         geometry: GridGeometry,
-        layout: VariableLayout,
-        pca: Vec<PcaBasis>,
+        pca: Option<PcaBasis>,
         config: SstaConfig,
         stats: ExtractionStats,
         sequential: Option<SequentialModel>,
     ) -> Result<Self, CoreError> {
-        Self::from_parts(
-            name, graph, geometry, layout, pca, config, stats, sequential,
-        )
-        .map_err(|reason| CoreError::Incompatible { reason })
+        Self::from_parts(name, graph, geometry, pca, config, stats, sequential)
+            .map_err(|reason| CoreError::Incompatible { reason })
     }
 
-    /// Checks that the model's parts describe one variable space:
+    /// Checks that the model's parts describe one variable space, the
+    /// one its [layout](Self::layout) derives from the configuration and
+    /// the basis:
     ///
-    /// * the layout has one local block per configured parameter;
     /// * every live edge delay lives in the `(n_params, n_locals)`
     ///   variable space;
-    /// * either the model is basis-free — no PCA bases, zero locals and
-    ///   one grid, the interface-only SDF import — or it carries one
-    ///   basis per parameter, whose component count is that parameter's
-    ///   local count, with an `n_grids × k` transform and a
-    ///   `k × n_grids` whitening matrix;
+    /// * the PCA basis covers the geometry's `nx · ny` grids, with an
+    ///   `n_grids × k` transform and a `k × n_grids` whitening matrix, or
+    ///   there is no basis and one grid (the interface-only SDF import);
     /// * every constraint arc lives in the same variable space and names
     ///   a real port.
     ///
     /// Every length a later computation allocates is then tied to data
-    /// the model actually carries; a layout claiming 2³² locals over a
-    /// small basis is rejected here instead of aborting the process on
-    /// its first delay matrix.
+    /// the model actually carries; a geometry claiming 2³⁰ grid columns
+    /// over a small basis is rejected here instead of aborting the
+    /// process when a design partitions it.
     ///
     /// # Errors
     ///
     /// The first violation, as a human-readable reason.
     fn validate(&self) -> Result<(), String> {
-        let n_params = self.config.parameters.len();
-        if self.layout.n_params() != n_params {
-            return Err(format!(
-                "layout has {} parameter blocks, but the configuration has {n_params} parameters",
-                self.layout.n_params()
-            ));
-        }
-        let n_locals = self.layout.n_locals();
+        let layout = self.layout();
+        let (n_params, n_locals) = (layout.n_params(), layout.n_locals());
         for (id, edge) in self.graph.edges_iter() {
             let (globals, locals) = (edge.delay.n_globals(), edge.delay.n_locals());
             if globals != n_params || locals != n_locals {
@@ -206,29 +189,25 @@ impl TimingModel {
         let n_grids = nx
             .checked_mul(ny)
             .ok_or_else(|| format!("grid of {nx} x {ny} overflows"))?;
-        if self.pca.len() != n_params && !(self.pca.is_empty() && n_locals == 0 && n_grids == 1) {
-            return Err(format!(
-                "model has {} PCA bases for {n_params} parameters, {n_locals} locals and \
-                 {n_grids} grids; it needs one basis per parameter, or none with zero \
-                 locals on one grid",
-                self.pca.len()
-            ));
-        }
-        for (p, basis) in self.pca.iter().enumerate() {
-            let k = self.layout.local_range(p).len();
-            let transform = (basis.transform().rows(), basis.transform().cols());
-            let whiten = (basis.whiten().rows(), basis.whiten().cols());
-            if basis.n_components() != k || transform != (n_grids, k) || whiten != (k, n_grids) {
+        match &self.pca {
+            None if n_grids != 1 => {
                 return Err(format!(
-                    "PCA basis of parameter {p} has {} components, a {}x{} transform and a \
-                     {}x{} whitening matrix, but the layout gives it {k} locals over \
-                     {n_grids} grids",
-                    basis.n_components(),
-                    transform.0,
-                    transform.1,
-                    whiten.0,
-                    whiten.1
-                ));
+                    "model has no PCA basis over {n_grids} grids; a basis-free model \
+                     has one grid"
+                ))
+            }
+            None => {}
+            Some(basis) => {
+                let k = basis.n_components();
+                let transform = (basis.transform().rows(), basis.transform().cols());
+                let whiten = (basis.whiten().rows(), basis.whiten().cols());
+                if transform != (n_grids, k) || whiten != (k, n_grids) {
+                    return Err(format!(
+                        "PCA basis has {k} components, a {}x{} transform and a {}x{} \
+                         whitening matrix, but the geometry holds {n_grids} grids",
+                        transform.0, transform.1, whiten.0, whiten.1
+                    ));
+                }
             }
         }
         if let Some(seq) = &self.sequential {
@@ -293,14 +272,18 @@ impl TimingModel {
         self.geometry
     }
 
-    /// The module's independent-variable layout.
-    pub fn layout(&self) -> &VariableLayout {
-        &self.layout
+    /// The module's independent-variable layout: one block of the
+    /// basis' components per parameter, or empty blocks without a basis.
+    pub fn layout(&self) -> VariableLayout {
+        let per_param = self.pca.as_ref().map_or(0, PcaBasis::n_components);
+        VariableLayout::new(self.config.parameters.len(), per_param)
     }
 
-    /// Per-parameter PCA bases from characterization.
-    pub fn pca(&self) -> &[PcaBasis] {
-        &self.pca
+    /// The PCA basis from characterization, shared by every parameter;
+    /// `None` for an interface-only model, whose forms carry no local
+    /// components.
+    pub fn pca(&self) -> Option<&PcaBasis> {
+        self.pca.as_ref()
     }
 
     /// The configuration the model was characterized under.
@@ -310,7 +293,7 @@ impl TimingModel {
 
     /// A zero-delay constant in the model's variable space.
     pub fn zero(&self) -> CanonicalForm {
-        CanonicalForm::constant(0.0, self.config.parameters.len(), self.layout.n_locals())
+        CanonicalForm::constant(0.0, self.config.parameters.len(), self.layout().n_locals())
     }
 
     /// The model's statistical input/output delay matrix.
@@ -414,14 +397,13 @@ mod tests {
     #[test]
     fn assemble_admits_only_parts_of_one_variable_space() {
         let m = model();
-        let admits = |layout: &VariableLayout, pca: &[PcaBasis], geometry: GridGeometry| {
+        let admits = |pca: Option<&PcaBasis>, geometry: GridGeometry, config: &SstaConfig| {
             let parts = TimingModel::assemble(
                 m.name().to_owned(),
                 m.graph().clone(),
                 geometry,
-                layout.clone(),
-                pca.to_vec(),
-                m.config().clone(),
+                pca.cloned(),
+                config.clone(),
                 *m.stats(),
                 None,
             );
@@ -431,21 +413,19 @@ mod tests {
                 Err(e) => panic!("not an incompatibility: {e}"),
             }
         };
-        let (layout, pca, g) = (m.layout(), m.pca(), m.geometry());
-        assert!(admits(layout, pca, g));
-        // Locals with no bases to give them meaning.
-        assert!(!admits(layout, &[], g));
-        // Bases over fewer grids than the geometry holds.
+        let (pca, g, config) = (m.pca(), m.geometry(), m.config());
+        assert!(admits(pca, g, config));
+        // Locals with no basis to give them meaning.
+        assert!(!admits(None, g, config));
+        // A basis over fewer grids than the geometry holds.
         let wider = GridGeometry::from_raw_parts(g.origin(), g.pitch(), g.nx() + 1, g.ny());
-        assert!(!admits(layout, pca, wider));
+        assert!(!admits(pca, wider, config));
         // A grid count that overflows.
         let huge = GridGeometry::from_raw_parts(g.origin(), g.pitch(), usize::MAX, 2);
-        assert!(!admits(layout, pca, huge));
-        // A layout with a parameter block the configuration lacks.
-        let mut counts: Vec<usize> = (0..layout.n_params())
-            .map(|p| layout.local_range(p).len())
-            .collect();
-        counts.push(0);
-        assert!(!admits(&VariableLayout::new(&counts), pca, g));
+        assert!(!admits(pca, huge, config));
+        // Fewer parameters than the forms carry global coefficients for.
+        let mut fewer = config.clone();
+        fewer.parameters.pop();
+        assert!(!admits(pca, g, &fewer));
     }
 }

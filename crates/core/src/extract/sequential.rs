@@ -26,7 +26,7 @@
 
 use crate::canonical::CanonicalForm;
 use crate::extract::{extract, ExtractOptions, TimingModel};
-use crate::module::ModuleContext;
+use crate::module::{characterized_form, ModuleContext};
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
 use ssta_netlist::{SeqCellType, Signal};
@@ -150,16 +150,29 @@ pub fn extract_registered(
 
     // One grid per input register: the first consumer gate's location.
     let grids = input_grids(ctx);
+    // Each clocked quantity is characterized like a combinational arc at
+    // its register's grid.
+    let layout = ctx.layout();
+    let clocked_form = |nominal_ps: f64, grid: usize| {
+        characterized_form(
+            ctx.config(),
+            layout,
+            ctx.pca(),
+            nominal_ps,
+            register.sensitivity(),
+            grid,
+        )
+    };
     let clk2q: Vec<CanonicalForm> = grids
         .iter()
-        .map(|&g| clocked_form(ctx, register, register.clk_to_q_ps(), g))
+        .map(|&g| clocked_form(register.clk_to_q_ps(), g))
         .collect();
     let setup = grids
         .iter()
         .enumerate()
         .map(|(i, &g)| ConstraintArc {
             port: i as u32,
-            form: clocked_form(ctx, register, register.setup_ps(), g),
+            form: clocked_form(register.setup_ps(), g),
         })
         .collect();
     let hold = grids
@@ -167,7 +180,7 @@ pub fn extract_registered(
         .enumerate()
         .map(|(i, &g)| ConstraintArc {
             port: i as u32,
-            form: clocked_form(ctx, register, register.hold_ps(), g),
+            form: clocked_form(register.hold_ps(), g),
         })
         .collect();
 
@@ -227,40 +240,6 @@ fn input_grids(ctx: &ModuleContext) -> Vec<usize> {
             geometry.grid_of(placement.gate_position(gate))
         })
         .collect()
-}
-
-/// Builds the canonical form of one clocked quantity at a grid location,
-/// splitting its 1σ response into global, PCA-projected local and
-/// private random shares — the same decomposition combinational arcs get
-/// in module characterization.
-fn clocked_form(
-    ctx: &ModuleContext,
-    register: &SeqCellType,
-    nominal_ps: f64,
-    grid: usize,
-) -> CanonicalForm {
-    let config = ctx.config();
-    let layout = ctx.layout();
-    let shares = &config.correlation;
-    let sg = shares.global_share.sqrt();
-    let sl = shares.local_share.sqrt();
-    let sr = shares.random_share.sqrt();
-
-    let mut globals = vec![0.0; config.parameters.len()];
-    let mut locals = vec![0.0; layout.n_locals()];
-    let mut random_var = 0.0;
-    for (p, spec) in config.parameters.iter().enumerate() {
-        let base = nominal_ps * register.sensitivity().get(spec.param) * spec.sigma_rel;
-        globals[p] = base * sg;
-        let row = ctx.pca()[p].transform().row(grid);
-        let block = layout.local_range(p);
-        for (slot, &t) in locals[block].iter_mut().zip(row) {
-            *slot = base * sl * t;
-        }
-        random_var += (base * sr) * (base * sr);
-    }
-    CanonicalForm::from_parts(nominal_ps, globals, locals, random_var.sqrt())
-        .expect("finite construction")
 }
 
 #[cfg(test)]

@@ -135,6 +135,10 @@ pub fn module_fingerprint_from_digest(
     // between build generations from handing layout-2 artifacts to
     // layout-1 readers, at the cost of one repopulating miss; no v5 key
     // can reach a layout-1 artifact, and the reader rejects layout 1.
+    // Layout 3 (one PCA basis, no stored variable layout, no wall
+    // clock) keeps v5, since a key names the model's inputs and they did
+    // not change: a layout-2 artifact under a v5 key is a store reject
+    // that re-extracts and overwrites.
     // (v4 re-keyed for the levelized pull engine's reduction-order
     // change; v3 for the Jacobi → Householder/QL eigensolver switch.)
     payload.push_str("hier-ssta module fingerprint v5\n");

@@ -141,7 +141,7 @@ pub fn analyze(design: &Design, mode: CorrelationMode) -> Result<DesignTiming, C
 ///
 /// The assembly phases fan out across `options.threads` workers: the
 /// design covariance is filled by row blocks, and each instance's
-/// replacement matrices are built independently. Results are
+/// replacement matrix is built independently. Results are
 /// bit-identical for every thread count — each unit of work is
 /// self-contained and joined in deterministic index order.
 ///
@@ -296,7 +296,7 @@ impl AssembledDesign {
         idx: usize,
         form: &CanonicalForm,
     ) -> Result<CanonicalForm, CoreError> {
-        self.transforms[idx].apply(form, &self.module_layouts[idx], &self.design_layout)
+        self.transforms[idx].apply(form, self.module_layouts[idx], self.design_layout)
     }
 
     /// One arrival pass: a zero form at every design PI and each launch
@@ -343,8 +343,8 @@ impl AssembledDesign {
                 let idx = idx as usize;
                 self.transforms[idx].apply_into(
                     form.locals(),
-                    &self.module_layouts[idx],
-                    &self.design_layout,
+                    self.module_layouts[idx],
+                    self.design_layout,
                     dst,
                 )
             }
@@ -430,7 +430,7 @@ pub fn assemble_design_graph_with_basis(
                         model.name()
                     ),
                 })?;
-                let arc = transforms[idx].apply(arc, model.layout(), &design_layout)?;
+                let arc = transforms[idx].apply(arc, model.layout(), design_layout)?;
                 launches.push((v, arc));
             }
             in_ports.push(captures);
@@ -494,7 +494,7 @@ pub fn assemble_design_graph_with_basis(
     let module_layouts = design
         .instances()
         .iter()
-        .map(|inst| inst.model.layout().clone())
+        .map(|inst| inst.model.layout())
         .collect();
     phases.replace_seconds += flatten_started.elapsed().as_secs_f64();
     Ok(AssembledDesign {
@@ -515,12 +515,13 @@ pub fn assemble_design_graph_with_basis(
 /// A per-instance coefficient transform into the design variable space.
 #[derive(Debug, Clone)]
 pub(crate) enum LocalTransform {
-    /// Proposed mode: full replacement matrices.
+    /// Proposed mode: the instance's replacement matrix.
     Replace(InstanceReplacement),
-    /// Global-only mode: copy the module block at a private offset.
+    /// Global-only mode: copy each module block at a private offset.
     Offset {
-        /// Per-parameter offsets into the design-level parameter blocks.
-        per_param: Vec<usize>,
+        /// Offset of the instance's components within every design-level
+        /// parameter block.
+        offset: usize,
     },
 }
 
@@ -529,8 +530,8 @@ impl LocalTransform {
     pub(crate) fn apply(
         &self,
         form: &CanonicalForm,
-        module_layout: &VariableLayout,
-        design_layout: &VariableLayout,
+        module_layout: VariableLayout,
+        design_layout: VariableLayout,
     ) -> Result<CanonicalForm, CoreError> {
         let mut locals = vec![0.0; design_layout.n_locals()];
         self.apply_into(form.locals(), module_layout, design_layout, &mut locals)?;
@@ -542,17 +543,17 @@ impl LocalTransform {
     pub(crate) fn apply_into(
         &self,
         src: &[f64],
-        module_layout: &VariableLayout,
-        design_layout: &VariableLayout,
+        module_layout: VariableLayout,
+        design_layout: VariableLayout,
         dst: &mut [f64],
     ) -> Result<(), CoreError> {
         match self {
             LocalTransform::Replace(r) => r.apply_into(src, module_layout, design_layout, dst),
-            LocalTransform::Offset { per_param } => {
+            LocalTransform::Offset { offset } => {
                 dst.fill(0.0);
-                for (p, &off) in per_param.iter().enumerate() {
+                for p in 0..design_layout.n_params() {
                     let block = &src[module_layout.local_range(p)];
-                    let base = design_layout.local_range(p).start + off;
+                    let base = design_layout.local_range(p).start + offset;
                     dst[base..base + block.len()].copy_from_slice(block);
                 }
                 Ok(())
@@ -567,7 +568,6 @@ fn build_variable_space(
     threads: usize,
     basis: Option<&DesignVariables>,
 ) -> Result<(VariableLayout, Vec<LocalTransform>, PhaseTimings), CoreError> {
-    let n_params = design.config().parameters.len();
     match mode {
         CorrelationMode::Proposed => {
             // Steps 1–2 are skipped entirely when the caller injects a
@@ -581,8 +581,8 @@ fn build_variable_space(
                 }
             };
             let vars = basis.or(owned.as_ref()).expect("basis built or injected");
-            // Step 3 (cold half): one replacement matrix set per
-            // instance, each independent of the others.
+            // Step 3 (cold half): one replacement matrix per instance,
+            // each independent of the others.
             let replace_started = Instant::now();
             let instances = design.instances();
             let transforms = try_parallel_indexed(instances.len(), threads, |idx| {
@@ -590,22 +590,19 @@ fn build_variable_space(
                     .map(LocalTransform::Replace)
             })?;
             phases.replace_seconds += replace_started.elapsed().as_secs_f64();
-            Ok((vars.layout().clone(), transforms, phases))
+            Ok((vars.layout(), transforms, phases))
         }
         CorrelationMode::GlobalOnly => {
-            // Concatenate every instance's local blocks per parameter.
-            let mut counts = vec![0usize; n_params];
+            // Concatenate every instance's components within each
+            // parameter's block.
+            let mut per_param = 0;
             let mut transforms = Vec::with_capacity(design.instances().len());
             for inst in design.instances() {
-                let ml = inst.model.layout();
-                let per_param: Vec<usize> = (0..n_params).map(|p| counts[p]).collect();
-                for (p, c) in counts.iter_mut().enumerate() {
-                    *c += ml.local_range(p).len();
-                }
-                transforms.push(LocalTransform::Offset { per_param });
+                transforms.push(LocalTransform::Offset { offset: per_param });
+                per_param += inst.model.layout().per_param();
             }
             Ok((
-                VariableLayout::new(&counts),
+                VariableLayout::new(design.config().parameters.len(), per_param),
                 transforms,
                 PhaseTimings::default(),
             ))

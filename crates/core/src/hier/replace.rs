@@ -12,7 +12,9 @@
 //! embedded unchanged in the design covariance (correlation depends only
 //! on distance), `R·Rᵀ = I` and the replacement preserves every variance
 //! and intra-module covariance — while *adding* the inter-module
-//! correlation that separate variable sets cannot express.
+//! correlation that separate variable sets cannot express. Every
+//! parameter shares one correlation model, hence one basis on each side,
+//! so one `R` per instance maps every parameter's local block.
 
 use crate::canonical::CanonicalForm;
 use crate::extract::TimingModel;
@@ -22,17 +24,17 @@ use crate::hier::partition::DesignPartition;
 use crate::params::VariableLayout;
 use crate::CoreError;
 use ssta_math::{Matrix, PcaBasis};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// The design-level independent-variable space: heterogeneous partition,
-/// per-parameter PCA bases over all design grids, and the resulting
-/// variable layout.
+/// The design-level independent-variable space: heterogeneous partition
+/// and the PCA basis over all design grids, which every parameter
+/// shares. Its [layout](Self::layout) is one block of the basis'
+/// components per parameter.
 #[derive(Debug, Clone)]
 pub struct DesignVariables {
     partition: DesignPartition,
-    pca: Vec<Arc<PcaBasis>>,
-    layout: VariableLayout,
+    pca: PcaBasis,
+    n_params: usize,
 }
 
 impl DesignVariables {
@@ -75,21 +77,14 @@ impl DesignVariables {
         phases.covariance_seconds = started.elapsed().as_secs_f64();
 
         let started = Instant::now();
-        let basis = Arc::new(PcaBasis::from_covariance(&cov, config.pca)?);
+        let pca = PcaBasis::from_covariance(&cov, config.pca)?;
         phases.eigen_seconds = started.elapsed().as_secs_f64();
 
-        let pca: Vec<Arc<PcaBasis>> = config
-            .parameters
-            .iter()
-            .map(|_| Arc::clone(&basis))
-            .collect();
-        let layout =
-            VariableLayout::new(&pca.iter().map(|b| b.n_components()).collect::<Vec<usize>>());
         Ok((
             DesignVariables {
                 partition,
                 pca,
-                layout,
+                n_params: config.parameters.len(),
             },
             phases,
         ))
@@ -100,27 +95,29 @@ impl DesignVariables {
         &self.partition
     }
 
-    /// Per-parameter design PCA bases.
-    pub fn pca(&self) -> &[Arc<PcaBasis>] {
+    /// The design PCA basis, shared by every parameter.
+    pub fn pca(&self) -> &PcaBasis {
         &self.pca
     }
 
-    /// Layout of the design variable space.
-    pub fn layout(&self) -> &VariableLayout {
-        &self.layout
+    /// Layout of the design variable space: one block of the basis'
+    /// components per parameter.
+    pub fn layout(&self) -> VariableLayout {
+        VariableLayout::new(self.n_params, self.pca.n_components())
     }
 }
 
-/// The replacement matrices `R_p` (module components × design components)
-/// for one instance, one per process parameter.
+/// The replacement matrix `R` (module components × design components) of
+/// one instance. Every parameter's local block maps through it.
 #[derive(Debug, Clone)]
 pub struct InstanceReplacement {
-    per_param: Vec<Matrix>,
+    r: Matrix,
 }
 
 impl InstanceReplacement {
     /// Builds the replacement for instance `idx` of the design
-    /// (step 3 of Fig. 5; equation (19)).
+    /// (step 3 of Fig. 5; equation (19)). A model without a PCA basis
+    /// has no local components, so its `R` has no rows.
     ///
     /// # Errors
     ///
@@ -131,33 +128,30 @@ impl InstanceReplacement {
         vars: &DesignVariables,
         idx: usize,
     ) -> Result<Self, CoreError> {
-        let rows: Vec<usize> = vars.partition.instance_range(idx).collect();
-        let mut per_param = Vec::with_capacity(model.pca().len());
-        for (p, module_basis) in model.pca().iter().enumerate() {
-            let design_t = vars.pca[p].transform();
-            // T_d restricted to this instance's grid rows.
-            let cols: Vec<usize> = (0..design_t.cols()).collect();
-            let t_sub = design_t.select(&rows, &cols);
-            // R = W_m · T_d[rows]  (k_m × k_d).
-            let r = module_basis.whiten().matmul(&t_sub)?;
-            per_param.push(r);
-        }
-        Ok(InstanceReplacement { per_param })
+        let design_t = vars.pca.transform();
+        let r = match model.pca() {
+            Some(module_basis) => {
+                // T_d restricted to this instance's grid rows.
+                let rows: Vec<usize> = vars.partition.instance_range(idx).collect();
+                let cols: Vec<usize> = (0..design_t.cols()).collect();
+                let t_sub = design_t.select(&rows, &cols);
+                // R = W_m · T_d[rows]  (k_m × k_d).
+                module_basis.whiten().matmul(&t_sub)?
+            }
+            None => Matrix::zeros(0, design_t.cols()),
+        };
+        Ok(InstanceReplacement { r })
     }
 
-    /// The replacement matrix for parameter `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    pub fn matrix(&self, p: usize) -> &Matrix {
-        &self.per_param[p]
+    /// The replacement matrix `R`.
+    pub fn matrix(&self) -> &Matrix {
+        &self.r
     }
 
     /// Rewrites a canonical form from module space into design space:
-    /// per-parameter local blocks map through `Rᵀ`; nominal, globals and
-    /// the private random part are unchanged. Allocates the result; see
-    /// [`apply_into`](Self::apply_into) for the in-place rewrite.
+    /// each parameter's local block maps through `Rᵀ`; nominal, globals
+    /// and the private random part are unchanged. Allocates the result;
+    /// see [`apply_into`](Self::apply_into) for the in-place rewrite.
     ///
     /// # Errors
     ///
@@ -166,8 +160,8 @@ impl InstanceReplacement {
     pub fn apply(
         &self,
         form: &CanonicalForm,
-        module_layout: &VariableLayout,
-        design_layout: &VariableLayout,
+        module_layout: VariableLayout,
+        design_layout: VariableLayout,
     ) -> Result<CanonicalForm, CoreError> {
         let mut locals = vec![0.0; design_layout.n_locals()];
         self.apply_into(form.locals(), module_layout, design_layout, &mut locals)?;
@@ -175,8 +169,8 @@ impl InstanceReplacement {
     }
 
     /// Writes the design-space image of a module-space local coefficient
-    /// vector into `dst`: `dst[design block p] = R_pᵀ · src[module block
-    /// p]`, and zero outside the blocks.
+    /// vector into `dst`: `dst[design block p] = Rᵀ · src[module block
+    /// p]` for every parameter `p`.
     ///
     /// # Errors
     ///
@@ -189,13 +183,13 @@ impl InstanceReplacement {
     pub fn apply_into(
         &self,
         src: &[f64],
-        module_layout: &VariableLayout,
-        design_layout: &VariableLayout,
+        module_layout: VariableLayout,
+        design_layout: VariableLayout,
         dst: &mut [f64],
     ) -> Result<(), CoreError> {
         dst.fill(0.0);
-        for (p, r) in self.per_param.iter().enumerate() {
-            r.add_mat_vec_transposed(
+        for p in 0..design_layout.n_params() {
+            self.r.add_mat_vec_transposed(
                 &src[module_layout.local_range(p)],
                 &mut dst[design_layout.local_range(p)],
             )?;
@@ -211,8 +205,8 @@ mod tests {
     use crate::hier::design::DesignBuilder;
     use crate::module::ModuleContext;
     use crate::params::SstaConfig;
-    use ssta_math::Matrix;
     use ssta_netlist::{generators, DieRect};
+    use std::sync::Arc;
 
     fn two_instance_design() -> (Design, Arc<TimingModel>) {
         let netlist = generators::ripple_carry_adder(8).unwrap();
@@ -257,13 +251,13 @@ mod tests {
         let vars = DesignVariables::build(&design).unwrap();
         for idx in 0..2 {
             let repl = InstanceReplacement::build(&model, &vars, idx).unwrap();
-            for p in 0..model.pca().len() {
-                let r = repl.matrix(p);
-                let rrt = r.matmul(&r.transposed()).unwrap();
-                let eye = Matrix::identity(r.rows());
-                let err = rrt.max_abs_diff(&eye).unwrap();
-                assert!(err < 1e-6, "instance {idx} param {p}: ||RRᵀ - I|| = {err}");
-            }
+            let r = repl.matrix();
+            assert_eq!(r.rows(), model.layout().per_param());
+            assert_eq!(r.cols(), vars.layout().per_param());
+            let rrt = r.matmul(&r.transposed()).unwrap();
+            let eye = Matrix::identity(r.rows());
+            let err = rrt.max_abs_diff(&eye).unwrap();
+            assert!(err < 1e-6, "instance {idx}: ||RRᵀ - I|| = {err}");
         }
     }
 

@@ -8,7 +8,8 @@
 //! * [`spatial`] / [`SstaConfig`] — the grid-based spatial-correlation
 //!   model and the paper's process-variation configuration (Section II/VI);
 //! * [`ModuleContext`] — module characterization: placement, grid
-//!   partition, per-parameter PCA, and the statistical timing graph;
+//!   partition, the PCA basis every parameter shares, and the
+//!   statistical timing graph;
 //! * [`criticality`] — all-pairs edge criticality (Section IV-B);
 //! * [`extract`] — gray-box timing-model extraction: criticality pruning
 //!   plus serial/parallel merges (Section IV), producing a

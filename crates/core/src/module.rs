@@ -13,23 +13,22 @@ use crate::params::{SstaConfig, VariableLayout};
 use crate::spatial::GridGeometry;
 use crate::CoreError;
 use ssta_math::{PcaBasis, Summary};
-use ssta_netlist::{Netlist, Placement};
+use ssta_netlist::{Netlist, Placement, Sensitivity};
 use ssta_timing::{allpairs, DelayMatrix, TimingGraph};
 use std::sync::Arc;
 
 /// A characterized combinational module: the original statistical timing
 /// graph plus everything needed to extract a timing model from it and to
-/// re-embed it in a hierarchical design (grid geometry, PCA bases).
+/// re-embed it in a hierarchical design (grid geometry, PCA basis).
 #[derive(Debug, Clone)]
 pub struct ModuleContext {
     netlist: Arc<Netlist>,
     placement: Arc<Placement>,
     geometry: GridGeometry,
-    layout: VariableLayout,
-    /// One PCA basis per parameter. The paper uses a common correlation
-    /// model for all parameters, so the bases share one decomposition;
-    /// they are stored per parameter to allow future heterogeneity.
-    pca: Vec<Arc<PcaBasis>>,
+    /// The PCA basis of the grid correlation. The paper uses one
+    /// correlation model for all parameters, so this one basis spans
+    /// every parameter's local block.
+    pca: PcaBasis,
     graph: TimingGraph<CanonicalForm>,
     config: SstaConfig,
 }
@@ -52,22 +51,24 @@ impl ModuleContext {
         let cov = config
             .correlation
             .covariance_matrix(&geometry.centers(), geometry.pitch());
-        let basis = Arc::new(PcaBasis::from_covariance(&cov, config.pca)?);
-        let pca: Vec<Arc<PcaBasis>> = config
-            .parameters
-            .iter()
-            .map(|_| Arc::clone(&basis))
-            .collect();
+        let pca = PcaBasis::from_covariance(&cov, config.pca)?;
+        let layout = VariableLayout::new(config.parameters.len(), pca.n_components());
 
-        let layout =
-            VariableLayout::new(&pca.iter().map(|b| b.n_components()).collect::<Vec<usize>>());
-
-        let graph = build_graph(&netlist, &placement, &geometry, &layout, &pca, config);
+        let graph = TimingGraph::from_netlist(&netlist, |arc| {
+            let grid = geometry.grid_of(placement.gate_position(arc.gate));
+            characterized_form(
+                config,
+                layout,
+                &pca,
+                arc.nominal_ps(),
+                arc.cell().sensitivity(),
+                grid,
+            )
+        });
         Ok(ModuleContext {
             netlist: Arc::new(netlist),
             placement: Arc::new(placement),
             geometry,
-            layout,
             pca,
             graph,
             config: config.clone(),
@@ -89,13 +90,15 @@ impl ModuleContext {
         self.geometry
     }
 
-    /// Layout of the module's independent-variable space.
-    pub fn layout(&self) -> &VariableLayout {
-        &self.layout
+    /// Layout of the module's independent-variable space: one block of
+    /// the basis' components per parameter.
+    pub fn layout(&self) -> VariableLayout {
+        VariableLayout::new(self.config.parameters.len(), self.pca.n_components())
     }
 
-    /// Per-parameter PCA bases.
-    pub fn pca(&self) -> &[Arc<PcaBasis>] {
+    /// The PCA basis of the module's grid correlation, shared by every
+    /// parameter.
+    pub fn pca(&self) -> &PcaBasis {
         &self.pca
     }
 
@@ -121,7 +124,7 @@ impl ModuleContext {
 
     /// A zero-delay constant in this module's variable space.
     pub fn zero(&self) -> CanonicalForm {
-        CanonicalForm::constant(0.0, self.config.parameters.len(), self.layout.n_locals())
+        CanonicalForm::constant(0.0, self.config.parameters.len(), self.layout().n_locals())
     }
 
     /// The statistical input/output delay matrix of the original graph
@@ -156,46 +159,43 @@ impl ModuleContext {
     }
 }
 
-fn build_graph(
-    netlist: &Netlist,
-    placement: &Placement,
-    geometry: &GridGeometry,
-    layout: &VariableLayout,
-    pca: &[Arc<PcaBasis>],
+/// The canonical form of a characterized delay at `grid`: each
+/// parameter's 1σ response `nominal_ps × sensitivity × σ_rel` split into
+/// its global share, its local share projected onto the PCA components
+/// through row `grid` of the basis' transform, and its private random
+/// share. Combinational arcs and a register's clocked quantities are
+/// characterized alike.
+pub(crate) fn characterized_form(
     config: &SstaConfig,
-) -> TimingGraph<CanonicalForm> {
+    layout: VariableLayout,
+    basis: &PcaBasis,
+    nominal_ps: f64,
+    sensitivity: &Sensitivity,
+    grid: usize,
+) -> CanonicalForm {
     let shares = &config.correlation;
     let sg = shares.global_share.sqrt();
     let sl = shares.local_share.sqrt();
     let sr = shares.random_share.sqrt();
-    let n_globals = config.parameters.len();
-    let n_locals = layout.n_locals();
+    // The grid's unit-variance local variable decomposes onto the PCA
+    // components via row `grid` of the transform.
+    let row = basis.transform().row(grid);
 
-    TimingGraph::from_netlist(netlist, |arc| {
-        let d0 = arc.nominal_ps();
-        let cell = arc.cell();
-        let grid = geometry.grid_of(placement.gate_position(arc.gate));
-
-        let mut globals = vec![0.0; n_globals];
-        let mut locals = vec![0.0; n_locals];
-        let mut random_var = 0.0;
-        for (p, spec) in config.parameters.iter().enumerate() {
-            // First-order magnitude of this arc's delay response to a 1σ
-            // move of parameter p.
-            let base = d0 * cell.sensitivity().get(spec.param) * spec.sigma_rel;
-            globals[p] = base * sg;
-            // The grid's unit-variance local variable decomposes onto the
-            // PCA components via row `grid` of the transform.
-            let row = pca[p].transform().row(grid);
-            let block = layout.local_range(p);
-            for (slot, &t) in locals[block].iter_mut().zip(row) {
-                *slot = base * sl * t;
-            }
-            random_var += (base * sr) * (base * sr);
+    let mut globals = vec![0.0; config.parameters.len()];
+    let mut locals = vec![0.0; layout.n_locals()];
+    let mut random_var = 0.0;
+    for (p, spec) in config.parameters.iter().enumerate() {
+        // First-order magnitude of the delay's response to a 1σ move of
+        // parameter p.
+        let base = nominal_ps * sensitivity.get(spec.param) * spec.sigma_rel;
+        globals[p] = base * sg;
+        for (slot, &t) in locals[layout.local_range(p)].iter_mut().zip(row) {
+            *slot = base * sl * t;
         }
-        CanonicalForm::from_parts(d0, globals, locals, random_var.sqrt())
-            .expect("finite construction")
-    })
+        random_var += (base * sr) * (base * sr);
+    }
+    CanonicalForm::from_parts(nominal_ps, globals, locals, random_var.sqrt())
+        .expect("finite construction")
 }
 
 #[cfg(test)]

@@ -120,32 +120,41 @@ impl Default for SstaConfig {
 }
 
 /// Layout of a canonical form's variable space: one global slot per
-/// parameter, plus a block of local PCA components per parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// parameter, then one block of local PCA components per parameter.
+///
+/// Every parameter shares the one correlation model, so a variable space
+/// has one PCA basis and every block holds its components: the layout
+/// is `n_params` equal blocks of `per_param` components. It is derived
+/// from the configuration's parameter count and the basis wherever it is
+/// needed, and never stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VariableLayout {
-    /// Prefix offsets: `local block p = offsets[p]..offsets[p + 1]`.
-    offsets: Vec<usize>,
+    n_params: usize,
+    per_param: usize,
 }
 
 impl VariableLayout {
-    /// Builds a layout from per-parameter local component counts.
-    pub fn new(local_counts: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(local_counts.len() + 1);
-        offsets.push(0);
-        for &c in local_counts {
-            offsets.push(offsets.last().expect("non-empty") + c);
+    /// `n_params` local blocks of `per_param` components each.
+    pub fn new(n_params: usize, per_param: usize) -> Self {
+        VariableLayout {
+            n_params,
+            per_param,
         }
-        VariableLayout { offsets }
     }
 
     /// Number of parameters (= number of global slots).
     pub fn n_params(&self) -> usize {
-        self.offsets.len() - 1
+        self.n_params
+    }
+
+    /// Local components in each parameter's block.
+    pub fn per_param(&self) -> usize {
+        self.per_param
     }
 
     /// Total number of local components across all parameters.
     pub fn n_locals(&self) -> usize {
-        *self.offsets.last().expect("non-empty")
+        self.n_params * self.per_param
     }
 
     /// The index range of parameter `p`'s local block.
@@ -154,8 +163,8 @@ impl VariableLayout {
     ///
     /// Panics if `p >= n_params()`.
     pub fn local_range(&self, p: usize) -> Range<usize> {
-        assert!(p < self.n_params(), "parameter index out of range");
-        self.offsets[p]..self.offsets[p + 1]
+        assert!(p < self.n_params, "parameter index out of range");
+        p * self.per_param..(p + 1) * self.per_param
     }
 }
 
@@ -212,18 +221,22 @@ mod tests {
 
     #[test]
     fn layout_ranges_partition_the_locals() {
-        let l = VariableLayout::new(&[3, 0, 5]);
+        let l = VariableLayout::new(3, 5);
         assert_eq!(l.n_params(), 3);
-        assert_eq!(l.n_locals(), 8);
-        assert_eq!(l.local_range(0), 0..3);
-        assert_eq!(l.local_range(1), 3..3);
-        assert_eq!(l.local_range(2), 3..8);
+        assert_eq!(l.per_param(), 5);
+        assert_eq!(l.n_locals(), 15);
+        assert_eq!(l.local_range(0), 0..5);
+        assert_eq!(l.local_range(1), 5..10);
+        assert_eq!(l.local_range(2), 10..15);
+        let empty = VariableLayout::new(4, 0);
+        assert_eq!(empty.n_locals(), 0);
+        assert_eq!(empty.local_range(3), 0..0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn layout_range_bound_check() {
-        let l = VariableLayout::new(&[2]);
+        let l = VariableLayout::new(1, 2);
         let _ = l.local_range(1);
     }
 }

@@ -79,7 +79,8 @@ struct ModeBucket {
 struct GroupPlan {
     config: SstaConfig,
     extract: ExtractOptions,
-    /// Mode buckets in execution order (see [`plan`]).
+    /// Mode buckets in first-appearance order, which is also their
+    /// execution order.
     buckets: Vec<ModeBucket>,
 }
 
@@ -127,23 +128,6 @@ fn plan(
             }),
         }
         names.push(scenario.name);
-    }
-    // Buckets run largest first: global-only analyses keep every
-    // instance's local variables private, so they usually carry more
-    // variables than the proposed mode's PCA-reduced space (1 024 vs 756
-    // on 64 c880 instances), and after the larger analysis the smaller
-    // one fits in memory the allocator still holds. While a pass held
-    // every arrival (~68 MB per c880 x64 pass), the other order made
-    // the warm sweep benchmark re-fault tens of MB per group and lose
-    // ~17 % of its throughput. Since a pass frees each arrival once it
-    // has been read (~14 MB), the two orders measure alike: over 10
-    // alternating 15 s pairs on a 2-vCPU VM, medians of 555 (sorted)
-    // vs 556 corners/s, the sorted order ahead in 4, and 19.1k-19.7k
-    // vs 19.1k-24.3k minor faults per run (medians 19.4k both).
-    for group in &mut groups {
-        group
-            .buckets
-            .sort_by_key(|b| b.mode == CorrelationMode::Proposed);
     }
     Plan { names, groups }
 }

@@ -25,7 +25,7 @@
 //! # Artifact format
 //!
 //! One format is read and written — the SSTM version 2 envelope around
-//! binary model layout 2 ([`ssta_core::codec`]):
+//! binary model layout 3 ([`ssta_core::codec`]):
 //!
 //! | bytes | contents |
 //! |---|---|

@@ -57,9 +57,9 @@ struct FlatDesign {
 pub fn flat_design_delay(design: &Design, options: &McOptions) -> Result<EmpiricalDist, CoreError> {
     let vars = DesignVariables::build(design)?;
     let flat = flatten(design, &vars)?;
-    // Per-parameter design grid transform (shared basis).
-    let transforms: Vec<&ssta_math::Matrix> = vars.pca().iter().map(|b| b.transform()).collect();
-    let n_components: Vec<usize> = transforms.iter().map(|t| t.cols()).collect();
+    // The design grid transform, shared by every parameter: each
+    // parameter draws its own components and maps them through it.
+    let transform = vars.pca().transform();
 
     let threads = options.resolve_threads();
     let sizes = chunk_sizes(options.samples, threads);
@@ -68,24 +68,21 @@ pub fn flat_design_delay(design: &Design, options: &McOptions) -> Result<Empiric
         let mut handles = Vec::new();
         for (chunk_idx, &n_samples) in sizes.iter().enumerate() {
             let flat = &flat;
-            let transforms = &transforms;
-            let n_components = &n_components;
             handles.push(s.spawn(move || {
                 let mut rng = seeded_rng(options.seed ^ (chunk_idx as u64).wrapping_mul(0x51_7cc1));
                 let mut normal = NormalSampler::new();
                 let mut out = Vec::with_capacity(n_samples);
                 let mut g = vec![0.0; flat.n_params];
                 let mut grid_vals = vec![vec![0.0; flat.n_grids]; flat.n_params];
-                let mut z: Vec<f64> = Vec::new();
+                let mut z = vec![0.0; transform.cols()];
                 let mut arrival = vec![f64::NEG_INFINITY; flat.n_vertices];
                 let (wg, wl, _wr) = flat.shares;
                 let (sg, sl) = (wg.sqrt(), wl.sqrt());
                 for _ in 0..n_samples {
                     normal.fill(&mut rng, &mut g);
-                    for p in 0..flat.n_params {
-                        z.resize(n_components[p], 0.0);
+                    for vals in &mut grid_vals {
                         normal.fill(&mut rng, &mut z);
-                        grid_vals[p] = transforms[p]
+                        *vals = transform
                             .mat_vec(&z)
                             .expect("dimension fixed at build time");
                     }

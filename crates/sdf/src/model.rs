@@ -29,7 +29,7 @@ use ssta_core::codec::{decode_model, encode_model};
 use ssta_core::GridGeometry;
 use ssta_core::{
     CanonicalForm, ConstraintArc, CoreError, ExtractionStats, SequentialModel, SstaConfig,
-    TimingModel, VariableLayout,
+    TimingModel,
 };
 use ssta_netlist::DieRect;
 use ssta_timing::TimingGraph;
@@ -342,7 +342,6 @@ fn approximate_model(
         parallel_merges: 0,
         model_edges: graph.n_edges(),
         model_vertices: graph.n_vertices(),
-        extraction_seconds: 0.0,
     };
     // Approximate models have no spatial footprint: one grid the size of
     // the correlation pitch, zero local variables, no PCA basis.
@@ -358,8 +357,7 @@ fn approximate_model(
         cell.celltype.clone(),
         graph,
         geometry,
-        VariableLayout::new(&vec![0; n_globals]),
-        Vec::new(),
+        None,
         config.clone(),
         stats,
         sequential,

@@ -5,6 +5,7 @@
 
 use hier_ssta::core::{yield_analysis, ExtractOptions, ModuleContext, SstaConfig};
 use hier_ssta::netlist::generators;
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A combinational module: a 16-bit ripple-carry adder.
@@ -51,7 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Extract the compressed timing model an IP vendor would ship.
+    let started = Instant::now();
     let model = ctx.extract_model(&ExtractOptions::default())?;
+    let extraction_seconds = started.elapsed().as_secs_f64();
     let stats = model.stats();
     println!(
         "extracted model: {} -> {} edges ({:.0}%), {} -> {} vertices ({:.0}%) in {:.3}s",
@@ -61,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.original_vertices,
         stats.model_vertices,
         100.0 * stats.vertex_ratio(),
-        stats.extraction_seconds
+        extraction_seconds
     );
 
     // 5. The model preserves the statistical input-to-output delays.

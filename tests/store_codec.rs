@@ -10,10 +10,12 @@
 //!   damage (overwrites, truncations, `0xff` runs), decodes to a model
 //!   that panics downstream: it is rejected, or its delay matrix
 //!   computes;
-//! * a well-formed payload whose layout claims more locals than its PCA
-//!   bases carry is rejected at every boundary it can enter through —
+//! * a well-formed payload whose geometry claims more grids than its PCA
+//!   basis covers is rejected at every boundary it can enter through —
 //!   the decoder, a store read (counted as a reject and re-extracted)
 //!   and SDF import;
+//! * two cold engines that extract the same modules store the same
+//!   artifact bytes under the same keys;
 //! * the binary c880 artifact is at most half the size of its serde
 //!   JSON rendering.
 
@@ -435,16 +437,16 @@ fn single_bit_payload_mutations_are_rejected_or_decode_to_usable_models() {
     // stamp, so every byte is attacker-controlled. Flip the low and the
     // high bit of each byte in turn: the decoder either rejects the
     // payload, or the model it returns survives a full delay-matrix
-    // computation. A payload whose edge delays no longer match its
-    // variable layout must be caught by the decoder, not by a panic in
-    // canonical-form arithmetic downstream.
+    // computation. A payload whose grid no longer matches its PCA basis
+    // must be caught by the decoder's validation, not by a panic
+    // downstream.
     let model = extract(
         generators::ripple_carry_adder(2).expect("adder"),
         &SstaConfig::paper(),
     );
     let pristine = hier_ssta::core::codec::encode_model(&model);
     let mut panicked = Vec::new();
-    let mut shape_rejects = 0;
+    let mut grid_rejects = 0;
     for at in 0..pristine.len() {
         for flip in [0x01u8, 0x80] {
             let mut bytes = pristine.clone();
@@ -459,8 +461,8 @@ fn single_bit_payload_mutations_are_rejected_or_decode_to_usable_models() {
                     }
                 }
                 Err(CoreError::Codec { reason }) => {
-                    if reason.contains("stored edge") && reason.contains("variable space") {
-                        shape_rejects += 1;
+                    if reason.contains("stored PCA basis") && reason.contains("grids") {
+                        grid_rejects += 1;
                     }
                 }
                 Err(e) => panic!("byte {at} ^ {flip:#04x}: not a codec error: {e}"),
@@ -472,8 +474,8 @@ fn single_bit_payload_mutations_are_rejected_or_decode_to_usable_models() {
         "mutations (byte, flip) decoded to models whose delay matrix panics: {panicked:?}"
     );
     assert!(
-        shape_rejects > 0,
-        "no mutation was rejected for a delay outside the model's variable space"
+        grid_rejects > 0,
+        "no mutation was rejected for a grid its PCA basis does not cover"
     );
 }
 
@@ -533,13 +535,13 @@ fn multi_byte_payload_damage_is_rejected_or_decodes_to_usable_models() {
 }
 
 /// `ripple_carry_adder(2)`'s model with every edge dropped, encoded,
-/// with its layout block spliced to claim 2³⁰ locals per parameter (2³²
-/// in all) over PCA bases of a few components. Every length prefix is in
-/// bounds and the bytes are well formed; only the parts disagree. The
-/// first delay matrix of such a model asks for a 32 GiB allocation,
-/// which aborts the process instead of panicking, so no boundary may
-/// admit it.
-fn oversized_layout_payload() -> Vec<u8> {
+/// with its geometry block spliced to claim 2³⁰ grid columns over a PCA
+/// basis of a few grids. Every length prefix is in bounds and the bytes
+/// are well formed; only the parts disagree. Every grid computation
+/// sizes its buffers from the geometry (the module's grid centers alone
+/// would take 2³⁰ · ny · 16 bytes), and an allocation that large aborts
+/// the process instead of panicking, so no boundary may admit it.
+fn oversized_grid_payload() -> Vec<u8> {
     let model = extract(
         generators::ripple_carry_adder(2).expect("adder"),
         &SstaConfig::paper(),
@@ -553,8 +555,7 @@ fn oversized_layout_payload() -> Vec<u8> {
         model.name().to_owned(),
         bare,
         model.geometry(),
-        model.layout().clone(),
-        model.pca().to_vec(),
+        model.pca().cloned(),
         model.config().clone(),
         *model.stats(),
         model.sequential().cloned(),
@@ -562,20 +563,19 @@ fn oversized_layout_payload() -> Vec<u8> {
     .expect("an edge-free model is valid");
     let payload = hier_ssta::core::codec::encode_model(&bare);
 
-    // The layout block: `n_params`, then each parameter's local count.
-    let block = |counts: &[usize]| {
+    // The geometry block: origin, pitch, then the grid columns and rows.
+    let geometry = bare.geometry();
+    let block = |nx: usize| {
         let mut w = ByteWriter::new();
-        w.put_usize(counts.len());
-        for &c in counts {
-            w.put_usize(c);
-        }
+        let (ox, oy) = geometry.origin();
+        w.put_f64(ox);
+        w.put_f64(oy);
+        w.put_f64(geometry.pitch());
+        w.put_usize(nx);
+        w.put_usize(geometry.ny());
         w.into_bytes()
     };
-    let layout = bare.layout();
-    let counts: Vec<usize> = (0..layout.n_params())
-        .map(|p| layout.local_range(p).len())
-        .collect();
-    let honest = block(&counts);
+    let honest = block(geometry.nx());
     let at: Vec<usize> = payload
         .windows(honest.len())
         .enumerate()
@@ -585,31 +585,31 @@ fn oversized_layout_payload() -> Vec<u8> {
     assert_eq!(
         at.len(),
         1,
-        "the layout block {honest:?} occurs exactly once"
+        "the geometry block {honest:?} occurs exactly once"
     );
     let mut spliced = payload[..at[0]].to_vec();
-    spliced.extend(block(&vec![1 << 30; counts.len()]));
+    spliced.extend(block(1 << 30));
     spliced.extend(&payload[at[0] + honest.len()..]);
     spliced
 }
 
 #[test]
-fn a_layout_larger_than_its_bases_is_a_codec_error() {
-    let payload = oversized_layout_payload();
+fn a_grid_larger_than_its_basis_is_a_codec_error() {
+    let payload = oversized_grid_payload();
     match hier_ssta::core::codec::decode_model(&payload) {
         Err(CoreError::Codec { reason }) => {
             assert!(reason.contains("PCA basis"), "{reason}");
         }
         Err(e) => panic!("not a codec error: {e}"),
         Ok(model) => panic!(
-            "decoded a model claiming {} locals",
-            model.layout().n_locals()
+            "decoded a model claiming {} grid columns",
+            model.geometry().nx()
         ),
     }
 }
 
 #[test]
-fn a_stored_oversized_layout_is_rejected_and_re_extracted() {
+fn a_stored_oversized_grid_is_rejected_and_re_extracted() {
     let mut b = DesignSpec::builder(
         "one",
         DieRect {
@@ -638,7 +638,7 @@ fn a_stored_oversized_layout_is_rejected_and_re_extracted() {
     backend
         .put(
             &keys[0],
-            &envelope::encode_envelope(Codec::Binary, &oversized_layout_payload()),
+            &envelope::encode_envelope(Codec::Binary, &oversized_grid_payload()),
         )
         .expect("put");
 
@@ -652,18 +652,20 @@ fn a_stored_oversized_layout_is_rejected_and_re_extracted() {
 }
 
 #[test]
-fn an_sdf_cell_embedding_an_oversized_layout_fails_import() {
+fn an_sdf_cell_embedding_an_oversized_grid_fails_import() {
     let config = SstaConfig::paper();
     let model = extract(generators::ripple_carry_adder(2).expect("adder"), &config);
     let mut cell = hier_ssta::sdf::model_to_cell(&model, &hier_ssta::sdf::ExportOptions::default())
         .expect("export");
-    cell.sstm = Some(hier_ssta::sdf::to_hex(&oversized_layout_payload()));
+    cell.sstm = Some(hier_ssta::sdf::to_hex(&oversized_grid_payload()));
     match hier_ssta::sdf::import_cell(&cell, &config, 3.0) {
-        Err(CoreError::Codec { .. }) => {}
+        Err(CoreError::Codec { reason }) => {
+            assert!(reason.contains("PCA basis"), "{reason}");
+        }
         Err(e) => panic!("not a codec error: {e}"),
         Ok(model) => panic!(
-            "imported a model claiming {} locals",
-            model.layout().n_locals()
+            "imported a model claiming {} grid columns",
+            model.geometry().nx()
         ),
     }
 }
@@ -789,4 +791,36 @@ fn engines_can_share_one_memory_backend() {
     assert_eq!(warm.stats.store_hits, 2);
     assert_eq!(warm.timing.po_arrivals, cold.timing.po_arrivals);
     assert_eq!(shared.len().expect("len"), 2);
+}
+
+#[test]
+fn cold_engines_store_the_same_artifact_bytes_under_the_same_keys() {
+    // An artifact is a pure function of its key: the payload carries no
+    // wall clock or other run-dependent field, so two cold engines that
+    // extract the same modules into separate stores write identical
+    // bytes.
+    let spec = two_module_spec();
+    let backends = [MemoryBackend::new(), MemoryBackend::new()].map(Arc::new);
+    for backend in &backends {
+        let run = Engine::new(SstaConfig::paper())
+            .with_backend(Arc::clone(backend))
+            .analyze(&spec)
+            .expect("cold");
+        assert_eq!(run.stats.extractions, 2);
+    }
+    let artifacts = |backend: &MemoryBackend| -> Vec<(String, Vec<u8>)> {
+        let keys = backend.list_keys().expect("keys");
+        keys.into_iter()
+            .map(|key| {
+                let bytes = backend.get(&key).expect("get").expect("present");
+                (key, bytes)
+            })
+            .collect()
+    };
+    let (first, second) = (artifacts(&backends[0]), artifacts(&backends[1]));
+    assert_eq!(first.len(), 2);
+    assert!(
+        first == second,
+        "the same keys must hold the same artifact bytes"
+    );
 }

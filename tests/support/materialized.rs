@@ -76,13 +76,12 @@ fn materialize(
                         .expect("replacement")
                 })
                 .collect();
-            let layout = vars.layout().clone();
-            let design_layout = layout.clone();
+            let layout = vars.layout();
             (
                 layout,
                 Box::new(move |idx, form| {
                     replacements[idx]
-                        .apply(form, instances[idx].model.layout(), &design_layout)
+                        .apply(form, instances[idx].model.layout(), layout)
                         .expect("rewrite")
                 }),
             )
@@ -96,16 +95,20 @@ fn materialize(
                     *c += inst.model.layout().local_range(p).len();
                 }
             }
-            let layout = VariableLayout::new(&counts);
-            let design_layout = layout.clone();
+            // Every parameter's block has the same width.
+            assert!(
+                counts.iter().all(|&c| c == counts[0]),
+                "unequal parameter blocks {counts:?}"
+            );
+            let layout = VariableLayout::new(n_params, counts[0]);
             (
                 layout,
                 Box::new(move |idx, form| {
                     let module_layout = instances[idx].model.layout();
-                    let mut locals = vec![0.0; design_layout.n_locals()];
+                    let mut locals = vec![0.0; layout.n_locals()];
                     for (p, &off) in offsets[idx].iter().enumerate() {
                         let src = &form.locals()[module_layout.local_range(p)];
-                        let base = design_layout.local_range(p).start + off;
+                        let base = layout.local_range(p).start + off;
                         locals[base..base + src.len()].copy_from_slice(src);
                     }
                     form.with_locals(locals)
