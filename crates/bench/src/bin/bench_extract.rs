@@ -86,10 +86,7 @@ fn main() {
         let mut extract_s = Vec::new();
         let mut models: Vec<TimingModel> = Vec::new();
         for threads in [1, 2] {
-            let criticality = CriticalityOptions {
-                threads,
-                ..base.criticality
-            };
+            let criticality = CriticalityOptions { threads };
             criticality_s.push(median_seconds(|| {
                 edge_criticalities(graph, &zero, &criticality).expect("criticality sweep");
             }));

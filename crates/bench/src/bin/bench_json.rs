@@ -29,6 +29,9 @@
 //!
 //! Run with `cargo run -p ssta-bench --release --bin bench_json`.
 
+#[path = "../../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use serde::Serialize;
 use ssta_bench::{
     characterize, module_array_from_model, registered_chain_design, registered_pipeline_models,
@@ -40,93 +43,21 @@ use ssta_core::{
     SstaConfig,
 };
 use ssta_timing::LevelSchedule;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
-thread_local! {
-    /// Bytes this thread has allocated and not freed (negative when it
-    /// frees what another thread allocated).
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    /// The largest `LIVE` since the last [`heap_during`] began.
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-    /// Allocation requests (`alloc`, `alloc_zeroed`, `realloc`) on this
-    /// thread.
-    static REQUESTS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting live bytes and requests on the
-/// calling thread.
-struct Counting;
-
-fn note(delta: isize, request: bool) {
-    // `try_with` fails only while the thread's locals are torn down;
-    // allocations then go unrecorded.
-    let _ = LIVE.try_with(|live| {
-        let now = live.get() + delta;
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-    if request {
-        let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; `note` only updates
-// thread-local `Cell`s with const initializers, which neither allocate
-// nor unwind.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` contract passes through.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            note(layout.size() as isize, true);
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` contract passes through.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            note(layout.size() as isize, true);
-        }
-        ptr
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`, as the caller guarantees.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            note(new_size as isize - layout.size() as isize, true);
-        }
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(-(layout.size() as isize), false);
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Runs `work` on the calling thread and returns its heap high-water
 /// mark above the starting level, in bytes, and its allocation
 /// requests.
 fn heap_during<T>(work: impl FnOnce() -> T) -> (usize, u64) {
-    let live = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(live));
-    let requests = REQUESTS.with(Cell::get);
+    let live = counting_alloc::reset_peak();
+    let requests = counting_alloc::requests();
     drop(work());
-    let peak = PEAK.with(Cell::get) - live;
-    (peak.max(0) as usize, REQUESTS.with(Cell::get) - requests)
+    let peak = counting_alloc::peak() - live;
+    (peak.max(0) as usize, counting_alloc::requests() - requests)
 }
 
 /// The emitted `BENCH_assembly.json` document.

@@ -8,14 +8,16 @@
 //! * **cold** — a fresh engine: the fingerprint-collapsed planner must
 //!   schedule exactly `distinct_fingerprints` extractions, however many
 //!   corners the grid has (asserted, every profile);
-//! * **warm** — the same engine again: zero extractions, every group
-//!   resolves from session memory (asserted).
+//! * **warm** — the same engine again, swept at least 5 times and, in
+//!   the full profile, until at least 1 s has passed: zero extractions,
+//!   every group resolves from session memory (asserted on every sweep).
 //!
-//! Both runs stream: peak resident full results must stay bounded by
+//! Every run streams: peak resident full results must stay bounded by
 //! the worker count (asserted), which is what lets a 2 048-corner grid
-//! run in O(workers) result memory. Rows report corners/second, the
-//! collapse ratio (corners per extraction) and the aggregate per-phase
-//! time shares.
+//! run in O(workers) result memory. Rows report corners/second (schema
+//! 2: the median sweep's, with the slowest and fastest sweep's beside
+//! it), the collapse ratio (corners per extraction) and the aggregate
+//! per-phase time shares of the last sweep.
 //!
 //! `--tiny` (or `SSTA_BENCH_PROFILE=tiny`) shrinks the grid list for CI
 //! smoke; the tiny profile defaults to its own gitignored output path.
@@ -27,7 +29,13 @@ use ssta_bench::{module_array_spec, BenchProfile};
 use ssta_core::{CorrelationModel, ExtractOptions, PhaseTimings, ScenarioOverlay, SstaConfig};
 use ssta_engine::{CornerGrid, Engine, GridAxis, SweepOptions, SweepSummary};
 use ssta_math::parallel::effective_threads;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Warm sweeps timed per row, at least.
+const WARM_SWEEPS: usize = 5;
+
+/// Wall-clock time the full profile keeps sweeping warm, at least.
+const WARM_BUDGET: Duration = Duration::from_secs(1);
 
 #[derive(Serialize)]
 struct Report {
@@ -57,10 +65,18 @@ struct GridRow {
 
 #[derive(Serialize)]
 struct SweepPoint {
+    /// Sweeps timed: one cold, or every warm one.
+    sweeps: usize,
+    /// Median wall-clock seconds of one sweep.
     seconds: f64,
     extractions: usize,
     memory_hits: usize,
+    /// Corners per second of the median sweep.
     scenarios_per_sec: f64,
+    /// Corners per second of the slowest sweep.
+    scenarios_per_sec_min: f64,
+    /// Corners per second of the fastest sweep.
+    scenarios_per_sec_max: f64,
     peak_retained_results: usize,
     phases: PhaseTimings,
     /// `replace / total` share of the aggregate phase time.
@@ -113,16 +129,23 @@ fn main() {
         );
 
         let started = Instant::now();
-        let warm = engine
-            .analyze_sweep(&spec, &grid, &options)
-            .expect("warm sweep");
-        let warm_seconds = started.elapsed().as_secs_f64();
-        assert_eq!(warm.extractions, 0, "warm sweep must not extract");
-        assert_eq!(
-            warm.memory_hits, warm.distinct_fingerprints,
-            "every distinct fingerprint must resolve from session memory when warm"
-        );
-        assert!(warm.peak_retained_results <= workers);
+        let mut warm_seconds = Vec::new();
+        let warm = loop {
+            let sweep_started = Instant::now();
+            let warm = engine
+                .analyze_sweep(&spec, &grid, &options)
+                .expect("warm sweep");
+            warm_seconds.push(sweep_started.elapsed().as_secs_f64());
+            assert_eq!(warm.extractions, 0, "warm sweep must not extract");
+            assert_eq!(
+                warm.memory_hits, warm.distinct_fingerprints,
+                "every distinct fingerprint must resolve from session memory when warm"
+            );
+            assert!(warm.peak_retained_results <= workers);
+            if warm_seconds.len() >= WARM_SWEEPS && (tiny || started.elapsed() >= WARM_BUDGET) {
+                break warm;
+            }
+        };
 
         let row = GridRow {
             corners,
@@ -131,19 +154,23 @@ fn main() {
             analyses: cold.analyses,
             distinct_fingerprints: cold.distinct_fingerprints,
             corners_per_extraction: corners as f64 / cold.extractions.max(1) as f64,
-            cold: point(&cold, cold_seconds),
-            warm: point(&warm, warm_seconds),
+            cold: point(&cold, &[cold_seconds]),
+            warm: point(&warm, &warm_seconds),
         };
         println!(
             "{corners} corners -> {} groups / {} analyses / {} extractions ({:.0} corners per extraction)",
             row.groups, row.analyses, cold.extractions, row.corners_per_extraction
         );
         println!(
-            "  cold {:.2} s ({:.0}/s), warm {:.2} s ({:.0}/s), peak {} resident",
+            "  cold {:.2} s ({:.0}/s), warm {:.3} s ({:.0}/s, {:.0}-{:.0} over {} sweeps), \
+             peak {} resident",
             row.cold.seconds,
             row.cold.scenarios_per_sec,
             row.warm.seconds,
             row.warm.scenarios_per_sec,
+            row.warm.scenarios_per_sec_min,
+            row.warm.scenarios_per_sec_max,
+            row.warm.sweeps,
             row.cold
                 .peak_retained_results
                 .max(row.warm.peak_retained_results),
@@ -152,7 +179,7 @@ fn main() {
     }
 
     bench.write(&Report {
-        schema: 1,
+        schema: 2,
         profile: bench.name(),
         module: module.into(),
         instances,
@@ -249,14 +276,24 @@ fn clock_targets(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn point(summary: &SweepSummary, seconds: f64) -> SweepPoint {
+/// One row's figures: the median, fastest and slowest of the timed
+/// sweeps `seconds`, and the phases of the sweep `summary` describes.
+fn point(summary: &SweepSummary, seconds: &[f64]) -> SweepPoint {
+    let mut sorted = seconds.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let median = (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0;
+    let rate = |seconds: f64| summary.scenarios as f64 / seconds.max(1e-9);
     let total = summary.phases.total_seconds();
     let share = |phase: f64| if total > 0.0 { phase / total } else { 0.0 };
     SweepPoint {
-        seconds,
+        sweeps: n,
+        seconds: median,
         extractions: summary.extractions,
         memory_hits: summary.memory_hits,
-        scenarios_per_sec: summary.scenarios as f64 / seconds.max(1e-9),
+        scenarios_per_sec: rate(median),
+        scenarios_per_sec_min: rate(sorted[n - 1]),
+        scenarios_per_sec_max: rate(sorted[0]),
         peak_retained_results: summary.peak_retained_results,
         phases: summary.phases,
         replace_share: share(summary.phases.replace_seconds),

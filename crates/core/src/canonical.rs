@@ -20,12 +20,12 @@
 //!   re-fitted so the total variance matches equation (8).
 
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_math::{clark_max, normal_cdf, normal_quantile};
 use ssta_timing::DelayAlgebra;
 
 /// A first-order Gaussian delay form. See the module-level documentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CanonicalForm {
     nominal: f64,
     globals: Vec<f64>,

@@ -26,18 +26,36 @@
 //!
 //! Layout 3 stores, in order: name, configuration, grid geometry, a
 //! basis flag and at most one PCA basis (shared by every parameter),
-//! the timing graph (raw slots, tombstones included — see
-//! [`ssta_timing::RawGraphParts`]), the extraction stats, and an
-//! optional sequential-interface block (clock pin + launch/setup/hold
-//! constraint arcs). Two things are derived rather than stored: the
-//! variable layout, which the configuration's parameter count and the
-//! basis determine, and the graph's input list, which the `Input(i)`
-//! vertex kinds determine. Neither can then disagree with the data it
-//! describes, and both save bytes. The decoded model is validated as a
-//! whole (basis against grid, edge delays and constraint arcs against
-//! the variable space), so a hostile payload cannot claim more grids
-//! than its basis covers, smuggle in forms from a foreign variable space
-//! or name unknown pins.
+//! the timing graph, the extraction stats, and an optional
+//! sequential-interface block (clock pin + launch/setup/hold constraint
+//! arcs). The graph is written as
+//!
+//! * the vertex count, then per vertex its kind (`0` internal, or `1`
+//!   followed by its input index) and a liveness byte;
+//! * the edge count, then per edge its source and sink vertex ids, a
+//!   liveness byte and its delay form;
+//! * the output count, then each output port's vertex id.
+//!
+//! A model graph is compact: every vertex and edge slot is live and
+//! input `i` is vertex `i`. The model's validation, which every way in
+//! runs ([`decode_model`] and [`TimingModel::assemble`]), owns that
+//! rule, so every liveness byte is 1 and the decoder rejects any other
+//! value. The bytes stay because they bound the vertex count by the
+//! payload length (an isolated input port costs no other byte). The
+//! decoder builds the graph through the graph's own constructors
+//! (`add_input`, `add_vertex`, `add_edge`, `mark_output`) and checks
+//! each vertex id against the vertex count, and each input index
+//! against the next input, before the call.
+//!
+//! Two things are derived rather than stored: the variable layout,
+//! which the configuration's parameter count and the basis determine,
+//! and the graph's input list, which the `Input(i)` vertex kinds
+//! determine. Neither can then disagree with the data it describes, and
+//! both save bytes. The decoded model is validated as a whole (graph
+//! against stats, basis against grid, edge delays and constraint arcs
+//! against the variable space), so a hostile payload cannot claim more
+//! grids than its basis covers, smuggle in forms from a foreign variable
+//! space or name unknown pins.
 //!
 //! The stream holds no wall-clock time or other run-dependent field, so
 //! one model always encodes to the same bytes: artifacts stored under
@@ -51,7 +69,7 @@ use crate::CoreError;
 use ssta_math::codec::{ByteReader, ByteWriter, CodecError};
 use ssta_math::{Matrix, PcaBasis, PcaOptions};
 use ssta_netlist::ProcessParam;
-use ssta_timing::{RawGraphParts, TimingGraph, VertexId, VertexKind};
+use ssta_timing::{TimingGraph, VertexId, VertexKind};
 
 /// Version byte opening every binary model payload: the one layout
 /// this build reads and writes.
@@ -271,117 +289,95 @@ fn decode_form(r: &mut ByteReader<'_>) -> Result<CanonicalForm, CoreError> {
 }
 
 fn encode_graph(w: &mut ByteWriter, graph: &TimingGraph<CanonicalForm>) {
-    let raw = graph.to_raw_parts();
-    w.put_usize(raw.kinds.len());
-    for (kind, &alive) in raw.kinds.iter().zip(&raw.vertex_alive) {
-        match kind {
+    // A model graph is compact, so the `k`-th vertex or edge written is
+    // slot `k`, and every liveness byte is 1.
+    w.put_usize(graph.n_vertices());
+    for v in graph.vertices() {
+        match graph.kind(v) {
             VertexKind::Internal => w.put_u8(0),
             VertexKind::Input(i) => {
                 w.put_u8(1);
-                w.put_varint(u64::from(*i));
+                w.put_varint(u64::from(i));
             }
         }
-        w.put_bool(alive);
+        w.put_bool(true);
     }
-    w.put_usize(raw.edges.len());
-    for (from, to, delay, alive) in &raw.edges {
-        w.put_varint(u64::from(from.0));
-        w.put_varint(u64::from(to.0));
-        w.put_bool(*alive);
-        encode_form(w, delay);
+    w.put_usize(graph.n_edges());
+    for (_, edge) in graph.edges_iter() {
+        w.put_varint(u64::from(edge.from.0));
+        w.put_varint(u64::from(edge.to.0));
+        w.put_bool(true);
+        encode_form(w, &edge.delay);
     }
-    w.put_usize(raw.outputs.len());
-    for v in &raw.outputs {
+    w.put_usize(graph.outputs().len());
+    for v in graph.outputs() {
         w.put_varint(u64::from(v.0));
     }
-    // raw.inputs is intentionally not stored: the decoder re-derives it
-    // from the Input(i) vertex kinds.
 }
 
 fn decode_graph(r: &mut ByteReader<'_>) -> Result<TimingGraph<CanonicalForm>, CoreError> {
-    let vertex_id = |r: &mut ByteReader<'_>| -> Result<VertexId, CoreError> {
-        let v = r.get_varint()?;
-        u32::try_from(v)
-            .map(VertexId)
-            .map_err(|_| CoreError::Codec {
-                reason: format!("vertex id {v} exceeds u32"),
+    let live = |r: &mut ByteReader<'_>, slot: &str, id: usize| -> Result<(), CoreError> {
+        if r.get_bool()? {
+            Ok(())
+        } else {
+            Err(CoreError::Codec {
+                reason: format!("{slot} {id} is a removed slot; a model graph has none"),
             })
+        }
     };
 
-    let n_vertices = r.get_len(r.remaining() / 2)?;
-    let mut kinds = Vec::with_capacity(n_vertices);
-    let mut vertex_alive = Vec::with_capacity(n_vertices);
-    let mut inputs: Vec<Option<VertexId>> = Vec::new();
-    for slot in 0..n_vertices {
-        let kind = match r.get_u8()? {
-            0 => VertexKind::Internal,
+    let mut graph = TimingGraph::new();
+    let n_vertices = r.get_len(r.remaining() / 2)?; // ≥ 2 bytes per vertex
+    for v in 0..n_vertices {
+        match r.get_u8()? {
+            0 => {
+                graph.add_vertex();
+            }
             1 => {
                 let i = r.get_varint()?;
-                // Every input index addresses a distinct vertex, so a
-                // valid index is always below the vertex count — bound
-                // it structurally before sizing `inputs` by it.
-                let i = u32::try_from(i)
-                    .ok()
-                    .filter(|&i| (i as usize) < n_vertices)
-                    .ok_or_else(|| CoreError::Codec {
-                        reason: format!("input index {i} out of range for {n_vertices} vertices"),
-                    })?;
-                let idx = i as usize;
-                if idx >= inputs.len() {
-                    inputs.resize(idx + 1, None);
-                }
-                if inputs[idx].replace(VertexId(slot as u32)).is_some() {
+                let next = graph.inputs().len();
+                if i != next as u64 {
                     return Err(CoreError::Codec {
-                        reason: format!("duplicate input index {idx}"),
+                        reason: format!(
+                            "vertex {v} claims input index {i}, the next input is {next}"
+                        ),
                     });
                 }
-                VertexKind::Input(i)
+                graph.add_input();
             }
             t => {
                 return Err(CoreError::Codec {
                     reason: format!("unknown vertex kind tag {t}"),
                 })
             }
-        };
-        kinds.push(kind);
-        vertex_alive.push(r.get_bool()?);
+        }
+        live(r, "vertex", v)?;
     }
-    let inputs: Vec<VertexId> = inputs
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| {
-            v.ok_or_else(|| CoreError::Codec {
-                reason: format!("input index {i} has no vertex"),
-            })
-        })
-        .collect::<Result<_, _>>()?;
 
-    let n_edges = r.get_len(r.remaining() / 19)?; // ≥ 19 bytes per edge slot
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
+    // Every id is checked here, since `add_edge` and `mark_output`
+    // assert on an unknown vertex.
+    let vertex_id = |r: &mut ByteReader<'_>| -> Result<VertexId, CoreError> {
+        let v = r.get_varint()?;
+        match u32::try_from(v) {
+            Ok(id) if (id as usize) < n_vertices => Ok(VertexId(id)),
+            _ => Err(CoreError::Codec {
+                reason: format!("vertex id {v} out of range for {n_vertices} vertices"),
+            }),
+        }
+    };
+    let n_edges = r.get_len(r.remaining() / 19)?; // ≥ 19 bytes per edge
+    for e in 0..n_edges {
         let from = vertex_id(r)?;
         let to = vertex_id(r)?;
-        let alive = r.get_bool()?;
-        let delay = decode_form(r)?;
-        edges.push((from, to, delay, alive));
+        live(r, "edge", e)?;
+        graph.add_edge(from, to, decode_form(r)?);
     }
 
     let n_outputs = r.get_len(r.remaining())?;
-    let mut outputs = Vec::with_capacity(n_outputs);
     for _ in 0..n_outputs {
-        outputs.push(vertex_id(r)?);
+        graph.mark_output(vertex_id(r)?);
     }
-
-    TimingGraph::from_raw_parts(RawGraphParts {
-        kinds,
-        vertex_alive,
-        edges,
-        inputs,
-        outputs,
-    })
-    .map_err(|e| CoreError::Codec {
-        reason: format!("stored graph is inconsistent: {e}"),
-    })
+    Ok(graph)
 }
 
 fn encode_sequential(w: &mut ByteWriter, seq: Option<&SequentialModel>) {
@@ -554,8 +550,8 @@ mod tests {
 
     #[test]
     fn decoder_bounds_hostile_input_index() {
-        // A vertex claiming input index u32::MAX must be rejected by the
-        // structural bound (index < vertex count), not amplified into a
+        // A vertex claiming input index u32::MAX must be rejected (input
+        // indices count up from 0 in vertex order), not amplified into a
         // multi-gigabyte `inputs` allocation.
         let m = model(2);
         let mut w = ByteWriter::new();
@@ -570,8 +566,92 @@ mod tests {
         w.put_bool(true);
         assert!(matches!(
             decode_model(&w.into_bytes()),
-            Err(CoreError::Codec { reason }) if reason.contains("out of range")
+            Err(CoreError::Codec { reason })
+                if reason.contains("input index 4294967295, the next input is 0")
         ));
+    }
+
+    /// A payload of `m`'s parts around the graph block `graph` writes,
+    /// under `stats`.
+    fn payload_with(
+        m: &TimingModel,
+        graph: impl FnOnce(&mut ByteWriter),
+        stats: &ExtractionStats,
+    ) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u8(MODEL_CODEC_VERSION);
+        w.put_str(m.name());
+        encode_config(&mut w, m.config());
+        encode_geometry(&mut w, m.geometry());
+        encode_basis(&mut w, m.pca());
+        graph(&mut w);
+        encode_stats(&mut w, stats);
+        encode_sequential(&mut w, m.sequential());
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decoder_rejects_removed_slots() {
+        // One input, one output vertex and one arc between them, written
+        // by hand so that either liveness byte can be 0.
+        let m = model(2);
+        let stats = ExtractionStats {
+            model_edges: 1,
+            model_vertices: 2,
+            ..*m.stats()
+        };
+        let one_arc = |vertex_live: bool, edge_live: bool| {
+            payload_with(
+                &m,
+                |w| {
+                    w.put_usize(2);
+                    w.put_u8(1); // Input(0)...
+                    w.put_varint(0);
+                    w.put_bool(vertex_live);
+                    w.put_u8(0); // ...and an internal vertex
+                    w.put_bool(true);
+                    w.put_usize(1);
+                    w.put_varint(0);
+                    w.put_varint(1);
+                    w.put_bool(edge_live);
+                    encode_form(w, &m.zero());
+                    w.put_usize(1);
+                    w.put_varint(1);
+                },
+                &stats,
+            )
+        };
+        let back = decode_model(&one_arc(true, true)).expect("the live graph decodes");
+        assert_eq!((back.edge_count(), back.vertex_count()), (1, 2));
+        for (payload, slot) in [
+            (one_arc(false, true), "vertex 0"),
+            (one_arc(true, false), "edge 0"),
+        ] {
+            assert!(matches!(
+                decode_model(&payload),
+                Err(CoreError::Codec { reason })
+                    if reason.contains(&format!("{slot} is a removed slot"))
+            ));
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_stats_that_miscount_the_graph() {
+        let m = model(2);
+        let false_stats = ExtractionStats {
+            model_edges: 5,
+            ..*m.stats()
+        };
+        assert_ne!(m.edge_count(), 5);
+        let payload = payload_with(&m, |w| encode_graph(w, m.graph()), &false_stats);
+        assert!(matches!(
+            decode_model(&payload),
+            Err(CoreError::Codec { reason })
+                if reason.contains("stats claim 5 edges")
+        ));
+        // The honest stats, through the same writer, decode.
+        let honest = payload_with(&m, |w| encode_graph(w, m.graph()), m.stats());
+        assert_eq!(honest, encode_model(&m));
     }
 
     fn registered_model() -> TimingModel {

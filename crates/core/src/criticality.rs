@@ -29,10 +29,10 @@
 //!   [`tightness_probability`], so every `c_ij` is bit-identical to the
 //!   form-building evaluation.
 //! * **A mean/σ prefilter** skips a triple when `M_ij`'s mean exceeds
-//!   `dₑ`'s by more than [`CriticalityOptions::prefilter_sigmas`] times a
-//!   sub-additive σ bound. At the default 8σ it is a guard for widely
-//!   separated delays only: under [`SstaConfig::paper`](crate::SstaConfig::paper)
-//!   it skips none of the in-cone triples of the ISCAS-85 circuits.
+//!   `dₑ`'s by more than 8 times a sub-additive σ bound. At 8σ it is a
+//!   guard for widely separated delays only: under
+//!   [`SstaConfig::paper`](crate::SstaConfig::paper) it skips none of
+//!   the in-cone triples of the ISCAS-85 circuits.
 //! * **Extraction stops scoring an edge once it reaches δ.** Pruning reads
 //!   only `c_m ≥ δ`, which holds exactly when some pair lifts the edge to
 //!   δ, so the extraction sweep skips an edge whose running maximum
@@ -49,27 +49,19 @@ use ssta_math::Histogram;
 use ssta_timing::{levels, LevelSchedule, TimingGraph, VertexId};
 
 /// Options for the criticality engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CriticalityOptions {
-    /// Outputs processed per batch (bounds the memory used for backward
-    /// propagation results).
-    pub output_batch: usize,
     /// Worker threads; `0` uses the available parallelism.
     pub threads: usize,
-    /// Prefilter width in combined sigmas: pairs whose mean gap exceeds
-    /// this many (sub-additive bound) sigmas are treated as criticality 0.
-    pub prefilter_sigmas: f64,
 }
 
-impl Default for CriticalityOptions {
-    fn default() -> Self {
-        CriticalityOptions {
-            output_batch: 16,
-            threads: 0,
-            prefilter_sigmas: 8.0,
-        }
-    }
-}
+/// Outputs processed per batch (bounds the memory used for backward
+/// propagation results).
+const OUTPUT_BATCH: usize = 16;
+
+/// Prefilter width in combined sigmas: pairs whose mean gap exceeds this
+/// many (sub-additive bound) sigmas are treated as criticality 0.
+pub(crate) const PREFILTER_SIGMAS: f64 = 8.0;
 
 /// Maximum criticality `c_m` per edge slot (indexed by `EdgeId.0`; dead
 /// edges hold 0).
@@ -91,7 +83,7 @@ pub fn edge_criticalities(
 /// maximum reaches `stop`. Edges whose exact `c_m` is below `stop` hold it
 /// exactly; the others hold some value in `[stop, c_m]`. So `c ≥ stop`
 /// holds for exactly the edges whose exact `c_m ≥ stop`, at any thread
-/// count and batch size.
+/// count.
 ///
 /// # Errors
 ///
@@ -112,7 +104,6 @@ pub(crate) fn criticalities_until(
     let schedule = LevelSchedule::build(graph)?;
 
     let n_threads = effective_threads(options.threads);
-    let batch = options.output_batch.max(1);
     let input_chunks: Vec<&[VertexId]> = inputs
         .chunks(inputs.len().div_ceil(n_threads).max(1))
         .collect();
@@ -132,14 +123,9 @@ pub(crate) fn criticalities_until(
         })
         .collect();
 
-    let n_slots = graph
-        .edges_iter()
-        .map(|(id, _)| id.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut cm = vec![0.0f64; n_slots];
+    let mut cm = vec![0.0f64; graph.edge_bound()];
 
-    for chunk in outputs.chunks(batch) {
+    for chunk in outputs.chunks(OUTPUT_BATCH) {
         // Backward propagation per output in this batch: independent
         // sink passes fanned out via parallel_indexed (index-ordered,
         // bit-identical for any thread count).
@@ -205,7 +191,7 @@ pub(crate) fn criticalities_until(
                         // dwarfs it, P{de ≥ M} ≈ 0.
                         let de_nom = a_nom + d_nom + r_nom;
                         let combined = a_sig + d_sig + r_sig + m_sig;
-                        if m_nom - de_nom > options.prefilter_sigmas * combined {
+                        if m_nom - de_nom > PREFILTER_SIGMAS * combined {
                             continue;
                         }
                         let a = arrival[from as usize].as_ref().expect("stats cached");
@@ -321,12 +307,7 @@ pub fn pair_criticalities_with(
 ) -> Result<Vec<f64>, CoreError> {
     let arrival = levels::forward(graph, schedule, &[(vi, zero.clone())])?;
     let required = levels::backward(graph, schedule, &[(vj, zero.clone())])?;
-    let n_slots = graph
-        .edges_iter()
-        .map(|(id, _)| id.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut out = vec![0.0; n_slots];
+    let mut out = vec![0.0; graph.edge_bound()];
     let Some(m_ij) = arrival[vj.0 as usize].as_ref() else {
         return Ok(out); // pair not connected
     };
@@ -477,25 +458,10 @@ mod tests {
     #[test]
     fn single_thread_and_multi_thread_agree() {
         let ctx = adder_ctx();
-        let a = edge_criticalities(
-            ctx.graph(),
-            &ctx.zero(),
-            &CriticalityOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = edge_criticalities(
-            ctx.graph(),
-            &ctx.zero(),
-            &CriticalityOptions {
-                threads: 4,
-                output_batch: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let a = edge_criticalities(ctx.graph(), &ctx.zero(), &CriticalityOptions { threads: 1 })
+            .unwrap();
+        let b = edge_criticalities(ctx.graph(), &ctx.zero(), &CriticalityOptions { threads: 4 })
+            .unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }
@@ -550,13 +516,17 @@ mod tests {
     }
 
     #[test]
-    fn unfiltered_sweep_is_the_bitwise_max_of_pair_criticalities() {
-        for ctx in [adder_ctx(), ctx("c432")] {
+    fn sweep_is_the_bitwise_max_of_pair_criticalities() {
+        // c880 drives 26 distinct outputs, so its sweep runs two output
+        // batches. At 8σ the prefilter skips no in-cone triple of these
+        // circuits, so every maximum is exact.
+        let multi_batch = ctx("c880");
+        assert!(distinct_outputs(multi_batch.graph()).len() > OUTPUT_BATCH);
+        for ctx in [adder_ctx(), ctx("c432"), multi_batch] {
             let graph = ctx.graph();
             let zero = ctx.zero();
             let schedule = LevelSchedule::build(graph).unwrap();
-            let n_slots = graph.edges_iter().map(|(id, _)| id.0 as usize + 1).max();
-            let mut want = vec![0.0f64; n_slots.unwrap_or(0)];
+            let mut want = vec![0.0f64; graph.edge_bound()];
             for &vi in graph.inputs() {
                 for &vj in &distinct_outputs(graph) {
                     let cij = pair_criticalities_with(graph, &schedule, &zero, vi, vj).unwrap();
@@ -568,24 +538,10 @@ mod tests {
                 }
             }
             for threads in [1, 2] {
-                for output_batch in [1, 3, 16] {
-                    let got = edge_criticalities(
-                        graph,
-                        &zero,
-                        &CriticalityOptions {
-                            threads,
-                            output_batch,
-                            prefilter_sigmas: 1e9,
-                        },
-                    )
-                    .unwrap();
-                    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "threads {threads}, output_batch {output_batch}"
-                    );
-                }
+                let got =
+                    edge_criticalities(graph, &zero, &CriticalityOptions { threads }).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "threads {threads}");
             }
         }
     }
@@ -596,10 +552,7 @@ mod tests {
         let graph = ctx.graph();
         let zero = ctx.zero();
         for threads in [1, 2] {
-            let options = CriticalityOptions {
-                threads,
-                ..Default::default()
-            };
+            let options = CriticalityOptions { threads };
             let exact = edge_criticalities(graph, &zero, &options).unwrap();
             for delta in [0.0, 0.01, 0.05, 0.3, 1.0] {
                 let stopped = criticalities_until(graph, &zero, &options, delta).unwrap();
@@ -616,25 +569,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn prefilter_does_not_change_results_materially() {
-        let ctx = adder_ctx();
-        let strict = edge_criticalities(
-            ctx.graph(),
-            &ctx.zero(),
-            &CriticalityOptions {
-                prefilter_sigmas: 1e9, // effectively no filtering
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let filtered =
-            edge_criticalities(ctx.graph(), &ctx.zero(), &CriticalityOptions::default()).unwrap();
-        for (x, y) in strict.iter().zip(&filtered) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
         }
     }
 }

@@ -48,13 +48,15 @@ pub struct ExtractOptions {
     /// do not exhibit but heavily reconvergent circuits do. `None`
     /// disables the repair (the paper's exact algorithm).
     pub accuracy_repair: Option<f64>,
-    /// Bound on accuracy-repair rounds.
-    pub max_repair_rounds: usize,
     /// Settings for the criticality engine.
     pub criticality: CriticalityOptions,
-    /// Safety bound on merge iterations.
-    pub max_merge_rounds: usize,
 }
+
+/// Bound on accuracy-repair rounds.
+pub(crate) const MAX_REPAIR_ROUNDS: usize = 4;
+
+/// Safety bound on merge iterations.
+pub(crate) const MAX_MERGE_ROUNDS: usize = 64;
 
 impl Default for ExtractOptions {
     /// The paper's settings (δ = 0.05, connectivity repair) plus accuracy
@@ -64,9 +66,7 @@ impl Default for ExtractOptions {
             delta: 0.05,
             ensure_connectivity: true,
             accuracy_repair: Some(0.02),
-            max_repair_rounds: 4,
             criticality: CriticalityOptions::default(),
-            max_merge_rounds: 64,
         }
     }
 }
@@ -114,13 +114,7 @@ pub fn extract(ctx: &ModuleContext, options: &ExtractOptions) -> Result<TimingMo
     }
     let mut repaired_pairs = 0;
     if let Some(tolerance) = options.accuracy_repair {
-        repaired_pairs = repair_accuracy(
-            ctx,
-            &mut keep,
-            tolerance,
-            options.delta,
-            options.max_repair_rounds,
-        )?;
+        repaired_pairs = repair_accuracy(ctx, &mut keep, tolerance, options.delta)?;
     }
 
     // Materialize the pruned graph.
@@ -137,7 +131,7 @@ pub fn extract(ctx: &ModuleContext, options: &ExtractOptions) -> Result<TimingMo
     drop_dead_vertices(&mut pruned);
 
     // Step 3: merge to fixpoint.
-    let merge_stats = reduce(&mut pruned, options.max_merge_rounds);
+    let merge_stats = reduce(&mut pruned, MAX_MERGE_ROUNDS);
 
     let (model_graph, _) = pruned.compact();
     let stats = ExtractionStats {
@@ -227,7 +221,6 @@ fn repair_accuracy(
     keep: &mut [bool],
     tolerance: f64,
     delta: f64,
-    max_rounds: usize,
 ) -> Result<usize, CoreError> {
     let graph = ctx.graph();
     let zero = ctx.zero();
@@ -264,7 +257,7 @@ fn repair_accuracy(
     }
 
     let mut repaired = std::collections::HashSet::new();
-    for round in 0..max_rounds {
+    for round in 0..MAX_REPAIR_ROUNDS {
         let mut failing: Vec<(usize, usize)> = Vec::new();
         for (i, &vi) in graph.inputs().iter().enumerate() {
             // The kept subgraph: the step skips every pruned edge.

@@ -15,13 +15,13 @@ use crate::module::ModuleContext;
 use crate::params::{SstaConfig, VariableLayout};
 use crate::spatial::GridGeometry;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_math::PcaBasis;
 use ssta_timing::{allpairs, DelayMatrix, TimingGraph};
 
 /// Size/effort accounting of one extraction run — the raw material of the
 /// paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ExtractionStats {
     /// Edges in the original timing graph (`Eo`).
     pub original_edges: usize,
@@ -152,12 +152,18 @@ impl TimingModel {
             .map_err(|reason| CoreError::Incompatible { reason })
     }
 
-    /// Checks that the model's parts describe one variable space, the
-    /// one its [layout](Self::layout) derives from the configuration and
-    /// the basis:
+    /// Checks that the model's parts describe one compact graph and one
+    /// variable space, the one its [layout](Self::layout) derives from
+    /// the configuration and the basis:
     ///
-    /// * every live edge delay lives in the `(n_params, n_locals)`
-    ///   variable space;
+    /// * the graph is compact: every vertex and edge slot is live, and
+    ///   input port `i` is vertex `i` (removed slots are extraction's
+    ///   working state only: it compacts its graph before it builds a
+    ///   model);
+    /// * the stats' `model_edges` and `model_vertices` are the graph's
+    ///   counts;
+    /// * every edge delay lives in the `(n_params, n_locals)` variable
+    ///   space;
     /// * the PCA basis covers the geometry's `nx · ny` grids, with an
     ///   `n_grids × k` transform and a `k × n_grids` whitening matrix, or
     ///   there is no basis and one grid (the interface-only SDF import);
@@ -173,9 +179,35 @@ impl TimingModel {
     ///
     /// The first violation, as a human-readable reason.
     fn validate(&self) -> Result<(), String> {
+        let graph = &self.graph;
+        let (n_vertices, n_edges) = (graph.n_vertices(), graph.n_edges());
+        if graph.vertex_bound() != n_vertices || graph.edge_bound() != n_edges {
+            return Err(format!(
+                "graph has {} vertex and {} edge slots but {n_vertices} live vertices and \
+                 {n_edges} live edges; a model graph has no removed slots",
+                graph.vertex_bound(),
+                graph.edge_bound()
+            ));
+        }
+        let misplaced = graph
+            .inputs()
+            .iter()
+            .enumerate()
+            .find(|&(i, v)| v.0 as usize != i);
+        if let Some((i, v)) = misplaced {
+            return Err(format!("input port {i} is vertex {}, not vertex {i}", v.0));
+        }
+        let stats = (self.stats.model_edges, self.stats.model_vertices);
+        if stats != (n_edges, n_vertices) {
+            return Err(format!(
+                "stats claim {} edges and {} vertices, but the graph has {n_edges} and \
+                 {n_vertices}",
+                stats.0, stats.1
+            ));
+        }
         let layout = self.layout();
         let (n_params, n_locals) = (layout.n_params(), layout.n_locals());
-        for (id, edge) in self.graph.edges_iter() {
+        for (id, edge) in graph.edges_iter() {
             let (globals, locals) = (edge.delay.n_globals(), edge.delay.n_locals());
             if globals != n_params || locals != n_locals {
                 return Err(format!(
@@ -338,6 +370,7 @@ mod tests {
     use crate::extract::{extract, ExtractOptions};
     use crate::params::SstaConfig;
     use ssta_netlist::generators;
+    use ssta_timing::EdgeId;
 
     fn model() -> TimingModel {
         let n = generators::ripple_carry_adder(6).unwrap();
@@ -427,5 +460,76 @@ mod tests {
         let mut fewer = config.clone();
         fewer.parameters.pop();
         assert!(!admits(pca, g, &fewer));
+    }
+
+    #[test]
+    fn assemble_admits_only_compact_graphs_its_stats_count() {
+        let m = model();
+        // The reason `assemble` gives for `graph` under stats counting
+        // `edges` and `vertices`, or `None` when it admits the model.
+        let rejects = |graph: TimingGraph<CanonicalForm>, edges: usize, vertices: usize| {
+            let stats = ExtractionStats {
+                model_edges: edges,
+                model_vertices: vertices,
+                ..*m.stats()
+            };
+            let parts = TimingModel::assemble(
+                m.name().to_owned(),
+                graph,
+                m.geometry(),
+                m.pca().cloned(),
+                m.config().clone(),
+                stats,
+                None,
+            );
+            match parts {
+                Ok(_) => None,
+                Err(CoreError::Incompatible { reason }) => Some(reason),
+                Err(e) => panic!("not an incompatibility: {e}"),
+            }
+        };
+        let (e, v) = (m.edge_count(), m.vertex_count());
+        assert_eq!(rejects(m.graph().clone(), e, v), None);
+
+        // Stats that miscount the graph.
+        for (edges, vertices) in [(5, v), (e, v + 1)] {
+            let reason = rejects(m.graph().clone(), edges, vertices).expect("miscounted");
+            assert!(
+                reason.contains(&format!(
+                    "stats claim {edges} edges and {vertices} vertices"
+                )),
+                "{reason}"
+            );
+        }
+
+        // A removed edge slot and a removed vertex slot, under stats that
+        // count the live ones.
+        let mut removed_edge = m.graph().clone();
+        removed_edge.remove_edge(EdgeId(0));
+        let reason = rejects(removed_edge, e - 1, v).expect("a removed edge slot");
+        assert!(reason.contains("no removed slots"), "{reason}");
+        let mut removed_vertex = m.graph().clone();
+        let spare = removed_vertex.add_vertex();
+        removed_vertex.remove_vertex(spare);
+        let reason = rejects(removed_vertex, e, v).expect("a removed vertex slot");
+        assert!(reason.contains("no removed slots"), "{reason}");
+
+        // One arc into an output, its input added first or second: only
+        // input port 0 at vertex 0 is admitted.
+        let one_arc = |input_first: bool| {
+            let mut g = TimingGraph::new();
+            let (input, output) = if input_first {
+                (g.add_input(), g.add_vertex())
+            } else {
+                let output = g.add_vertex();
+                (g.add_input(), output)
+            };
+            g.add_edge(input, output, m.zero());
+            g.mark_output(output);
+            g
+        };
+        assert_eq!(rejects(one_arc(true), 1, 2), None);
+        let reason = rejects(one_arc(false), 1, 2).expect("input 0 at vertex 1");
+        assert!(reason.contains("input port 0 is vertex 1"), "{reason}");
     }
 }

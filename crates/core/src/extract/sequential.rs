@@ -28,12 +28,12 @@ use crate::canonical::CanonicalForm;
 use crate::extract::{extract, ExtractOptions, TimingModel};
 use crate::module::{characterized_form, ModuleContext};
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_netlist::{SeqCellType, Signal};
 
 /// One statistical constraint arc: a canonical-form quantity attached to
 /// a model port.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConstraintArc {
     /// Port index — an input port for setup/hold arcs, an output port
     /// for launch arcs.
@@ -45,7 +45,7 @@ pub struct ConstraintArc {
 /// The sequential interface of a registered timing model: per-input
 /// setup/hold constraints and per-output clock-to-output launch delays,
 /// all relative to one clock pin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SequentialModel {
     /// Name of the clock pin every arc is referenced to.
     pub clock_pin: String,

@@ -22,14 +22,15 @@
 //! stage 1 is computed once per netlist and stage 2 once per scenario,
 //! so K scenarios never re-canonicalize the same netlist K times.
 //!
-//! Scheduling knobs that cannot change results (worker-thread counts,
-//! batch sizes) are deliberately excluded, so re-running with different
-//! parallelism still hits the cache.
+//! Scheduling knobs that cannot change results (worker-thread counts)
+//! are deliberately excluded, so re-running with different parallelism
+//! still hits the cache.
 
-use crate::extract::ExtractOptions;
+use crate::criticality::PREFILTER_SIGMAS;
+use crate::extract::{ExtractOptions, MAX_MERGE_ROUNDS, MAX_REPAIR_ROUNDS};
 use crate::params::SstaConfig;
 use ssta_math::digest::{sha256, Sha256};
-use ssta_netlist::{Netlist, SeqCellType};
+use ssta_netlist::Netlist;
 
 /// A content fingerprint of one module's characterization inputs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -106,17 +107,18 @@ fn config_extract_payload(config: &SstaConfig, options: &ExtractOptions) -> Stri
     let mut payload = String::new();
     payload.push_str(&serde_json::to_string(config).expect("config serializes"));
     payload.push('\n');
-    // Semantic extraction options only: thread/batch knobs are excluded
-    // (they cannot change the extracted model).
+    // Semantic extraction options only: thread knobs are excluded (they
+    // cannot change the extracted model). The three fixed bounds stay in
+    // the text, since dropping them would move every key.
     payload.push_str(&format!(
         "delta={:?};ensure_connectivity={};accuracy_repair={:?};max_repair_rounds={};\
          prefilter_sigmas={:?};max_merge_rounds={}",
         options.delta,
         options.ensure_connectivity,
         options.accuracy_repair,
-        options.max_repair_rounds,
-        options.criticality.prefilter_sigmas,
-        options.max_merge_rounds,
+        MAX_REPAIR_ROUNDS,
+        PREFILTER_SIGMAS,
+        MAX_MERGE_ROUNDS,
     ));
     payload
 }
@@ -177,31 +179,6 @@ pub fn module_fingerprint(
     options: &ExtractOptions,
 ) -> ModuleFingerprint {
     module_fingerprint_from_digest(&netlist_digest(netlist), config, options)
-}
-
-/// Fingerprints a *registered* module: the combinational core's inputs
-/// plus the register cell banked across its inputs.
-///
-/// Registered extraction
-/// ([`extract_registered`](crate::extract::extract_registered)) produces
-/// a different artifact than plain extraction of the same core — the
-/// sequential interface depends on the register cell's clock-to-q, setup,
-/// hold and sensitivities — so the cache key must separate the two and
-/// distinguish register cells. The register spec enters via its canonical
-/// serialized form, keeping the two-stage digest scheme (the netlist
-/// digest is still computed once per core).
-pub fn registered_fingerprint_from_digest(
-    structure: &NetlistDigest,
-    config: &SstaConfig,
-    options: &ExtractOptions,
-    register: &SeqCellType,
-) -> ModuleFingerprint {
-    let mut payload = String::new();
-    payload.push_str("hier-ssta registered module fingerprint v1\n");
-    payload.push_str(&module_fingerprint_from_digest(structure, config, options).to_hex());
-    payload.push('\n');
-    payload.push_str(&serde_json::to_string(register).expect("register spec serializes"));
-    ModuleFingerprint(sha256(payload.as_bytes()))
 }
 
 #[cfg(test)]
@@ -307,36 +284,37 @@ mod tests {
     }
 
     #[test]
-    fn registered_fingerprint_separates_core_and_register() {
-        let n = adder();
-        let cfg = SstaConfig::paper();
-        let opts = ExtractOptions::default();
-        let digest = netlist_digest(&n);
-        let plain = module_fingerprint_from_digest(&digest, &cfg, &opts);
-        let lib = ssta_netlist::seq_library_90nm();
-        let dff =
-            registered_fingerprint_from_digest(&digest, &cfg, &opts, lib.find("DFF").unwrap());
-        let dffx2 =
-            registered_fingerprint_from_digest(&digest, &cfg, &opts, lib.find("DFFX2").unwrap());
-        // Same core: the registered artifact must never collide with the
-        // combinational one, and register cells must not collide with
-        // each other.
-        assert_ne!(plain, dff);
-        assert_ne!(dff, dffx2);
-        assert_eq!(
-            dff,
-            registered_fingerprint_from_digest(&digest, &cfg, &opts, lib.find("DFF").unwrap())
-        );
-    }
-
-    #[test]
     fn scheduling_knobs_do_not_change_the_key() {
         let n = adder();
         let cfg = SstaConfig::paper();
         let mut opts = ExtractOptions::default();
         let base = module_fingerprint(&n, &cfg, &opts);
         opts.criticality.threads = 7;
-        opts.criticality.output_batch = 3;
         assert_eq!(base, module_fingerprint(&n, &cfg, &opts));
+    }
+
+    #[test]
+    fn keys_under_the_paper_defaults_are_pinned() {
+        // A key names a stored artifact: one that moves re-extracts every
+        // stored model, so a change here must be a deliberate re-key.
+        let cfg = SstaConfig::paper();
+        let opts = ExtractOptions::default();
+        for (netlist, key) in [
+            (
+                generators::iscas85("c432").unwrap(),
+                "37fe3a707051a638fda04402b3398795302cee2bea4c16e68880533102ca135f",
+            ),
+            (
+                generators::iscas85("c880").unwrap(),
+                "ba6a4d4a09b41af7b1eb8246a17072ff482b5c533a852478f4d7c912e6e40ab2",
+            ),
+            (
+                adder(),
+                "7dc62dd0d5ef16147f0b5cc6e4c9a975488f21b114339a62ac90b47f0441013c",
+            ),
+        ] {
+            let got = module_fingerprint(&netlist, &cfg, &opts).to_hex();
+            assert_eq!(got, key, "{}", netlist.name());
+        }
     }
 }

@@ -14,7 +14,7 @@ use crate::hier::design::Design;
 use crate::hier::replace::{DesignVariables, InstanceReplacement};
 use crate::params::VariableLayout;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_math::parallel::{effective_threads, try_parallel_indexed};
 use ssta_timing::{levels, DelayAlgebra, EdgeId, LevelSchedule, TimingGraph, VertexId};
 use std::fmt;
@@ -51,7 +51,7 @@ impl Default for AnalyzeOptions {
 
 /// Wall-clock seconds spent in each phase of one design-level analysis
 /// (Fig. 5 steps plus the final propagation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PhaseTimings {
     /// Step 1 — heterogeneous partition of the top die.
     pub partition_seconds: f64,
@@ -437,29 +437,19 @@ pub fn assemble_design_graph_with_basis(
             out_ports.push(outputs);
             continue;
         }
+        // A model graph is compact, so its vertex `v` lands at `base + v`.
         let mg = model.graph();
-        let mut map: Vec<Option<VertexId>> = vec![None; mg.vertex_bound()];
-        for v in mg.vertices() {
-            map[v.0 as usize] = Some(graph.add_vertex());
+        let base = graph.vertex_bound() as u32;
+        let at = |v: &VertexId| VertexId(base + v.0);
+        for _ in 0..mg.n_vertices() {
+            graph.add_vertex();
         }
         for (_, e) in mg.edges_iter() {
-            let from = map[e.from.0 as usize].expect("live endpoint");
-            let to = map[e.to.0 as usize].expect("live endpoint");
-            graph.add_edge(from, to, e.delay.clone());
+            graph.add_edge(at(&e.from), at(&e.to), e.delay.clone());
             edge_instance.push(Some(idx as u32));
         }
-        in_ports.push(
-            mg.inputs()
-                .iter()
-                .map(|&v| map[v.0 as usize].expect("input is live"))
-                .collect(),
-        );
-        out_ports.push(
-            mg.outputs()
-                .iter()
-                .map(|&v| map[v.0 as usize].expect("output is live"))
-                .collect(),
-        );
+        in_ports.push(mg.inputs().iter().map(at).collect());
+        out_ports.push(mg.outputs().iter().map(at).collect());
     }
 
     // Design PIs → instance inputs, then inter-module wires: deterministic

@@ -8,12 +8,12 @@
 //! costs no modelling accuracy beyond the grid quantization itself.
 
 use crate::spatial::GridGeometry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_netlist::DieRect;
 
 /// The design-level grid set: per-instance grid blocks (in module grid
 /// order) followed by top-level leftover grids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DesignPartition {
     centers: Vec<(f64, f64)>,
     instance_offsets: Vec<usize>,

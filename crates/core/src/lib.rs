@@ -74,7 +74,7 @@ pub use extract::{
 };
 pub use fingerprint::{
     extraction_signature, module_fingerprint, module_fingerprint_from_digest, netlist_digest,
-    registered_fingerprint_from_digest, ModuleFingerprint, NetlistDigest,
+    ModuleFingerprint, NetlistDigest,
 };
 pub use hier::{
     analyze, analyze_with, assemble_design_graph, assemble_design_graph_with_basis,

@@ -2,7 +2,7 @@
 
 use crate::spatial::CorrelationModel;
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_math::PcaOptions;
 use ssta_netlist::ProcessParam;
 use std::ops::Range;
@@ -11,7 +11,7 @@ use std::ops::Range;
 ///
 /// The split of that variance into global/local/random shares is common to
 /// all parameters and lives in [`CorrelationModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ParameterSpec {
     /// The parameter.
     pub param: ProcessParam,
@@ -22,7 +22,7 @@ pub struct ParameterSpec {
 
 /// Full SSTA configuration: parameters, spatial correlation, placement and
 /// grid settings, PCA retention policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SstaConfig {
     /// The varying parameters (paper defaults: L, Tox, Vth, CL).
     pub parameters: Vec<ParameterSpec>,

@@ -7,12 +7,12 @@
 //! independent components.
 
 use crate::CoreError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_math::Matrix;
 use ssta_netlist::DieRect;
 
 /// A uniform grid partition of a rectangular die region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GridGeometry {
     origin: (f64, f64),
     pitch: f64,
@@ -129,7 +129,7 @@ impl GridGeometry {
 /// `ρ(d) = exp(−decay·d)` for `d ≤ cutoff` and `0` beyond — beyond the
 /// cutoff only the global share correlates, exactly the paper's
 /// "correlation from global variation only" regime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CorrelationModel {
     /// Variance share of the global (chip-wide) variation.
     pub global_share: f64,

@@ -1,5 +1,5 @@
 use crate::MathError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -23,7 +23,7 @@ use std::ops::{Index, IndexMut};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

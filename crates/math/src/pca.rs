@@ -18,10 +18,10 @@
 
 use crate::eigen::symmetric_eigen;
 use crate::{MathError, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Options controlling component retention in [`PcaBasis::from_covariance`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PcaOptions {
     /// Keep the smallest set of leading components whose eigenvalue sum
     /// reaches this fraction of the total variance. `1.0` keeps everything.
@@ -47,7 +47,7 @@ impl Default for PcaOptions {
 /// * `transform` (`n × k`): `correlated = T · z`, `z ~ N(0, I_k)`;
 /// * `whiten` (`k × n`): `z = W · correlated`, the pseudo-inverse
 ///   `Λ^{-½}·Uᵀ` restricted to the kept components.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PcaBasis {
     transform: Matrix,
     whiten: Matrix,

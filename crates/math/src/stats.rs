@@ -5,7 +5,7 @@
 //! Monte Carlo ground truth — every accuracy number in the reproduced
 //! Table I and Fig. 7 flows through this module.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Streaming mean/variance/extrema via Welford's algorithm.
 ///
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), 2.5);
 /// assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -134,7 +134,7 @@ impl Extend<f64> for Summary {
 /// A fixed-range histogram with uniform bins plus underflow/overflow.
 ///
 /// Used to reproduce Fig. 6 (edge-criticality histogram).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -235,7 +235,7 @@ impl Histogram {
 /// assert_eq!(d.cdf(2.5), 0.5);
 /// assert_eq!(d.quantile(0.5), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmpiricalDist {
     sorted: Vec<f64>,
     summary: Summary,

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The Boolean function computed by a gate.
@@ -6,7 +6,7 @@ use std::fmt;
 /// Arity is a property of the [`CellType`](crate::CellType), not the kind:
 /// `Nand` covers NAND2/NAND3/NAND4 and so on. Functions are defined for any
 /// arity ≥ 1 (`Not` and `Buf` require exactly one input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GateKind {
     /// Identity.
     Buf,

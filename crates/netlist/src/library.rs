@@ -14,7 +14,7 @@
 //! Gaussian whose σ is set by the variation model in `ssta-core`).
 
 use crate::{GateKind, NetlistError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -22,7 +22,7 @@ use std::fmt;
 pub const N_PARAMS: usize = 4;
 
 /// The process parameters the paper varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ProcessParam {
     /// Transistor channel length L (σ = 15.7 % nominal in the paper).
     Length,
@@ -74,7 +74,7 @@ impl fmt::Display for ProcessParam {
 ///
 /// `sensitivity[p]` is the relative delay change per unit relative change
 /// of parameter `p`: `Δd/d₀ = s_p · Δp/p₀`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Sensitivity(pub [f64; N_PARAMS]);
 
 impl Sensitivity {
@@ -85,12 +85,12 @@ impl Sensitivity {
 }
 
 /// Identifier of a cell type within its [`Library`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CellTypeId(pub u16);
 
 /// A library cell: Boolean function, arity, per-arc nominal delays and
 /// parameter sensitivities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellType {
     name: String,
     kind: GateKind,
@@ -167,7 +167,7 @@ impl CellType {
 }
 
 /// An immutable collection of cell types indexed by [`CellTypeId`] and name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Library {
     name: String,
     cells: Vec<CellType>,

@@ -1,11 +1,11 @@
 use crate::library::{CellTypeId, Library};
 use crate::NetlistError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A signal source: either a primary input or a gate output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Signal {
     /// Primary input `n`.
     Input(u32),
@@ -14,7 +14,7 @@ pub enum Signal {
 }
 
 /// One gate instance: a cell type plus its input connections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Gate {
     /// Cell type within the netlist's library.
     pub cell: CellTypeId,
@@ -24,7 +24,7 @@ pub struct Gate {
 
 /// Aggregate statistics of a netlist — the quantities Table I of the paper
 /// is calibrated against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct NetlistStats {
     /// Number of primary inputs.
     pub inputs: usize,
@@ -44,18 +44,14 @@ pub struct NetlistStats {
 /// a gate reference signals that already exist, so index order *is* a valid
 /// evaluation order. This invariant is what makes simulation and timing
 /// analysis single-pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Netlist {
     name: String,
-    #[serde(skip, default = "default_library")]
+    #[serde(skip)]
     library: Arc<Library>,
     n_inputs: usize,
     gates: Vec<Gate>,
     outputs: Vec<Signal>,
-}
-
-fn default_library() -> Arc<Library> {
-    Arc::new(crate::library::library_90nm())
 }
 
 impl Netlist {

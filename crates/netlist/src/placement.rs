@@ -8,10 +8,10 @@
 //! cells spatially adjacent.
 
 use crate::Netlist;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An axis-aligned die rectangle with origin at (0, 0), in micrometres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DieRect {
     /// Die width in µm.
     pub width: f64,
@@ -20,7 +20,7 @@ pub struct DieRect {
 }
 
 /// Cell coordinates for one netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Placement {
     die: DieRect,
     /// One (x, y) in µm per gate, in gate index order.

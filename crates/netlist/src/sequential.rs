@@ -19,11 +19,11 @@
 
 use crate::library::{Sensitivity, N_PARAMS};
 use crate::{Netlist, NetlistError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The storage-element family of a sequential cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SeqKind {
     /// Edge-triggered D flip-flop: samples D on the active clock edge.
     Dff,
@@ -49,7 +49,7 @@ impl fmt::Display for SeqKind {
 
 /// A sequential library cell: one D input, one clock pin, one Q output,
 /// with nominal clocked quantities and process-parameter sensitivities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SeqCellType {
     name: String,
     kind: SeqKind,
@@ -126,7 +126,7 @@ impl SeqCellType {
 }
 
 /// An immutable collection of sequential cell types indexed by name.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SeqLibrary {
     name: String,
     cells: Vec<SeqCellType>,
@@ -236,7 +236,7 @@ pub fn seq_library_90nm() -> SeqLibrary {
 /// interface shape hierarchical sequential extraction characterizes:
 /// per-input setup/hold constraint arcs, per-output clock-to-output
 /// launch arcs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RegisteredModule {
     core: Netlist,
     register: SeqCellType,

@@ -18,12 +18,6 @@ pub enum TimingError {
     /// No path exists where one was required (e.g. asking for the critical
     /// path of a graph whose outputs are unreachable).
     NoPath,
-    /// Raw graph parts failed structural validation (see
-    /// [`TimingGraph::from_raw_parts`](crate::TimingGraph::from_raw_parts)).
-    InvalidGraph {
-        /// The first inconsistency found.
-        reason: String,
-    },
     /// A [`LevelSchedule`](crate::levels::LevelSchedule) was used with a
     /// graph whose shape no longer matches the one it was built from
     /// (the graph was mutated after levelization).
@@ -40,9 +34,6 @@ impl fmt::Display for TimingError {
                 available,
             } => write!(f, "{kind} index {index} out of range (have {available})"),
             TimingError::NoPath => write!(f, "no input-to-output path exists"),
-            TimingError::InvalidGraph { reason } => {
-                write!(f, "invalid raw graph parts: {reason}")
-            }
             TimingError::StaleSchedule => {
                 write!(
                     f,

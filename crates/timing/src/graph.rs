@@ -1,17 +1,17 @@
 use crate::{DelayAlgebra, TimingError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use ssta_netlist::{CellType, Netlist, Signal};
 
 /// Identifier of a vertex in a [`TimingGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct VertexId(pub u32);
 
 /// Identifier of an edge in a [`TimingGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct EdgeId(pub u32);
 
 /// What a vertex represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum VertexKind {
     /// Primary input `n` of the module.
     Input(u32),
@@ -20,7 +20,7 @@ pub enum VertexKind {
 }
 
 /// A directed delay edge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Edge<D> {
     /// Source vertex.
     pub from: VertexId,
@@ -29,30 +29,6 @@ pub struct Edge<D> {
     /// Edge delay.
     pub delay: D,
     alive: bool,
-}
-
-/// The raw storage of a [`TimingGraph`], every slot included — live
-/// vertices/edges *and* tombstoned ones — in id order.
-///
-/// Extraction tombstones heavily before compacting, and serialized
-/// models must reproduce the graph bit-exactly (tombstones, adjacency
-/// order and all) so that a decoded model re-encodes to identical
-/// bytes and analyzes to identical bits. [`TimingGraph::to_raw_parts`]
-/// and [`TimingGraph::from_raw_parts`] convert losslessly between a
-/// graph and this flat form; adjacency lists and the dead-edge count
-/// are derived state and are rebuilt, not stored.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawGraphParts<D> {
-    /// Vertex kinds, one per vertex slot.
-    pub kinds: Vec<VertexKind>,
-    /// Liveness of each vertex slot.
-    pub vertex_alive: Vec<bool>,
-    /// Edge slots `(from, to, delay, alive)` in id order.
-    pub edges: Vec<(VertexId, VertexId, D, bool)>,
-    /// Primary-input vertices, in port order.
-    pub inputs: Vec<VertexId>,
-    /// Primary-output vertices, in port order.
-    pub outputs: Vec<VertexId>,
 }
 
 /// Context handed to the delay-annotation callback when importing a
@@ -85,7 +61,15 @@ impl ArcContext<'_> {
 /// Edge removal is tombstone-based (model extraction deletes and rewrites
 /// edges heavily); [`compact`](TimingGraph::compact) rebuilds a dense
 /// graph. Vertices are never re-indexed except by `compact`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Removed slots are extraction's working state only. A graph built by
+/// the four constructors ([`add_input`](Self::add_input),
+/// [`add_vertex`](Self::add_vertex), [`add_edge`](Self::add_edge),
+/// [`mark_output`](Self::mark_output)) and never edited is compact:
+/// every vertex and edge slot is live. `compact` returns such a graph
+/// with its inputs first, which is the shape a timing model's graph
+/// must have.
+#[derive(Debug, Clone, Serialize)]
 pub struct TimingGraph<D> {
     kinds: Vec<VertexKind>,
     vertex_alive: Vec<bool>,
@@ -255,6 +239,11 @@ impl<D: DelayAlgebra> TimingGraph<D> {
         self.kinds.len()
     }
 
+    /// Total edge slots (including removed ones) — valid index bound.
+    pub fn edge_bound(&self) -> usize {
+        self.edges.len()
+    }
+
     /// Iterator over live vertices.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.vertex_alive
@@ -408,110 +397,6 @@ impl<D: DelayAlgebra> TimingGraph<D> {
             g.mark_output(nv);
         }
         (g, map)
-    }
-
-    /// Dumps the graph into its raw slot-level parts (see
-    /// [`RawGraphParts`]). Lossless: tombstoned vertices and edges are
-    /// included, so [`from_raw_parts`](Self::from_raw_parts) rebuilds a
-    /// graph equal to this one in every observable detail, including
-    /// slot ids and adjacency order.
-    pub fn to_raw_parts(&self) -> RawGraphParts<D> {
-        RawGraphParts {
-            kinds: self.kinds.clone(),
-            vertex_alive: self.vertex_alive.clone(),
-            edges: self
-                .edges
-                .iter()
-                .map(|e| (e.from, e.to, e.delay.clone(), e.alive))
-                .collect(),
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-        }
-    }
-
-    /// Rebuilds a graph from raw parts, validating structural
-    /// invariants and re-deriving adjacency (alive edges in slot order,
-    /// which is exactly what incremental construction produces).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TimingError::InvalidGraph`] when the parts are
-    /// inconsistent: mismatched slot counts, out-of-range vertex ids,
-    /// live edges on dead vertices, or an input list that disagrees
-    /// with the vertex kinds.
-    pub fn from_raw_parts(raw: RawGraphParts<D>) -> Result<Self, TimingError> {
-        let invalid = |reason: String| TimingError::InvalidGraph { reason };
-        let n = raw.kinds.len();
-        if raw.vertex_alive.len() != n {
-            return Err(invalid(format!(
-                "{} vertex kinds but {} liveness flags",
-                n,
-                raw.vertex_alive.len()
-            )));
-        }
-        // The input list must mirror the Input(i) kinds exactly.
-        let n_inputs = raw
-            .kinds
-            .iter()
-            .filter(|k| matches!(k, VertexKind::Input(_)))
-            .count();
-        if raw.inputs.len() != n_inputs {
-            return Err(invalid(format!(
-                "{} input vertices but {} entries in the input list",
-                n_inputs,
-                raw.inputs.len()
-            )));
-        }
-        for (i, &v) in raw.inputs.iter().enumerate() {
-            match raw.kinds.get(v.0 as usize) {
-                Some(&VertexKind::Input(idx)) if idx as usize == i => {}
-                _ => {
-                    return Err(invalid(format!(
-                        "input list slot {i} points at vertex {} which is not Input({i})",
-                        v.0
-                    )))
-                }
-            }
-        }
-        for &v in &raw.outputs {
-            if (v.0 as usize) >= n {
-                return Err(invalid(format!("output vertex {} out of range", v.0)));
-            }
-        }
-        let mut out_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut edges = Vec::with_capacity(raw.edges.len());
-        let mut n_dead_edges = 0;
-        for (id, (from, to, delay, alive)) in raw.edges.into_iter().enumerate() {
-            if (from.0 as usize) >= n || (to.0 as usize) >= n {
-                return Err(invalid(format!("edge {id} endpoint out of range")));
-            }
-            if alive {
-                if !raw.vertex_alive[from.0 as usize] || !raw.vertex_alive[to.0 as usize] {
-                    return Err(invalid(format!("live edge {id} touches a dead vertex")));
-                }
-                out_adj[from.0 as usize].push(id as u32);
-                in_adj[to.0 as usize].push(id as u32);
-            } else {
-                n_dead_edges += 1;
-            }
-            edges.push(Edge {
-                from,
-                to,
-                delay,
-                alive,
-            });
-        }
-        Ok(TimingGraph {
-            kinds: raw.kinds,
-            vertex_alive: raw.vertex_alive,
-            edges,
-            out_adj,
-            in_adj,
-            inputs: raw.inputs,
-            outputs: raw.outputs,
-            n_dead_edges,
-        })
     }
 
     /// Imports a netlist: one vertex per primary input and per gate, one
@@ -692,52 +577,6 @@ mod tests {
         assert!(map[b.0 as usize].is_none());
         assert!(map[a.0 as usize].is_some());
         assert_eq!(map[o.0 as usize], Some(c.outputs()[0]));
-    }
-
-    #[test]
-    fn raw_parts_round_trip_preserves_tombstones_and_adjacency() {
-        let (mut g, a, o) = diamond();
-        // Tombstone one parallel edge so the raw form carries dead state.
-        let parallel: Vec<EdgeId> = g.out_edges(a).filter(|&e| g.edge(e).to == o).collect();
-        g.remove_edge(parallel[0]);
-
-        let back = TimingGraph::from_raw_parts(g.to_raw_parts()).unwrap();
-        assert_eq!(back.n_vertices(), g.n_vertices());
-        assert_eq!(back.n_edges(), g.n_edges());
-        assert_eq!(back.inputs(), g.inputs());
-        assert_eq!(back.outputs(), g.outputs());
-        for v in g.vertices() {
-            let orig: Vec<EdgeId> = g.out_edges(v).collect();
-            let rt: Vec<EdgeId> = back.out_edges(v).collect();
-            assert_eq!(orig, rt, "adjacency order must survive");
-        }
-        // And the raw forms themselves agree (the round trip is lossless).
-        assert_eq!(back.to_raw_parts(), g.to_raw_parts());
-    }
-
-    #[test]
-    fn from_raw_parts_rejects_inconsistencies() {
-        let (g, _, _) = diamond();
-        let mut raw = g.to_raw_parts();
-        raw.vertex_alive.pop();
-        assert!(matches!(
-            TimingGraph::<f64>::from_raw_parts(raw),
-            Err(TimingError::InvalidGraph { .. })
-        ));
-
-        let mut raw = g.to_raw_parts();
-        raw.edges[0].1 = VertexId(99);
-        assert!(matches!(
-            TimingGraph::<f64>::from_raw_parts(raw),
-            Err(TimingError::InvalidGraph { .. })
-        ));
-
-        let mut raw = g.to_raw_parts();
-        raw.inputs[0] = VertexId(2); // an Internal vertex, not Input(0)
-        assert!(matches!(
-            TimingGraph::<f64>::from_raw_parts(raw),
-            Err(TimingError::InvalidGraph { .. })
-        ));
     }
 
     #[test]

@@ -50,5 +50,5 @@ pub mod sta;
 pub use allpairs::DelayMatrix;
 pub use delay::DelayAlgebra;
 pub use error::TimingError;
-pub use graph::{ArcContext, Edge, EdgeId, RawGraphParts, TimingGraph, VertexId, VertexKind};
+pub use graph::{ArcContext, Edge, EdgeId, TimingGraph, VertexId, VertexKind};
 pub use levels::LevelSchedule;

@@ -9,73 +9,20 @@
 //! buffer from an unchecked length fails here instead of exhausting
 //! memory in production.
 
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{largest, reset_largest};
 use hier_ssta::core::codec::{decode_model, encode_model, MODEL_CODEC_VERSION};
 use hier_ssta::core::{ExtractOptions, ModuleContext, SstaConfig};
 use hier_ssta::netlist::generators;
 use proptest::test_runner::TestRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// The largest single allocation any case may request.
 const ALLOCATION_CAP: usize = 64 << 20;
 
-thread_local! {
-    /// Largest allocation or reallocation size requested on this thread
-    /// since the last [`reset_largest`].
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, noting each request's size on the calling
-/// thread.
-struct Counting;
-
-fn note(size: usize) {
-    // `try_with` fails only while the thread's locals are torn down;
-    // allocations then go unrecorded.
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; `note` only updates a
-// thread-local `Cell` with a const initializer, which neither allocates
-// nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's `layout` contract passes through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's `layout` contract passes through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn reset_largest() {
-    LARGEST.with(|largest| largest.set(0));
-}
-
-fn largest() -> usize {
-    LARGEST.with(Cell::get)
-}
+static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 
 fn random_bytes(rng: &mut TestRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.next_u64() as u8).collect()

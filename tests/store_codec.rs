@@ -19,7 +19,9 @@
 //! * the binary c880 artifact is at most half the size of its serde
 //!   JSON rendering.
 
-use hier_ssta::core::{CoreError, ExtractOptions, ModuleContext, SstaConfig, TimingModel};
+use hier_ssta::core::{
+    CoreError, ExtractOptions, ExtractionStats, ModuleContext, SstaConfig, TimingModel,
+};
 use hier_ssta::engine::store::envelope;
 use hier_ssta::engine::{
     Codec, DesignSpec, Engine, EngineError, EngineOptions, FaultInjectingBackend, FaultPlan,
@@ -551,13 +553,19 @@ fn oversized_grid_payload() -> Vec<u8> {
     for e in edges {
         bare.remove_edge(e);
     }
+    let (bare, _) = bare.compact();
+    let stats = ExtractionStats {
+        model_edges: bare.n_edges(),
+        model_vertices: bare.n_vertices(),
+        ..*model.stats()
+    };
     let bare = TimingModel::assemble(
         model.name().to_owned(),
         bare,
         model.geometry(),
         model.pca().cloned(),
         model.config().clone(),
-        *model.stats(),
+        stats,
         model.sequential().cloned(),
     )
     .expect("an edge-free model is valid");
