@@ -192,24 +192,13 @@ pub const PAPER_TABLE1: [(&str, usize, usize, usize, usize, f64, f64); 10] = [
     ("c7552", 6144, 3719, 1073, 546, 0.0121, 0.0158),
 ];
 
-/// `n` instances of one pre-characterized ISCAS-85 module tiled on a
-/// single die (near-square array), with each instance's first
+/// `n` instances of one pre-extracted ISCAS-85 model tiled on a single
+/// die (near-square array), with each instance's first
 /// `min(outputs, inputs)` ports chained to the next instance — the
 /// many-instance workload that stresses design-level assembly
 /// (partition / covariance / PCA eigensolve / variable replacement),
 /// whose cost grows with the design grid count rather than with module
-/// internals.
-pub fn module_array_design(name: &str, n: usize) -> Design {
-    let ctx = characterize(name);
-    let model = Arc::new(
-        ctx.extract_model(&ExtractOptions::default())
-            .expect("extraction"),
-    );
-    module_array_from_model(name, model, n, SstaConfig::paper())
-}
-
-/// As [`module_array_design`] but reusing a pre-extracted model, so
-/// sweeps over `n` pay the characterization exactly once.
+/// internals. Sweeps over `n` pay the characterization exactly once.
 pub fn module_array_from_model(
     name: &str,
     model: Arc<TimingModel>,
@@ -260,7 +249,7 @@ pub fn module_array_from_model(
     b.finish().expect("array design")
 }
 
-/// As [`module_array_design`] but as a pre-extraction
+/// As [`module_array_from_model`] but as a pre-extraction
 /// [`ssta_engine::DesignSpec`] — the serving-workload shape: `n` chained
 /// instances of one ISCAS-85 module, die sized from the module geometry
 /// alone, so building the spec performs no characterization and the
@@ -432,52 +421,6 @@ pub fn four_multiplier_spec(width: usize) -> ssta_engine::DesignSpec {
         }
     }
     b.finish().expect("spec")
-}
-
-/// As [`four_multiplier_design`] but with one (possibly distinct) model
-/// per instance — the shape of the pre-engine flow that re-extracts every
-/// instance.
-pub fn four_model_design(
-    models: [Arc<TimingModel>; 4],
-    width: usize,
-    config: SstaConfig,
-) -> Design {
-    let (mw, mh) = models[0].geometry().extent_um();
-    let die = DieRect {
-        width: 2.0 * mw,
-        height: 2.0 * mh,
-    };
-    let mut b = DesignBuilder::new(format!("quad-mul{width}"), die, config);
-    let [model0, model1, model2, model3] = models;
-    let m0 = b
-        .add_instance("m0", model0, None, (0.0, 0.0))
-        .expect("place m0");
-    let m1 = b
-        .add_instance("m1", model1, None, (0.0, mh))
-        .expect("place m1");
-    let m2 = b
-        .add_instance("m2", model2, None, (mw, 0.0))
-        .expect("place m2");
-    let m3 = b
-        .add_instance("m3", model3, None, (mw, mh))
-        .expect("place m3");
-    for k in 0..width {
-        b.connect(m0, k, m2, k, 0.0).expect("wire");
-        b.connect(m1, k, m2, width + k, 0.0).expect("wire");
-        b.connect(m0, width + k, m3, k, 0.0).expect("wire");
-        b.connect(m1, width + k, m3, width + k, 0.0).expect("wire");
-    }
-    for inst in [m0, m1] {
-        for k in 0..2 * width {
-            b.expose_input(vec![(inst, k)]).expect("pi");
-        }
-    }
-    for inst in [m2, m3] {
-        for k in 0..2 * width {
-            b.expose_output(inst, k).expect("po");
-        }
-    }
-    b.finish().expect("design")
 }
 
 /// As [`four_multiplier_design`] but reusing a pre-extracted model.

@@ -294,11 +294,6 @@ impl TimingModel {
         self.sequential.as_ref()
     }
 
-    /// `true` when the model carries a sequential interface.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential.is_some()
-    }
-
     /// The module's grid partition (module-local coordinates).
     pub fn geometry(&self) -> GridGeometry {
         self.geometry

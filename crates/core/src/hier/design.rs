@@ -98,8 +98,9 @@ impl Design {
     }
 }
 
-/// Incremental builder for [`Design`], validating on
-/// [`finish`](DesignBuilder::finish).
+/// Incremental builder for [`Design`]: each call checks what it adds,
+/// and [`finish`](DesignBuilder::finish) checks the whole under
+/// [`check_wiring`].
 #[derive(Debug)]
 pub struct DesignBuilder {
     name: String,
@@ -177,22 +178,13 @@ impl DesignBuilder {
         to_port: usize,
         wire_delay_ps: f64,
     ) -> Result<(), CoreError> {
-        self.check_output(from, from_port)?;
-        self.check_input(to, to_port)?;
-        if !(wire_delay_ps.is_finite() && wire_delay_ps >= 0.0) {
-            return Err(CoreError::Config {
-                reason: format!(
-                    "wire from `{}` output {from_port} to `{}` input {to_port} has delay \
-                     {wire_delay_ps} ps; a wire delay must be finite and non-negative",
-                    self.instances[from].name, self.instances[to].name
-                ),
-            });
-        }
-        self.connections.push(Connection {
+        let c = Connection {
             from: (from, from_port),
             to: (to, to_port),
             wire_delay_ps,
-        });
+        };
+        check_connection(&self.instances, &c)?;
+        self.connections.push(c);
         Ok(())
     }
 
@@ -201,16 +193,10 @@ impl DesignBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] for out-of-range targets.
+    /// Returns [`CoreError::Config`] for an empty or out-of-range target
+    /// list.
     pub fn expose_input(&mut self, targets: Vec<(usize, usize)>) -> Result<usize, CoreError> {
-        if targets.is_empty() {
-            return Err(CoreError::Config {
-                reason: "design input must drive at least one port".into(),
-            });
-        }
-        for &(inst, port) in &targets {
-            self.check_input(inst, port)?;
-        }
+        check_targets(&self.instances, &targets)?;
         self.pi_bindings.push(targets);
         Ok(self.pi_bindings.len() - 1)
     }
@@ -222,81 +208,24 @@ impl DesignBuilder {
     ///
     /// Returns [`CoreError::Config`] for out-of-range sources.
     pub fn expose_output(&mut self, inst: usize, port: usize) -> Result<usize, CoreError> {
-        self.check_output(inst, port)?;
+        check_output(&self.instances, inst, port)?;
         self.po_sources.push((inst, port));
         Ok(self.po_sources.len() - 1)
     }
 
-    fn check_input(&self, inst: usize, port: usize) -> Result<(), CoreError> {
-        let m = self.instances.get(inst).ok_or_else(|| CoreError::Config {
-            reason: format!("instance {inst} does not exist"),
-        })?;
-        if port >= m.model.n_inputs() {
-            return Err(CoreError::Config {
-                reason: format!(
-                    "input port {port} out of range for `{}` ({} inputs)",
-                    m.name,
-                    m.model.n_inputs()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_output(&self, inst: usize, port: usize) -> Result<(), CoreError> {
-        let m = self.instances.get(inst).ok_or_else(|| CoreError::Config {
-            reason: format!("instance {inst} does not exist"),
-        })?;
-        if port >= m.model.n_outputs() {
-            return Err(CoreError::Config {
-                reason: format!(
-                    "output port {port} out of range for `{}` ({} outputs)",
-                    m.name,
-                    m.model.n_outputs()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Validates and finalizes the design: every instance input port must
-    /// be driven exactly once (by a PI or a connection), and at least one
-    /// PO must exist.
+    /// Validates and finalizes the design under [`check_wiring`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] describing the first violation.
     pub fn finish(self) -> Result<Design, CoreError> {
-        if self.instances.is_empty() || self.po_sources.is_empty() {
-            return Err(CoreError::Config {
-                reason: "design needs at least one instance and one output".into(),
-            });
-        }
-        let mut driven: Vec<Vec<u32>> = self
-            .instances
-            .iter()
-            .map(|i| vec![0; i.model.n_inputs()])
-            .collect();
-        for targets in &self.pi_bindings {
-            for &(inst, port) in targets {
-                driven[inst][port] += 1;
-            }
-        }
-        for c in &self.connections {
-            driven[c.to.0][c.to.1] += 1;
-        }
-        for (i, ports) in driven.iter().enumerate() {
-            for (p, &count) in ports.iter().enumerate() {
-                if count != 1 {
-                    return Err(CoreError::Config {
-                        reason: format!(
-                            "input port {p} of instance `{}` driven {count} times (must be 1)",
-                            self.instances[i].name
-                        ),
-                    });
-                }
-            }
-        }
+        let ports: Vec<_> = self.instances.iter().map(Ports::ports).collect();
+        check_wiring(
+            &ports,
+            &self.connections,
+            &self.pi_bindings,
+            &self.po_sources,
+        )?;
         Ok(Design {
             name: self.name,
             die: self.die,
@@ -307,6 +236,137 @@ impl DesignBuilder {
             po_sources: self.po_sources,
         })
     }
+}
+
+/// The wiring rules of a design over each instance's `(name, inputs,
+/// outputs)`, checked in this order: at least one instance and one
+/// primary output; each connection's output port, input port and wire
+/// delay (finite and non-negative; `-0.0` is a zero wire); each primary
+/// input's targets (at least one, each an input port); each primary
+/// output's source; and every input port driven exactly once.
+/// [`DesignBuilder`] checks each item as it is added, and the engine's
+/// spec builder checks a spec before any model exists.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Config`] for the first violation.
+pub fn check_wiring(
+    ports: &[(&str, usize, usize)],
+    connections: &[Connection],
+    pi_bindings: &[Vec<(usize, usize)>],
+    po_sources: &[(usize, usize)],
+) -> Result<(), CoreError> {
+    if ports.is_empty() || po_sources.is_empty() {
+        return Err(CoreError::Config {
+            reason: "design needs at least one instance and one output".into(),
+        });
+    }
+    for c in connections {
+        check_connection(ports, c)?;
+    }
+    for targets in pi_bindings {
+        check_targets(ports, targets)?;
+    }
+    for &(inst, port) in po_sources {
+        check_output(ports, inst, port)?;
+    }
+    let mut driven: Vec<Vec<u32>> = ports
+        .iter()
+        .map(|&(_, inputs, _)| vec![0; inputs])
+        .collect();
+    let sinks = pi_bindings.iter().flatten().copied();
+    for (inst, port) in sinks.chain(connections.iter().map(|c| c.to)) {
+        driven[inst][port] += 1;
+    }
+    for (&(name, ..), counts) in ports.iter().zip(&driven) {
+        if let Some((p, &count)) = counts.iter().enumerate().find(|&(_, &n)| n != 1) {
+            return Err(CoreError::Config {
+                reason: format!(
+                    "input port {p} of instance `{name}` driven {count} times (must be 1)"
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// What the wiring rules read of an instance: `(name, inputs, outputs)`.
+trait Ports {
+    fn ports(&self) -> (&str, usize, usize);
+}
+
+impl Ports for Instance {
+    fn ports(&self) -> (&str, usize, usize) {
+        (&self.name, self.model.n_inputs(), self.model.n_outputs())
+    }
+}
+
+impl Ports for (&str, usize, usize) {
+    fn ports(&self) -> (&str, usize, usize) {
+        *self
+    }
+}
+
+/// The name of instance `inst` if `port` is one of its inputs.
+fn check_input<P: Ports>(instances: &[P], inst: usize, port: usize) -> Result<&str, CoreError> {
+    let (name, inputs, _) = ports_of(instances, inst)?;
+    if port >= inputs {
+        return Err(CoreError::Config {
+            reason: format!("input port {port} out of range for `{name}` ({inputs} inputs)"),
+        });
+    }
+    Ok(name)
+}
+
+/// The name of instance `inst` if `port` is one of its outputs.
+fn check_output<P: Ports>(instances: &[P], inst: usize, port: usize) -> Result<&str, CoreError> {
+    let (name, _, outputs) = ports_of(instances, inst)?;
+    if port >= outputs {
+        return Err(CoreError::Config {
+            reason: format!("output port {port} out of range for `{name}` ({outputs} outputs)"),
+        });
+    }
+    Ok(name)
+}
+
+/// Instance `inst`'s ports, or the error that it does not exist.
+fn ports_of<P: Ports>(instances: &[P], inst: usize) -> Result<(&str, usize, usize), CoreError> {
+    instances
+        .get(inst)
+        .map(Ports::ports)
+        .ok_or_else(|| CoreError::Config {
+            reason: format!("instance {inst} does not exist"),
+        })
+}
+
+/// A connection's ports, then its wire delay.
+fn check_connection<P: Ports>(instances: &[P], c: &Connection) -> Result<(), CoreError> {
+    let ((from, from_port), (to, to_port)) = (c.from, c.to);
+    let from = check_output(instances, from, from_port)?;
+    let to = check_input(instances, to, to_port)?;
+    let delay = c.wire_delay_ps;
+    if !(delay.is_finite() && delay >= 0.0) {
+        return Err(CoreError::Config {
+            reason: format!(
+                "wire from `{from}` output {from_port} to `{to}` input {to_port} has delay \
+                 {delay} ps; a wire delay must be finite and non-negative"
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// A primary input's target list: non-empty, and every target an input.
+fn check_targets<P: Ports>(instances: &[P], targets: &[(usize, usize)]) -> Result<(), CoreError> {
+    if targets.is_empty() {
+        return Err(CoreError::Config {
+            reason: "design input must drive at least one port".into(),
+        });
+    }
+    for &(inst, port) in targets {
+        check_input(instances, inst, port)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

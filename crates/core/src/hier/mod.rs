@@ -28,7 +28,7 @@ pub use analysis::{
     propagate_assembled, AnalyzeOptions, AssembledDesign, CorrelationMode, DesignTiming,
     PhaseTimings,
 };
-pub use design::{Connection, Design, DesignBuilder, Instance};
+pub use design::{check_wiring, Connection, Design, DesignBuilder, Instance};
 pub use partition::DesignPartition;
 pub use replace::{DesignVariables, InstanceReplacement};
 pub use sequential::{analyze_sequential, SequentialAnalyzeOptions, SequentialTiming, StageTiming};

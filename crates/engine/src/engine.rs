@@ -80,8 +80,10 @@ pub struct EngineOptions {
     /// The thread budget of every call: split between the call's
     /// extraction-signature groups and, within a group, its module
     /// extractions and design analyses. `0` uses the available
-    /// parallelism, `1` forces the serial path. Every count produces
-    /// bit-identical results.
+    /// parallelism, `1` runs them one at a time. Each extraction's
+    /// criticality sweep runs outside this budget, at
+    /// `extract.criticality.threads` (`0`, the default, uses every
+    /// core). Every count produces bit-identical results.
     pub threads: usize,
 }
 

@@ -106,7 +106,7 @@ pub use grid::{CornerGrid, CornerGridBuilder, GridAxis};
 pub use pipeline::report::{ScenarioRecord, SweepSummary};
 pub use pipeline::sweep::SweepOptions;
 pub use scenario::{Scenario, ScenarioSet};
-pub use spec::{ConnectionSpec, DesignSpec, DesignSpecBuilder, InstanceSpec, ModuleDef, ModuleId};
+pub use spec::{DesignSpec, DesignSpecBuilder, InstanceSpec, ModuleDef, ModuleId};
 pub use store::{
     ArtifactInfo, BreakerState, Codec, FaultCounters, FaultInjectingBackend, FaultPlan, FsBackend,
     MemoryBackend, ModelStore, RemoteBackend, RetryOutcome, RetryPolicy, SdfImport, StorageBackend,

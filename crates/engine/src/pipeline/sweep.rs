@@ -361,10 +361,8 @@ fn store_health(shared: &SharedState<'_>) -> StoreHealth {
 /// over shared engine state, with `shared.threads` as the whole call's
 /// thread budget. See the [module docs](self) for the three layers.
 ///
-/// Returns [`EngineError::Spec`] for wiring that no model could make
-/// valid (see [`DesignSpec::check_wiring`]) before any module resolves,
-/// and otherwise the error of the lowest-indexed failing group (groups
-/// are numbered in first-scenario order).
+/// Returns the error of the lowest-indexed failing group (groups are
+/// numbered in first-scenario order).
 pub(crate) fn run(
     spec: &DesignSpec,
     scenarios: impl IntoIterator<Item = Scenario>,
@@ -375,7 +373,6 @@ pub(crate) fn run(
     shared: SharedState<'_>,
 ) -> Result<SweepSummary, EngineError> {
     let started = Instant::now();
-    spec.check_wiring()?;
     // Health is attributed at the call boundary: groups share one
     // backend stack, so per-group deltas would double-count.
     let health_before = store_health(&shared);

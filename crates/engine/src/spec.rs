@@ -5,13 +5,16 @@
 //! wants to decide *whether* to extract at all. A [`DesignSpec`] is the
 //! same hierarchy expressed one level earlier: module *definitions*
 //! (netlists) plus instances referencing them, with the wiring of the
-//! eventual design. The engine resolves every definition to a model
-//! (cache or fresh extraction) and only then assembles the `Design`.
+//! eventual design. [`DesignSpecBuilder::finish`] refuses wiring that
+//! breaks [`ssta_core::hier::check_wiring`] over the definitions'
+//! netlist ports, so an engine never sees a malformed spec; it resolves
+//! every definition to a model (cache or fresh extraction) and only
+//! then assembles the `Design`.
 
 use crate::error::EngineError;
-use ssta_core::{netlist_digest, NetlistDigest};
+use ssta_core::hier::{check_wiring, Connection};
+use ssta_core::{netlist_digest, CoreError, NetlistDigest};
 use ssta_netlist::{DieRect, Netlist};
-use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a module definition within one [`DesignSpec`].
@@ -52,27 +55,16 @@ pub struct InstanceSpec {
     pub origin: (f64, f64),
 }
 
-/// A wire between instance ports, mirroring
-/// [`ssta_core::hier::Connection`] at spec level.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConnectionSpec {
-    /// `(instance, output port)` source.
-    pub from: (usize, usize),
-    /// `(instance, input port)` sink.
-    pub to: (usize, usize),
-    /// Wire delay in ps.
-    pub wire_delay_ps: f64,
-}
-
 /// A hierarchical design expressed over module definitions rather than
-/// extracted models.
+/// extracted models. Only [`DesignSpecBuilder::finish`] makes one, so
+/// its wiring holds.
 #[derive(Debug, Clone)]
 pub struct DesignSpec {
     pub(crate) name: String,
     pub(crate) die: DieRect,
     pub(crate) modules: Vec<ModuleDef>,
     pub(crate) instances: Vec<InstanceSpec>,
-    pub(crate) connections: Vec<ConnectionSpec>,
+    pub(crate) connections: Vec<Connection>,
     pub(crate) pi_bindings: Vec<Vec<(usize, usize)>>,
     pub(crate) po_sources: Vec<(usize, usize)>,
 }
@@ -106,55 +98,6 @@ impl DesignSpec {
     /// The placed instances.
     pub fn instances(&self) -> &[InstanceSpec] {
         &self.instances
-    }
-
-    /// The checks a spec's wiring can take before any model exists:
-    /// every wire delay is finite and non-negative (`-0.0` is a zero
-    /// wire), and every connection, PI binding and PO source names an
-    /// instance of the spec. Port ranges need the models, so assembly
-    /// checks them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Spec`] for the first violation found.
-    pub(crate) fn check_wiring(&self) -> Result<(), EngineError> {
-        for (k, c) in self.connections.iter().enumerate() {
-            let from = self.instance_name(c.from.0, format_args!("connection {k}"))?;
-            let to = self.instance_name(c.to.0, format_args!("connection {k}"))?;
-            let delay = c.wire_delay_ps;
-            if !(delay.is_finite() && delay >= 0.0) {
-                return Err(EngineError::Spec {
-                    reason: format!(
-                        "wire from `{from}` output {} to `{to}` input {} has delay {delay} ps; \
-                         a wire delay must be finite and non-negative",
-                        c.from.1, c.to.1
-                    ),
-                });
-            }
-        }
-        for (k, targets) in self.pi_bindings.iter().enumerate() {
-            for &(inst, _) in targets {
-                self.instance_name(inst, format_args!("primary input {k}"))?;
-            }
-        }
-        for (k, &(inst, _)) in self.po_sources.iter().enumerate() {
-            self.instance_name(inst, format_args!("primary output {k}"))?;
-        }
-        Ok(())
-    }
-
-    /// The name of instance `idx`, or the error that `what` names a
-    /// missing instance.
-    fn instance_name(&self, idx: usize, what: fmt::Arguments<'_>) -> Result<&str, EngineError> {
-        match self.instances.get(idx) {
-            Some(inst) => Ok(&inst.name),
-            None => Err(EngineError::Spec {
-                reason: format!(
-                    "{what} names instance {idx}, but the spec has {} instances",
-                    self.instances.len()
-                ),
-            }),
-        }
     }
 }
 
@@ -203,20 +146,16 @@ impl DesignSpecBuilder {
         Ok(self.spec.instances.len() - 1)
     }
 
-    /// Wires instance `from`'s output port to instance `to`'s input port.
-    /// An analysis checks the instance indices (and the wire delay)
-    /// before any module resolves, and the port ranges at assembly,
-    /// once models (and thus port counts) exist.
+    /// Wires instance `from`'s output port to instance `to`'s input port
+    /// with a zero wire. [`finish`](Self::finish) checks the instances
+    /// and ports.
     pub fn connect(&mut self, from: usize, from_port: usize, to: usize, to_port: usize) {
-        self.spec.connections.push(ConnectionSpec {
-            from: (from, from_port),
-            to: (to, to_port),
-            wire_delay_ps: 0.0,
-        });
+        self.connect_with_delay(from, from_port, to, to_port, 0.0);
     }
 
-    /// As [`connect`](Self::connect) with an explicit wire delay, which
-    /// must be finite and non-negative.
+    /// As [`connect`](Self::connect) with an explicit wire delay;
+    /// [`finish`](Self::finish) refuses one that is not finite or is
+    /// negative (`-0.0` is a zero wire).
     pub fn connect_with_delay(
         &mut self,
         from: usize,
@@ -225,7 +164,7 @@ impl DesignSpecBuilder {
         to_port: usize,
         wire_delay_ps: f64,
     ) {
-        self.spec.connections.push(ConnectionSpec {
+        self.spec.connections.push(Connection {
             from: (from, from_port),
             to: (to, to_port),
             wire_delay_ps,
@@ -233,45 +172,49 @@ impl DesignSpecBuilder {
     }
 
     /// Declares a design primary input driving the given instance input
-    /// ports; returns the design PI index.
+    /// ports; returns the design PI index. [`finish`](Self::finish)
+    /// refuses an empty list and checks each port.
     pub fn expose_input(&mut self, targets: Vec<(usize, usize)>) -> usize {
         self.spec.pi_bindings.push(targets);
         self.spec.pi_bindings.len() - 1
     }
 
     /// Declares a design primary output observing the given instance
-    /// output port; returns the design PO index.
+    /// output port; returns the design PO index. [`finish`](Self::finish)
+    /// checks the port.
     pub fn expose_output(&mut self, inst: usize, port: usize) -> usize {
         self.spec.po_sources.push((inst, port));
         self.spec.po_sources.len() - 1
     }
 
-    /// Finalizes the spec.
+    /// Finalizes the spec under [`check_wiring`], with each instance's
+    /// port counts taken from its definition's netlist, so a malformed
+    /// spec is refused before any engine resolves a module.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Spec`] if the design has no instances or no
-    /// outputs, or an instance references a missing module. Wiring is
-    /// checked when an analysis starts, before any module resolves;
-    /// port-level validation happens at assembly, via
-    /// [`ssta_core::DesignBuilder`].
+    /// Returns [`EngineError::Spec`] for the first violation, with the
+    /// reason [`ssta_core::DesignBuilder`] gives for it.
     pub fn finish(self) -> Result<DesignSpec, EngineError> {
         let spec = self.spec;
-        if spec.instances.is_empty() || spec.po_sources.is_empty() {
-            return Err(EngineError::Spec {
-                reason: "a design needs at least one instance and one output".into(),
-            });
-        }
-        for inst in &spec.instances {
-            if inst.module.0 >= spec.modules.len() {
-                return Err(EngineError::Spec {
-                    reason: format!(
-                        "instance `{}` references missing module {}",
-                        inst.name, inst.module.0
-                    ),
-                });
-            }
-        }
+        let ports: Vec<_> = spec
+            .instances
+            .iter()
+            .map(|inst| {
+                let netlist = &spec.modules[inst.module.0].netlist;
+                (inst.name.as_str(), netlist.n_inputs(), netlist.n_outputs())
+            })
+            .collect();
+        check_wiring(
+            &ports,
+            &spec.connections,
+            &spec.pi_bindings,
+            &spec.po_sources,
+        )
+        .map_err(|e| match e {
+            CoreError::Config { reason } => EngineError::Spec { reason },
+            other => EngineError::Core(other),
+        })?;
         Ok(spec)
     }
 }

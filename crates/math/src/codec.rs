@@ -120,11 +120,6 @@ impl ByteWriter {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    /// Writes raw bytes with no length prefix (caller frames them).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 /// A cursor over an encoded byte stream with offset-carrying errors.

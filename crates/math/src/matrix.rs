@@ -292,13 +292,6 @@ impl Matrix {
         })
     }
 
-    /// Scales every entry by `s` in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
     /// Largest absolute asymmetry `max |a_ij - a_ji|`; `0.0` for non-square.
     pub fn max_asymmetry(&self) -> f64 {
         if !self.is_square() {

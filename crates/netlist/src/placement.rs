@@ -94,15 +94,6 @@ impl Placement {
         &self.gate_positions
     }
 
-    /// Position of primary input `i` (pad location).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn input_position(&self, i: usize) -> (f64, f64) {
-        self.input_positions[i]
-    }
-
     /// Translates every coordinate by `(dx, dy)` — used when a module is
     /// instantiated at an offset inside a hierarchical design.
     pub fn translated(&self, dx: f64, dy: f64) -> Placement {

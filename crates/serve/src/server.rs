@@ -44,7 +44,8 @@ pub struct ServeOptions {
     /// each worker the available parallelism divided among the workers
     /// (at least 1), so the pool and the per-request fan-outs share one
     /// thread budget instead of multiplying it; any other value is used
-    /// as given.
+    /// as given. Extraction's criticality sweep runs outside that budget
+    /// (see [`EngineOptions::threads`]).
     pub engine: EngineOptions,
 }
 

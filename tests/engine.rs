@@ -8,20 +8,25 @@
 //! * invalidating one module recomputes only that module;
 //! * the versioned on-disk format round-trips models bit-exactly and
 //!   rejects corrupt, wrong-version or retired-format artifacts cleanly;
-//! * spec wire delays reach the analysis, and a non-finite one is an
-//!   error;
-//! * malformed wiring is refused before any module is extracted.
+//! * spec wire delays reach the analysis;
+//! * malformed wiring is refused when the spec is finished, before any
+//!   engine sees it, and the spec builder agrees with `DesignBuilder`
+//!   on random wirings.
+
+#[path = "support/quad_adder.rs"]
+mod quad_adder;
 
 use hier_ssta::core::{
-    analyze, analyze_with, AnalyzeOptions, CanonicalForm, CorrelationMode, Design, DesignBuilder,
-    SstaConfig,
+    analyze, analyze_with, AnalyzeOptions, CanonicalForm, CoreError, CorrelationMode, Design,
+    DesignBuilder, ExtractOptions, ModuleContext, SstaConfig,
 };
 use hier_ssta::engine::{
-    store, DesignSpec, DesignSpecBuilder, Engine, EngineError, EngineOptions, ModelSource,
-    ModelStore, ModuleId,
+    store, DesignSpec, DesignSpecBuilder, Engine, EngineError, EngineOptions, ModelStore, ModuleId,
 };
 use hier_ssta::math::digest::sha256;
 use hier_ssta::netlist::{generators, DieRect};
+use proptest::test_runner::TestRng;
+use quad_adder::{quad_adder_builder, quad_adder_spec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -33,52 +38,6 @@ fn temp_store_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Four instances of one 4-bit adder in a 2×2 arrangement, chained
-/// through their carry inputs, everything else driven from design PIs.
-fn quad_adder_spec() -> (DesignSpec, ModuleId) {
-    quad_adder_spec_with_wires(0.0)
-}
-
-/// [`quad_adder_spec`] with `wire_ps` on each carry wire.
-fn quad_adder_spec_with_wires(wire_ps: f64) -> (DesignSpec, ModuleId) {
-    let (b, m) = quad_adder_builder(wire_ps);
-    (b.finish().expect("spec"), m)
-}
-
-/// The builder of [`quad_adder_spec_with_wires`], before `finish`.
-fn quad_adder_builder(wire_ps: f64) -> (DesignSpecBuilder, ModuleId) {
-    let netlist = generators::ripple_carry_adder(4).expect("adder");
-    let mut b = DesignSpec::builder(
-        "quad-adder",
-        DieRect {
-            width: 60.0,
-            height: 60.0,
-        },
-    );
-    let m = b.add_module(netlist);
-    let u0 = b.add_instance("u0", m, (0.0, 0.0)).expect("u0");
-    let u1 = b.add_instance("u1", m, (25.0, 0.0)).expect("u1");
-    let u2 = b.add_instance("u2", m, (0.0, 25.0)).expect("u2");
-    let u3 = b.add_instance("u3", m, (25.0, 25.0)).expect("u3");
-    // Carry chain through the quad: sum bit 0 feeds the next carry-in
-    // (input port 8 of the 9-input adder).
-    b.connect_with_delay(u0, 0, u1, 8, wire_ps);
-    b.connect_with_delay(u1, 0, u2, 8, wire_ps);
-    b.connect_with_delay(u2, 0, u3, 8, wire_ps);
-    for (i, inst) in [u0, u1, u2, u3].into_iter().enumerate() {
-        for k in 0..8 {
-            b.expose_input(vec![(inst, k)]);
-        }
-        if i == 0 {
-            b.expose_input(vec![(inst, 8)]); // only u0's carry-in is a PI
-        }
-    }
-    for k in 0..5 {
-        b.expose_output(u3, k);
-    }
-    (b, m)
 }
 
 /// Two structurally different modules (a 4-bit and a 5-bit adder) chained.
@@ -300,8 +259,8 @@ fn invalidate_all_clears_artifacts_from_other_engines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The design [`quad_adder_spec_with_wires`] describes, assembled by
-/// hand from the engine's cached adder model.
+/// The design [`quad_adder_builder`] describes, assembled by hand from
+/// the engine's cached adder model.
 fn quad_adder_design(engine: &mut Engine, config: &SstaConfig, wire_ps: f64) -> Design {
     let netlist = generators::ripple_carry_adder(4).expect("adder");
     let (model, _) = engine.model_for(&netlist).expect("cached model");
@@ -375,7 +334,7 @@ fn form_bits<'a>(forms: impl IntoIterator<Item = &'a CanonicalForm>) -> Vec<u64>
 fn spec_wire_delays_reach_the_analysis_and_non_finite_ones_are_rejected() {
     let config = SstaConfig::paper();
     let mut engine = Engine::new(config.clone());
-    let (spec, _) = quad_adder_spec_with_wires(2.5);
+    let spec = quad_adder_builder(2.5).0.finish().expect("spec");
     let run = engine.analyze(&spec).expect("engine analysis");
     let design = quad_adder_design(&mut engine, &config, 2.5);
     let direct = analyze_with(
@@ -391,29 +350,172 @@ fn spec_wire_delays_reach_the_analysis_and_non_finite_ones_are_rejected() {
     let zero_wires = engine.analyze(&quad_adder_spec().0).expect("zero wires");
     assert!(zero_wires.timing.delay.mean() < run.timing.delay.mean());
 
-    let (nan, _) = quad_adder_spec_with_wires(f64::NAN);
-    let err = engine.analyze(&nan).expect_err("a NaN wire is an error");
+    let err = quad_adder_builder(f64::NAN)
+        .0
+        .finish()
+        .expect_err("a NaN wire is an error");
+    assert!(matches!(err, EngineError::Spec { .. }), "{err}");
     assert!(err.to_string().contains("finite and non-negative"), "{err}");
+}
+
+/// Why `finish` refuses the quad adder with `wire_ps` carry wires once
+/// `defect` is added; the refusal must be a spec error.
+fn refusal<R>(wire_ps: f64, defect: impl FnOnce(&mut DesignSpecBuilder, ModuleId) -> R) -> String {
+    let (mut b, m) = quad_adder_builder(wire_ps);
+    defect(&mut b, m);
+    match b.finish() {
+        Err(EngineError::Spec { reason }) => reason,
+        other => panic!("not refused as a spec error: {other:?}"),
+    }
 }
 
 #[test]
 fn malformed_wiring_is_refused_before_any_module_resolves() {
-    let (nan, _) = quad_adder_spec_with_wires(f64::NAN);
-    let (mut stray, _) = quad_adder_builder(0.0);
-    stray.connect(3, 0, 9, 0);
-    let stray = stray
-        .finish()
-        .expect("instance indices are checked at analysis");
-    let adder = generators::ripple_carry_adder(4).expect("adder");
-    for (spec, expect) in [(nan, "finite and non-negative"), (stray, "instance 9")] {
-        let mut engine = Engine::new(SstaConfig::paper());
-        let err = engine.analyze(&spec).expect_err("malformed wiring");
-        assert!(matches!(err, EngineError::Spec { .. }), "{err}");
-        assert!(err.to_string().contains(expect), "{err}");
-        // The refused spec extracted nothing: the adder is still cold.
-        let (_, source) = engine.model_for(&adder).expect("adder model");
-        assert_eq!(source, ModelSource::Extracted);
+    // The quad adder's u0..u3 have 9 inputs and 5 outputs each; u1..u3's
+    // carry-in, input 8, is wired from the previous output 0. `finish`
+    // refuses each defect, so no engine ever sees the spec.
+    let r = refusal(0.0, |b, _| b.connect(3, 0, 9, 0));
+    assert_eq!(r, "instance 9 does not exist");
+    let r = refusal(0.0, |b, _| b.expose_input(vec![(0, 0), (7, 0)]));
+    assert_eq!(r, "instance 7 does not exist");
+    let r = refusal(0.0, |b, _| b.expose_output(5, 0));
+    assert_eq!(r, "instance 5 does not exist");
+    for (wire_ps, shown) in [(f64::NAN, "NaN"), (-1.0, "-1")] {
+        let r = refusal(wire_ps, |_, _| ());
+        let wire = format!("wire from `u0` output 0 to `u1` input 8 has delay {shown} ps;");
+        assert!(
+            r.starts_with(&wire) && r.ends_with("finite and non-negative"),
+            "{r}"
+        );
     }
+    let r = refusal(0.0, |b, _| b.connect(3, 1, 0, 9));
+    assert_eq!(r, "input port 9 out of range for `u0` (9 inputs)");
+    let r = refusal(0.0, |b, _| b.expose_output(3, 5));
+    assert_eq!(r, "output port 5 out of range for `u3` (5 outputs)");
+    let r = refusal(0.0, |b, _| b.expose_input(Vec::new()));
+    assert_eq!(r, "design input must drive at least one port");
+    let r = refusal(0.0, |b, m| b.add_instance("u4", m, (0.0, 0.0)));
+    assert_eq!(
+        r,
+        "input port 0 of instance `u4` driven 0 times (must be 1)"
+    );
+    let r = refusal(0.0, |b, _| b.expose_input(vec![(1, 8)]));
+    assert_eq!(
+        r,
+        "input port 8 of instance `u1` driven 2 times (must be 1)"
+    );
+}
+
+/// `(from, output port, to, input port, wire ps)` connections, design
+/// input target lists and design output sources.
+type Wiring = (
+    Vec<(usize, usize, usize, usize, f64)>,
+    Vec<Vec<(usize, usize)>>,
+    Vec<(usize, usize)>,
+);
+
+/// A well-formed wiring of three `rca2` instances (5 inputs, 3 outputs
+/// each; every input driven once, by a design input or an earlier
+/// instance's output) with zero to two defects, whose instance ids and
+/// ports reach one past the end.
+fn random_wiring(rng: &mut TestRng) -> Wiring {
+    const DELAYS: [f64; 6] = [0.0, -0.0, 1.5, -1.0, f64::NAN, f64::INFINITY];
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let (mut wires, mut inputs, mut outputs) = (Vec::new(), Vec::<Vec<_>>::new(), Vec::new());
+    for inst in 0..3 {
+        for port in 0..5 {
+            if inst > 0 && pick(3) == 0 {
+                wires.push((pick(inst), pick(3), inst, port, DELAYS[pick(3)]));
+            } else if !inputs.is_empty() && pick(4) == 0 {
+                let k = pick(inputs.len());
+                inputs[k].push((inst, port));
+            } else {
+                inputs.push(vec![(inst, port)]);
+            }
+        }
+    }
+    for _ in 0..1 + pick(2) {
+        outputs.push((pick(3), pick(3)));
+    }
+    for _ in 0..pick(3) {
+        match pick(6) {
+            0 if !wires.is_empty() => {
+                let k = pick(wires.len());
+                wires[k].4 = DELAYS[pick(6)];
+            }
+            1 => wires.push((pick(4), pick(4), pick(4), pick(6), DELAYS[pick(6)])),
+            2 => inputs.push(Vec::new()),
+            3 => inputs.push(vec![(pick(4), pick(6))]),
+            4 => outputs.push((pick(4), pick(4))),
+            5 if !inputs.is_empty() => {
+                let k = pick(inputs.len());
+                inputs.swap_remove(k);
+            }
+            _ => {}
+        }
+    }
+    (wires, inputs, outputs)
+}
+
+#[test]
+fn spec_and_design_builders_agree_on_random_wirings() {
+    let config = SstaConfig::paper();
+    let netlist = generators::ripple_carry_adder(2).expect("adder");
+    let ctx = ModuleContext::characterize(netlist.clone(), &config).expect("characterize");
+    let model = Arc::new(
+        ctx.extract_model(&ExtractOptions::default())
+            .expect("model"),
+    );
+    assert_eq!((model.n_inputs(), model.n_outputs()), (5, 3));
+    let die = DieRect {
+        width: 1000.0,
+        height: 1000.0,
+    };
+    let mut rng = TestRng::deterministic("wiring_agreement");
+    let (mut accepted, mut rejected) = (0, 0);
+    for _ in 0..400 {
+        let (wires, inputs, outputs) = random_wiring(&mut rng);
+        let mut spec = DesignSpec::builder("wiring", die);
+        let m = spec.add_module(netlist.clone());
+        let mut design = DesignBuilder::new("wiring", die, config.clone());
+        for k in 0..3 {
+            let (name, origin) = (format!("u{k}"), (100.0 * k as f64, 0.0));
+            spec.add_instance(name.clone(), m, origin)
+                .expect("spec instance");
+            let model = Arc::clone(&model);
+            design
+                .add_instance(name, model, None, origin)
+                .expect("instance");
+        }
+        // `DesignBuilder` refuses at the first bad call, the spec at
+        // `finish`; both must give the same reason.
+        let mut first = Ok(());
+        for &(from, from_port, to, to_port, wire) in &wires {
+            spec.connect_with_delay(from, from_port, to, to_port, wire);
+            first = first.and_then(|()| design.connect(from, from_port, to, to_port, wire));
+        }
+        for targets in &inputs {
+            spec.expose_input(targets.clone());
+            first = first.and_then(|()| design.expose_input(targets.clone()).map(drop));
+        }
+        for &(inst, port) in &outputs {
+            spec.expose_output(inst, port);
+            first = first.and_then(|()| design.expose_output(inst, port).map(drop));
+        }
+        match (spec.finish(), first.and_then(|()| design.finish())) {
+            (Ok(_), Ok(_)) => accepted += 1,
+            (Err(EngineError::Spec { reason }), Err(CoreError::Config { reason: r }))
+                if reason == r =>
+            {
+                rejected += 1
+            }
+            other => panic!("{other:?} on {wires:?} {inputs:?} {outputs:?}"),
+        }
+    }
+    assert!(
+        accepted >= 40 && rejected >= 40,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }
 
 #[test]

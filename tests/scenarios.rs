@@ -12,48 +12,20 @@
 //! * analysis-level overlays (correlation mode, yield target) actually
 //!   change the *analysis*, just never the cache keys.
 
+#[path = "support/quad_adder.rs"]
+mod quad_adder;
+
 use hier_ssta::core::{
     module_fingerprint, yield_analysis, CorrelationMode, ExtractOptions, ScenarioOverlay,
     SstaConfig,
 };
 use hier_ssta::engine::{
-    DesignSpec, Engine, EngineError, EngineOptions, MemoryBackend, ModuleId, Scenario, ScenarioSet,
+    DesignSpec, Engine, EngineError, EngineOptions, MemoryBackend, Scenario, ScenarioSet,
     StorageBackend, SweepSummary,
 };
 use hier_ssta::netlist::{generators, DieRect, Netlist};
+use quad_adder::quad_adder_spec;
 use std::sync::Arc;
-
-/// Four instances of one 4-bit adder, carry-chained.
-fn quad_adder_spec() -> (DesignSpec, ModuleId) {
-    let netlist = generators::ripple_carry_adder(4).expect("adder");
-    let mut b = DesignSpec::builder(
-        "quad-adder",
-        DieRect {
-            width: 60.0,
-            height: 60.0,
-        },
-    );
-    let m = b.add_module(netlist);
-    let u0 = b.add_instance("u0", m, (0.0, 0.0)).expect("u0");
-    let u1 = b.add_instance("u1", m, (25.0, 0.0)).expect("u1");
-    let u2 = b.add_instance("u2", m, (0.0, 25.0)).expect("u2");
-    let u3 = b.add_instance("u3", m, (25.0, 25.0)).expect("u3");
-    b.connect(u0, 0, u1, 8);
-    b.connect(u1, 0, u2, 8);
-    b.connect(u2, 0, u3, 8);
-    for (i, inst) in [u0, u1, u2, u3].into_iter().enumerate() {
-        for k in 0..8 {
-            b.expose_input(vec![(inst, k)]);
-        }
-        if i == 0 {
-            b.expose_input(vec![(inst, 8)]);
-        }
-    }
-    for k in 0..5 {
-        b.expose_output(u3, k);
-    }
-    (b.finish().expect("spec"), m)
-}
 
 /// A single-instance spec wrapping one netlist, all ports exposed, on a
 /// die rounded up to whole grid pitches.

@@ -17,50 +17,20 @@
 //! * the serving layer loses nothing over a faulty store and reports
 //!   degradations and retries in its snapshot.
 
+#[path = "support/quad_adder.rs"]
+mod quad_adder;
+
 use hier_ssta::core::SstaConfig;
 use hier_ssta::engine::{
     BreakerState, CornerGrid, DesignSpec, Engine, EngineOptions, EngineRun, FaultInjectingBackend,
     FaultPlan, GridAxis, MemoryBackend, RemoteBackend, RetryPolicy, ScenarioSet, StorageBackend,
     SweepOptions, SweepSummary, TieredBackend, TieredOptions,
 };
-use hier_ssta::netlist::{generators, DieRect};
 use hier_ssta::serve::{AnalyzeRequest, ServeOptions, Server};
 use proptest::prelude::*;
+use quad_adder::quad_adder_spec;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Four instances of one 4-bit adder, carry-chained — one module
-/// fingerprint per extraction-relevant configuration.
-fn quad_adder_spec() -> DesignSpec {
-    let netlist = generators::ripple_carry_adder(4).expect("adder");
-    let mut b = DesignSpec::builder(
-        "quad-adder",
-        DieRect {
-            width: 60.0,
-            height: 60.0,
-        },
-    );
-    let m = b.add_module(netlist);
-    let u0 = b.add_instance("u0", m, (0.0, 0.0)).expect("u0");
-    let u1 = b.add_instance("u1", m, (25.0, 0.0)).expect("u1");
-    let u2 = b.add_instance("u2", m, (0.0, 25.0)).expect("u2");
-    let u3 = b.add_instance("u3", m, (25.0, 25.0)).expect("u3");
-    b.connect(u0, 0, u1, 8);
-    b.connect(u1, 0, u2, 8);
-    b.connect(u2, 0, u3, 8);
-    for (i, inst) in [u0, u1, u2, u3].into_iter().enumerate() {
-        for k in 0..8 {
-            b.expose_input(vec![(inst, k)]);
-        }
-        if i == 0 {
-            b.expose_input(vec![(inst, 8)]);
-        }
-    }
-    for k in 0..5 {
-        b.expose_output(u3, k);
-    }
-    b.finish().expect("spec")
-}
 
 /// The seed CI pins via `SSTA_CHAOS_SEED`; local runs use the default.
 fn chaos_seed() -> u64 {
@@ -131,7 +101,7 @@ fn assert_records_bit_identical(clean: &SweepSummary, faulty: &SweepSummary) {
 
 #[test]
 fn corrupt_artifact_is_counted_rejected_and_recomputed() {
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let backend = Arc::new(MemoryBackend::new());
     let clean = populate_store(&spec, Arc::clone(&backend));
 
@@ -180,7 +150,7 @@ fn corrupt_artifact_is_counted_rejected_and_recomputed() {
 
 #[test]
 fn unavailable_store_degrades_to_reextraction_and_counts_it() {
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let memory = Arc::new(MemoryBackend::new());
     let clean = populate_store(&spec, Arc::clone(&memory));
 
@@ -216,7 +186,7 @@ fn unavailable_store_degrades_to_reextraction_and_counts_it() {
 
 #[test]
 fn cold_tier_breaker_trips_surface_in_run_stats() {
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let memory = Arc::new(MemoryBackend::new());
     let clean = populate_store(&spec, Arc::clone(&memory));
 
@@ -285,7 +255,7 @@ fn acceptance_grid() -> CornerGrid {
 
 #[test]
 fn faulty_warm_512_corner_sweep_is_bit_identical_and_quarantines_corruption() {
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let grid = acceptance_grid();
     assert_eq!(grid.len(), 512);
     let options = SweepOptions::default();
@@ -392,7 +362,7 @@ proptest! {
 
     #[test]
     fn random_fault_plans_never_change_sweep_answers(plan in random_plan()) {
-        let spec = quad_adder_spec();
+        let spec = quad_adder_spec().0;
         let grid = chaos_grid();
         let options = SweepOptions::default();
 
@@ -422,7 +392,7 @@ proptest! {
 
 #[test]
 fn serving_over_a_faulty_store_loses_nothing_and_reports_degradations() {
-    let spec = Arc::new(quad_adder_spec());
+    let spec = Arc::new(quad_adder_spec().0);
     let memory = Arc::new(MemoryBackend::new());
     populate_store(&spec, Arc::clone(&memory));
 

@@ -17,48 +17,18 @@
 //! * the serving layer runs sweeps: `AnalyzeRequest::sweep` resolves to
 //!   `Outcome::Completed` with sane counters.
 
+#[path = "support/quad_adder.rs"]
+mod quad_adder;
+
 use hier_ssta::core::{yield_analysis, CorrelationModel, SstaConfig};
 use hier_ssta::engine::{
     CornerGrid, DesignSpec, Engine, EngineError, EngineOptions, EngineRun, GridAxis, MemoryBackend,
     Scenario, ScenarioSet, SweepOptions,
 };
-use hier_ssta::netlist::{generators, DieRect};
 use hier_ssta::serve::{AnalyzeRequest, ServeOptions, Server};
 use proptest::prelude::*;
+use quad_adder::quad_adder_spec;
 use std::sync::Arc;
-
-/// Four instances of one 4-bit adder, carry-chained — one module
-/// fingerprint per extraction-relevant configuration.
-fn quad_adder_spec() -> DesignSpec {
-    let netlist = generators::ripple_carry_adder(4).expect("adder");
-    let mut b = DesignSpec::builder(
-        "quad-adder",
-        DieRect {
-            width: 60.0,
-            height: 60.0,
-        },
-    );
-    let m = b.add_module(netlist);
-    let u0 = b.add_instance("u0", m, (0.0, 0.0)).expect("u0");
-    let u1 = b.add_instance("u1", m, (25.0, 0.0)).expect("u1");
-    let u2 = b.add_instance("u2", m, (0.0, 25.0)).expect("u2");
-    let u3 = b.add_instance("u3", m, (25.0, 25.0)).expect("u3");
-    b.connect(u0, 0, u1, 8);
-    b.connect(u1, 0, u2, 8);
-    b.connect(u2, 0, u3, 8);
-    for (i, inst) in [u0, u1, u2, u3].into_iter().enumerate() {
-        for k in 0..8 {
-            b.expose_input(vec![(inst, k)]);
-        }
-        if i == 0 {
-            b.expose_input(vec![(inst, 8)]);
-        }
-    }
-    for k in 0..5 {
-        b.expose_output(u3, k);
-    }
-    b.finish().expect("spec")
-}
 
 /// Runs every corner of `grid` serially on its own fresh engine via the
 /// plain single-run `analyze` path with the overlay resolved by hand —
@@ -146,7 +116,7 @@ fn cold_sweep_extracts_once_per_distinct_fingerprint() {
     // sigma and correlation axes are extraction-relevant: 4 distinct
     // fingerprints, and the planner must schedule exactly 4 extractions
     // without ever racing the single-flight table.
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let paper = CorrelationModel::paper();
     let short_range = CorrelationModel {
         cutoff_grids: 8.0,
@@ -206,7 +176,7 @@ fn cold_sweep_extracts_once_per_distinct_fingerprint() {
 #[test]
 fn retained_sweep_matches_serial_runs_bit_for_bit() {
     // 2 sigma × 2 modes × 2 clocks = 8 corners, 2 fingerprint groups.
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let grid = CornerGrid::builder()
         .axis(GridAxis::sigma_scales("process", &[1.0, 1.15]))
         .axis(GridAxis::modes("mode"))
@@ -243,7 +213,7 @@ fn retained_sweep_matches_serial_runs_bit_for_bit() {
 
 #[test]
 fn duplicate_scenario_names_are_rejected_up_front() {
-    let spec = quad_adder_spec();
+    let spec = quad_adder_spec().0;
     let set = ScenarioSet::new()
         .with(Scenario::new("nominal"))
         .with(Scenario::new("other"))
@@ -263,7 +233,7 @@ fn duplicate_scenario_names_are_rejected_up_front() {
 
 #[test]
 fn serving_layer_runs_sweeps() {
-    let spec = Arc::new(quad_adder_spec());
+    let spec = Arc::new(quad_adder_spec().0);
     let grid = CornerGrid::builder()
         .axis(GridAxis::sigma_scales("process", &[1.0, 1.2]))
         .axis(GridAxis::modes("mode"))
@@ -326,7 +296,7 @@ proptest! {
 
     #[test]
     fn random_grid_sweeps_match_one_by_one_analyses(grid in random_grid()) {
-        let spec = quad_adder_spec();
+        let spec = quad_adder_spec().0;
         let options = SweepOptions { retain_results: true };
         let summary = Engine::new(SstaConfig::paper())
             .analyze_sweep(&spec, &grid, &options)
