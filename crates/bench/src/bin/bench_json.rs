@@ -4,25 +4,26 @@
 //! with two sections:
 //!
 //! * **assembly** — design-level analysis scaling over many-instance
-//!   arrays (4/16/64 instances of c880 by default): serial vs parallel
-//!   wall-clock, cold vs warm, the per-phase breakdown of the warm
-//!   parallel run (the eigensolve is `phases.eigen_seconds`), and the
-//!   assembled design graph's level count and widest level. Serial and
-//!   parallel results are asserted bit-identical. Passes run on the
-//!   calling thread, so `parallel_speedup` measures the assembly
-//!   fan-outs alone.
+//!   arrays (4/16/64 instances of c880 by default): a cold run, the
+//!   min-of-reps warm run, the per-phase breakdown of the last warm run
+//!   (the eigensolve is `phases.eigen_seconds`), and the assembled
+//!   design graph's level count and widest level. Every warm run is
+//!   asserted to give the cold run's bits.
 //! * **sequential** (schema 5) — registered-pipeline scaling rows:
 //!   characterize + registered extraction wall-clock per chain, then
-//!   stage-by-stage `analyze_sequential` serial vs threaded (asserted
-//!   bit-identical) with per-stage required-period/slack means.
+//!   the min-of-reps stage-by-stage `analyze_sequential` (every rep
+//!   asserted to give the first one's bits) with per-stage
+//!   required-period/slack means.
 //!
-//! Schema 7 has no solver or engine duels: the harness asserts
-//! equivalences only, never a wall-clock ordering. Schema 8 adds each
-//! assembly row's `propagate_peak_bytes` and `propagate_allocations`:
-//! the heap high-water mark above the starting level, and the number of
-//! allocation requests, of one warm serial `propagate_assembled` on the
-//! row's Proposed assembly, counted by this binary's global allocator
-//! on the calling thread.
+//! The harness asserts equivalences only, never a wall-clock ordering.
+//! Schema 8 added each assembly row's `propagate_peak_bytes` and
+//! `propagate_allocations`: the heap high-water mark above the starting
+//! level, and the number of allocation requests, of one warm
+//! `propagate_assembled` on the row's Proposed assembly, counted by this
+//! binary's global allocator on the calling thread. Schema 9 drops the
+//! threaded columns (`warm_seconds`, `parallel_speedup`,
+//! `analyze_parallel_seconds`): a design analysis runs on the calling
+//! thread, so there is no second path to time.
 //!
 //! `--tiny` (or `SSTA_BENCH_PROFILE=tiny`) shrinks every size so CI can
 //! exercise the whole path in seconds.
@@ -38,9 +39,8 @@ use ssta_bench::{
     BenchProfile,
 };
 use ssta_core::{
-    analyze_sequential, analyze_with, assemble_design_graph, propagate_assembled, AnalyzeOptions,
-    CorrelationMode, DesignTiming, ExtractOptions, PhaseTimings, SequentialAnalyzeOptions,
-    SstaConfig,
+    analyze, analyze_sequential, assemble_design_graph, propagate_assembled, CorrelationMode,
+    ExtractOptions, PhaseTimings, SequentialAnalyzeOptions, SstaConfig,
 };
 use ssta_timing::LevelSchedule;
 use std::sync::Arc;
@@ -65,9 +65,9 @@ fn heap_during<T>(work: impl FnOnce() -> T) -> (usize, u64) {
 struct Report {
     schema: u32,
     profile: String,
-    /// Resolved worker count the parallel rows ran with
-    /// (`effective_threads(0)`) — without it, speedups from different
-    /// machines are not comparable.
+    /// `effective_threads(0)`: the thread count at which the sequential
+    /// rows' registered extraction runs its criticality sweep. Every
+    /// design analysis runs on one thread.
     effective_threads: usize,
     assembly: Vec<ScalingPoint>,
     /// Schema 5: the registered-pipeline scaling rows — sequential
@@ -81,10 +81,11 @@ struct ScalingPoint {
     instances: usize,
     n_grids: usize,
     n_local_components: usize,
+    /// Min-of-reps wall clock of a warm analysis.
     serial_seconds: f64,
+    /// Wall clock of the first analysis (first-touch page faults and
+    /// all).
     cold_seconds: f64,
-    warm_seconds: f64,
-    parallel_speedup: f64,
     phases: PhaseTimings,
     /// `replace / total` share of the warm run's phase time: building
     /// the per-instance replacement matrices and flattening the
@@ -100,8 +101,8 @@ struct ScalingPoint {
     n_levels: usize,
     /// Vertices in its widest level.
     max_level_width: usize,
-    /// Schema 8: heap high-water mark of one warm serial propagation
-    /// pass above its starting level, in bytes.
+    /// Schema 8: heap high-water mark of one warm propagation pass
+    /// above its starting level, in bytes.
     propagate_peak_bytes: usize,
     /// Schema 8: allocation requests of that pass.
     propagate_allocations: u64,
@@ -110,15 +111,14 @@ struct ScalingPoint {
 /// One registered-pipeline scaling row: a chain of register-bounded
 /// stage models analyzed with `analyze_sequential`. Extraction time
 /// covers characterize + registered extraction for every stage; the
-/// analyze times are min-of-reps over the whole stage-by-stage
-/// propagation (serial vs default threads, asserted bit-identical).
+/// analyze time is min-of-reps over the whole stage-by-stage
+/// propagation.
 #[derive(Serialize)]
 struct SequentialPoint {
     cores: Vec<String>,
     n_stages: usize,
     extract_seconds: f64,
     analyze_serial_seconds: f64,
-    analyze_parallel_seconds: f64,
     /// Mean / sigma of the design's statistical minimum clock period (ps).
     min_period_ps_mean: f64,
     min_period_ps_sigma: f64,
@@ -156,12 +156,10 @@ fn main() {
         let design = module_array_from_model("c880", Arc::clone(&model), n, SstaConfig::paper());
         let point = scaling_point(&design, n, reps);
         println!(
-            "c880 x{n}: {} grids, serial {:.1} ms, parallel cold {:.1} ms / warm {:.1} ms ({:.2}x) | {}",
+            "c880 x{n}: {} grids, cold {:.1} ms, warm {:.1} ms | {}",
             point.n_grids,
-            1e3 * point.serial_seconds,
             1e3 * point.cold_seconds,
-            1e3 * point.warm_seconds,
-            point.parallel_speedup,
+            1e3 * point.serial_seconds,
             point.phases,
         );
         println!(
@@ -189,11 +187,10 @@ fn main() {
     for &(cores, period) in sequential_rows {
         let point = sequential_point(cores, period, reps);
         println!(
-            "pipeline {:?}: extract {:.1} ms, analyze serial {:.1} ms / parallel {:.1} ms, min period {:.1} ps (sigma {:.1})",
+            "pipeline {:?}: extract {:.1} ms, analyze {:.1} ms, min period {:.1} ps (sigma {:.1})",
             cores,
             1e3 * point.extract_seconds,
             1e3 * point.analyze_serial_seconds,
-            1e3 * point.analyze_parallel_seconds,
             point.min_period_ps_mean,
             point.min_period_ps_sigma,
         );
@@ -212,7 +209,7 @@ fn main() {
     }
 
     bench.write(&Report {
-        schema: 8,
+        schema: 9,
         profile: bench.name(),
         effective_threads: ssta_math::parallel::effective_threads(0),
         assembly: points,
@@ -220,39 +217,28 @@ fn main() {
     });
 }
 
-/// Measures one instance count: a cold parallel run first (first-touch
-/// page faults and all), then `reps` warmed serial and parallel runs
-/// (min-of-reps each), asserting parallel ≡ serial bit-identically.
-/// `parallel_speedup` compares the two *warm* paths, so it reads ~1.0 on
-/// a single-core machine and scales with cores elsewhere. Last, the heap
-/// of one serial propagation pass is counted after a warm-up pass.
+/// Measures one instance count: a cold run first (first-touch page
+/// faults and all), then `reps` warm runs (min-of-reps), each asserted
+/// to give the cold run's bits. Last, the heap of one propagation pass
+/// is counted after a warm-up pass.
 fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> ScalingPoint {
-    let serial_opts = AnalyzeOptions { threads: 1 };
-    let parallel_opts = AnalyzeOptions::default();
+    let run = || analyze(design, CorrelationMode::Proposed).expect("analysis");
 
     let t = Instant::now();
-    let cold = analyze_with(design, CorrelationMode::Proposed, &parallel_opts).expect("parallel");
+    let cold = run();
     let cold_seconds = t.elapsed().as_secs_f64();
 
     let mut serial_seconds = f64::INFINITY;
-    let mut serial = None;
+    let mut warm = None;
     for _ in 0..reps {
         let t = Instant::now();
-        let r = analyze_with(design, CorrelationMode::Proposed, &serial_opts).expect("serial");
+        let r = run();
         serial_seconds = serial_seconds.min(t.elapsed().as_secs_f64());
-        serial = Some(r);
+        assert_eq!(r.po_arrivals, cold.po_arrivals, "warm run diverged");
+        assert_eq!(r.delay, cold.delay, "warm design delay diverged");
+        warm = Some(r);
     }
-    let serial = serial.expect("at least one rep");
-    assert_bit_identical(&serial, &cold);
-
-    let mut warm_seconds = f64::INFINITY;
-    let mut warm = cold;
-    for _ in 0..reps {
-        let t = Instant::now();
-        warm = analyze_with(design, CorrelationMode::Proposed, &parallel_opts).expect("parallel");
-        warm_seconds = warm_seconds.min(t.elapsed().as_secs_f64());
-    }
-    assert_bit_identical(&serial, &warm);
+    let warm = warm.expect("at least one rep");
 
     // Neither the grid count nor the wavefront shape is part of the
     // analysis result: rebuild the partition and the assembled graph.
@@ -261,8 +247,7 @@ fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> S
         &design.translated_geometries(),
         design.config().grid_pitch_um(),
     );
-    let assembled =
-        assemble_design_graph(design, CorrelationMode::Proposed, &parallel_opts).expect("assembly");
+    let assembled = assemble_design_graph(design, CorrelationMode::Proposed).expect("assembly");
     let schedule = LevelSchedule::build(&assembled.graph).expect("levelize");
     let propagate = || propagate_assembled(&assembled, &schedule, 1).expect("propagate");
     drop(propagate());
@@ -276,8 +261,6 @@ fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> S
         n_local_components: warm.n_local_components,
         serial_seconds,
         cold_seconds,
-        warm_seconds,
-        parallel_speedup: serial_seconds / warm_seconds,
         replace_share: share(warm.phases.replace_seconds),
         propagate_share: share(warm.phases.propagate_seconds),
         phases: warm.phases,
@@ -289,51 +272,32 @@ fn scaling_point(design: &ssta_core::Design, instances: usize, reps: usize) -> S
 }
 
 /// Measures one registered-pipeline chain: stage extraction once, then
-/// min-of-reps stage-by-stage sequential analysis, serial and with the
-/// default thread count, asserted bit-identical before either is
-/// reported.
+/// min-of-reps stage-by-stage sequential analysis, each rep asserted to
+/// give the first one's bits.
 fn sequential_point(cores: &[&str], clock_period_ps: f64, reps: usize) -> SequentialPoint {
     let config = SstaConfig::paper();
     let (models, extract_seconds) = registered_pipeline_models(cores, "DFF", &config);
     let design = registered_chain_design(&format!("pipe-{}", cores.join("-")), &models, config);
-
-    let serial_opts = SequentialAnalyzeOptions {
-        threads: 1,
-        ..SequentialAnalyzeOptions::with_period(clock_period_ps)
-    };
-    let parallel_opts = SequentialAnalyzeOptions::with_period(clock_period_ps);
+    let options = SequentialAnalyzeOptions::with_period(clock_period_ps);
 
     let mut analyze_serial_seconds = f64::INFINITY;
-    let mut serial = None;
+    let mut reps_run = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t = Instant::now();
-        let r = analyze_sequential(&design, &serial_opts).expect("serial sequential");
+        reps_run.push(analyze_sequential(&design, &options).expect("sequential analysis"));
         analyze_serial_seconds = analyze_serial_seconds.min(t.elapsed().as_secs_f64());
-        serial = Some(r);
     }
-    let serial = serial.expect("at least one rep");
-
-    let mut analyze_parallel_seconds = f64::INFINITY;
-    let mut parallel = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = analyze_sequential(&design, &parallel_opts).expect("parallel sequential");
-        analyze_parallel_seconds = analyze_parallel_seconds.min(t.elapsed().as_secs_f64());
-        parallel = Some(r);
-    }
-    let parallel = parallel.expect("at least one rep");
-
-    assert_eq!(
-        parallel.min_period, serial.min_period,
-        "threaded sequential analysis diverged from serial"
-    );
-    for (a, b) in serial.stages.iter().zip(&parallel.stages) {
-        assert_eq!(
-            a.setup_slack, b.setup_slack,
-            "stage {} diverged",
-            a.instance
-        );
-        assert_eq!(a.hold_slack, b.hold_slack, "stage {} diverged", a.instance);
+    let (timing, later) = reps_run.split_first().expect("at least one rep");
+    for r in later {
+        assert_eq!(r.min_period, timing.min_period, "sequential rep diverged");
+        for (a, b) in r.stages.iter().zip(&timing.stages) {
+            assert_eq!(
+                a.setup_slack, b.setup_slack,
+                "stage {} diverged",
+                a.instance
+            );
+            assert_eq!(a.hold_slack, b.hold_slack, "stage {} diverged", a.instance);
+        }
     }
 
     SequentialPoint {
@@ -341,10 +305,9 @@ fn sequential_point(cores: &[&str], clock_period_ps: f64, reps: usize) -> Sequen
         n_stages: models.len(),
         extract_seconds,
         analyze_serial_seconds,
-        analyze_parallel_seconds,
-        min_period_ps_mean: serial.min_period.mean(),
-        min_period_ps_sigma: serial.min_period.std_dev(),
-        stages: serial
+        min_period_ps_mean: timing.min_period.mean(),
+        min_period_ps_sigma: timing.min_period.std_dev(),
+        stages: timing
             .stages
             .iter()
             .map(|s| StagePoint {
@@ -355,12 +318,4 @@ fn sequential_point(cores: &[&str], clock_period_ps: f64, reps: usize) -> Sequen
             })
             .collect(),
     }
-}
-
-fn assert_bit_identical(a: &DesignTiming, b: &DesignTiming) {
-    assert_eq!(
-        a.po_arrivals, b.po_arrivals,
-        "parallel assembly diverged from serial"
-    );
-    assert_eq!(a.delay, b.delay, "parallel design delay diverged");
 }

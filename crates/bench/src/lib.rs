@@ -384,45 +384,6 @@ pub fn four_multiplier_design(width: usize) -> Design {
     four_instance_design(ctx, model, width, config)
 }
 
-/// The Fig. 7 experiment as a pre-extraction [`ssta_engine::DesignSpec`]:
-/// the engine input equivalent of [`four_multiplier_design`]. The die is
-/// sized from the module placement alone, so building the spec performs
-/// no characterization.
-pub fn four_multiplier_spec(width: usize) -> ssta_engine::DesignSpec {
-    let config = SstaConfig::paper();
-    let netlist = array_multiplier(width).expect("multiplier generator");
-    let placement = ssta_netlist::Placement::rows(&netlist, config.cell_pitch_um);
-    let geometry = ssta_core::GridGeometry::from_die(placement.die(), config.grid_pitch_um());
-    let (mw, mh) = geometry.extent_um();
-    let die = DieRect {
-        width: 2.0 * mw,
-        height: 2.0 * mh,
-    };
-    let mut b = ssta_engine::DesignSpec::builder(format!("quad-mul{width}-spec"), die);
-    let m = b.add_module(netlist);
-    let m0 = b.add_instance("m0", m, (0.0, 0.0)).expect("place m0");
-    let m1 = b.add_instance("m1", m, (0.0, mh)).expect("place m1");
-    let m2 = b.add_instance("m2", m, (mw, 0.0)).expect("place m2");
-    let m3 = b.add_instance("m3", m, (mw, mh)).expect("place m3");
-    for k in 0..width {
-        b.connect(m0, k, m2, k);
-        b.connect(m1, k, m2, width + k);
-        b.connect(m0, width + k, m3, k);
-        b.connect(m1, width + k, m3, width + k);
-    }
-    for inst in [m0, m1] {
-        for k in 0..2 * width {
-            b.expose_input(vec![(inst, k)]);
-        }
-    }
-    for inst in [m2, m3] {
-        for k in 0..2 * width {
-            b.expose_output(inst, k);
-        }
-    }
-    b.finish().expect("spec")
-}
-
 /// As [`four_multiplier_design`] but reusing a pre-extracted model.
 pub fn four_instance_design(
     ctx: Arc<ModuleContext>,
@@ -506,18 +467,6 @@ mod tests {
                 assert_eq!(spec.gates + spec.inputs, vo, "{name}");
             }
         }
-    }
-
-    #[test]
-    fn spec_and_design_agree() {
-        // The engine spec route must reproduce the direct route exactly.
-        let design = four_multiplier_design(4);
-        let direct = ssta_core::analyze(&design, CorrelationMode::Proposed).expect("direct");
-        let spec = four_multiplier_spec(4);
-        let mut engine = ssta_engine::Engine::new(SstaConfig::paper());
-        let run = engine.analyze(&spec).expect("engine");
-        assert_eq!(run.stats.extractions, 1);
-        assert_eq!(run.timing.po_arrivals, direct.po_arrivals);
     }
 
     #[test]

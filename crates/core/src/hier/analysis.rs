@@ -15,7 +15,6 @@ use crate::hier::replace::{DesignVariables, InstanceReplacement};
 use crate::params::VariableLayout;
 use crate::CoreError;
 use serde::Serialize;
-use ssta_math::parallel::{effective_threads, try_parallel_indexed};
 use ssta_timing::{levels, DelayAlgebra, EdgeId, LevelSchedule, TimingGraph, VertexId};
 use std::fmt;
 use std::time::Instant;
@@ -30,23 +29,17 @@ pub enum CorrelationMode {
     GlobalOnly,
 }
 
-/// Tuning knobs for [`analyze_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The options argument of [`assemble_design_graph_with_basis`].
+///
+/// A design analysis runs on the calling thread, so `threads` is
+/// ignored. The type stays, with its one public field, because
+/// perfbench's layer replay (`perfbench/src/layers.rs`) builds it with a
+/// struct literal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyzeOptions {
-    /// Worker threads for the parallel assembly phases (design covariance
-    /// rows and the per-instance replacement matrices); `0` uses the
-    /// available parallelism, `1` forces the serial path. Step 4's
-    /// propagation, which also rewrites each edge into the design
-    /// variable space, always runs on the calling thread. Every thread
-    /// count produces bit-identical results.
+    /// Ignored: every phase of a design analysis runs on the calling
+    /// thread.
     pub threads: usize,
-}
-
-impl Default for AnalyzeOptions {
-    /// Uses the available parallelism.
-    fn default() -> Self {
-        AnalyzeOptions { threads: 0 }
-    }
 }
 
 /// Wall-clock seconds spent in each phase of one design-level analysis
@@ -124,40 +117,19 @@ pub struct DesignTiming {
     pub phases: PhaseTimings,
 }
 
-/// Analyzes a hierarchical design (steps 1–4 of Fig. 5) with default
-/// options (all available threads; bit-identical to the serial path).
+/// Analyzes a hierarchical design (steps 1–4 of Fig. 5) on the calling
+/// thread. A registered instance is opaque (see [`AssembledDesign`]):
+/// paths end at its inputs and start again at its outputs.
 ///
 /// # Errors
 ///
 /// Propagates partition/PCA/graph errors; returns
 /// [`CoreError::Timing`]`(NoPath)` if no design output is reachable.
 pub fn analyze(design: &Design, mode: CorrelationMode) -> Result<DesignTiming, CoreError> {
-    analyze_with(design, mode, &AnalyzeOptions::default())
-}
-
-/// Analyzes a hierarchical design with explicit options. A registered
-/// instance is opaque (see [`AssembledDesign`]): paths end at its
-/// inputs and start again at its outputs.
-///
-/// The assembly phases fan out across `options.threads` workers: the
-/// design covariance is filled by row blocks, and each instance's
-/// replacement matrix is built independently. Results are
-/// bit-identical for every thread count — each unit of work is
-/// self-contained and joined in deterministic index order.
-///
-/// # Errors
-///
-/// Propagates partition/PCA/graph errors; returns
-/// [`CoreError::Timing`]`(NoPath)` if no design output is reachable.
-pub fn analyze_with(
-    design: &Design,
-    mode: CorrelationMode,
-    options: &AnalyzeOptions,
-) -> Result<DesignTiming, CoreError> {
     let started = Instant::now();
-    let assembled = assemble_design_graph(design, mode, options)?;
+    let assembled = assemble_design_graph(design, mode)?;
     let schedule = LevelSchedule::build(&assembled.graph)?;
-    let mut timing = propagate_assembled(&assembled, &schedule, options.threads)?;
+    let mut timing = propagate_assembled(&assembled, &schedule, 1)?;
     timing.elapsed_seconds = started.elapsed().as_secs_f64();
     Ok(timing)
 }
@@ -165,8 +137,8 @@ pub fn analyze_with(
 /// Step 4 alone: propagates arrival times over an already-assembled
 /// design graph using a prebuilt [`LevelSchedule`] — the reuse seam for
 /// sweeps that amortize one assembly (and one schedule) across many
-/// scenarios. [`analyze_with`] is [`assemble_design_graph`] + one
-/// schedule build + this.
+/// scenarios. [`analyze`] is [`assemble_design_graph`] + one schedule
+/// build + this.
 ///
 /// The pass rewrites each edge into the design variable space when it
 /// pulls it (the hot half of step 3), into one reused scratch form that
@@ -184,10 +156,10 @@ pub fn analyze_with(
 /// propagation; `elapsed_seconds` is their sum (callers owning the full
 /// wall clock overwrite it).
 ///
-/// The pass runs on the calling thread, so `_threads` is unused: a
+/// The pass runs on the calling thread, so `_threads` is ignored: a
 /// per-level fan-out measured slower than the serial loop at every
-/// design size (see [`levels`]). The parameter stays so existing
-/// callers that pass their thread budget keep compiling.
+/// design size (see [`levels`]). The parameter stays because
+/// perfbench's layer replay passes it.
 ///
 /// # Errors
 ///
@@ -253,7 +225,7 @@ pub fn propagate_assembled(
 ///
 /// Produced by [`assemble_design_graph`] for tooling that times
 /// assembly and propagation separately, or reuses one schedule across
-/// assemblies; [`analyze_with`] is this plus step 4.
+/// assemblies; [`analyze`] is this plus step 4.
 #[derive(Debug, Clone)]
 pub struct AssembledDesign {
     /// The analysis mode this graph was assembled for.
@@ -335,7 +307,7 @@ impl AssembledDesign {
     }
 
     /// Writes edge `e`'s delay, rewritten into the design variable space,
-    /// into `out` — the form [`analyze_with`]'s step 4 pulls.
+    /// into `out` — the form [`analyze`]'s step 4 pulls.
     fn rewrite_edge(&self, e: EdgeId, out: &mut CanonicalForm) -> Result<(), CoreError> {
         let form = &self.graph.edge(e).delay;
         out.assign_rewritten(form, |dst| match self.edge_instance[e.0 as usize] {
@@ -358,7 +330,7 @@ impl AssembledDesign {
 
 /// Builds the design-level timing graph without propagating (steps 1–3
 /// of Fig. 5): partition, design PCA, per-instance replacement matrices
-/// and graph flattening, fanned out across `options.threads` workers.
+/// and graph flattening, on the calling thread.
 ///
 /// # Errors
 ///
@@ -368,9 +340,8 @@ impl AssembledDesign {
 pub fn assemble_design_graph(
     design: &Design,
     mode: CorrelationMode,
-    options: &AnalyzeOptions,
 ) -> Result<AssembledDesign, CoreError> {
-    assemble_design_graph_with_basis(design, mode, options, None)
+    assemble_design_graph_with_basis(design, mode, &AnalyzeOptions::default(), None)
 }
 
 /// [`assemble_design_graph`] with an optionally precomputed design
@@ -387,18 +358,19 @@ pub fn assemble_design_graph(
 /// cache key. Ignored in [`CorrelationMode::GlobalOnly`], which never
 /// builds a basis.
 ///
+/// `_options` is ignored (see [`AnalyzeOptions`]); the parameter stays
+/// because perfbench's layer replay passes it.
+///
 /// # Errors
 ///
 /// As [`assemble_design_graph`].
 pub fn assemble_design_graph_with_basis(
     design: &Design,
     mode: CorrelationMode,
-    options: &AnalyzeOptions,
+    _options: &AnalyzeOptions,
     basis: Option<&DesignVariables>,
 ) -> Result<AssembledDesign, CoreError> {
-    let threads = effective_threads(options.threads);
-    let (design_layout, transforms, mut phases) =
-        build_variable_space(design, mode, threads, basis)?;
+    let (design_layout, transforms, mut phases) = build_variable_space(design, mode, basis)?;
     let n_globals = design.config().parameters.len();
     let n_locals = design_layout.n_locals();
 
@@ -555,7 +527,6 @@ impl LocalTransform {
 fn build_variable_space(
     design: &Design,
     mode: CorrelationMode,
-    threads: usize,
     basis: Option<&DesignVariables>,
 ) -> Result<(VariableLayout, Vec<LocalTransform>, PhaseTimings), CoreError> {
     match mode {
@@ -566,19 +537,21 @@ fn build_variable_space(
             let (owned, mut phases) = match basis {
                 Some(_) => (None, PhaseTimings::default()),
                 None => {
-                    let (vars, phases) = DesignVariables::build_profiled(design, threads)?;
+                    let (vars, phases) = DesignVariables::build_profiled(design, 1)?;
                     (Some(vars), phases)
                 }
             };
             let vars = basis.or(owned.as_ref()).expect("basis built or injected");
-            // Step 3 (cold half): one replacement matrix per instance,
-            // each independent of the others.
+            // Step 3 (cold half): one replacement matrix per instance.
             let replace_started = Instant::now();
-            let instances = design.instances();
-            let transforms = try_parallel_indexed(instances.len(), threads, |idx| {
-                InstanceReplacement::build(&instances[idx].model, vars, idx)
-                    .map(LocalTransform::Replace)
-            })?;
+            let transforms = design
+                .instances()
+                .iter()
+                .enumerate()
+                .map(|(idx, inst)| {
+                    InstanceReplacement::build(&inst.model, vars, idx).map(LocalTransform::Replace)
+                })
+                .collect::<Result<_, _>>()?;
             phases.replace_seconds += replace_started.elapsed().as_secs_f64();
             Ok((vars.layout(), transforms, phases))
         }
@@ -694,20 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_analysis_is_bit_identical_to_serial() {
-        let d = chain_design(0.0);
-        for mode in [CorrelationMode::Proposed, CorrelationMode::GlobalOnly] {
-            let serial = analyze_with(&d, mode, &AnalyzeOptions { threads: 1 }).unwrap();
-            for threads in [0, 2, 5] {
-                let par = analyze_with(&d, mode, &AnalyzeOptions { threads }).unwrap();
-                assert_eq!(par.po_arrivals, serial.po_arrivals, "{mode:?}/{threads}");
-                assert_eq!(par.delay, serial.delay, "{mode:?}/{threads}");
-                assert_eq!(par.n_local_components, serial.n_local_components);
-            }
-        }
-    }
-
-    #[test]
     fn phase_timings_populate_and_stay_within_elapsed() {
         let d = chain_design(0.0);
         let t = analyze(&d, CorrelationMode::Proposed).unwrap();
@@ -744,9 +703,8 @@ mod tests {
     #[test]
     fn propagate_assembled_matches_analyze_and_reuses_across_modes() {
         let d = chain_design(0.0);
-        let opts = AnalyzeOptions::default();
-        let prop = assemble_design_graph(&d, CorrelationMode::Proposed, &opts).unwrap();
-        let glob = assemble_design_graph(&d, CorrelationMode::GlobalOnly, &opts).unwrap();
+        let prop = assemble_design_graph(&d, CorrelationMode::Proposed).unwrap();
+        let glob = assemble_design_graph(&d, CorrelationMode::GlobalOnly).unwrap();
         // Graph *structure* is mode-independent (only coefficients
         // differ), so one schedule serves both assemblies.
         let schedule = LevelSchedule::build(&prop.graph).unwrap();
@@ -767,7 +725,7 @@ mod tests {
     fn injected_basis_is_bit_identical_and_skips_steps_one_two() {
         let d = chain_design(0.0);
         let opts = AnalyzeOptions::default();
-        let baseline = assemble_design_graph(&d, CorrelationMode::Proposed, &opts).unwrap();
+        let baseline = assemble_design_graph(&d, CorrelationMode::Proposed).unwrap();
         let (vars, _) = DesignVariables::build_profiled(&d, 0).unwrap();
         let injected =
             assemble_design_graph_with_basis(&d, CorrelationMode::Proposed, &opts, Some(&vars))

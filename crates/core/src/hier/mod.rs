@@ -24,9 +24,8 @@ pub mod replace;
 pub mod sequential;
 
 pub use analysis::{
-    analyze, analyze_with, assemble_design_graph, assemble_design_graph_with_basis,
-    propagate_assembled, AnalyzeOptions, AssembledDesign, CorrelationMode, DesignTiming,
-    PhaseTimings,
+    analyze, assemble_design_graph, assemble_design_graph_with_basis, propagate_assembled,
+    AnalyzeOptions, AssembledDesign, CorrelationMode, DesignTiming, PhaseTimings,
 };
 pub use design::{check_wiring, Connection, Design, DesignBuilder, Instance};
 pub use partition::DesignPartition;

@@ -48,17 +48,18 @@ impl DesignVariables {
         Ok(Self::build_profiled(design, 1)?.0)
     }
 
-    /// As [`build`](Self::build), computing the design covariance across
-    /// up to `threads` worker threads (`0` = available parallelism) and
-    /// reporting how long each phase (partition / covariance / eigen)
-    /// took. Results are bit-identical for any thread count.
+    /// As [`build`](Self::build), reporting how long each phase
+    /// (partition / covariance / eigen) took.
+    ///
+    /// Every phase runs on the calling thread, so `_threads` is ignored;
+    /// the parameter stays because perfbench's layer replay passes it.
     ///
     /// # Errors
     ///
     /// Propagates PCA failures ([`CoreError::Math`]).
     pub fn build_profiled(
         design: &Design,
-        threads: usize,
+        _threads: usize,
     ) -> Result<(Self, PhaseTimings), CoreError> {
         let mut phases = PhaseTimings::default();
         let geometries: Vec<_> = design.translated_geometries();
@@ -69,11 +70,9 @@ impl DesignVariables {
         phases.partition_seconds = started.elapsed().as_secs_f64();
 
         let started = Instant::now();
-        let cov = config.correlation.covariance_matrix_threaded(
-            partition.centers(),
-            config.grid_pitch_um(),
-            threads,
-        );
+        let cov = config
+            .correlation
+            .covariance_matrix(partition.centers(), config.grid_pitch_um());
         phases.covariance_seconds = started.elapsed().as_secs_f64();
 
         let started = Instant::now();

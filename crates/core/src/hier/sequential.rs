@@ -28,7 +28,7 @@
 //! propagation without a second engine or a second graph.
 
 use crate::canonical::CanonicalForm;
-use crate::hier::analysis::{assemble_design_graph, AnalyzeOptions, CorrelationMode, PhaseTimings};
+use crate::hier::analysis::{assemble_design_graph, CorrelationMode, PhaseTimings};
 use crate::hier::design::Design;
 use crate::CoreError;
 use ssta_timing::LevelSchedule;
@@ -43,27 +43,21 @@ pub struct SequentialAnalyzeOptions {
     /// How inter-module local correlation is handled (same semantics as
     /// the combinational analysis).
     pub mode: CorrelationMode,
-    /// Worker threads for the assembly fan-outs (design covariance rows,
-    /// per-instance replacement); `0` uses the available parallelism.
-    /// The late and early passes run on the calling thread.
-    /// Bit-identical results for every count.
-    pub threads: usize,
 }
 
 impl SequentialAnalyzeOptions {
     /// Options for a given clock period with the paper's proposed
-    /// correlation mode and all available threads.
+    /// correlation mode.
     pub fn with_period(clock_period_ps: f64) -> Self {
         SequentialAnalyzeOptions {
             clock_period_ps,
             mode: CorrelationMode::Proposed,
-            threads: 0,
         }
     }
 }
 
 impl Default for SequentialAnalyzeOptions {
-    /// A 1 ns clock, proposed correlation mode, all available threads.
+    /// A 1 ns clock and the proposed correlation mode.
     fn default() -> Self {
         SequentialAnalyzeOptions::with_period(1000.0)
     }
@@ -142,13 +136,7 @@ pub fn analyze_sequential(
 ) -> Result<SequentialTiming, CoreError> {
     let started = Instant::now();
     check_interfaces(design)?;
-    let assembled = assemble_design_graph(
-        design,
-        options.mode,
-        &AnalyzeOptions {
-            threads: options.threads,
-        },
-    )?;
+    let assembled = assemble_design_graph(design, options.mode)?;
     let n_globals = design.config().parameters.len();
     let n_locals = assembled.n_local_components;
     let mut phases = assembled.phases;
@@ -377,34 +365,6 @@ mod tests {
         }
         // 3σ quantile of min period is a sane sign-off number.
         assert!(t.min_period.quantile(0.99865) > t.min_period.mean());
-    }
-
-    #[test]
-    fn threading_is_bit_identical() {
-        let d = pipeline_design(&ExtractOptions::default());
-        let serial = analyze_sequential(
-            &d,
-            &SequentialAnalyzeOptions {
-                threads: 1,
-                ..SequentialAnalyzeOptions::default()
-            },
-        )
-        .unwrap();
-        for threads in [0, 3] {
-            let par = analyze_sequential(
-                &d,
-                &SequentialAnalyzeOptions {
-                    threads,
-                    ..SequentialAnalyzeOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(par.min_period, serial.min_period);
-            for (a, b) in par.stages.iter().zip(&serial.stages) {
-                assert_eq!(a.setup_slack, b.setup_slack);
-                assert_eq!(a.hold_slack, b.hold_slack);
-            }
-        }
     }
 
     #[test]

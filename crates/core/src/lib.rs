@@ -77,9 +77,9 @@ pub use fingerprint::{
     ModuleFingerprint, NetlistDigest,
 };
 pub use hier::{
-    analyze, analyze_with, assemble_design_graph, assemble_design_graph_with_basis,
-    propagate_assembled, AnalyzeOptions, AssembledDesign, CorrelationMode, Design, DesignBuilder,
-    DesignTiming, PhaseTimings,
+    analyze, assemble_design_graph, assemble_design_graph_with_basis, propagate_assembled,
+    AnalyzeOptions, AssembledDesign, CorrelationMode, Design, DesignBuilder, DesignTiming,
+    PhaseTimings,
 };
 pub use hier::{analyze_sequential, SequentialAnalyzeOptions, SequentialTiming, StageTiming};
 pub use hier::{DesignVariables, InstanceReplacement};

@@ -12,7 +12,7 @@ use crate::canonical::CanonicalForm;
 use crate::params::{SstaConfig, VariableLayout};
 use crate::spatial::GridGeometry;
 use crate::CoreError;
-use ssta_math::{PcaBasis, Summary};
+use ssta_math::PcaBasis;
 use ssta_netlist::{Netlist, Placement, Sensitivity};
 use ssta_timing::{allpairs, DelayMatrix, TimingGraph};
 use std::sync::Arc;
@@ -112,11 +112,6 @@ impl ModuleContext {
         self.graph.n_edges()
     }
 
-    /// Number of vertices in the original graph (the paper's `Vo`).
-    pub fn graph_vertex_count(&self) -> usize {
-        self.graph.n_vertices()
-    }
-
     /// The configuration used for characterization.
     pub fn config(&self) -> &SstaConfig {
         &self.config
@@ -147,15 +142,6 @@ impl ModuleContext {
         options: &crate::extract::ExtractOptions,
     ) -> Result<crate::extract::TimingModel, CoreError> {
         crate::extract::extract(self, options)
-    }
-
-    /// Summary of per-edge delay σ/mean ratios — a quick sanity metric for
-    /// the variation model.
-    pub fn variation_summary(&self) -> Summary {
-        self.graph
-            .edges_iter()
-            .map(|(_, e)| e.delay.std_dev() / e.delay.mean().max(1e-12))
-            .collect()
     }
 }
 
@@ -214,7 +200,7 @@ mod tests {
         let ctx = small_ctx();
         let stats = ctx.netlist().stats();
         assert_eq!(ctx.graph_edge_count(), stats.pin_connections);
-        assert_eq!(ctx.graph_vertex_count(), stats.inputs + stats.gates);
+        assert_eq!(ctx.graph().n_vertices(), stats.inputs + stats.gates);
     }
 
     #[test]
@@ -289,7 +275,11 @@ mod tests {
         // With the paper's sigmas, delay σ/mean per arc lands around
         // 14-16 % (dominated by L at 15.7 % with sensitivity ~0.9).
         let ctx = small_ctx();
-        let s = ctx.variation_summary();
+        let s: ssta_math::Summary = ctx
+            .graph()
+            .edges_iter()
+            .map(|(_, e)| e.delay.std_dev() / e.delay.mean().max(1e-12))
+            .collect();
         assert!(s.mean() > 0.08 && s.mean() < 0.25, "σ/mean = {}", s.mean());
     }
 

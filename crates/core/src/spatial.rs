@@ -198,66 +198,31 @@ impl CorrelationModel {
         }
     }
 
-    /// Total parameter correlation between two cells at grid distance `d`
-    /// (same cell/grid: `global + local`; the random share never
-    /// correlates).
-    pub fn total_correlation(&self, dist_grids: f64) -> f64 {
-        self.global_share + self.local_share * self.local_correlation(dist_grids)
-    }
-
     /// Correlation matrix of the unit-variance local grid variables for
     /// the given grid centers; distances are measured in units of
     /// `pitch_um`.
     ///
     /// The matrix is symmetric by construction, so only the upper
-    /// triangle is evaluated (one `exp` per unordered pair) and the lower
-    /// triangle is mirrored.
+    /// triangle is evaluated (one `exp` per unordered pair, row by row)
+    /// and the lower triangle is mirrored.
     ///
     /// # Panics
     ///
     /// Panics if `centers` is empty or the pitch is not positive.
     pub fn covariance_matrix(&self, centers: &[(f64, f64)], pitch_um: f64) -> Matrix {
-        self.covariance_matrix_threaded(centers, pitch_um, 1)
-    }
-
-    /// [`covariance_matrix`](Self::covariance_matrix) with the
-    /// upper-triangle rows computed across up to `threads` scoped worker
-    /// threads (`0` = available parallelism, `1` = serial). Every entry
-    /// is computed independently, so the result is bit-identical for any
-    /// thread count; design-level matrices grow quadratically with
-    /// instance count, which makes this the assembly's first parallel
-    /// phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `centers` is empty or the pitch is not positive.
-    pub fn covariance_matrix_threaded(
-        &self,
-        centers: &[(f64, f64)],
-        pitch_um: f64,
-        threads: usize,
-    ) -> Matrix {
         assert!(!centers.is_empty(), "need at least one grid");
         assert!(pitch_um > 0.0, "pitch must be positive");
         let n = centers.len();
-        let workers = ssta_math::parallel::effective_threads(threads);
-        // Upper-triangle rows (entry j ≥ i), shortest rows last so the
-        // atomic-cursor scheduler balances the triangular workload.
-        let rows: Vec<Vec<f64>> = ssta_math::parallel::parallel_indexed(n, workers, |i| {
-            let (xi, yi) = centers[i];
-            let mut row = Vec::with_capacity(n - i);
-            row.push(1.0);
-            for &(xj, yj) in &centers[i + 1..] {
+        let mut m = Matrix::zeros(n, n);
+        for (i, &(xi, yi)) in centers.iter().enumerate() {
+            let row = &mut m.row_mut(i)[i..];
+            row[0] = 1.0;
+            for (entry, &(xj, yj)) in row[1..].iter_mut().zip(&centers[i + 1..]) {
                 let dx = xi - xj;
                 let dy = yi - yj;
                 let d = (dx * dx + dy * dy).sqrt() / pitch_um;
-                row.push(self.local_correlation(d));
+                *entry = self.local_correlation(d);
             }
-            row
-        });
-        let mut m = Matrix::zeros(n, n);
-        for (i, row) in rows.iter().enumerate() {
-            m.row_mut(i)[i..].copy_from_slice(row);
         }
         // Mirror the lower triangle, writing row-major.
         for j in 1..n {
@@ -318,25 +283,32 @@ mod tests {
         assert!((x1 - x0 - 100.0).abs() < 1e-12);
     }
 
+    /// Total parameter correlation between two cells at grid distance
+    /// `d`: the global share plus the correlated part of the local share
+    /// (the random share never correlates).
+    fn total_correlation(m: &CorrelationModel, dist_grids: f64) -> f64 {
+        m.global_share + m.local_share * m.local_correlation(dist_grids)
+    }
+
     #[test]
     fn paper_model_hits_published_correlation_points() {
         let m = CorrelationModel::paper();
         m.validate().unwrap();
         // Neighbouring grids: 0.92.
-        assert!((m.total_correlation(1.0) - 0.92).abs() < 1e-12);
+        assert!((total_correlation(&m, 1.0) - 0.92).abs() < 1e-12);
         // Beyond the cutoff: global only, 0.42.
-        assert!((m.total_correlation(15.1) - 0.42).abs() < 1e-12);
-        assert!((m.total_correlation(100.0) - 0.42).abs() < 1e-12);
+        assert!((total_correlation(&m, 15.1) - 0.42).abs() < 1e-12);
+        assert!((total_correlation(&m, 100.0) - 0.42).abs() < 1e-12);
         // Same grid: everything except the random share.
-        assert!((m.total_correlation(0.0) - 0.95).abs() < 1e-12);
+        assert!((total_correlation(&m, 0.0) - 0.95).abs() < 1e-12);
     }
 
     #[test]
     fn correlation_is_monotonically_decreasing() {
         let m = CorrelationModel::paper();
-        let mut prev = m.total_correlation(0.0);
+        let mut prev = total_correlation(&m, 0.0);
         for d in 1..20 {
-            let c = m.total_correlation(d as f64);
+            let c = total_correlation(&m, d as f64);
             assert!(c <= prev + 1e-15, "not monotone at d = {d}");
             prev = c;
         }
@@ -365,17 +337,6 @@ mod tests {
             .matmul(&pca.transform().transposed())
             .unwrap();
         assert!(back.max_abs_diff(&c).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn threaded_covariance_is_bit_identical_to_serial() {
-        let g = GridGeometry::from_die(die(260.0, 180.0), 20.0);
-        let m = CorrelationModel::paper();
-        let serial = m.covariance_matrix(&g.centers(), g.pitch());
-        for threads in [0, 2, 7] {
-            let par = m.covariance_matrix_threaded(&g.centers(), g.pitch(), threads);
-            assert_eq!(serial, par, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -7,15 +7,6 @@
 
 use crate::canonical::CanonicalForm;
 
-/// A point on a delay CDF curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CdfPoint {
-    /// Delay value.
-    pub delay: f64,
-    /// `P{D ≤ delay}`.
-    pub probability: f64,
-}
-
 /// Timing yield at a clock period: `P{delay ≤ period}`.
 pub fn timing_yield(delay: &CanonicalForm, period: f64) -> f64 {
     delay.cdf(period)
@@ -24,28 +15,6 @@ pub fn timing_yield(delay: &CanonicalForm, period: f64) -> f64 {
 /// The clock period achieving a target yield.
 pub fn period_for_yield(delay: &CanonicalForm, yield_target: f64) -> f64 {
     delay.quantile(yield_target)
-}
-
-/// Samples the analytic CDF of a delay form on `n` points spanning
-/// `mean ± span_sigmas·σ` — the curves plotted in the paper's Fig. 7.
-///
-/// # Panics
-///
-/// Panics if `n < 2` or `span_sigmas <= 0`.
-pub fn cdf_curve(delay: &CanonicalForm, n: usize, span_sigmas: f64) -> Vec<CdfPoint> {
-    assert!(n >= 2, "need at least two points");
-    assert!(span_sigmas > 0.0, "span must be positive");
-    let lo = delay.mean() - span_sigmas * delay.std_dev();
-    let hi = delay.mean() + span_sigmas * delay.std_dev();
-    (0..n)
-        .map(|i| {
-            let d = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-            CdfPoint {
-                delay: d,
-                probability: delay.cdf(d),
-            }
-        })
-        .collect()
 }
 
 /// The pessimism of a corner STA number relative to a statistical quantile:
@@ -75,18 +44,6 @@ mod tests {
             let p = period_for_yield(&f, y);
             assert!((timing_yield(&f, p) - y).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn cdf_curve_is_monotone_and_spans_probabilities() {
-        let pts = cdf_curve(&form(), 101, 4.0);
-        assert_eq!(pts.len(), 101);
-        for w in pts.windows(2) {
-            assert!(w[1].probability >= w[0].probability);
-            assert!(w[1].delay > w[0].delay);
-        }
-        assert!(pts[0].probability < 0.01);
-        assert!(pts[100].probability > 0.99);
     }
 
     #[test]

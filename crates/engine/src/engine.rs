@@ -79,9 +79,9 @@ pub struct EngineOptions {
     pub mode: CorrelationMode,
     /// The thread budget of every call: split between the call's
     /// extraction-signature groups and, within a group, its module
-    /// extractions and design analyses. `0` uses the available
-    /// parallelism, `1` runs them one at a time. Each extraction's
-    /// criticality sweep runs outside this budget, at
+    /// extractions. `0` uses the available parallelism, `1` runs them
+    /// one at a time. Each design analysis runs on its group's thread.
+    /// Each extraction's criticality sweep runs outside this budget, at
     /// `extract.criticality.threads` (`0`, the default, uses every
     /// core). Every count produces bit-identical results.
     pub threads: usize,

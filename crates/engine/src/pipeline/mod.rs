@@ -134,7 +134,8 @@ pub(crate) struct SharedState<'a> {
     /// The engine's persistent model library, if attached.
     pub store: Option<&'a ModelStore<Box<dyn StorageBackend>>>,
     /// Worker threads (already defaulted, ≥ 1): the whole call's budget
-    /// on entry to the executor, one group's share inside it.
+    /// on entry to the executor, one group's share inside it, where only
+    /// the group's module extractions (resolve's per-module jobs) use it.
     pub threads: usize,
     /// The call's cooperative cancellation token, polled at stage
     /// checkpoints (never mid-kernel, and never under a flight leader

@@ -24,8 +24,10 @@
 //!    across mode buckets (graph *structure* is mode-independent), and
 //!    the covariance/PCA basis is pulled from a call-wide cache keyed
 //!    by the basis-relevant config fields — sigma-scale axes share one
-//!    eigendecomposition across all their groups. A failed group raises
-//!    an abort flag that later groups check before starting.
+//!    eigendecomposition across all their groups. A group's design
+//!    analyses run on the group's own thread; only its module
+//!    extractions fan out. A failed group raises an abort flag that
+//!    later groups check before starting.
 //! 3. **Aggregation**: each group returns how it resolved each module
 //!    and compact [`ScenarioRecord`]s, folded in group order into one
 //!    [`SweepSummary`]. Unless results are retained, a mode bucket's
@@ -262,7 +264,7 @@ fn run_group(
             None => {
                 // Raced builders may duplicate this work; the result is
                 // deterministic, so last-insert-wins is harmless.
-                let (vars, phases) = DesignVariables::build_profiled(&design, shared.threads)?;
+                let (vars, phases) = DesignVariables::build_profiled(&design, 1)?;
                 basis_phases = phases;
                 let basis = Arc::new(vars);
                 basis_cache.insert(key, Arc::clone(&basis));
@@ -283,9 +285,7 @@ fn run_group(
         let assembled = assemble_design_graph_with_basis(
             &design,
             bucket.mode,
-            &AnalyzeOptions {
-                threads: shared.threads,
-            },
+            &AnalyzeOptions::default(),
             basis.as_deref(),
         )?;
         if schedule.is_none() {
@@ -293,7 +293,7 @@ fn run_group(
         }
         let level_schedule = schedule.as_ref().expect("schedule built above");
         gauge.acquire();
-        let mut timing = propagate_assembled(&assembled, level_schedule, shared.threads)?;
+        let mut timing = propagate_assembled(&assembled, level_schedule, 1)?;
         drop(assembled);
         if bucket.mode == CorrelationMode::Proposed {
             timing.phases.accumulate(&std::mem::take(&mut basis_phases));
@@ -380,7 +380,8 @@ pub(crate) fn run(
 
     // Each group gets the budget divided by the group fan-out, so a call
     // never oversubscribes to workers² OS threads; with fewer groups
-    // than workers the per-group stages get the surplus.
+    // than workers a group's module extractions get the surplus (its
+    // design analyses run on the group's own thread).
     let workers = shared.threads;
     let group_workers = workers.min(plan.groups.len()).max(1);
     let shared = SharedState {

@@ -326,11 +326,6 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max))
     }
-
-    /// Frobenius norm `sqrt(Σ a_ij²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 /// Dot product of two equally long slices.
@@ -539,11 +534,6 @@ mod tests {
         assert!((a.max_asymmetry() - 0.5).abs() < 1e-15);
         a[(1, 0)] = 0.5;
         assert_eq!(a.max_asymmetry(), 0.0);
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        assert!((Matrix::identity(4).frobenius_norm() - 2.0).abs() < 1e-15);
     }
 
     #[test]

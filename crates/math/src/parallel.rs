@@ -1,6 +1,8 @@
-//! Deterministic fork-join helpers shared by the timing substrate
-//! (independent all-pairs passes), criticality, the design-level
-//! assembly and the engine's pipeline.
+//! Deterministic fork-join helpers shared by criticality (its input
+//! chunks and sink passes) and the engine's pipeline (a call's groups
+//! and a group's module extractions). A design analysis and an all-pairs
+//! delay matrix run on the calling thread: fanning them out measured no
+//! faster than one thread.
 //!
 //! Everything here preserves the repo's bit-exactness invariant: results
 //! are returned in index order and each index's computation is
@@ -23,7 +25,7 @@ pub fn effective_threads(threads: usize) -> usize {
 /// Runs `run(i)` for `i in 0..n` across up to `workers` scoped threads,
 /// returning results in index order. `workers <= 1` runs inline.
 /// Work is distributed by an atomic cursor, so uneven per-index cost
-/// (e.g. upper-triangle covariance rows) balances automatically; each
+/// (e.g. a sweep's groups of different sizes) balances automatically; each
 /// worker hands its `(index, result)` pairs back through `join`, and
 /// they are placed by index, so the order of results (and therefore
 /// every fold over them) is deterministic regardless of scheduling.

@@ -125,18 +125,6 @@ impl Netlist {
         self.gates.iter().map(|g| g.inputs.len()).sum()
     }
 
-    /// Number of gates that consume each signal (fanout), indexed as
-    /// `[inputs..., gates...]`; primary-output taps are *not* counted.
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_inputs + self.gates.len()];
-        for g in &self.gates {
-            for &s in &g.inputs {
-                counts[self.signal_index(s)] += 1;
-            }
-        }
-        counts
-    }
-
     /// Flat index of a signal into `[inputs..., gates...]` arrays.
     pub fn signal_index(&self, s: Signal) -> usize {
         match s {
@@ -503,14 +491,6 @@ mod tests {
         b.rewire_input(0, 1, Signal::Input(1)).unwrap();
         // Rewiring gate 0 to consume gate 1 would create a cycle: rejected.
         assert!(b.rewire_input(0, 0, Signal::Gate(1)).is_err());
-    }
-
-    #[test]
-    fn fanout_counts_are_correct() {
-        let n = tiny();
-        let fo = n.fanout_counts();
-        // inputs 0,1,2 each feed one gate; gates 0 and 1 feed gate 2.
-        assert_eq!(fo, vec![1, 1, 1, 1, 1, 0]);
     }
 
     #[test]

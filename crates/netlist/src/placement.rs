@@ -25,8 +25,6 @@ pub struct Placement {
     die: DieRect,
     /// One (x, y) in µm per gate, in gate index order.
     gate_positions: Vec<(f64, f64)>,
-    /// One (x, y) per primary input (pad ring on the left edge).
-    input_positions: Vec<(f64, f64)>,
 }
 
 impl Placement {
@@ -63,15 +61,9 @@ impl Placement {
             height: n_rows as f64 * cell_pitch_um,
         };
 
-        let n_in = netlist.n_inputs().max(1);
-        let input_positions = (0..netlist.n_inputs())
-            .map(|i| (0.0, (i as f64 + 0.5) / n_in as f64 * die.height))
-            .collect();
-
         Placement {
             die,
             gate_positions,
-            input_positions,
         }
     }
 
@@ -92,24 +84,6 @@ impl Placement {
     /// All gate positions.
     pub fn gate_positions(&self) -> &[(f64, f64)] {
         &self.gate_positions
-    }
-
-    /// Translates every coordinate by `(dx, dy)` — used when a module is
-    /// instantiated at an offset inside a hierarchical design.
-    pub fn translated(&self, dx: f64, dy: f64) -> Placement {
-        Placement {
-            die: self.die,
-            gate_positions: self
-                .gate_positions
-                .iter()
-                .map(|&(x, y)| (x + dx, y + dy))
-                .collect(),
-            input_positions: self
-                .input_positions
-                .iter()
-                .map(|&(x, y)| (x + dx, y + dy))
-                .collect(),
-        }
     }
 }
 
@@ -145,17 +119,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for &(x, y) in p.gate_positions() {
             assert!(seen.insert(((x * 1e6) as i64, (y * 1e6) as i64)));
-        }
-    }
-
-    #[test]
-    fn translation_shifts_everything() {
-        let n = generators::ripple_carry_adder(4).unwrap();
-        let p = Placement::rows(&n, 2.0);
-        let t = p.translated(100.0, 50.0);
-        for (a, b) in p.gate_positions().iter().zip(t.gate_positions()) {
-            assert!((b.0 - a.0 - 100.0).abs() < 1e-12);
-            assert!((b.1 - a.1 - 50.0).abs() < 1e-12);
         }
     }
 

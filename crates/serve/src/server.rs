@@ -42,10 +42,12 @@ pub struct ServeOptions {
     pub start_paused: bool,
     /// Options for each worker's engine. `engine.threads == 0` gives
     /// each worker the available parallelism divided among the workers
-    /// (at least 1), so the pool and the per-request fan-outs share one
+    /// (at least 1), so the pool and the per-request fan-outs (a
+    /// request's extraction groups and module extractions) share one
     /// thread budget instead of multiplying it; any other value is used
-    /// as given. Extraction's criticality sweep runs outside that budget
-    /// (see [`EngineOptions::threads`]).
+    /// as given. A request's design analyses run on its worker's
+    /// thread, and extraction's criticality sweep runs outside that
+    /// budget (see [`EngineOptions::threads`]).
     pub engine: EngineOptions,
 }
 

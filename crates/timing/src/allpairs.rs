@@ -8,19 +8,17 @@
 //!
 //! All passes share one [`LevelSchedule`]: the graph is levelized once,
 //! not once per input (the extraction cold path used to pay
-//! `O(inputs × (V + E))` in redundant topological sorting). The
-//! per-input passes are independent, so [`delay_matrix_with`] fans them
-//! out across workers with bit-identical, index-ordered rows.
+//! `O(inputs × (V + E))` in redundant topological sorting). The passes
+//! run one after another on the calling thread, in input order.
 //!
 //! A row reads only output arrivals, so each pass is a
 //! [`levels::forward_with`] pass with the plain step: it drops each
-//! interior arrival once its last fanout has pulled it, and a worker
-//! holds one pass's frontier rather than a value per vertex. The rows
-//! carry the bits a keep-everything [`levels::forward`] gives.
+//! interior arrival once its last fanout has pulled it, and holds one
+//! pass's frontier rather than a value per vertex. The rows carry the
+//! bits a keep-everything [`levels::forward`] gives.
 
 use crate::levels::{self, LevelSchedule};
 use crate::{DelayAlgebra, TimingError, TimingGraph};
-use ssta_math::parallel::try_parallel_indexed;
 
 /// The `m × n` matrix of maximum input-to-output delays.
 ///
@@ -92,56 +90,27 @@ impl<D: DelayAlgebra> DelayMatrix<D> {
 /// per input, starting from the value produced by `zero` (the additive
 /// identity of the delay algebra, e.g. `0.0` or a constant-zero canonical
 /// form). The graph is levelized once and the schedule shared across all
-/// inputs; passes run serially — use [`delay_matrix_with`] to reuse an
-/// existing schedule and fan the inputs out across workers.
+/// inputs, whose passes run in input order on the calling thread.
 ///
 /// # Errors
 ///
 /// Returns [`TimingError::CyclicGraph`] for cyclic graphs.
-pub fn delay_matrix<D: DelayAlgebra + Send + Sync>(
+pub fn delay_matrix<D: DelayAlgebra>(
     graph: &TimingGraph<D>,
-    zero: impl Fn() -> D + Sync,
+    zero: impl Fn() -> D,
 ) -> Result<DelayMatrix<D>, TimingError> {
     let schedule = LevelSchedule::build(graph)?;
-    delay_matrix_with(graph, &schedule, zero, 1)
-}
-
-/// [`delay_matrix`] over a prebuilt [`LevelSchedule`], with the
-/// independent per-input passes distributed across `workers` threads
-/// (each pass itself runs serially — the parallelism is one level up,
-/// where it is embarrassingly parallel). Rows come back in input order,
-/// so results are bit-identical for every worker count.
-///
-/// # Errors
-///
-/// Returns [`TimingError::StaleSchedule`] when `schedule` does not match
-/// the graph's current shape.
-pub fn delay_matrix_with<D: DelayAlgebra + Send + Sync>(
-    graph: &TimingGraph<D>,
-    schedule: &LevelSchedule,
-    zero: impl Fn() -> D + Sync,
-    workers: usize,
-) -> Result<DelayMatrix<D>, TimingError> {
-    let inputs = graph.inputs().to_vec();
-    let outputs = graph.outputs().to_vec();
-    let rows: Vec<Vec<Option<D>>> = try_parallel_indexed(inputs.len(), workers, |i| {
-        let arrival = levels::forward_with(graph, schedule, [(inputs[i], zero())], |acc, a, e| {
+    let outputs = graph.outputs();
+    let mut entries: Vec<Option<D>> = Vec::with_capacity(graph.inputs().len() * outputs.len());
+    for &input in graph.inputs() {
+        let arrival = levels::forward_with(graph, &schedule, [(input, zero())], |acc, a, e| {
             D::max_plus_into(acc, a, &graph.edge(e).delay);
             Ok::<(), TimingError>(())
         })?;
-        Ok::<_, TimingError>(
-            outputs
-                .iter()
-                .map(|&vj| arrival[vj.0 as usize].clone())
-                .collect(),
-        )
-    })?;
-    let mut entries: Vec<Option<D>> = Vec::with_capacity(inputs.len() * outputs.len());
-    for row in rows {
-        entries.extend(row);
+        entries.extend(outputs.iter().map(|&vj| arrival[vj.0 as usize].clone()));
     }
     Ok(DelayMatrix {
-        n_inputs: inputs.len(),
+        n_inputs: graph.inputs().len(),
         n_outputs: outputs.len(),
         entries,
     })
@@ -228,17 +197,6 @@ mod tests {
         let before = crate::levels::schedule_builds();
         let _ = delay_matrix(&g, || 0.0).unwrap();
         assert_eq!(crate::levels::schedule_builds(), before + 1);
-    }
-
-    #[test]
-    fn threaded_matrix_is_bit_identical_to_serial() {
-        let g = two_by_two();
-        let schedule = crate::LevelSchedule::build(&g).unwrap();
-        let serial = delay_matrix_with(&g, &schedule, || 0.0, 1).unwrap();
-        for workers in [2, 4, 8] {
-            let par = delay_matrix_with(&g, &schedule, || 0.0, workers).unwrap();
-            assert_eq!(par, serial, "workers = {workers}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   longest-path pass, each run on the calling thread;
 //! * [`allpairs`] — the per-input/per-output traversals of Sapatnekar
 //!   (ISCAS'96) producing the input/output [`DelayMatrix`] that timing
-//!   models must preserve;
+//!   models must preserve, one pass per input on the calling thread;
 //! * [`sta`] — the scalar STA baseline (nominal and corner analysis),
 //!   including critical-path extraction.
 //!

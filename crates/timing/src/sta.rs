@@ -81,18 +81,6 @@ pub fn critical_path(graph: &TimingGraph<f64>) -> Result<(f64, Vec<EdgeId>), Tim
     Ok((total, path))
 }
 
-/// Derates every edge delay by a multiplicative factor — the classic
-/// corner model (e.g. `1.0 + 3.0 * sigma_rel` for a 3σ slow corner).
-pub fn derated(graph: &TimingGraph<f64>, factor: f64) -> TimingGraph<f64> {
-    let mut g = graph.clone();
-    let ids: Vec<EdgeId> = g.edges_iter().map(|(id, _)| id).collect();
-    for id in ids {
-        let d = g.edge(id).delay;
-        g.set_delay(id, d * factor);
-    }
-    g
-}
-
 /// Per-output arrival times (0 at every input), `None` for unreachable
 /// outputs.
 ///
@@ -146,15 +134,6 @@ mod tests {
         // Ends at an output.
         let last = g.edge(*path.last().unwrap());
         assert!(g.outputs().contains(&last.to));
-    }
-
-    #[test]
-    fn derating_scales_delay_linearly() {
-        let g = adder_graph();
-        let d = graph_delay(&g).unwrap();
-        let slow = derated(&g, 1.5);
-        let ds = graph_delay(&slow).unwrap();
-        assert!((ds - 1.5 * d).abs() < 1e-6);
     }
 
     #[test]

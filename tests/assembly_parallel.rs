@@ -1,11 +1,10 @@
-//! Cross-checks for the fast assembly path introduced with the parallel
-//! design-level pipeline:
+//! Cross-checks for the fast design-level assembly path:
 //!
 //! * the Householder + implicit-shift QL eigensolver against the cyclic
 //!   Jacobi oracle (`support/jacobi.rs`): property tests on random SPD
 //!   matrices, plus fixed exponential-decay covariances;
-//! * a bit-identity regression of the parallel design-level analysis
-//!   against the serial path on a multi-instance design;
+//! * the phase breakdown of a multi-instance analysis against its wall
+//!   clock;
 //! * the analysis that rewrites each edge into the design variable space
 //!   as propagation pulls it, against the fully materialized oracle
 //!   (`support/materialized.rs`), bit for bit, on c880 arrays and on a
@@ -21,8 +20,8 @@ mod materialized;
 
 use arrays::{c880_array, iscas_model};
 use hier_ssta::core::{
-    analyze_with, assemble_design_graph, propagate_assembled, AnalyzeOptions, CanonicalForm,
-    CorrelationMode, Design, DesignBuilder, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
+    analyze, assemble_design_graph, propagate_assembled, CanonicalForm, CorrelationMode, Design,
+    DesignBuilder, ExtractOptions, ModuleContext, SstaConfig, TimingModel,
 };
 use hier_ssta::math::eigen::{symmetric_eigen, SymmetricEigen};
 use hier_ssta::math::Matrix;
@@ -160,33 +159,9 @@ fn six_instance_design() -> Design {
 }
 
 #[test]
-fn parallel_design_analysis_is_bit_identical_to_serial() {
-    let design = six_instance_design();
-    for mode in [CorrelationMode::Proposed, CorrelationMode::GlobalOnly] {
-        let serial =
-            analyze_with(&design, mode, &AnalyzeOptions { threads: 1 }).expect("serial analysis");
-        for threads in [2, 3, 8, 0] {
-            let parallel = analyze_with(&design, mode, &AnalyzeOptions { threads })
-                .expect("parallel analysis");
-            assert_eq!(
-                parallel.po_arrivals, serial.po_arrivals,
-                "{mode:?} with {threads} threads diverged from serial"
-            );
-            assert_eq!(parallel.delay, serial.delay);
-            assert_eq!(parallel.n_local_components, serial.n_local_components);
-        }
-    }
-}
-
-#[test]
 fn phase_timings_cover_the_elapsed_time() {
     let design = six_instance_design();
-    let t = analyze_with(
-        &design,
-        CorrelationMode::Proposed,
-        &AnalyzeOptions::default(),
-    )
-    .expect("analysis");
+    let t = analyze(&design, CorrelationMode::Proposed).expect("analysis");
     assert!(t.phases.total_seconds() > 0.0);
     assert!(t.phases.total_seconds() <= t.elapsed_seconds + 1e-9);
     assert!(t.phases.eigen_seconds > 0.0, "eigen phase untimed");
@@ -267,16 +242,13 @@ fn result_bytes(po_arrivals: &[CanonicalForm], delay: &CanonicalForm) -> Vec<u8>
 fn assert_matches_oracle(design: &Design, mode: CorrelationMode) {
     let (po, delay) = materialized::analyze_materialized(design, mode);
     let want = result_bytes(&po, &delay);
-    for threads in [1, 2] {
-        let t = analyze_with(design, mode, &AnalyzeOptions { threads }).expect("analysis");
-        assert!(
-            result_bytes(&t.po_arrivals, &t.delay) == want,
-            "{} {mode:?} at {threads} threads drifted from the materialized oracle",
-            design.name()
-        );
-    }
-    let assembled =
-        assemble_design_graph(design, mode, &AnalyzeOptions { threads: 1 }).expect("assembly");
+    let t = analyze(design, mode).expect("analysis");
+    assert!(
+        result_bytes(&t.po_arrivals, &t.delay) == want,
+        "{} {mode:?}: analyze drifted from the materialized oracle",
+        design.name()
+    );
+    let assembled = assemble_design_graph(design, mode).expect("assembly");
     let schedule = LevelSchedule::build(&assembled.graph).expect("levelize");
     let t = propagate_assembled(&assembled, &schedule, 1).expect("propagation");
     assert!(
@@ -330,8 +302,7 @@ fn c880_array_results_match_golden_digests() {
     ];
     let mut drifted = Vec::new();
     for (n, mode, want) in golden {
-        let t =
-            analyze_with(&c880_array(n), mode, &AnalyzeOptions { threads: 1 }).expect("analysis");
+        let t = analyze(&c880_array(n), mode).expect("analysis");
         let got = hier_ssta::math::digest::sha256(&result_bytes(&t.po_arrivals, &t.delay)).to_hex();
         if got != want {
             drifted.push(format!("c880 x{n} {mode:?}: {got}"));

@@ -17,8 +17,8 @@
 mod quad_adder;
 
 use hier_ssta::core::{
-    analyze, analyze_with, AnalyzeOptions, CanonicalForm, CoreError, CorrelationMode, Design,
-    DesignBuilder, ExtractOptions, ModuleContext, SstaConfig,
+    analyze, CanonicalForm, CoreError, CorrelationMode, Design, DesignBuilder, ExtractOptions,
+    ModuleContext, SstaConfig,
 };
 use hier_ssta::engine::{
     store, DesignSpec, DesignSpecBuilder, Engine, EngineError, EngineOptions, ModelStore, ModuleId,
@@ -337,12 +337,7 @@ fn spec_wire_delays_reach_the_analysis_and_non_finite_ones_are_rejected() {
     let spec = quad_adder_builder(2.5).0.finish().expect("spec");
     let run = engine.analyze(&spec).expect("engine analysis");
     let design = quad_adder_design(&mut engine, &config, 2.5);
-    let direct = analyze_with(
-        &design,
-        CorrelationMode::Proposed,
-        &AnalyzeOptions { threads: 1 },
-    )
-    .expect("direct analysis");
+    let direct = analyze(&design, CorrelationMode::Proposed).expect("direct analysis");
     let engine_forms = run.timing.po_arrivals.iter().chain([&run.timing.delay]);
     let direct_forms = direct.po_arrivals.iter().chain([&direct.delay]);
     assert!(form_bits(engine_forms) == form_bits(direct_forms));

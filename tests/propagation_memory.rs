@@ -11,9 +11,7 @@ mod arrays;
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use hier_ssta::core::{
-    assemble_design_graph, propagate_assembled, AnalyzeOptions, CorrelationMode,
-};
+use hier_ssta::core::{assemble_design_graph, propagate_assembled, CorrelationMode};
 use hier_ssta::timing::LevelSchedule;
 
 #[global_allocator]
@@ -22,12 +20,7 @@ static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 #[test]
 fn a_design_pass_holds_its_frontier_not_the_whole_graph() {
     let design = arrays::c880_array(16);
-    let assembled = assemble_design_graph(
-        &design,
-        CorrelationMode::Proposed,
-        &AnalyzeOptions { threads: 1 },
-    )
-    .expect("assembly");
+    let assembled = assemble_design_graph(&design, CorrelationMode::Proposed).expect("assembly");
     let schedule = LevelSchedule::build(&assembled.graph).expect("levelize");
 
     let before = counting_alloc::reset_peak();

@@ -13,9 +13,9 @@
 //!   design output driven by one reports its clock-to-output arc.
 
 use hier_ssta::core::{
-    analyze, analyze_sequential, analyze_with, extract_registered, AnalyzeOptions, CanonicalForm,
-    CorrelationMode, Design, DesignBuilder, ExtractOptions, ModuleContext,
-    SequentialAnalyzeOptions, SequentialTiming, SstaConfig, TimingModel,
+    analyze, analyze_sequential, extract_registered, CanonicalForm, CorrelationMode, Design,
+    DesignBuilder, ExtractOptions, ModuleContext, SequentialAnalyzeOptions, SequentialTiming,
+    SstaConfig, TimingModel,
 };
 use hier_ssta::engine::{MemoryBackend, ModelStore};
 use hier_ssta::math::digest::sha256;
@@ -255,17 +255,14 @@ fn sequential_results_match_golden_digests() {
             .into_iter()
             .zip(want)
         {
-            for threads in [1, 2] {
-                let options = SequentialAnalyzeOptions {
-                    clock_period_ps: 3000.0,
-                    mode,
-                    threads,
-                };
-                let t = analyze_sequential(design, &options).expect("analyze");
-                let got = timing_digest(&t, mode == CorrelationMode::GlobalOnly);
-                if got != *want {
-                    drifted.push(format!("{name} {mode:?} at {threads} threads: {got}"));
-                }
+            let options = SequentialAnalyzeOptions {
+                clock_period_ps: 3000.0,
+                mode,
+            };
+            let t = analyze_sequential(design, &options).expect("analyze");
+            let got = timing_digest(&t, mode == CorrelationMode::GlobalOnly);
+            if got != *want {
+                drifted.push(format!("{name} {mode:?}: {got}"));
             }
         }
     }
@@ -292,7 +289,5 @@ fn combinational_analysis_treats_registered_instances_as_opaque() {
             let launch = last.launch_of(j).expect("launch arc");
             assert_eq!(arrival.mean(), launch.mean(), "{mode:?} PO {j}");
         }
-        let serial = analyze_with(&design, mode, &AnalyzeOptions { threads: 1 }).expect("analyze");
-        assert_eq!(serial.po_arrivals, t.po_arrivals, "{mode:?}");
     }
 }

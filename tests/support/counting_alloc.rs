@@ -2,7 +2,8 @@
 //! use. It forwards every call to the system allocator and counts, on
 //! the calling thread: the bytes allocated and not yet freed, their
 //! high-water mark, the allocation requests, and the largest single
-//! request.
+//! request. It also counts the allocation requests of the whole
+//! process.
 //!
 //! Include it with `#[path = "support/counting_alloc.rs"] mod
 //! counting_alloc;` (adjust the path from outside `tests/`), and install
@@ -13,15 +14,19 @@
 //! static ALLOCATOR: counting_alloc::Counting = counting_alloc::Counting;
 //! ```
 //!
-//! Counts are per thread, so work measured this way must run on the
-//! calling thread. Live bytes go negative on a thread that frees what
-//! another allocated.
+//! Counts other than [`all_requests`] are per thread, so work measured
+//! this way must run on the calling thread. Live bytes go negative on a
+//! thread that frees what another allocated.
 
 // Each including binary reads only some of the counters.
 #![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Allocation requests of every thread of the process.
+static ALL_REQUESTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Bytes this thread has allocated and not freed.
@@ -39,6 +44,7 @@ pub struct Counting;
 
 /// Notes a request for `size` bytes, made before it is served.
 fn note_request(size: usize) {
+    ALL_REQUESTS.fetch_add(1, Ordering::Relaxed);
     // `try_with` fails only while the thread's locals are torn down;
     // allocations then go unrecorded.
     let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
@@ -59,7 +65,8 @@ fn note_live(delta: isize) {
 // returned; the caller's contract for each method (a valid `layout`, and
 // a `ptr` that this allocator, so `System`, allocated with `layout`)
 // therefore passes through. The counting only updates thread-local
-// `Cell`s with const initializers, which neither allocate nor unwind.
+// `Cell`s with const initializers and one static atomic, which neither
+// allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_request(layout.size());
@@ -116,6 +123,11 @@ pub fn peak() -> isize {
 /// Allocation requests this thread has made.
 pub fn requests() -> u64 {
     REQUESTS.with(Cell::get)
+}
+
+/// Allocation requests every thread of the process has made.
+pub fn all_requests() -> u64 {
+    ALL_REQUESTS.load(Ordering::Relaxed)
 }
 
 /// Forgets this thread's largest request.
