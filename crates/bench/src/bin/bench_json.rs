@@ -20,7 +20,11 @@
 //! `propagate_allocations`: the heap high-water mark above the starting
 //! level, and the number of allocation requests, of one warm
 //! `propagate_assembled` on the row's Proposed assembly, counted by this
-//! binary's global allocator on the calling thread. Schema 9 drops the
+//! binary's global allocator on the calling thread. Both repeat exactly
+//! from run to run. A pass keeps its live forms in one slab sized
+//! before it starts, so the peak follows the pass's widest live
+//! frontier and the requests are a fixed few per pass plus the output
+//! forms, not one or more per vertex. Schema 9 drops the
 //! threaded columns (`warm_seconds`, `parallel_speedup`,
 //! `analyze_parallel_seconds`): a design analysis runs on the calling
 //! thread, so there is no second path to time.
@@ -102,9 +106,11 @@ struct ScalingPoint {
     /// Vertices in its widest level.
     max_level_width: usize,
     /// Schema 8: heap high-water mark of one warm propagation pass
-    /// above its starting level, in bytes.
+    /// above its starting level, in bytes: the pass's buffer of live
+    /// forms, its per-vertex handles and the output forms.
     propagate_peak_bytes: usize,
-    /// Schema 8: allocation requests of that pass.
+    /// Schema 8: allocation requests of that pass: a fixed few plus the
+    /// output forms.
     propagate_allocations: u64,
 }
 

@@ -213,49 +213,6 @@ impl CanonicalForm {
         }
     }
 
-    /// `self ← max(self, a + d)` in place, with the bits of
-    /// `self.maximum(&a.sum(d))` and no allocation.
-    ///
-    /// Pass 1 forms `c = a + d` on the fly and accumulates Σp², Σc² and
-    /// Σp·c per block in index order, exactly as `variance` and
-    /// `covariance` sum. Clark's tightness then either keeps `self`,
-    /// writes `c`, or — pass 2 — blends `c` into `self` while summing the
-    /// blended squares for the random refit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable-space dimensions differ.
-    fn max_plus_assign(&mut self, a: &CanonicalForm, d: &CanonicalForm) {
-        assert_dims(a, d);
-        assert_dims(self, a);
-        let c_nominal = a.nominal + d.nominal;
-        let c_random = (a.random * a.random + d.random * d.random).sqrt();
-        let g = fused_moments(&self.globals, &a.globals, &d.globals);
-        let l = fused_moments(&self.locals, &a.locals, &d.locals);
-        let moments = clark_max(
-            self.nominal,
-            g.pp + l.pp + self.random * self.random,
-            c_nominal,
-            g.cc + l.cc + c_random * c_random,
-            g.pc + l.pc,
-        );
-        let tp = moments.tightness;
-        if tp >= 1.0 {
-            return;
-        }
-        if tp <= 0.0 {
-            self.nominal = c_nominal;
-            write_sum(&mut self.globals, &a.globals, &d.globals);
-            write_sum(&mut self.locals, &a.locals, &d.locals);
-            self.random = c_random;
-            return;
-        }
-        let shared = blend_into(&mut self.globals, &a.globals, &d.globals, tp)
-            + blend_into(&mut self.locals, &a.locals, &d.locals, tp);
-        self.nominal = moments.mean;
-        self.random = (moments.variance - shared).max(0.0).sqrt();
-    }
-
     /// The moment-matched `min{A, B}` via `−max{−A, −B}`.
     ///
     /// # Panics
@@ -276,10 +233,7 @@ impl CanonicalForm {
     /// Negates this form in place, with the bits of
     /// [`negated`](Self::negated).
     pub(crate) fn negate(&mut self) {
-        self.nominal = -self.nominal;
-        for c in self.globals.iter_mut().chain(&mut self.locals) {
-            *c = -*c;
-        }
+        self.parts_mut().negate();
     }
 
     /// Scales the form by a non-negative factor.
@@ -308,23 +262,25 @@ impl CanonicalForm {
         }
     }
 
-    /// Overwrites this form with `src`'s nominal, globals and random part
-    /// and lets `write_locals` fill the local block — the design-level
-    /// analysis rewrites each module-space edge into one reused
-    /// design-space form this way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the global dimensions differ.
-    pub(crate) fn assign_rewritten<E>(
-        &mut self,
-        src: &CanonicalForm,
-        write_locals: impl FnOnce(&mut [f64]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.nominal = src.nominal;
-        self.globals.copy_from_slice(&src.globals);
-        self.random = src.random;
-        write_locals(&mut self.locals)
+    /// This form's parts, borrowed: an operand of the fused step.
+    pub(crate) fn parts(&self) -> Parts<'_> {
+        Parts {
+            nominal: self.nominal,
+            random: self.random,
+            globals: &self.globals,
+            locals: &self.locals,
+        }
+    }
+
+    /// This form's parts, mutably borrowed: an accumulator of the fused
+    /// step.
+    pub(crate) fn parts_mut(&mut self) -> PartsMut<'_> {
+        PartsMut {
+            nominal: &mut self.nominal,
+            random: &mut self.random,
+            globals: &mut self.globals,
+            locals: &mut self.locals,
+        }
     }
 
     /// Number of global coefficients.
@@ -352,10 +308,10 @@ impl DelayAlgebra for CanonicalForm {
     }
 
     /// The fused step: bit for bit `acc.maximum(&a.sum(d))`, computed in
-    /// place without building `a + d`.
+    /// place by [`max_plus_parts`] without building `a + d`.
     fn max_plus_into(acc: &mut Option<Self>, a: &Self, d: &Self) {
         match acc {
-            Some(p) => p.max_plus_assign(a, d),
+            Some(p) => max_plus_parts(p.parts_mut(), a.parts(), d.parts()),
             None => *acc = Some(a.sum(d)),
         }
     }
@@ -391,6 +347,119 @@ fn blend(a: &[f64], b: &[f64], tp: f64) -> Vec<f64> {
         .zip(b)
         .map(|(x, y)| tp * x + (1.0 - tp) * y)
         .collect()
+}
+
+/// A form's parts, borrowed: an operand of the fused step. An operand
+/// without variation can borrow a block of one signed zero for its
+/// coefficients, with a `0.0` random part; the step then runs the
+/// arithmetic of a form that stores those zeros.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parts<'a> {
+    pub(crate) nominal: f64,
+    pub(crate) random: f64,
+    pub(crate) globals: &'a [f64],
+    pub(crate) locals: &'a [f64],
+}
+
+impl Parts<'_> {
+    /// An owned form with these parts.
+    pub(crate) fn to_form(self) -> CanonicalForm {
+        CanonicalForm {
+            nominal: self.nominal,
+            globals: self.globals.to_vec(),
+            locals: self.locals.to_vec(),
+            random: self.random,
+        }
+    }
+}
+
+/// A form's parts, mutably borrowed: the accumulator of the fused step.
+#[derive(Debug)]
+pub(crate) struct PartsMut<'a> {
+    pub(crate) nominal: &'a mut f64,
+    pub(crate) random: &'a mut f64,
+    pub(crate) globals: &'a mut [f64],
+    pub(crate) locals: &'a mut [f64],
+}
+
+impl PartsMut<'_> {
+    /// Negates the mean and every coefficient; the random part stays.
+    pub(crate) fn negate(self) {
+        *self.nominal = -*self.nominal;
+        for c in self.globals.iter_mut().chain(self.locals) {
+            *c = -*c;
+        }
+    }
+}
+
+/// `p ← a + d`, the first step into an empty accumulator, with the bits
+/// of [`CanonicalForm::sum`].
+///
+/// # Panics
+///
+/// Panics if the variable-space dimensions differ.
+pub(crate) fn sum_parts(p: PartsMut<'_>, a: Parts<'_>, d: Parts<'_>) {
+    assert_part_dims(&p, a, d);
+    *p.nominal = a.nominal + d.nominal;
+    write_sum(p.globals, a.globals, d.globals);
+    write_sum(p.locals, a.locals, d.locals);
+    *p.random = (a.random * a.random + d.random * d.random).sqrt();
+}
+
+/// `p ← max(p, a + d)` in place, with the bits of
+/// `p.maximum(&a.sum(d))` and no allocation: the one fused step that
+/// [`CanonicalForm`]'s pull passes and the design analysis's slab share.
+///
+/// Pass 1 forms `c = a + d` on the fly and accumulates Σp², Σc² and
+/// Σp·c per block in index order, exactly as `variance` and
+/// `covariance` sum. Clark's tightness then either keeps `p`, writes
+/// `c`, or — pass 2 — blends `c` into `p` while summing the blended
+/// squares for the random refit.
+///
+/// # Panics
+///
+/// Panics if the variable-space dimensions differ.
+pub(crate) fn max_plus_parts(p: PartsMut<'_>, a: Parts<'_>, d: Parts<'_>) {
+    assert_part_dims(&p, a, d);
+    let c_nominal = a.nominal + d.nominal;
+    let c_random = (a.random * a.random + d.random * d.random).sqrt();
+    let g = fused_moments(p.globals, a.globals, d.globals);
+    let l = fused_moments(p.locals, a.locals, d.locals);
+    let moments = clark_max(
+        *p.nominal,
+        g.pp + l.pp + *p.random * *p.random,
+        c_nominal,
+        g.cc + l.cc + c_random * c_random,
+        g.pc + l.pc,
+    );
+    let tp = moments.tightness;
+    if tp >= 1.0 {
+        return;
+    }
+    if tp <= 0.0 {
+        *p.nominal = c_nominal;
+        write_sum(p.globals, a.globals, d.globals);
+        write_sum(p.locals, a.locals, d.locals);
+        *p.random = c_random;
+        return;
+    }
+    let shared = blend_into(p.globals, a.globals, d.globals, tp)
+        + blend_into(p.locals, a.locals, d.locals, tp);
+    *p.nominal = moments.mean;
+    *p.random = (moments.variance - shared).max(0.0).sqrt();
+}
+
+fn assert_part_dims(p: &PartsMut<'_>, a: Parts<'_>, d: Parts<'_>) {
+    let globals = [p.globals.len(), a.globals.len(), d.globals.len()];
+    let locals = [p.locals.len(), a.locals.len(), d.locals.len()];
+    assert!(
+        globals.iter().all(|&n| n == globals[0]),
+        "canonical forms live in different global spaces"
+    );
+    assert!(
+        locals.iter().all(|&n| n == locals[0]),
+        "canonical forms live in different local spaces"
+    );
 }
 
 /// The sums pass 1 of the fused step needs over one coefficient block.
@@ -727,10 +796,14 @@ mod tests {
             DA::max_plus_into(&mut acc, &a, &d);
             assert_eq!(bits(acc.as_ref().unwrap()), bits(&want), "case {case}");
 
-            // An empty accumulator takes the plain sum.
+            // An empty accumulator takes the plain sum, and so does a
+            // stale one written through the kernel.
             let mut acc = None;
             DA::max_plus_into(&mut acc, &a, &d);
             assert_eq!(bits(acc.as_ref().unwrap()), bits(&a.sum(&d)), "case {case}");
+            let mut stale = p.clone();
+            sum_parts(stale.parts_mut(), a.parts(), d.parts());
+            assert_eq!(bits(&stale), bits(&a.sum(&d)), "case {case}");
         }
         assert!(branches.iter().all(|&n| n >= 100), "branches {branches:?}");
     }

@@ -243,7 +243,7 @@ fn repair_accuracy(
             graph,
             &schedule,
             [(vi, zero.clone())],
-            |acc, a, e| {
+            |acc: &mut Option<_>, a: &_, e| {
                 CanonicalForm::max_plus_into(acc, a, &graph.edge(e).delay);
                 Ok::<(), CoreError>(())
             },
@@ -265,7 +265,7 @@ fn repair_accuracy(
                 graph,
                 &schedule,
                 [(vi, zero.clone())],
-                |acc, a, e| {
+                |acc: &mut Option<_>, a: &_, e: EdgeId| {
                     if keep[e.0 as usize] {
                         CanonicalForm::max_plus_into(acc, a, &graph.edge(e).delay);
                     }

@@ -9,14 +9,16 @@
 //!   against: each instance keeps a private copy of its local variables
 //!   (inter-module correlation carried by the global variables only).
 
-use crate::canonical::CanonicalForm;
+use crate::canonical::{max_plus_parts, sum_parts, CanonicalForm, Parts, PartsMut};
 use crate::hier::design::Design;
 use crate::hier::replace::{DesignVariables, InstanceReplacement};
 use crate::params::VariableLayout;
 use crate::CoreError;
 use serde::Serialize;
-use ssta_timing::{levels, DelayAlgebra, EdgeId, LevelSchedule, TimingGraph, VertexId};
+use ssta_timing::levels::{self, PullStep};
+use ssta_timing::{EdgeId, LevelSchedule, TimingGraph, VertexId};
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 
 /// How inter-module local correlation is handled.
@@ -140,17 +142,21 @@ pub fn analyze(design: &Design, mode: CorrelationMode) -> Result<DesignTiming, C
 /// scenarios. [`analyze`] is [`assemble_design_graph`] + one schedule
 /// build + this.
 ///
-/// The pass rewrites each edge into the design variable space when it
-/// pulls it (the hot half of step 3), into one reused scratch form that
-/// the fused Clark step reads, so the design-space edge delays are
-/// never materialized. Results carry the bits of rewriting every edge
-/// first and then propagating.
+/// The pass rewrites each instance edge into the design variable space
+/// when it pulls it (the hot half of step 3), into one reused scratch
+/// form that the fused Clark step reads, so the design-space edge
+/// delays are never materialized. Results carry the bits of rewriting
+/// every edge first and then propagating.
 ///
 /// The pass reads only the design outputs, so it holds only live
-/// arrivals: each one is dropped once the last edge out of its vertex
-/// has been pulled (see [`levels::forward_with`]). On 64 chained `c880`
-/// instances (756 local components) one pass peaks at ~14 MB of heap,
-/// where holding every arrival to the end took ~68 MB.
+/// arrivals: each one gives its storage back once the last edge out of
+/// its vertex has been pulled (see [`levels::forward_with`]). The live
+/// forms share one slab sized before the pass, and design PIs,
+/// top-level edges and the arrivals built from them alone store no
+/// coefficients. On 64 chained `c880` instances (756 local components)
+/// one pass peaks at ~1.8 MB of heap over 117 allocation requests,
+/// where a separate form per arrival took ~14 MB over 22,310 requests
+/// and holding every arrival to the end took ~68 MB.
 ///
 /// The returned timing's `phases` are the assembly's phases plus this
 /// propagation; `elapsed_seconds` is their sum (callers owning the full
@@ -181,8 +187,8 @@ pub fn propagate_assembled(
         .outputs()
         .iter()
         .map(|&v| {
-            arrivals[v.0 as usize]
-                .clone()
+            arrivals
+                .form(v)
                 .ok_or(CoreError::Timing(ssta_timing::TimingError::NoPath))
         })
         .collect::<Result<_, _>>()?;
@@ -210,18 +216,19 @@ pub fn propagate_assembled(
 /// [`sequential`](crate::extract::TimingModel::sequential) interface)
 /// is opaque: one capture vertex per input port and one launch vertex
 /// per output port, with no edges between them, so no path crosses its
-/// registers within a cycle. Each pass builds its own seeds, a zero form
-/// at every design primary input and each launch vertex's
-/// clock-to-output arc, so the assembly keeps no source forms.
+/// registers within a cycle. Each pass builds its own seeds, a
+/// deterministic zero at every design primary input and each launch
+/// vertex's clock-to-output arc, so the assembly keeps no source forms.
 ///
 /// Instance edges keep their delays in their module's own variable
 /// space, and top-level edges (design PIs to instance inputs, and
 /// inter-module wires) hold deterministic forms with no local
-/// coefficients. [`propagate_assembled`] rewrites each edge into the
-/// design variable space at the moment it pulls that edge, so the
-/// design-space delays are never materialized. Use [`graph`](Self::graph)
-/// for its structure (e.g. [`LevelSchedule::build`]), not as a
-/// design-space graph.
+/// coefficients. [`propagate_assembled`] rewrites each instance edge
+/// into the design variable space at the moment it pulls that edge, so
+/// the design-space delays are never materialized, and reads a
+/// top-level edge as its mean alone. Use [`graph`](Self::graph) for its
+/// structure (e.g. [`LevelSchedule::build`]), not as a design-space
+/// graph.
 ///
 /// Produced by [`assemble_design_graph`] for tooling that times
 /// assembly and propagation separately, or reuses one schedule across
@@ -271,60 +278,439 @@ impl AssembledDesign {
         self.transforms[idx].apply(form, self.module_layouts[idx], self.design_layout)
     }
 
-    /// One arrival pass: a zero form at every design PI and each launch
-    /// arc at its vertex, then every pulled edge rewritten into the
+    /// One arrival pass: a deterministic zero at every design PI and each
+    /// launch arc at its vertex, then every pulled edge rewritten into the
     /// design variable space. With `early`, each seed and each rewritten
     /// edge is negated, so the max pass yields the negated earliest
     /// arrivals (a statistical min without a second engine).
     ///
-    /// Only the design outputs and the vertices no edge leaves (among
-    /// them every registered instance's capture vertices) hold a value
-    /// afterwards; [`levels::forward_with`] drops the rest as it goes.
+    /// The pass keeps its forms in one [`Slab`], sized before it starts
+    /// by [`slots_needed`](Self::slots_needed). Design PIs, top-level
+    /// edges and the arrivals built from them alone are
+    /// [`Constant`]s: they hold no coefficients and take no rewrite.
+    /// Every other arrival takes a slot at its vertex's first step that
+    /// needs one, and gives it back once its last reader has pulled it
+    /// (see [`levels::forward_with`]), so only the design outputs and the
+    /// vertices no edge leaves (among them every registered instance's
+    /// capture vertices) hold a value afterwards.
     pub(crate) fn arrivals(
         &self,
         schedule: &LevelSchedule,
         early: bool,
-    ) -> Result<Vec<Option<CanonicalForm>>, CoreError> {
-        let zero = CanonicalForm::constant(0.0, self.n_globals, self.n_local_components);
-        let pi_seeds = self.graph.inputs().iter().map(|&v| (v, zero.clone()));
-        let seeds = pi_seeds
-            .chain(self.launches.iter().cloned())
-            .map(|(v, mut f)| {
-                if early {
-                    f.negate();
-                }
-                (v, f)
-            });
-        let mut scratch = zero.clone();
-        levels::forward_with(&self.graph, schedule, seeds, |acc, a, e| {
-            self.rewrite_edge(e, &mut scratch)?;
+    ) -> Result<Arrivals, CoreError> {
+        let slots = self.slots_needed(schedule)?;
+        let mut slab = Slab::new(self.n_globals, self.n_local_components, slots);
+        for (_, arc) in &self.launches {
+            let slot = slab.alloc();
+            slab.write(slot, arc.parts());
             if early {
-                scratch.negate();
+                slab.slot_mut(slot).negate();
             }
-            CanonicalForm::max_plus_into(acc, a, &scratch);
-            Ok::<(), CoreError>(())
+        }
+        let zero = if early { -0.0 } else { 0.0 };
+        let pi = Arrival::Deterministic(Constant {
+            nominal: zero,
+            zero,
+        });
+        let launches = self
+            .launches
+            .iter()
+            .zip(0..)
+            .map(|(&(v, _), slot)| (v, Arrival::Slot(slot)));
+        let seeds = self.graph.inputs().iter().map(|&v| (v, pi)).chain(launches);
+        let mut pass = Pass {
+            design: self,
+            slab,
+            scratch: CanonicalForm::constant(0.0, self.n_globals, self.n_local_components),
+            early,
+        };
+        let values = levels::forward_with(&self.graph, schedule, seeds, &mut pass)?;
+        debug_assert_eq!(pass.slab.used as usize, slots, "the census missed the peak");
+        Ok(Arrivals {
+            values,
+            slab: pass.slab,
         })
     }
 
-    /// Writes edge `e`'s delay, rewritten into the design variable space,
-    /// into `out` — the form [`analyze`]'s step 4 pulls.
-    fn rewrite_edge(&self, e: EdgeId, out: &mut CanonicalForm) -> Result<(), CoreError> {
+    /// The most slots one pass holds at once. Whether an arrival needs a
+    /// slot depends only on the schedule, the seeds and which edges are
+    /// top-level, never on a value, so this runs the pass over one flag
+    /// per vertex (`true` for a slot), without arithmetic; the late and
+    /// the early pass need the same count.
+    fn slots_needed(&self, schedule: &LevelSchedule) -> Result<usize, CoreError> {
+        let mut census = Census {
+            edge_instance: &self.edge_instance,
+            live: self.launches.len(),
+            peak: self.launches.len(),
+        };
+        let launches = self.launches.iter().map(|&(v, _)| (v, true));
+        let seeds = self
+            .graph
+            .inputs()
+            .iter()
+            .map(|&v| (v, false))
+            .chain(launches);
+        levels::forward_with(&self.graph, schedule, seeds, &mut census)?;
+        Ok(census.peak)
+    }
+
+    /// Edge `e`'s delay in the design variable space, negated for the
+    /// early pass: a top-level edge is a [`Constant`], and an instance
+    /// edge is rewritten into `scratch`.
+    fn rewrite_edge<'s>(
+        &self,
+        e: EdgeId,
+        early: bool,
+        scratch: &'s mut CanonicalForm,
+    ) -> Result<Delay<'s>, CoreError> {
         let form = &self.graph.edge(e).delay;
-        out.assign_rewritten(form, |dst| match self.edge_instance[e.0 as usize] {
-            Some(idx) => {
-                let idx = idx as usize;
-                self.transforms[idx].apply_into(
-                    form.locals(),
-                    self.module_layouts[idx],
-                    self.design_layout,
-                    dst,
-                )
+        let Some(idx) = self.edge_instance[e.0 as usize] else {
+            let (nominal, zero) = if early {
+                (-form.mean(), -0.0)
+            } else {
+                (form.mean(), 0.0)
+            };
+            return Ok(Delay::Deterministic(Constant { nominal, zero }));
+        };
+        let idx = idx as usize;
+        let out = scratch.parts_mut();
+        *out.nominal = form.mean();
+        *out.random = form.random();
+        out.globals.copy_from_slice(form.globals());
+        self.transforms[idx].apply_into(
+            form.locals(),
+            self.module_layouts[idx],
+            self.design_layout,
+            out.locals,
+        )?;
+        if early {
+            scratch.negate();
+        }
+        Ok(Delay::Rewritten(scratch.parts()))
+    }
+}
+
+/// A form without variation: its mean, and the signed zero every
+/// coefficient carries (`-0.0` once negated, on the early pass); its
+/// random part is `0.0`.
+#[derive(Debug, Clone, Copy)]
+struct Constant {
+    nominal: f64,
+    zero: f64,
+}
+
+impl Constant {
+    /// `self + other` as [`CanonicalForm::sum`] adds: the means add, and
+    /// so do the zeros, so a sum's zero is `-0.0` only when both are.
+    fn plus(self, other: Constant) -> Constant {
+        Constant {
+            nominal: self.nominal + other.nominal,
+            zero: self.zero + other.zero,
+        }
+    }
+}
+
+/// One vertex's arrival during a design pass.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// Built from design PIs and top-level edges alone.
+    Deterministic(Constant),
+    /// A form in this slot of the pass's [`Slab`].
+    Slot(u32),
+}
+
+/// A pulled edge's delay in the design variable space.
+#[derive(Debug, Clone, Copy)]
+enum Delay<'a> {
+    /// A top-level edge: a design PI binding or a wire.
+    Deterministic(Constant),
+    /// An instance edge, rewritten into the pass's scratch form.
+    Rewritten(Parts<'a>),
+}
+
+/// What one design pass leaves: a handle at each design output and
+/// each vertex no edge leaves, and the slab holding their forms.
+pub(crate) struct Arrivals {
+    values: Vec<Option<Arrival>>,
+    slab: Slab,
+}
+
+impl Arrivals {
+    /// The arrival the pass kept at `v`, as a form of its own.
+    pub(crate) fn form(&self, v: VertexId) -> Option<CanonicalForm> {
+        self.values[v.0 as usize].map(|a| self.slab.parts(a).to_form())
+    }
+}
+
+/// The step of one design pass: each pulled edge, rewritten, folds into
+/// the vertex's arrival with the fused step of [`max_plus_parts`].
+struct Pass<'a> {
+    design: &'a AssembledDesign,
+    slab: Slab,
+    /// The instance edge being pulled, in the design variable space.
+    scratch: CanonicalForm,
+    early: bool,
+}
+
+impl PullStep<Arrival, CoreError> for &mut Pass<'_> {
+    fn step(
+        &mut self,
+        acc: &mut Option<Arrival>,
+        from: &Arrival,
+        e: EdgeId,
+    ) -> Result<(), CoreError> {
+        let delay = self.design.rewrite_edge(e, self.early, &mut self.scratch)?;
+        // A deterministic `a + d` needs no coefficients. Clark's max of
+        // two forms without variance is the one with the larger mean,
+        // the accumulator on a tie.
+        if let (Arrival::Deterministic(a), Delay::Deterministic(d)) = (*from, delay) {
+            let c = a.plus(d);
+            match acc {
+                None => {
+                    *acc = Some(Arrival::Deterministic(c));
+                    return Ok(());
+                }
+                Some(Arrival::Deterministic(p)) => {
+                    *p = if p.nominal >= c.nominal { *p } else { c };
+                    return Ok(());
+                }
+                Some(Arrival::Slot(_)) => {}
             }
-            None => {
-                dst.fill(0.0);
-                Ok(())
+        }
+        // A deterministic accumulator that meets a varying `a + d` takes
+        // a slot of its signed zeros first.
+        let (slot, fresh) = match *acc {
+            Some(Arrival::Slot(slot)) => (slot, false),
+            Some(Arrival::Deterministic(p)) => {
+                let slot = self.slab.alloc();
+                self.slab.write_constant(slot, p);
+                (slot, false)
             }
+            None => (self.slab.alloc(), true),
+        };
+        *acc = Some(Arrival::Slot(slot));
+        let (p, a, d) = self.slab.operands(slot, *from, delay);
+        if fresh {
+            sum_parts(p, a, d);
+        } else {
+            max_plus_parts(p, a, d);
+        }
+        Ok(())
+    }
+
+    fn release(&mut self, value: Arrival) {
+        if let Arrival::Slot(slot) = value {
+            self.slab.release(slot);
+        }
+    }
+}
+
+/// [`AssembledDesign::slots_needed`]'s dry pass: it tracks only whether
+/// each arrival holds a slot, and counts the slots held at once.
+struct Census<'a> {
+    edge_instance: &'a [Option<u32>],
+    live: usize,
+    peak: usize,
+}
+
+impl PullStep<bool, CoreError> for &mut Census<'_> {
+    fn step(&mut self, acc: &mut Option<bool>, from: &bool, e: EdgeId) -> Result<(), CoreError> {
+        let varies = *from || self.edge_instance[e.0 as usize].is_some();
+        match acc {
+            Some(true) => {}
+            _ if varies => {
+                self.live += 1;
+                self.peak = self.peak.max(self.live);
+                *acc = Some(true);
+            }
+            _ => *acc = Some(false),
+        }
+        Ok(())
+    }
+
+    fn release(&mut self, slot: bool) {
+        if slot {
+            self.live -= 1;
+        }
+    }
+}
+
+/// The forms of one design pass, in equal slots of one buffer sized
+/// before the pass. A slot holds `[nominal, random, globals…, locals…]`,
+/// and the slots whose readers have all pulled them wait on a free list.
+/// Beside them sit a block of `+0.0` and a block of `-0.0`, which a
+/// [`Constant`] operand borrows as its coefficients, so the fused step
+/// runs the arithmetic of a form storing those zeros.
+#[derive(Debug)]
+struct Slab {
+    n_globals: usize,
+    n_locals: usize,
+    data: Vec<f64>,
+    free: Vec<u32>,
+    /// Slots handed out at least once.
+    used: u32,
+    /// `n_globals.max(n_locals)` of `+0.0`, then as many `-0.0`.
+    zeros: Vec<f64>,
+}
+
+impl Slab {
+    fn new(n_globals: usize, n_locals: usize, slots: usize) -> Self {
+        let width = n_globals.max(n_locals);
+        let mut zeros = vec![0.0; 2 * width];
+        zeros[width..].fill(-0.0);
+        Slab {
+            n_globals,
+            n_locals,
+            data: vec![0.0; slots * (2 + n_globals + n_locals)],
+            free: Vec::with_capacity(slots),
+            used: 0,
+            zeros,
+        }
+    }
+
+    fn range(&self, slot: u32) -> Range<usize> {
+        let stride = 2 + self.n_globals + self.n_locals;
+        slot as usize * stride..(slot as usize + 1) * stride
+    }
+
+    /// A slot to overwrite: a released one, or the next never used. The
+    /// census counted the slots the pass holds at once, so every slot
+    /// lies inside the buffer.
+    fn alloc(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.used += 1;
+            self.used - 1
         })
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    /// The parts of arrival `a`.
+    fn parts(&self, a: Arrival) -> Parts<'_> {
+        match a {
+            Arrival::Deterministic(c) => {
+                constant_parts(&self.zeros, self.n_globals, self.n_locals, c)
+            }
+            Arrival::Slot(slot) => slot_parts(&self.data[self.range(slot)], self.n_globals),
+        }
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> PartsMut<'_> {
+        let range = self.range(slot);
+        slot_parts_mut(&mut self.data[range], self.n_globals)
+    }
+
+    /// Copies `form` into `slot`.
+    fn write(&mut self, slot: u32, form: Parts<'_>) {
+        let p = self.slot_mut(slot);
+        *p.nominal = form.nominal;
+        *p.random = form.random;
+        p.globals.copy_from_slice(form.globals);
+        p.locals.copy_from_slice(form.locals);
+    }
+
+    /// Writes `c` into `slot`, its zero in every coefficient.
+    fn write_constant(&mut self, slot: u32, c: Constant) {
+        let p = self.slot_mut(slot);
+        *p.nominal = c.nominal;
+        *p.random = 0.0;
+        p.globals.fill(c.zero);
+        p.locals.fill(c.zero);
+    }
+
+    /// `slot` to write, beside the parts of `a` and `d` to read; `a` is
+    /// another slot or deterministic.
+    fn operands<'s>(
+        &'s mut self,
+        slot: u32,
+        a: Arrival,
+        d: Delay<'s>,
+    ) -> (PartsMut<'s>, Parts<'s>, Parts<'s>) {
+        let range = self.range(slot);
+        let stride = range.len();
+        let Slab {
+            n_globals,
+            n_locals,
+            data,
+            zeros,
+            ..
+        } = self;
+        let constant = |c| constant_parts(zeros, *n_globals, *n_locals, c);
+        let d = match d {
+            Delay::Deterministic(c) => constant(c),
+            Delay::Rewritten(parts) => parts,
+        };
+        let (p, a) = match a {
+            Arrival::Slot(from) => {
+                let from = from as usize * stride..(from as usize + 1) * stride;
+                let (p, a) = split_ranges(data, range, from);
+                (p, slot_parts(a, *n_globals))
+            }
+            Arrival::Deterministic(c) => (&mut data[range], constant(c)),
+        };
+        (slot_parts_mut(p, *n_globals), a, d)
+    }
+}
+
+/// The parts of `c` over `zeros`, a block of `+0.0` and then one of
+/// `-0.0`: its coefficients borrow the block of its zero.
+fn constant_parts(zeros: &[f64], n_globals: usize, n_locals: usize, c: Constant) -> Parts<'_> {
+    let (plus, minus) = zeros.split_at(zeros.len() / 2);
+    let block = if c.zero.is_sign_negative() {
+        minus
+    } else {
+        plus
+    };
+    Parts {
+        nominal: c.nominal,
+        random: 0.0,
+        globals: &block[..n_globals],
+        locals: &block[..n_locals],
+    }
+}
+
+fn slot_parts(slot: &[f64], n_globals: usize) -> Parts<'_> {
+    let (globals, locals) = slot[2..].split_at(n_globals);
+    Parts {
+        nominal: slot[0],
+        random: slot[1],
+        globals,
+        locals,
+    }
+}
+
+fn slot_parts_mut(slot: &mut [f64], n_globals: usize) -> PartsMut<'_> {
+    let [nominal, random, coefficients @ ..] = slot else {
+        unreachable!("a slot holds a mean and a random part");
+    };
+    let (globals, locals) = coefficients.split_at_mut(n_globals);
+    PartsMut {
+        nominal,
+        random,
+        globals,
+        locals,
+    }
+}
+
+/// `data[write]` for writing, beside the disjoint `data[read]` for
+/// reading.
+///
+/// # Panics
+///
+/// Panics if the ranges overlap.
+fn split_ranges(data: &mut [f64], write: Range<usize>, read: Range<usize>) -> (&mut [f64], &[f64]) {
+    assert!(
+        write.end <= read.start || read.end <= write.start,
+        "a vertex reads its own arrival"
+    );
+    if write.start < read.start {
+        let (head, tail) = data.split_at_mut(read.start);
+        (&mut head[write], &tail[..read.len()])
+    } else {
+        let (head, tail) = data.split_at_mut(write.start);
+        (&mut tail[..write.len()], &head[read])
     }
 }
 

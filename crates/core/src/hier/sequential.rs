@@ -162,18 +162,16 @@ pub fn analyze_sequential(
         let mut required: Option<CanonicalForm> = None;
         let mut hold_slack: Option<CanonicalForm> = None;
         for (p, &v) in captures.iter().enumerate() {
-            let arrival = late[v.0 as usize].as_ref().ok_or_else(missing)?;
-            capture_arrival = Some(fold(capture_arrival, arrival, CanonicalForm::maximum));
+            let arrival = late.form(v).ok_or_else(missing)?;
+            capture_arrival = Some(fold(capture_arrival, &arrival, CanonicalForm::maximum));
             if let Some(setup) = seq.setup_of(p) {
                 let setup = assembled.rewrite_arc(idx, setup)?;
                 required = Some(fold(required, &arrival.sum(&setup), CanonicalForm::maximum));
             }
             if let Some(hold) = seq.hold_of(p) {
                 let hold = assembled.rewrite_arc(idx, hold)?;
-                let early = early_neg[v.0 as usize]
-                    .as_ref()
-                    .ok_or_else(missing)?
-                    .negated();
+                let mut early = early_neg.form(v).ok_or_else(missing)?;
+                early.negate();
                 hold_slack = Some(fold(
                     hold_slack,
                     &early.sum(&hold.negated()),

@@ -18,7 +18,7 @@
 //! bits a keep-everything [`levels::forward`] gives.
 
 use crate::levels::{self, LevelSchedule};
-use crate::{DelayAlgebra, TimingError, TimingGraph};
+use crate::{DelayAlgebra, EdgeId, TimingError, TimingGraph};
 
 /// The `m × n` matrix of maximum input-to-output delays.
 ///
@@ -102,11 +102,12 @@ pub fn delay_matrix<D: DelayAlgebra>(
     let schedule = LevelSchedule::build(graph)?;
     let outputs = graph.outputs();
     let mut entries: Vec<Option<D>> = Vec::with_capacity(graph.inputs().len() * outputs.len());
+    let step = |acc: &mut Option<D>, a: &D, e: EdgeId| {
+        D::max_plus_into(acc, a, &graph.edge(e).delay);
+        Ok::<(), TimingError>(())
+    };
     for &input in graph.inputs() {
-        let arrival = levels::forward_with(graph, &schedule, [(input, zero())], |acc, a, e| {
-            D::max_plus_into(acc, a, &graph.edge(e).delay);
-            Ok::<(), TimingError>(())
-        })?;
+        let arrival = levels::forward_with(graph, &schedule, [(input, zero())], step)?;
         entries.extend(outputs.iter().map(|&vj| arrival[vj.0 as usize].clone()));
     }
     Ok(DelayMatrix {

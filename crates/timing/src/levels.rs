@@ -15,12 +15,12 @@
 //! Both directions run one pull loop, and each pulled edge costs one
 //! [`DelayAlgebra::max_plus_into`] step, `acc ← max(acc, a + d)`, which
 //! canonical forms fuse into one in-place kernel. [`forward_with`]
-//! takes its seeds by value and the step from the caller: the
-//! design-level analysis keeps each instance edge in its module's
-//! variable space and rewrites it into the design space inside the step
-//! (negated, for the early pass of sequential timing), so no pass
-//! materializes design-space edge delays, and extraction's accuracy
-//! repair skips pruned edges inside its step.
+//! takes its seeds by value and the step from the caller, as a
+//! [`PullStep`]: the design-level analysis keeps each instance edge in
+//! its module's variable space and rewrites it into the design space
+//! inside the step (negated, for the early pass of sequential timing),
+//! so no pass materializes design-space edge delays, and extraction's
+//! accuracy repair skips pruned edges inside its step.
 //!
 //! Passes differ in what they keep. [`forward`] and [`backward`] return
 //! a value at every vertex a source reaches, because criticality scoring
@@ -28,13 +28,18 @@
 //! and a critical-path trace walks interior arrivals. [`forward_with`]
 //! serves callers that read only graph outputs and sinks (the design
 //! analysis, sequential timing, all-pairs delay matrices and accuracy
-//! repair): it drops each value once the last of its out-arcs has been
-//! pulled, so a pass holds its live frontier rather than the whole
-//! graph. On 64 chained `c880` instances, whose design-space forms carry
-//! 756 local coefficients, one design pass peaks at ~14 MB of heap
-//! instead of ~68 MB. A value is dropped only after every reader has
-//! pulled it, so the two kinds of pass agree bit for bit wherever both
-//! hold a value.
+//! repair): it hands each value back to the step once the last of its
+//! out-arcs has been pulled, so a pass holds its live frontier rather
+//! than the whole graph. Its per-vertex values need not be delays: the
+//! design analysis keeps a small handle per vertex, either a
+//! deterministic arrival or a slot of one slab sized per pass, and its
+//! step puts each handed-back slot on the slab's free list. On 64
+//! chained `c880` instances, whose design-space forms carry 756 local
+//! coefficients, one design pass peaks at ~1.8 MB of heap over 117
+//! allocations, against ~14 MB over 22,310 when each arrival was a form
+//! of its own and ~68 MB when a pass held every arrival. A value is
+//! handed back only after every reader has pulled it, so the two kinds
+//! of pass agree bit for bit wherever both hold a value.
 //!
 //! Passes run on the calling thread. Fanning each level out across
 //! scoped threads measured slower than the serial loop at every size
@@ -55,6 +60,39 @@
 
 use crate::{DelayAlgebra, EdgeId, TimingError, TimingGraph, VertexId};
 use std::cell::Cell;
+
+/// One pull step of a [`forward_with`] pass, and where the pass hands
+/// back the values no arc will read again.
+///
+/// A pass folds [`step`](Self::step) over each vertex's in-arcs and
+/// calls [`release`](Self::release) with a value once every arc that
+/// reads it has been pulled. Every
+/// `FnMut(&mut Option<V>, &V, EdgeId) -> Result<(), E>` closure is a
+/// step whose released values are dropped; annotate its first two
+/// parameters (`|acc: &mut Option<_>, a: &_, e|`) so that the closure
+/// accepts borrows of any lifetime.
+pub trait PullStep<V, E> {
+    /// Folds `from`, the value at the source of `edge`, into `acc`; a
+    /// step that leaves `acc` alone skips the edge.
+    ///
+    /// # Errors
+    ///
+    /// The first error ends the pass.
+    fn step(&mut self, acc: &mut Option<V>, from: &V, edge: EdgeId) -> Result<(), E>;
+
+    /// Takes back a value that no arc will read again; the default
+    /// drops it.
+    fn release(&mut self, _value: V) {}
+}
+
+impl<V, E, F> PullStep<V, E> for F
+where
+    F: FnMut(&mut Option<V>, &V, EdgeId) -> Result<(), E>,
+{
+    fn step(&mut self, acc: &mut Option<V>, from: &V, edge: EdgeId) -> Result<(), E> {
+        self(acc, from, edge)
+    }
+}
 
 thread_local! {
     static BUILDS: Cell<u64> = const { Cell::new(0) };
@@ -303,16 +341,17 @@ fn readers<D: DelayAlgebra>(graph: &TimingGraph<D>, schedule: &LevelSchedule) ->
 /// With `readers` (see [`readers`]; forward passes only, since the
 /// counts are out-degrees), each pulled arc counts its far end down,
 /// whether or not that end holds a value, and a value whose count
-/// reaches zero is dropped: every reader has folded it already.
-fn pull<D, E, F>(
+/// reaches zero goes back to the step: every reader has folded it
+/// already.
+fn pull<V, E, S>(
     schedule: &LevelSchedule,
-    mut values: Vec<Option<D>>,
+    mut values: Vec<Option<V>>,
     direction: Direction,
     mut readers: Option<Vec<u32>>,
-    mut step: F,
-) -> Result<Vec<Option<D>>, E>
+    mut step: S,
+) -> Result<Vec<Option<V>>, E>
 where
-    F: FnMut(&mut Option<D>, &D, EdgeId) -> Result<(), E>,
+    S: PullStep<V, E>,
 {
     let n_levels = schedule.n_levels();
     for i in 0..n_levels {
@@ -332,12 +371,14 @@ where
             for &(e, w) in arcs {
                 let w = w as usize;
                 if let Some(x) = &values[w] {
-                    step(&mut acc, x, EdgeId(e))?;
+                    step.step(&mut acc, x, EdgeId(e))?;
                 }
                 if let Some(readers) = readers.as_mut() {
                     readers[w] -= 1;
                     if readers[w] == 0 {
-                        values[w] = None;
+                        if let Some(spent) = values[w].take() {
+                            step.release(spent);
+                        }
                     }
                 }
             }
@@ -371,30 +412,33 @@ pub fn forward<D: DelayAlgebra>(
 ) -> Result<Vec<Option<D>>, TimingError> {
     schedule.ensure_matches(graph)?;
     let seeds = seed(schedule.vertex_bound, sources.iter().cloned());
-    pull(schedule, seeds, Direction::Forward, None, |acc, a, e| {
+    let step = |acc: &mut Option<D>, a: &D, e: EdgeId| {
         D::max_plus_into(acc, a, &graph.edge(e).delay);
         Ok(())
-    })
+    };
+    pull(schedule, seeds, Direction::Forward, None, step)
 }
 
 /// The arrivals [`forward`] finds at graph outputs and at vertices no
 /// edge leaves (sinks, such as a registered instance's capture
-/// vertices), with sources taken by value and a caller-supplied pull
-/// step; every other slot is `None`.
+/// vertices), with sources taken by value and a caller-supplied
+/// [`PullStep`]; every other slot is `None`.
 ///
-/// Each vertex folds `step(acc, arrival[from], edge)` over its in-edges,
+/// Each vertex folds `step(acc, value[from], edge)` over its in-edges,
 /// where the plain step is
 /// `D::max_plus_into(acc, arrival, &graph.edge(edge).delay)`. A caller
 /// whose edges hold delays in another representation (the design-level
 /// analysis keeps instance edges in module space) converts each edge
 /// inside its step, at the moment the pass pulls it; a step that leaves
-/// `acc` alone skips the edge. The first error a step returns ends the
-/// pass.
+/// `acc` alone skips the edge. The values need not be `D`: a caller may
+/// keep each arrival elsewhere and pass a handle to it. The first error
+/// a step returns ends the pass.
 ///
-/// The pass drops each interior arrival once the last of its out-edges
-/// has been pulled, so it holds the frontier between the levels pulled
-/// and the levels still to come rather than one value per vertex, and
-/// an output or sink value has the bits [`forward`] gives it.
+/// The pass hands each interior value back to the step's
+/// [`release`](PullStep::release) once the last of its out-edges has
+/// been pulled, so it holds the frontier between the levels pulled and
+/// the levels still to come rather than one value per vertex, and an
+/// output or sink value has the bits [`forward`] gives it.
 ///
 /// # Errors
 ///
@@ -404,22 +448,29 @@ pub fn forward<D: DelayAlgebra>(
 ///
 /// # Panics
 ///
-/// Panics if a source vertex id is out of range.
-pub fn forward_with<D, E, F>(
+/// Panics if a source vertex id is out of range or listed twice.
+pub fn forward_with<D, V, E, S>(
     graph: &TimingGraph<D>,
     schedule: &LevelSchedule,
-    sources: impl IntoIterator<Item = (VertexId, D)>,
-    step: F,
-) -> Result<Vec<Option<D>>, E>
+    sources: impl IntoIterator<Item = (VertexId, V)>,
+    step: S,
+) -> Result<Vec<Option<V>>, E>
 where
     D: DelayAlgebra,
     E: From<TimingError>,
-    F: FnMut(&mut Option<D>, &D, EdgeId) -> Result<(), E>,
+    S: PullStep<V, E>,
 {
     schedule.ensure_matches(graph)?;
-    let seeds = seed(schedule.vertex_bound, sources);
+    let mut values: Vec<Option<V>> = std::iter::repeat_with(|| None)
+        .take(schedule.vertex_bound)
+        .collect();
+    for (v, value) in sources {
+        let slot = &mut values[v.0 as usize];
+        assert!(slot.is_none(), "vertex {} is a source twice", v.0);
+        *slot = Some(value);
+    }
     let readers = readers(graph, schedule);
-    pull(schedule, seeds, Direction::Forward, Some(readers), step)
+    pull(schedule, values, Direction::Forward, Some(readers), step)
 }
 
 /// Max delay from each vertex to the given `(vertex, initial)` sinks,
@@ -445,10 +496,11 @@ pub fn backward<D: DelayAlgebra>(
     let seeds = seed(schedule.vertex_bound, sinks.iter().cloned());
     // `sum` is commutative, so `required + delay` has the bits of
     // `delay + required`.
-    pull(schedule, seeds, Direction::Backward, None, |acc, r, e| {
+    let step = |acc: &mut Option<D>, r: &D, e: EdgeId| {
         D::max_plus_into(acc, r, &graph.edge(e).delay);
         Ok(())
-    })
+    };
+    pull(schedule, seeds, Direction::Backward, None, step)
 }
 
 #[cfg(test)]
@@ -540,7 +592,7 @@ mod tests {
         let (g, [i, a, b, o]) = diamond();
         let s = LevelSchedule::build(&g).unwrap();
         // A step that doubles every edge delay on the way.
-        let doubled = forward_with(&g, &s, [(i, 0.0)], |acc, x, e| {
+        let doubled = forward_with(&g, &s, [(i, 0.0)], |acc: &mut Option<_>, x: &_, e| {
             f64::max_plus_into(acc, x, &(2.0 * g.edge(e).delay));
             Ok::<(), TimingError>(())
         })
@@ -550,7 +602,7 @@ mod tests {
         assert_eq!(doubled[a.0 as usize], None);
         assert_eq!(doubled[b.0 as usize], None);
         assert_eq!(doubled[o.0 as usize], Some(8.0));
-        let failed = forward_with(&g, &s, [(i, 0.0)], |acc, x, e| {
+        let failed = forward_with(&g, &s, [(i, 0.0)], |acc: &mut Option<_>, x: &_, e| {
             if g.edge(e).to == o {
                 return Err(TimingError::NoPath);
             }
@@ -558,6 +610,60 @@ mod tests {
             Ok(())
         });
         assert_eq!(failed, Err(TimingError::NoPath));
+    }
+
+    /// A step over `(vertex, arrival)` values that records every value
+    /// the pass hands back.
+    struct Recording<'g> {
+        graph: &'g TimingGraph<f64>,
+        released: Vec<(VertexId, f64)>,
+    }
+
+    impl PullStep<(VertexId, f64), TimingError> for &mut Recording<'_> {
+        fn step(
+            &mut self,
+            acc: &mut Option<(VertexId, f64)>,
+            from: &(VertexId, f64),
+            e: EdgeId,
+        ) -> Result<(), TimingError> {
+            let edge = self.graph.edge(e);
+            let arrival = from.1 + edge.delay;
+            let prev = acc.map_or(f64::NEG_INFINITY, |(_, a)| a);
+            *acc = Some((edge.to, prev.max(arrival)));
+            Ok(())
+        }
+
+        fn release(&mut self, value: (VertexId, f64)) {
+            self.released.push(value);
+        }
+    }
+
+    #[test]
+    fn forward_with_hands_back_each_spent_value_once() {
+        let (g, [i, a, b, o]) = diamond();
+        let s = LevelSchedule::build(&g).unwrap();
+        let mut recording = Recording {
+            graph: &g,
+            released: Vec::new(),
+        };
+        let kept = forward_with(&g, &s, [(i, (i, 0.0))], &mut recording).unwrap();
+        assert_eq!(kept[o.0 as usize], Some((o, 4.0)));
+        let held: Vec<usize> = (0..kept.len()).filter(|&v| kept[v].is_some()).collect();
+        assert_eq!(held, vec![o.0 as usize]);
+        // `i` goes back once `b` has pulled it, `a` and `b` once `o` has.
+        assert_eq!(recording.released, vec![(i, 0.0), (a, 1.0), (b, 2.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is a source twice")]
+    fn forward_with_refuses_a_source_listed_twice() {
+        let (g, [i, ..]) = diamond();
+        let s = LevelSchedule::build(&g).unwrap();
+        let step = |acc: &mut Option<f64>, x: &f64, e: EdgeId| {
+            f64::max_plus_into(acc, x, &g.edge(e).delay);
+            Ok::<(), TimingError>(())
+        };
+        let _ = forward_with(&g, &s, [(i, 0.0), (i, 1.0)], step);
     }
 
     thread_local! {

@@ -193,43 +193,43 @@ fn mixed_registered_chain() -> Design {
     })
 }
 
-/// Every coefficient of `f` as little-endian bytes; with `fold_zero_sign`
-/// a `-0.0` coefficient is written as `+0.0`.
-fn push_form_bytes(f: &CanonicalForm, fold_zero_sign: bool, out: &mut Vec<u8>) {
+/// Every coefficient of `f` as little-endian bytes, so `-0.0` and `0.0`
+/// differ.
+fn push_form_bytes(f: &CanonicalForm, out: &mut Vec<u8>) {
     let coefficients = std::iter::once(f.mean())
         .chain(f.globals().iter().copied())
         .chain(f.locals().iter().copied())
         .chain(std::iter::once(f.random()));
     for c in coefficients {
-        let c = if fold_zero_sign && c == 0.0 { 0.0 } else { c };
         out.extend_from_slice(&c.to_bits().to_le_bytes());
     }
 }
 
 /// SHA-256 over every stage's forms, then the design-wide summaries.
-fn timing_digest(t: &SequentialTiming, fold_zero_sign: bool) -> String {
+fn timing_digest(t: &SequentialTiming) -> String {
     let mut bytes = Vec::new();
     for s in &t.stages {
         let forms = [&s.capture_arrival, &s.required_period, &s.setup_slack];
         for f in forms.into_iter().chain(&s.hold_slack) {
-            push_form_bytes(f, fold_zero_sign, &mut bytes);
+            push_form_bytes(f, &mut bytes);
         }
     }
     for f in [&t.min_period, &t.worst_setup_slack]
         .into_iter()
         .chain(&t.worst_hold_slack)
     {
-        push_form_bytes(f, fold_zero_sign, &mut bytes);
+        push_form_bytes(f, &mut bytes);
     }
     sha256(&bytes).to_hex()
 }
 
 #[test]
 fn sequential_results_match_golden_digests() {
-    // Proposed-mode digests hash raw bits. GlobalOnly-mode digests fold
-    // the sign of zero: a coefficient outside an instance's private
-    // block is an exact zero whose sign only records which way the hold
-    // pass negated it.
+    // Both modes hash raw bits. The sign of an exact zero records which
+    // way the hold pass negated it (a GlobalOnly coefficient outside an
+    // instance's private block, or a stage fed by design inputs alone),
+    // so a hold pass that gave a deterministic arrival the wrong zero
+    // sign would move these digests.
     let (config, models) = stage_models(&ExtractOptions::default());
     let designs = [
         (
@@ -260,7 +260,7 @@ fn sequential_results_match_golden_digests() {
                 mode,
             };
             let t = analyze_sequential(design, &options).expect("analyze");
-            let got = timing_digest(&t, mode == CorrelationMode::GlobalOnly);
+            let got = timing_digest(&t);
             if got != *want {
                 drifted.push(format!("{name} {mode:?}: {got}"));
             }
